@@ -26,14 +26,33 @@ from .online_min import (EULER, CertificateReport, FractionalCertificate,
                          ceil_times, check_certificate, resolve_alpha,
                          run_alpha_edf)
 from .oracle import (IncrementalOff, brute_force_feasible, edf_simulate,
-                     fast_off_series, flow_feasible, off_prefix_series,
-                     off_unit, offline_throughput_opt, volume_lower_bound)
+                     flow_feasible, off_prefix_series, off_unit,
+                     offline_throughput_opt, volume_lower_bound)
 from .throughput import (Matching, MatchingInstance, RatioEstimate,
                          batched_greedy_weights, edf_throughput_unweighted,
-                         estimate_ratio, greedy_baseline, map_solutions,
+                         estimate_ratio, greedy_baseline,
                          matching_to_schedule, perturbed_greedy,
                          reduce_to_matching, schedule_to_matching)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AdversaryState", "AggregateGame", "GameTranscript", "aggregate_game",
+    "alpha_edf_player", "counting_bounds", "crossover_n", "offline_witness",
+    "play_game", "scaling_bound_report", "ContractViolation", "Instance",
+    "Job", "MachineProfile", "ParseError", "Schedule", "ValidationError",
+    "audit_schedule", "feasible_slot", "read_instance", "schedule_cost",
+    "validate_instance", "write_instance", "EqualDeadlineTranscript",
+    "classify", "phase_bounds", "phase_split", "run_equal_deadline",
+    "adversary_instance", "equal_deadline_instance", "generate",
+    "random_unit_instance", "throughput_instance", "upper_triangular_instance",
+    "EULER", "CertificateReport", "FractionalCertificate", "OnlineState",
+    "OnlineTranscript", "build_certificate", "ceil_times", "check_certificate",
+    "resolve_alpha", "run_alpha_edf", "IncrementalOff", "brute_force_feasible",
+    "edf_simulate", "flow_feasible", "off_prefix_series", "off_unit",
+    "offline_throughput_opt", "volume_lower_bound", "Matching",
+    "MatchingInstance", "RatioEstimate", "batched_greedy_weights",
+    "edf_throughput_unweighted", "estimate_ratio", "greedy_baseline",
+    "matching_to_schedule", "perturbed_greedy", "reduce_to_matching",
+    "schedule_to_matching",
+]

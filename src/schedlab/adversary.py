@@ -7,16 +7,17 @@ online player through :func:`play_game` records the full exchange;
 :func:`aggregate_game` plays the same game purely with counters so that
 horizons in the millions stay cheap.
 
-The aggregate optimum uses the fact that for a common deadline the offline
-cost is ``max over s of ceil(released[s..t] / (n - s))``; viewed as a
-function of cumulative releases each ``s`` is a line, so a convex-hull
-pointer over lines added in slope order yields every ``OFF(t)`` exactly in
-amortized constant time.
+For a common deadline the offline cost is ``max over s of
+ceil(released[s..t] / (n - s))``: the single deadline column of the oracle's
+``IncrementalOff`` engine.  :func:`aggregate_game` and
+:func:`scaling_bound_report` drive that column's hull directly on release
+counts, so every ``OFF(t)`` is exact in amortized constant time per step.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Protocol, Sequence
@@ -25,7 +26,7 @@ import numpy as np
 
 from .core import ContractViolation, Job, Schedule
 from .online_min import EULER, OnlineState, ceil_times, resolve_alpha
-from .oracle import IncrementalOff
+from .oracle import IncrementalOff, _DeadlineHull
 
 
 class OnlinePlayer(Protocol):
@@ -34,7 +35,7 @@ class OnlinePlayer(Protocol):
 
 def alpha_edf_player(alpha, n: int) -> OnlineState:
     """A scaled-EDF player sized for an ``(n, N)`` adversary game."""
-    return OnlineState(alpha, range(n), [n])
+    return OnlineState(alpha, [n])
 
 
 def resolve_rho(rho) -> Fraction | None:
@@ -133,7 +134,7 @@ def play_game(player: OnlinePlayer, n: int, N: int | None = None,
     if N is None:
         N = n * n
     state = AdversaryState(n=n, N=N, rho=resolve_rho(rho))
-    off_engine = IncrementalOff(range(n), [n])
+    off_engine = IncrementalOff([n])
     transcript = GameTranscript(n=n, N=N, rho=state.rho)
     outstanding: set[int] = set()
     for t in range(n):
@@ -160,64 +161,6 @@ def play_game(player: OnlinePlayer, n: int, N: int | None = None,
     transcript.stopped_at = state.stopped_at
     transcript.off_final = off_engine.value
     return transcript
-
-
-class _SuffixDemandHull:
-    """Exact max of ``(A_t - A_{s-1}) / (n - s)`` over s, amortized O(1)/step.
-
-    Each candidate ``s`` is the line ``y = (x - A_{s-1}) / (n - s)`` in the
-    cumulative release count ``x``.  Lines arrive in increasing slope order
-    and queries come at nondecreasing ``x``, the textbook monotone case.
-    All comparisons cross-multiply Python ints, so results are exact.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.lines: list[tuple[int, int]] = []  # (s, A_{s-1})
-        self.ptr = 0
-
-    @staticmethod
-    def _le(p1: int, q1: int, p2: int, q2: int) -> bool:
-        if q1 < 0:
-            p1, q1 = -p1, -q1
-        if q2 < 0:
-            p2, q2 = -p2, -q2
-        return p1 * q2 <= p2 * q1
-
-    def _ix(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-        (sa, Aa), (sb, Ab) = a, b
-        n = self.n
-        return Aa * (n - sb) - Ab * (n - sa), sa - sb
-
-    def add(self, s: int, A_prev: int) -> None:
-        new = (s, A_prev)
-        lines = self.lines
-        while len(lines) >= 2:
-            p1, q1 = self._ix(lines[-2], new)
-            p2, q2 = self._ix(lines[-2], lines[-1])
-            if self._le(p1, q1, p2, q2):
-                lines.pop()
-            else:
-                break
-        lines.append(new)
-        self.ptr = min(self.ptr, len(lines) - 1)
-
-    def query_ceil(self, x: int) -> int:
-        """``ceil`` of the hull maximum at cumulative count ``x``."""
-        lines = self.lines
-        n = self.n
-
-        def better(i: int, j: int) -> bool:
-            si, Ai = lines[i]
-            sj, Aj = lines[j]
-            return (x - Ai) * (n - sj) >= (x - Aj) * (n - si)
-
-        while self.ptr + 1 < len(lines) and better(self.ptr + 1, self.ptr):
-            self.ptr += 1
-        s, A_prev = lines[self.ptr]
-        num = x - A_prev
-        den = n - s
-        return -(-num // den)
 
 
 @dataclass
@@ -303,6 +246,10 @@ def aggregate_game(alpha, n: int, N: int | None = None, rho=None) -> AggregateGa
     ``m(t) = ceil(alpha * OFF(t))`` makes the online/offline ratio exceed
     even ``rho > alpha`` while ``OFF`` is small, so a meaningful full-horizon
     run must not stop.
+
+    The per-step series are int64 arrays, so a game whose full-stream
+    release total or peak machine count ``ceil(alpha * N)`` exceeds
+    ``2**63 - 1`` is refused up front rather than left to wrap.
     """
     if n < 1:
         raise ContractViolation("need n >= 1")
@@ -311,11 +258,19 @@ def aggregate_game(alpha, n: int, N: int | None = None, rho=None) -> AggregateGa
     alpha = resolve_alpha(alpha)
     rho_f = resolve_rho(rho)
     guard = alpha == EULER
-    a_arr = np.zeros(n, dtype=np.int64)
-    off_arr = np.zeros(n, dtype=np.int64)
-    online_arr = np.zeros(n, dtype=np.int64)
-    backlog_arr = np.zeros(n, dtype=np.int64)
-    hull = _SuffixDemandHull(n)
+    limit = np.iinfo(np.int64).max
+    # N * n bounds the release total and spares the exact sum when it fits;
+    # OFF(t) <= N, so ceil(alpha * N) bounds every machine count.
+    if N * n > limit and actual_released(n, N) > limit:
+        raise ContractViolation(
+            f"n={n}, N={N} releases {actual_released(n, N)} jobs, "
+            f"more than an int64 holds ({limit})")
+    if ceil_times(alpha, N) > limit:
+        raise ContractViolation(
+            f"alpha={alpha}, N={N} may rent {ceil_times(alpha, N)} machines, "
+            f"more than an int64 holds ({limit})")
+    a_out, off_out, online_out, backlog_out = (array("q") for _ in range(4))
+    hull = _DeadlineHull(n)
     A = 0
     backlog = 0
     stopped_at: int | None = None
@@ -332,10 +287,13 @@ def aggregate_game(alpha, n: int, N: int | None = None, rho=None) -> AggregateGa
         if (stopped_at is None and rho_f is not None and off > 0
                 and online * rho_f.denominator >= rho_f.numerator * off):
             stopped_at = t
-        a_arr[t] = a
-        off_arr[t] = off
-        online_arr[t] = online
-        backlog_arr[t] = backlog
+        a_out.append(a)
+        off_out.append(off)
+        online_out.append(online)
+        backlog_out.append(backlog)
+    a_arr, off_arr, online_arr, backlog_arr = (
+        np.frombuffer(v, dtype=np.int64)
+        for v in (a_out, off_out, online_out, backlog_out))
     return AggregateGame(n=n, N=N, alpha=alpha, rho=rho_f, a=a_arr,
                          off=off_arr, online=online_arr, backlog=backlog_arr,
                          stopped_at=stopped_at)
@@ -489,15 +447,13 @@ def scaling_bound_report(n: int, N: int | None = None,
         N = n * n
     if t_max is None:
         t_max = n - 1
-    A = [0]
-    for t in range(n):
-        A.append(A[-1] + N // (n - t))
+    hull = _DeadlineHull(n)
+    released = 0
     rows = []
     for tstar in range(min(t_max, n - 1) + 1):
-        off = 0
-        for s in range(tstar + 1):
-            num = A[tstar + 1] - A[s]
-            off = max(off, -(-num // (n - s)))
+        hull.add(tstar, released)
+        released += N // (n - tstar)
         bound = -(-(N * EULER.denominator) // (EULER.numerator * (n - tstar)))
-        rows.append(EnvelopeRow(tstar=tstar, off=off, bound=bound))
+        rows.append(EnvelopeRow(tstar=tstar, off=hull.query_ceil(released),
+                                bound=bound))
     return rows

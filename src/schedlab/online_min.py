@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -126,11 +126,10 @@ class OnlineState:
     and the run continues, so undersized ``alpha`` values can be studied.
     """
 
-    def __init__(self, alpha, release_values: Sequence[int],
-                 deadline_values: Sequence[int]):
+    def __init__(self, alpha, deadline_values: Iterable[int]):
         self.alpha = resolve_alpha(alpha)
         self._guard = self.alpha == EULER
-        self._off_engine = IncrementalOff(release_values, deadline_values)
+        self._off_engine = IncrementalOff(deadline_values)
         self.t = 0
         self._heap: list[tuple[int, int]] = []
         self.released: list[list[int]] = []
@@ -180,13 +179,6 @@ class OnlineState:
             m=self.m, trace=self.trace, schedule=self.schedule)
 
 
-def alpha_edf_step(state: OnlineState, t: int,
-                   released: Sequence[Job]) -> tuple[int, list[int], OnlineState]:
-    """Functional wrapper around :meth:`OnlineState.step`."""
-    m, slot = state.step(t, released)
-    return m, slot, state
-
-
 def run_alpha_edf(instance: Instance, alpha="e") -> OnlineTranscript:
     """Drive the online algorithm over a full unit-job instance.
 
@@ -201,7 +193,7 @@ def run_alpha_edf(instance: Instance, alpha="e") -> OnlineTranscript:
     releases: dict[int, list[Job]] = {}
     for j in jobs:
         releases.setdefault(int(j.r), []).append(j)
-    state = OnlineState(alpha, (int(j.r) for j in jobs), (int(j.d) for j in jobs))
+    state = OnlineState(alpha, (int(j.d) for j in jobs))
     empty: list[Job] = []
     for t in range(horizon):
         state.step(t, releases.get(t, empty))

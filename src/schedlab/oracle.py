@@ -8,16 +8,22 @@ routes compute or cross-check it:
 * bipartite transportation feasibility on compressed slots (``flow_feasible``),
 * exhaustive assignment search for tiny instances (``brute_force_feasible``).
 
-``IncrementalOff`` maintains the same value over a growing job prefix in
-amortized vectorized time; online algorithms use it to track the optimum of
-everything released so far.
+These three are the independent cross-checks.  The production engine is
+``IncrementalOff``: it keeps the same value over a growing released prefix
+with one monotone convex hull per deadline column (Hall's condition on
+interval windows), in amortized constant time per column a step touches.
+Online players, the adversary game, the envelope report and
+``off_prefix_series`` all track the optimum of everything released so far
+through it.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,6 +32,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
 from .core import ContractViolation, Instance, Job, MachineProfile, Schedule
+
+_window = attrgetter("r", "d")
 
 
 @dataclass
@@ -167,109 +175,127 @@ def off_unit(jobs: Sequence[Job]) -> int:
 def off_prefix_series(jobs: Sequence[Job]) -> dict[int, int]:
     """``off_unit`` of everything released by time t, for each integer t.
 
-    Keys run from 0 to the maximum release.  The value is nondecreasing in
-    t, so each step warm-starts a binary search at the previous optimum.
+    Keys run from 0 to the maximum release; the jobs may come in any order.
+    The values come from one :class:`IncrementalOff` pass.
     """
-    jobs = sorted(jobs, key=lambda j: (j.r, j.id))
     if not jobs:
         return {}
-    series: dict[int, int] = {}
-    prefix: list[Job] = []
-    idx = 0
-    prev = 0
-    max_release = int(max(j.r for j in jobs))
-    for t in range(max_release + 1):
-        grew = False
-        while idx < len(jobs) and jobs[idx].r <= t:
-            prefix.append(jobs[idx])
-            idx += 1
-            grew = True
-        if grew:
-            if prev >= 1 and _edf_feasible(prefix, prev):
-                pass  # optimum unchanged: it cannot shrink as jobs arrive
-            else:
-                lo, hi = max(prev, 1), len(prefix)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if _edf_feasible(prefix, mid):
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                prev = lo
-        series[t] = prev
-    return series
+    by_release: dict[int, list[Job]] = {}
+    for j in jobs:
+        by_release.setdefault(int(j.r), []).append(j)
+    engine = IncrementalOff.for_jobs(jobs)
+    return {t: engine.add(by_release.get(t, []), t)
+            for t in range(max(by_release) + 1)}
+
+
+class _DeadlineHull:
+    """Exact ``max over rows s of ceil((x - P_s) / (e - s))`` for deadline ``e``.
+
+    Row ``s`` is a line in ``x``, the count of released jobs due by ``e``;
+    ``P_s`` is that count before step ``s``.  Rows arrive in increasing slope
+    and queries at nondecreasing ``x`` (the monotone convex-hull case), so a
+    pointer walks forward.  All comparisons cross-multiply Python ints.
+    """
+
+    __slots__ = ("e", "lines", "ptr")
+
+    def __init__(self, e: int):
+        self.e = e
+        self.lines: list[tuple[int, int]] = []  # (e - s, P_s)
+        self.ptr = 0
+
+    def add(self, s: int, P: int) -> None:
+        w = self.e - s
+        lines = self.lines
+        while len(lines) >= 2:
+            w1, p1 = lines[-2]
+            w2, p2 = lines[-1]
+            # The last line never leads if the new one overtakes lines[-2]
+            # no later than it does: compare the two crossing points.
+            if (P * w1 - p1 * w) * (w1 - w2) > (p2 * w1 - p1 * w2) * (w1 - w):
+                break
+            lines.pop()
+        lines.append((w, P))
+        if self.ptr >= len(lines):
+            self.ptr = len(lines) - 1
+
+    def query_ceil(self, x: int) -> int:
+        """``ceil`` of the hull maximum at count ``x``."""
+        lines = self.lines
+        i = self.ptr
+        last = len(lines) - 1
+        w, p = lines[i]
+        while i < last:
+            w2, p2 = lines[i + 1]
+            if (x - p2) * w < (x - p) * w2:
+                break
+            i += 1
+            w, p = w2, p2
+        self.ptr = i
+        return -((p - x) // w)
 
 
 class IncrementalOff:
     """Exact optimum machine count over a growing released-job set.
 
-    Feasibility of ``m`` constant machines is equivalent to every window
-    ``[s, e)`` holding at most ``m * (e - s)`` of the jobs confined to it,
-    so the optimum is the maximum over windows of the ceiling demand ratio.
-    The windows that matter start at release values and end at deadline
-    values; both index sets are registered up front and the per-step
-    recomputation is a few vectorized passes over that grid.
+    ``m`` constant machines suffice iff every window ``[s, e)`` holds at most
+    ``m * (e - s)`` of the jobs confined to it.  Jobs arrive in release order,
+    so with ``C_e`` the released jobs due by ``e``, the window holds
+    ``C_e - P_e(s)`` with ``P_e(s)`` fixed when step ``s`` began: one
+    :class:`_DeadlineHull` per registered deadline.  A step opens its row and
+    queries only on the columns its jobs count towards; elsewhere that row
+    would tie a later row's count and lose to it, or stay at zero.
     """
 
-    def __init__(self, release_values: Iterable[int], deadline_values: Iterable[int]):
-        self._rv = sorted(set(int(v) for v in release_values))
-        self._dv = sorted(set(int(v) for v in deadline_values))
-        self._ri = {v: i for i, v in enumerate(self._rv)}
-        self._di = {v: i for i, v in enumerate(self._dv)}
-        self._hist = np.zeros((len(self._rv), len(self._dv)), dtype=np.int64)
-        self._rv_arr = np.array(self._rv, dtype=np.int64).reshape(-1, 1)
-        self._dv_arr = np.array(self._dv, dtype=np.int64).reshape(1, -1)
-        self._rows = 0
+    def __init__(self, deadline_values: Iterable[int]):
+        deadlines = sorted(set(int(v) for v in deadline_values))
+        self._column = {d: i for i, d in enumerate(deadlines)}
+        self._hulls = [_DeadlineHull(d) for d in deadlines]
+        self._counts = [0] * len(deadlines)
+        self._t: int | None = None
         self._value = 0
 
     @classmethod
     def for_jobs(cls, jobs: Sequence[Job]) -> "IncrementalOff":
-        return cls((int(j.r) for j in jobs), (int(j.d) for j in jobs))
+        return cls(int(j.d) for j in jobs)
 
     @property
     def value(self) -> int:
         return self._value
 
     def add(self, released: Sequence[Job], t: int) -> int:
-        """Register jobs released at step ``t`` and return the new optimum."""
-        for j in released:
-            if int(j.r) != t:
-                raise ContractViolation(f"job {j.id} released at {j.r}, not {t}")
-            self._hist[self._ri[int(j.r)], self._di[int(j.d)]] += 1
-        while self._rows < len(self._rv) and self._rv[self._rows] <= t:
-            self._rows += 1
-        if released:
-            self._value = self._recompute()
-        return self._value
-
-    def _recompute(self) -> int:
-        rows = self._rows
-        if rows == 0:
-            return 0
-        h = self._hist[:rows]
-        # confined[s, e] = jobs with release >= rv[s] and deadline <= dv[e]
-        confined = np.cumsum(np.cumsum(h[::-1], axis=0)[::-1], axis=1)
-        length = self._dv_arr - self._rv_arr[:rows]
-        demand = np.where(length > 0, -(-confined // np.maximum(length, 1)), 0)
-        return int(demand.max(initial=0))
-
-
-def fast_off_series(jobs: Sequence[Job]) -> dict[int, int]:
-    """Same values as :func:`off_prefix_series` via :class:`IncrementalOff`."""
-    jobs = sorted(jobs, key=lambda j: (j.r, j.id))
-    if not jobs:
-        return {}
-    engine = IncrementalOff.for_jobs(jobs)
-    series: dict[int, int] = {}
-    idx = 0
-    max_release = int(max(j.r for j in jobs))
-    for t in range(max_release + 1):
-        batch = []
-        while idx < len(jobs) and int(jobs[idx].r) == t:
-            batch.append(jobs[idx])
-            idx += 1
-        series[t] = engine.add(batch, t)
-    return series
+        """Register jobs released at step ``t`` (steps must increase, and
+        steps without releases may be skipped); return the new optimum."""
+        if self._t is not None and t <= self._t:
+            raise ContractViolation(f"step {t} does not follow step {self._t}")
+        self._t = t
+        if not released:
+            return self._value
+        fresh: dict[int, int] = {}  # column -> jobs due there released now
+        for (r, d), count in Counter(map(_window, released)).items():
+            col = self._column.get(d)
+            if r != t or col is None or d <= t:
+                job = next(j for j in released if _window(j) == (r, d))
+                if r != t:
+                    raise ContractViolation(f"job {job.id} released at {r}, not {t}")
+                raise ContractViolation(
+                    f"job {job.id} due at {d}: not a registered deadline after {t}")
+            fresh[col] = count
+        hulls, counts = self._hulls, self._counts
+        best = self._value
+        added = 0
+        for col in range(min(fresh), len(hulls)):
+            added += fresh.get(col, 0)
+            hull = hulls[col]
+            count = counts[col]
+            hull.add(t, count)
+            count += added
+            counts[col] = count
+            value = hull.query_ceil(count)
+            if value > best:
+                best = value
+        self._value = best
+        return best
 
 
 def volume_lower_bound(jobs: Sequence[Job], d) -> int:

@@ -139,15 +139,6 @@ def schedule_to_matching(mi: MatchingInstance, schedule: Schedule) -> Matching:
     return matching
 
 
-def map_solutions(mi: MatchingInstance, solution):
-    """Convert between the two equivalent solution representations."""
-    if isinstance(solution, Matching):
-        return matching_to_schedule(mi, solution)
-    if isinstance(solution, Schedule):
-        return schedule_to_matching(mi, solution)
-    raise ContractViolation(f"cannot map {type(solution).__name__}")
-
-
 def _score_table(mi: MatchingInstance, seed: int) -> np.ndarray:
     """Per-job scores w*(1-exp(x-1)), with x drawn once per job in reveal order."""
     rng = random.Random(seed)

@@ -2,6 +2,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from schedlab.adversary import (
     AdversaryState,
@@ -19,7 +21,7 @@ from schedlab.adversary import (
 from schedlab.core import ContractViolation, Job
 from schedlab.generators import adversary_instance
 from schedlab.online_min import EULER
-from schedlab.oracle import off_prefix_series
+from schedlab.oracle import off_prefix_series, off_unit
 
 
 class TestAdversaryState:
@@ -90,8 +92,8 @@ class TestPlayGame:
     def test_full_stream_off_series_matches_oracle(self):
         tr = play_game(alpha_edf_player("e", 4), 4, 16, rho=None)
         inst = adversary_instance(4, 16)
-        series = off_prefix_series(inst.jobs)
-        assert [s["off"] for s in tr.steps] == [series[t] for t in range(4)]
+        assert [s["off"] for s in tr.steps] == [
+            off_unit([j for j in inst.jobs if j.r <= t]) for t in range(4)]
         assert [s["off"] for s in tr.steps] == [1, 3, 5, 16]
 
     def test_e_player_never_misses_full_stream(self):
@@ -136,6 +138,22 @@ class TestAggregateGame:
     def test_off_series_small(self):
         g = aggregate_game("e", 4, 16)
         assert list(g.off) == [1, 3, 5, 16]
+
+    @given(st.integers(1, 40), st.integers(1, 2000))
+    def test_off_matches_job_level_engine(self, n, N):
+        series = off_prefix_series(adversary_instance(n, N).jobs)
+        assert list(aggregate_game("e", n, N).off) == [series[t] for t in range(n)]
+
+    def test_int64_overflow_refused(self):
+        # 20749510070558481011 jobs, past 2**63 - 1 = 9223372036854775807.
+        assert actual_released(100, 4 * 10**18) == 20749510070558481011
+        with pytest.raises(ContractViolation, match="20749510070558481011"):
+            aggregate_game(2, 100, 4 * 10**18)
+        # One step releases N = 5e18 jobs, which fits; 2N machines do not.
+        with pytest.raises(ContractViolation, match="10000000000000000000"):
+            aggregate_game(2, 1, 5 * 10**18)
+        assert aggregate_game(2, 100, 4 * 10**17).released_total == (
+            actual_released(100, 4 * 10**17))
 
     def test_agrees_with_interactive_game(self):
         for n in (4, 31, 100, 200):
@@ -279,7 +297,22 @@ class TestOfflineWitness:
             offline_witness(4, 16, 4)
 
 
+def quadratic_envelope_off(n, N, t_max):
+    """The O(n^2) scan the report used before its hull: every window [s, n)."""
+    A = [0]
+    for t in range(n):
+        A.append(A[-1] + N // (n - t))
+    return [max(-(-(A[tstar + 1] - A[s]) // (n - s)) for s in range(tstar + 1))
+            for tstar in range(min(t_max, n - 1) + 1)]
+
+
 class TestScalingBoundReport:
+    @given(st.integers(1, 60), st.integers(0, 10**6), st.integers(-1, 70))
+    def test_off_column_matches_quadratic_scan(self, n, N, t_max):
+        rows = scaling_bound_report(n, N, t_max)
+        assert [r.off for r in rows] == quadratic_envelope_off(n, N, t_max)
+        assert [r.tstar for r in rows] == list(range(min(t_max, n - 1) + 1))
+
     def test_frozen_window(self):
         rows = scaling_bound_report(100, 10**4, t_max=60)
         frozen = {54: (79, 80), 55: (82, 82), 56: (84, 84), 57: (86, 86),
@@ -295,6 +328,6 @@ class TestScalingBoundReport:
 
     def test_off_column_is_true_optimum(self):
         inst = adversary_instance(12)
-        series = off_prefix_series(inst.jobs)
         rows = scaling_bound_report(12)
-        assert [r.off for r in rows] == [series[t] for t in range(12)]
+        assert [r.off for r in rows] == [
+            off_unit([j for j in inst.jobs if j.r <= t]) for t in range(12)]

@@ -164,6 +164,16 @@ class TestGame:
         assert code == 0
         assert json.loads(out)["missed"] is False
 
+    def test_aggregate_int64_overflow_is_usage_error(self, capsys):
+        # The stream releases 20749510070558481011 jobs, past 2**63 - 1; an
+        # int64 total would wrap to 2302765996848929395.
+        code, out, err = run_cli(capsys, "game", "alpha-edf", "--alpha", "2",
+                                 "--n", "100", "--big-n",
+                                 "4000000000000000000", "--aggregate")
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and "20749510070558481011" in err
+
 
 class TestVerify:
     def test_certificate_passes(self, capsys, tmp_path):

@@ -16,7 +16,6 @@ from schedlab.oracle import (
     IncrementalOff,
     brute_force_feasible,
     edf_simulate,
-    fast_off_series,
     flow_feasible,
     off_prefix_series,
     off_unit,
@@ -163,11 +162,6 @@ class TestOffSeries:
             assert all(a <= b for a, b in zip(vals, vals[1:]))
             assert vals[-1] == off_unit(inst.jobs)
 
-    def test_fast_series_matches(self):
-        for seed in range(6):
-            inst = random_unit_instance(15, 7, seed=seed)
-            assert fast_off_series(inst.jobs) == off_prefix_series(inst.jobs)
-
     def test_incremental_matches_batch(self):
         inst = random_unit_instance(18, 6, seed=4)
         series = off_prefix_series(inst.jobs)
@@ -177,6 +171,72 @@ class TestOffSeries:
             by_release.setdefault(int(j.r), []).append(j)
         for t in sorted(series):
             assert inc.add(by_release.get(t, []), t) == series[t]
+
+    def test_unsorted_input_and_empty_steps(self):
+        jobs = [Job(0, 4, 5), Job(1, 0, 3), Job(2, 4, 5), Job(3, 0, 1)]
+        assert off_prefix_series(jobs) == {0: 1, 1: 1, 2: 1, 3: 1, 4: 2}
+
+
+class TestIncrementalOff:
+    def test_repeated_step_rejected(self):
+        inc = IncrementalOff([5])
+        inc.add([Job(0, 3, 5)], 3)
+        with pytest.raises(ContractViolation):
+            inc.add([], 3)
+        with pytest.raises(ContractViolation):
+            inc.add([Job(1, 2, 5)], 2)
+        assert inc.value == 1
+
+    def test_skipped_steps_allowed(self):
+        inc = IncrementalOff([4, 6])
+        assert inc.add([Job(0, 1, 4), Job(1, 1, 6)], 1) == 1
+        assert inc.add([Job(2, 3, 4), Job(3, 3, 4)], 3) == 2
+
+    def test_wrong_release_rejected(self):
+        with pytest.raises(ContractViolation, match="job 7 released at 1"):
+            IncrementalOff([5]).add([Job(0, 2, 5), Job(7, 1, 5)], 2)
+
+    def test_unregistered_or_past_deadline_rejected(self):
+        with pytest.raises(ContractViolation, match="job 1 due at 4"):
+            IncrementalOff([5]).add([Job(0, 0, 5), Job(1, 0, 4)], 0)
+        inc = IncrementalOff([2, 5])
+        inc.add([Job(0, 0, 2)], 0)
+        with pytest.raises(ContractViolation, match="job 1 due at 2"):
+            inc.add([Job(1, 2, 2)], 2)
+
+
+# Windows ``[r, r + span)`` with releases up to 8, so some steps release
+# nothing, spans of 1 (``d = r + 1``) and repeated deadlines are common, and
+# the list is in whatever order hypothesis draws it.
+unit_windows = st.lists(st.tuples(st.integers(0, 8), st.integers(1, 5)),
+                        min_size=1, max_size=30)
+
+
+@given(unit_windows)
+def test_engine_matches_off_unit_of_every_prefix(pairs):
+    jobs = [Job(i, r, r + span) for i, (r, span) in enumerate(pairs)]
+    series = off_prefix_series(jobs)
+    assert sorted(series) == list(range(max(r for r, _ in pairs) + 1))
+    for t, value in series.items():
+        assert value == off_unit([j for j in jobs if j.r <= t])
+    # Driven only at the steps that release, the engine gives the same values.
+    inc = IncrementalOff.for_jobs(jobs)
+    for t in sorted({j.r for j in jobs}):
+        assert inc.add([j for j in jobs if j.r == t], t) == series[t]
+
+
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(1, 6)), min_size=1,
+                max_size=8))
+def test_engine_matches_brute_force(pairs):
+    jobs = [Job(i, r, min(r + span, 6)) for i, (r, span) in enumerate(pairs)]
+    series = off_prefix_series(jobs)
+    for t, value in series.items():
+        prefix = [j for j in jobs if j.r <= t]
+        horizon = max((j.d for j in prefix), default=0)
+        feasible = [m for m in range(len(prefix) + 1)
+                    if brute_force_feasible(
+                        prefix, MachineProfile.constant(m, horizon))]
+        assert value == feasible[0]
 
 
 class TestVolumeLowerBound:

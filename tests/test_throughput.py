@@ -15,7 +15,6 @@ from schedlab.throughput import (
     edf_throughput_unweighted,
     estimate_ratio,
     greedy_baseline,
-    map_solutions,
     matching_to_schedule,
     perturbed_greedy,
     reduce_to_matching,
@@ -96,13 +95,6 @@ class TestSolutionMapping:
             by_id = inst.jobs_by_id()
             assert matching.weight == sum(by_id[a[0]].w
                                           for a in opt_sched.assignments)
-
-    def test_map_solutions_dispatch(self):
-        mi = reduce_to_matching(tp((0, 2, 4)))
-        matching = perturbed_greedy(mi, seed=1)
-        assert map_solutions(mi, matching).assignments
-        sched = matching_to_schedule(mi, matching)
-        assert map_solutions(mi, sched).pairs == matching.pairs
 
     def test_invalid_edge_rejected(self):
         mi = reduce_to_matching(tp((0, 1, 1)))
