@@ -24,9 +24,9 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .core import ContractViolation, Job, Schedule
+from .core import ContractViolation, Job, MachineProfile, Schedule
 from .online_min import EULER, OnlineState, ceil_times, resolve_alpha
-from .oracle import IncrementalOff, _DeadlineHull
+from .oracle import IncrementalOff, _DeadlineHull, edf_simulate
 
 
 class OnlinePlayer(Protocol):
@@ -45,6 +45,18 @@ def resolve_rho(rho) -> Fraction | None:
     if isinstance(rho, str) and rho.strip().lower() in ("none", "inf", "off"):
         return None
     return resolve_alpha(rho)
+
+
+def resolve_stream(n: int, N: int | None = None) -> int:
+    """Check the stream parameters ``n >= 1``, ``N >= 0``; return ``N``,
+    which defaults to ``n * n``."""
+    if n < 1:
+        raise ContractViolation(f"need n >= 1, got n={n}")
+    if N is None:
+        return n * n
+    if N < 0:
+        raise ContractViolation(f"need N >= 0, got N={N}")
+    return N
 
 
 @dataclass
@@ -129,10 +141,7 @@ def play_game(player: OnlinePlayer, n: int, N: int | None = None,
     tracked by an independent oracle; the player's moves are audited (no
     overbooking, no unknown or repeated jobs) and violations raise.
     """
-    if n < 1:
-        raise ContractViolation("need n >= 1")
-    if N is None:
-        N = n * n
+    N = resolve_stream(n, N)
     state = AdversaryState(n=n, N=N, rho=resolve_rho(rho))
     off_engine = IncrementalOff([n])
     transcript = GameTranscript(n=n, N=N, rho=state.rho)
@@ -251,10 +260,7 @@ def aggregate_game(alpha, n: int, N: int | None = None, rho=None) -> AggregateGa
     release total or peak machine count ``ceil(alpha * N)`` exceeds
     ``2**63 - 1`` is refused up front rather than left to wrap.
     """
-    if n < 1:
-        raise ContractViolation("need n >= 1")
-    if N is None:
-        N = n * n
+    N = resolve_stream(n, N)
     alpha = resolve_alpha(alpha)
     rho_f = resolve_rho(rho)
     guard = alpha == EULER
@@ -331,8 +337,7 @@ def counting_bounds(n: int, N: int | None = None, alpha=2.5) -> CountingBounds:
     final step adds ``ceil(alpha N)``, since ``OFF(n - 1) = N``.  Once the
     first quantity exceeds the second, some release must miss.
     """
-    if N is None:
-        N = n * n
+    N = resolve_stream(n, N)
     a = float(resolve_alpha(alpha))
     released_lower = N * math.log(n) - (n - 1)
     harmonic = math.log(n - 1) + 1.0 if n > 1 else 0.0
@@ -380,8 +385,7 @@ def crossover_n(alpha=2.5) -> int | None:
 
 def actual_released(n: int, N: int | None = None) -> int:
     """Exact total the full-horizon adversary stream releases."""
-    if N is None:
-        N = n * n
+    N = resolve_stream(n, N)
     return sum(N // (n - t) for t in range(n))
 
 
@@ -396,32 +400,22 @@ class WitnessResult:
 def offline_witness(n: int, N: int, tstar: int) -> WitnessResult:
     """Schedule everything released by ``tstar`` on ``ceil(N / (e (n - tstar)))`` machines.
 
-    Greedy in release order: at each step run up to ``m`` pending jobs.  For a
-    common deadline this is optimal, so ``feasible`` reports whether the
-    scaled machine count really suffices at these parameters.
+    EDF under that constant machine count; with every deadline at ``n`` this
+    runs jobs in release order, which is optimal for a common deadline, so
+    ``feasible`` reports whether the scaled machine count really suffices at
+    these parameters.
     """
+    N = resolve_stream(n, N)
     if not (0 <= tstar < n):
         raise ContractViolation(f"tstar must lie in [0, {n - 1}]")
     num = N * EULER.denominator
     den = EULER.numerator * (n - tstar)
     m = -(-num // den)
-    schedule = Schedule()
-    backlog: list[int] = []
-    next_id = 0
-    total = 0
-    for t in range(n):
-        if t <= tstar:
-            count = N // (n - t)
-            backlog.extend(range(next_id, next_id + count))
-            next_id += count
-            total += count
-        quota = min(m, len(backlog))
-        for machine in range(quota):
-            schedule.assignments.append((backlog[machine], machine, t))
-        del backlog[:quota]
-    feasible = not backlog
-    schedule.misses = backlog
-    return WitnessResult(m=m, schedule=schedule, feasible=feasible, jobs_total=total)
+    source = AdversaryState(n=n, N=N)
+    jobs = [j for t in range(tstar + 1) for j in source.release(t)]
+    _, schedule = edf_simulate(jobs, MachineProfile.constant(m, n))
+    return WitnessResult(m=m, schedule=schedule, feasible=not schedule.misses,
+                         jobs_total=len(jobs))
 
 
 @dataclass
@@ -443,8 +437,7 @@ def scaling_bound_report(n: int, N: int | None = None,
     maps out where it really covers the optimum and where integrality
     effects push the optimum past it.
     """
-    if N is None:
-        N = n * n
+    N = resolve_stream(n, N)
     if t_max is None:
         t_max = n - 1
     hull = _DeadlineHull(n)

@@ -198,12 +198,15 @@ def _verify_certificate(args) -> int:
 def _verify_envelope(args) -> int:
     if args.n is None:
         raise ContractViolation("verify envelope needs --n")
+    N = adversary.resolve_stream(args.n, args.big_n)
     t_max = args.t_max if args.t_max is not None else args.n - 1
-    rows = adversary.scaling_bound_report(args.n, args.big_n, t_max)
+    if t_max < 0:
+        raise ContractViolation(f"verify envelope needs --t-max >= 0, got {t_max}")
+    rows = adversary.scaling_bound_report(args.n, N, t_max)
     violations = [row.tstar for row in rows if not row.holds]
     clean_until = violations[0] - 1 if violations else rows[-1].tstar
     payload = {
-        "n": args.n, "N": args.big_n if args.big_n else args.n * args.n,
+        "n": args.n, "N": N,
         "t_max": t_max,
         "ok": not violations,
         "violations": violations,
@@ -260,6 +263,10 @@ BENCH_COLUMNS = ["kind", "params", "seed", "status", "elapsed",
                  "cost", "off", "ratio", "missed", "mean", "opt", "stderr"]
 
 
+#: Keys each bench cell kind must carry; the others have defaults.
+BENCH_REQUIRED = {"aggregate-game": ["n"], "matching-ratio": [], "run": ["instance"]}
+
+
 def _bench_cell(cell: dict) -> dict:
     kind = cell.get("kind")
     seed = cell.get("seed", 0)
@@ -285,7 +292,7 @@ def _bench_cell(cell: dict) -> dict:
         row.update(mean=round(estimate.mean_alg, 6), opt=estimate.opt,
                    ratio=round(estimate.ratio, 6),
                    stderr=round(estimate.stderr, 6))
-    elif kind == "run":
+    else:
         instance = _load_instance(cell["instance"])
         transcript = online_min.run_alpha_edf(instance, cell.get("alpha", "e"))
         missed = bool(transcript.schedule.misses)
@@ -293,15 +300,25 @@ def _bench_cell(cell: dict) -> dict:
                    ratio=round(transcript.ratio, 6), missed=missed)
         if missed:
             row["status"] = "fail"
-    else:
-        raise ContractViolation(f"unknown bench cell kind {kind!r}")
     return row
 
 
 def cmd_bench(args) -> int:
     with open(args.spec, encoding="utf-8") as fh:
-        spec = json.load(fh)
-    cells = spec.get("cells", [])
+        try:
+            spec = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bench spec {args.spec}: {exc}") from None
+    cells = spec.get("cells", []) if isinstance(spec, dict) else None
+    if not isinstance(cells, list) or not all(isinstance(c, dict) for c in cells):
+        raise ParseError(f"bench spec {args.spec}: want an object with a list of cell objects")
+    for cell in cells:
+        kind = cell.get("kind")
+        if not isinstance(kind, str) or kind not in BENCH_REQUIRED:
+            raise ContractViolation(f"unknown bench cell kind {kind!r}")
+        missing = [key for key in BENCH_REQUIRED[kind] if key not in cell]
+        if missing:
+            raise ContractViolation(f"bench cell {kind!r} needs {', '.join(missing)}")
     budget = args.budget if args.budget is not None else spec.get("budget")
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=BENCH_COLUMNS)

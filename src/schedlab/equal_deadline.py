@@ -14,7 +14,6 @@ threshold are dyadic, so no rounding ever occurs in a placement decision.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -142,7 +141,7 @@ class _Runner:
     def __init__(self, kappa: int):
         self.kappa = kappa
         self.open: dict[int, _Machine] = {}
-        self.closed: list[int] = []
+        self.closed: set[int] = set()
         self.next_fresh = 0
         self.assignments: list[tuple[int, int, Fraction]] = []
         self.peak = 0
@@ -151,7 +150,8 @@ class _Runner:
     def acquire(self, pool: str, busy_from) -> _Machine:
         """Open a machine, reusing the lowest closed id before a fresh one."""
         if self.closed:
-            mid = heapq.heappop(self.closed)
+            mid = min(self.closed)
+            self.closed.remove(mid)
         else:
             mid = self.next_fresh
             self.next_fresh += 1
@@ -164,7 +164,7 @@ class _Runner:
         gone = [mid for mid, m in self.open.items() if m.busy_until <= now]
         for mid in gone:
             del self.open[mid]
-            heapq.heappush(self.closed, mid)
+            self.closed.add(mid)
         return len(gone)
 
     def pool_ids(self, pool: str) -> list[int]:

@@ -11,15 +11,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .adversary import resolve_stream
 from .core import ContractViolation, Instance, Job
 
 
 def adversary_instance(n: int, N: int | None = None) -> Instance:
     """The full release stream floor(N/(n-t)) at each t, all due at n."""
-    if n < 1:
-        raise ContractViolation("need n >= 1")
-    if N is None:
-        N = n * n
+    N = resolve_stream(n, N)
     jobs = []
     next_id = 0
     for t in range(n):

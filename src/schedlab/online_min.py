@@ -15,7 +15,6 @@ workload can reach.
 
 from __future__ import annotations
 
-import heapq
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import ContractViolation, Instance, Job, Schedule
-from .oracle import EdfTrace, IncrementalOff
+from .oracle import EdfQueue, EdfTrace, IncrementalOff, _by_release
 
 
 def _euler_fraction(digits: int = 60) -> Fraction:
@@ -46,19 +45,20 @@ def resolve_alpha(alpha) -> Fraction:
     """Normalize a machine-scaling factor to an exact rational.
 
     Accepts the string ``"e"`` (Euler's number), exact rationals, ints, and
-    floats (converted exactly from their binary value).
+    finite floats (converted exactly from their binary value); strings
+    otherwise go through ``Fraction``.  The value must not be negative.
     """
-    if isinstance(alpha, str):
-        if alpha.strip().lower() == "e":
-            return EULER
-        return Fraction(alpha)
-    if isinstance(alpha, Fraction):
-        return alpha
-    if isinstance(alpha, int):
-        return Fraction(alpha)
-    if isinstance(alpha, float):
-        return Fraction(alpha)
-    raise ContractViolation(f"cannot interpret alpha={alpha!r}")
+    if isinstance(alpha, str) and alpha.strip().lower() == "e":
+        return EULER
+    if isinstance(alpha, (str, Fraction, int, float)):
+        try:
+            value = Fraction(alpha)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+        else:
+            if value >= 0:
+                return value
+    raise ContractViolation(f"expected 'e' or a nonnegative number, got {alpha!r}")
 
 
 def ceil_times(alpha: Fraction, x: int, *, knife_guard: bool = False) -> int:
@@ -130,13 +130,11 @@ class OnlineState:
         self.alpha = resolve_alpha(alpha)
         self._guard = self.alpha == EULER
         self._off_engine = IncrementalOff(deadline_values)
+        self._edf = EdfQueue()
         self.t = 0
-        self._heap: list[tuple[int, int]] = []
         self.released: list[list[int]] = []
         self.off: list[int] = []
         self.m: list[int] = []
-        self.trace = EdfTrace()
-        self.schedule = Schedule()
 
     def step(self, t: int, released: Sequence[Job]) -> tuple[int, list[int]]:
         if t != self.t:
@@ -147,36 +145,18 @@ class OnlineState:
         self.t += 1
         off = self._off_engine.add(released, t)
         m = ceil_times(self.alpha, off, knife_guard=self._guard)
-        push = heapq.heappush
-        heap = self._heap
-        for j in released:
-            push(heap, (int(j.d), j.id))
         self.released.append([j.id for j in released])
-        while heap and heap[0][0] <= t:
-            _, job_id = heapq.heappop(heap)
-            self.trace.miss_events.append((job_id, t))
-            self.schedule.misses.append(job_id)
-        quota = min(m, len(heap))
-        slot: list[int] = []
-        assignments = self.schedule.assignments
-        for machine in range(quota):
-            _, job_id = heapq.heappop(heap)
-            assignments.append((job_id, machine, t))
-            slot.append(job_id)
-        self.trace.chosen.append(slot)
+        slot = self._edf.step(t, released, m)
         self.off.append(off)
         self.m.append(m)
         return m, slot
 
     def finish(self) -> OnlineTranscript:
         """Drain never-scheduled jobs into the miss list and wrap up."""
-        while self._heap:
-            d, job_id = heapq.heappop(self._heap)
-            self.trace.miss_events.append((job_id, d))
-            self.schedule.misses.append(job_id)
+        trace, schedule = self._edf.finish()
         return OnlineTranscript(
             alpha=self.alpha, released=self.released, off=self.off,
-            m=self.m, trace=self.trace, schedule=self.schedule)
+            m=self.m, trace=trace, schedule=schedule)
 
 
 def run_alpha_edf(instance: Instance, alpha="e") -> OnlineTranscript:
@@ -190,13 +170,10 @@ def run_alpha_edf(instance: Instance, alpha="e") -> OnlineTranscript:
         raise ContractViolation(f"expected a unit-min instance, got {instance.model}")
     jobs = instance.jobs
     horizon = instance.horizon or (int(max(j.d for j in jobs)) if jobs else 0)
-    releases: dict[int, list[Job]] = {}
-    for j in jobs:
-        releases.setdefault(int(j.r), []).append(j)
-    state = OnlineState(alpha, (int(j.d) for j in jobs))
-    empty: list[Job] = []
+    releases = _by_release(jobs)
+    state = OnlineState(alpha, {j.d for j in jobs})
     for t in range(horizon):
-        state.step(t, releases.get(t, empty))
+        state.step(t, releases.get(t, ()))
     return state.finish()
 
 

@@ -15,14 +15,19 @@ interval windows), in amortized constant time per column a step touches.
 Online players, the adversary game, the envelope report and
 ``off_prefix_series`` all track the optimum of everything released so far
 through it.
+
+``EdfQueue`` is the one earliest-deadline-first dispatch loop: ``edf_simulate``,
+the online player, unweighted throughput and the offline witness differ only
+in the per-step quota they give it.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
+from itertools import groupby
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -36,6 +41,14 @@ from .core import ContractViolation, Instance, Job, MachineProfile, Schedule
 _window = attrgetter("r", "d")
 
 
+def _by_release(jobs: Iterable[Job]) -> dict[int, list[Job]]:
+    """Jobs grouped by integer release, in input order; fastest when sorted."""
+    out: dict[int, list[Job]] = {}
+    for r, group in groupby(jobs, attrgetter("r")):
+        out.setdefault(int(r), []).extend(group)
+    return out
+
+
 @dataclass
 class EdfTrace:
     """Step-by-step record of one EDF run.
@@ -47,16 +60,52 @@ class EdfTrace:
     chosen: list[list[int]] = field(default_factory=list)
     miss_events: list[tuple[int, int]] = field(default_factory=list)
 
-    @property
-    def first_miss(self) -> tuple[int, int] | None:
-        return self.miss_events[0] if self.miss_events else None
-
     def scheduled_before(self, t: int) -> set[int]:
         """The set S(t) of jobs scheduled in steps 0..t-1."""
         out: set[int] = set()
         for step in range(min(t, len(self.chosen))):
             out.update(self.chosen[step])
         return out
+
+
+class EdfQueue:
+    """Earliest-deadline-first dispatch of unit jobs, one step at a time.
+
+    Pending jobs are ordered by ``(deadline, id)``; one still pending at a
+    step ``t >= d`` is recorded as missed at ``t`` and the run continues.
+    """
+
+    __slots__ = ("_heap", "trace", "schedule")
+
+    def __init__(self):
+        self._heap: list[tuple[int, int]] = []
+        self.trace = EdfTrace()
+        self.schedule = Schedule()
+
+    def step(self, t: int, released: Iterable[Job], quota: int) -> list[int]:
+        """Admit step ``t``'s releases, expire overdue jobs, then run up to
+        ``quota`` jobs on machines ``0..quota-1``; return their ids."""
+        heap = self._heap
+        for j in released:
+            heappush(heap, (int(j.d), j.id))
+        # expired jobs have the smallest deadlines, so they surface first
+        while heap and heap[0][0] <= t:
+            job_id = heappop(heap)[1]
+            self.trace.miss_events.append((job_id, t))
+            self.schedule.misses.append(job_id)
+        slot = [heappop(heap)[1] for _ in range(min(quota, len(heap)))]
+        self.schedule.assignments.extend(
+            (job_id, machine, t) for machine, job_id in enumerate(slot))
+        self.trace.chosen.append(slot)
+        return slot
+
+    def finish(self) -> tuple[EdfTrace, Schedule]:
+        """Record every never-run job as missed at its deadline."""
+        while self._heap:
+            d, job_id = heappop(self._heap)
+            self.trace.miss_events.append((job_id, d))
+            self.schedule.misses.append(job_id)
+        return self.trace, self.schedule
 
 
 def edf_simulate(jobs: Sequence[Job], profile: MachineProfile) -> tuple[EdfTrace, Schedule]:
@@ -69,35 +118,12 @@ def edf_simulate(jobs: Sequence[Job], profile: MachineProfile) -> tuple[EdfTrace
     for j in jobs:
         if j.p != 1:
             raise ContractViolation(f"edf_simulate needs unit jobs, job {j.id} has p={j.p}")
-    trace = EdfTrace()
-    schedule = Schedule()
-    if not jobs:
-        return trace, schedule
-    releases: dict[int, list[tuple[int, int]]] = {}
-    for j in jobs:
-        releases.setdefault(int(j.r), []).append((int(j.d), j.id))
-    horizon = int(max(j.d for j in jobs))
-    heap: list[tuple[int, int]] = []
+    releases = _by_release(jobs)
+    edf = EdfQueue()
+    horizon = max((int(j.d) for j in jobs), default=0)
     for t in range(horizon):
-        for item in releases.get(t, ()):
-            heapq.heappush(heap, item)
-        # expired jobs have the smallest deadlines, so they surface first
-        while heap and heap[0][0] <= t:
-            d, job_id = heapq.heappop(heap)
-            trace.miss_events.append((job_id, t))
-            schedule.misses.append(job_id)
-        quota = min(profile.at(t), len(heap))
-        slot: list[int] = []
-        for machine in range(quota):
-            d, job_id = heapq.heappop(heap)
-            schedule.assignments.append((job_id, machine, t))
-            slot.append(job_id)
-        trace.chosen.append(slot)
-    while heap:
-        d, job_id = heapq.heappop(heap)
-        trace.miss_events.append((job_id, d))
-        schedule.misses.append(job_id)
-    return trace, schedule
+        edf.step(t, releases.get(t, ()), profile.at(t))
+    return edf.finish()
 
 
 def flow_feasible(jobs: Sequence[Job], profile: MachineProfile, d: int) -> bool:
@@ -180,9 +206,7 @@ def off_prefix_series(jobs: Sequence[Job]) -> dict[int, int]:
     """
     if not jobs:
         return {}
-    by_release: dict[int, list[Job]] = {}
-    for j in jobs:
-        by_release.setdefault(int(j.r), []).append(j)
+    by_release = _by_release(jobs)
     engine = IncrementalOff.for_jobs(jobs)
     return {t: engine.add(by_release.get(t, []), t)
             for t in range(max(by_release) + 1)}
@@ -194,7 +218,9 @@ class _DeadlineHull:
     Row ``s`` is a line in ``x``, the count of released jobs due by ``e``;
     ``P_s`` is that count before step ``s``.  Rows arrive in increasing slope
     and queries at nondecreasing ``x`` (the monotone convex-hull case), so a
-    pointer walks forward.  All comparisons cross-multiply Python ints.
+    pointer walks forward; the lines behind it can never lead again and are
+    dropped once they fill half the list.  All comparisons cross-multiply
+    Python ints.
     """
 
     __slots__ = ("e", "lines", "ptr")
@@ -231,6 +257,9 @@ class _DeadlineHull:
                 break
             i += 1
             w, p = w2, p2
+        if 2 * i > last:
+            del lines[:i]
+            i = 0
         self.ptr = i
         return -((p - x) // w)
 

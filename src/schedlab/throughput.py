@@ -15,7 +15,6 @@ bit for bit because both consume the same precomputed score table.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from dataclasses import dataclass
@@ -24,8 +23,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ContractViolation, Instance, Schedule, _num_out, require_valid
-from .oracle import offline_throughput_opt
+from .core import (ContractViolation, Instance, MachineProfile, Schedule, _num_out,
+                   require_valid)
+from .oracle import edf_simulate, offline_throughput_opt
 
 
 @dataclass(frozen=True)
@@ -219,7 +219,7 @@ def batched_greedy_weights(mi: MatchingInstance,
     return totals
 
 
-def edf_throughput_unweighted(instance: Instance, k: int | None = None) -> Schedule:
+def edf_throughput_unweighted(instance: Instance) -> Schedule:
     """Earliest-deadline-first for equal weights; exact on such instances.
 
     Each step runs the up-to-k pending jobs with the nearest deadlines.
@@ -231,27 +231,11 @@ def edf_throughput_unweighted(instance: Instance, k: int | None = None) -> Sched
         raise ContractViolation("needs a throughput instance")
     if len({Fraction(j.w) for j in instance.jobs}) > 1:
         raise ContractViolation("weights differ; use the matching algorithms")
-    k = instance.k if k is None else k
     horizon = max((int(j.d) for j in instance.jobs), default=0)
-    by_release: dict[int, list] = {}
-    for job in instance.jobs:
-        by_release.setdefault(int(job.r), []).append(job)
-    pending: list[tuple[int, int]] = []
-    assignments = []
-    scheduled: set[int] = set()
-    for t in range(horizon):
-        for job in by_release.get(t, ()):
-            heapq.heappush(pending, (int(job.d), job.id))
-        while pending and pending[0][0] < t + 1:
-            heapq.heappop(pending)
-        for i in range(k):
-            if not pending:
-                break
-            d, job_id = heapq.heappop(pending)
-            assignments.append((job_id, i, t))
-            scheduled.add(job_id)
-    misses = sorted(j.id for j in instance.jobs if j.id not in scheduled)
-    return Schedule(assignments=assignments, misses=misses)
+    _, schedule = edf_simulate(instance.jobs,
+                               MachineProfile.constant(instance.k, horizon))
+    schedule.misses.sort()
+    return schedule
 
 
 @dataclass

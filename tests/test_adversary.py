@@ -16,9 +16,10 @@ from schedlab.adversary import (
     offline_witness,
     play_game,
     resolve_rho,
+    resolve_stream,
     scaling_bound_report,
 )
-from schedlab.core import ContractViolation, Job
+from schedlab.core import ContractViolation, Schedule
 from schedlab.generators import adversary_instance
 from schedlab.online_min import EULER
 from schedlab.oracle import off_prefix_series, off_unit
@@ -295,6 +296,63 @@ class TestOfflineWitness:
     def test_bad_tstar_rejected(self):
         with pytest.raises(ContractViolation):
             offline_witness(4, 16, 4)
+
+
+def reference_offline_witness(n, N, tstar):
+    """The FIFO backlog loop offline_witness ran before it used EDF."""
+    m = -(-(N * EULER.denominator) // (EULER.numerator * (n - tstar)))
+    schedule = Schedule()
+    backlog = []
+    next_id = 0
+    total = 0
+    for t in range(n):
+        if t <= tstar:
+            count = N // (n - t)
+            backlog.extend(range(next_id, next_id + count))
+            next_id += count
+            total += count
+        quota = min(m, len(backlog))
+        for machine in range(quota):
+            schedule.assignments.append((backlog[machine], machine, t))
+        del backlog[:quota]
+    schedule.misses = backlog
+    return m, schedule.assignments, schedule.misses, not backlog, total
+
+
+@st.composite
+def witness_params(draw):
+    n = draw(st.integers(1, 40))
+    return n, draw(st.integers(0, 3 * n * n)), draw(st.integers(0, n - 1))
+
+
+@given(witness_params())
+def test_offline_witness_matches_reference_loop(params):
+    w = offline_witness(*params)
+    assert (w.m, w.schedule.assignments, w.schedule.misses, w.feasible,
+            w.jobs_total) == reference_offline_witness(*params)
+
+
+class TestResolveStream:
+    def test_default_and_explicit(self):
+        assert resolve_stream(7) == 49
+        assert resolve_stream(7, 0) == 0
+        assert resolve_stream(1, 5) == 5
+
+    @pytest.mark.parametrize("call", [
+        lambda n, N: play_game(alpha_edf_player("e", max(n, 1)), n, N),
+        lambda n, N: aggregate_game("e", n, N),
+        lambda n, N: counting_bounds(n, N),
+        actual_released,
+        scaling_bound_report,
+        adversary_instance,
+        lambda n, N: offline_witness(n, N, 0),
+    ])
+    @pytest.mark.parametrize("n, N, message", [
+        (0, None, "need n >= 1"), (-3, 9, "need n >= 1"),
+        (4, -1, "need N >= 0")])
+    def test_every_stream_entry_point_rejects(self, call, n, N, message):
+        with pytest.raises(ContractViolation, match=message):
+            call(n, N)
 
 
 def quadratic_envelope_off(n, N, t_max):

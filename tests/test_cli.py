@@ -65,6 +65,14 @@ class TestGen:
         assert code == 2
         assert "error" in err
 
+    def test_negative_big_n_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "adv.json"
+        code, _, err = run_cli(capsys, "gen", "adversary", "--n", "3",
+                               "--big-n", "-5", "--out", str(path))
+        assert code == 2
+        assert "error: need N >= 0" in err
+        assert not path.exists()
+
     def test_stdout_when_no_out(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "upper-triangular",
                                "--k", "2", "--levels", "2")
@@ -175,6 +183,28 @@ class TestGame:
         assert "error:" in err and "20749510070558481011" in err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["e-edf", "--n", "5", "--big-n", "-3", "--aggregate"],
+        ["e-edf", "--n", "5", "--big-n", "-3"],
+        ["e-edf", "--n", "0", "--aggregate"],
+    ])
+    def test_bad_stream_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "game", *argv)
+        assert code == 2
+        assert out == ""
+        assert "error: need" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--alpha", "foo"], ["--alpha", "1/0"], ["--alpha", "-1"],
+        ["--alpha", "nan", "--aggregate"], ["--alpha", "2", "--rho", "xyz"],
+    ])
+    def test_unparsable_alpha_or_rho_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "game", "alpha-edf", "--n", "5", *argv)
+        assert code == 2
+        assert out == ""
+        assert "error: expected 'e' or a nonnegative number" in err
+
+
 class TestVerify:
     def test_certificate_passes(self, capsys, tmp_path):
         path = tmp_path / "unit.json"
@@ -210,6 +240,21 @@ class TestVerify:
         payload = json.loads(report.read_text())
         assert payload["violations"] == [58, 59, 60]
         assert payload["clean_prefix_end"] == 57
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "3", "--big-n", "-10"], ["--n", "0"], ["--n", "5", "--t-max", "-1"],
+    ])
+    def test_envelope_bad_parameters_are_usage_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", "envelope", *argv)
+        assert code == 2
+        assert out == ""
+        assert "error: " in err
+
+    def test_envelope_echoes_the_stream_size_used(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "envelope", "--n", "4",
+                               "--big-n", "0")
+        assert code == 0
+        assert json.loads(out)["N"] == 0
 
     def test_equal_deadline_instance_passes(self, capsys, tmp_path):
         path = tmp_path / "ed.json"
@@ -277,6 +322,24 @@ class TestBench:
         spec.write_text(json.dumps({"cells": [{"kind": "mystery"}]}))
         code, _, _ = run_cli(capsys, "bench", "--spec", str(spec))
         assert code == 2
+
+
+    @pytest.mark.parametrize("text, message", [
+        ("{bad", "bench spec"),
+        ('[{"kind": "aggregate-game", "n": 5}]', "list of cell objects"),
+        ('{"cells": [7]}', "list of cell objects"),
+        ('{"cells": [{"kind": ["run"]}]}', "unknown bench cell kind"),
+        ('{"cells": [{"kind": "aggregate-game"}]}', "needs n"),
+        ('{"cells": [{"kind": "run", "alpha": "e"}]}', "needs instance"),
+    ])
+    def test_malformed_spec_is_usage_error(self, capsys, tmp_path, text,
+                                           message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        code, out, err = run_cli(capsys, "bench", "--spec", str(spec))
+        assert code == 2
+        assert out == ""
+        assert "error: " in err and message in err
 
 
 def test_module_entry_point():

@@ -4,8 +4,10 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from schedlab.core import ContractViolation, Instance, Job
+from schedlab.core import ContractViolation, Instance, Job, MachineProfile
 from schedlab.generators import adversary_instance, random_unit_instance
 from schedlab.online_min import (
     EULER,
@@ -15,6 +17,7 @@ from schedlab.online_min import (
     resolve_alpha,
     run_alpha_edf,
 )
+from schedlab.oracle import edf_simulate
 
 
 class TestEulerConstant:
@@ -34,6 +37,12 @@ class TestEulerConstant:
         assert resolve_alpha(0.5) == Fraction(1, 2)
         with pytest.raises(ContractViolation):
             resolve_alpha(object())
+
+    @pytest.mark.parametrize("bad", ["foo", "1/0", "nan", "inf", "", "-1",
+                                     float("nan"), float("inf"), -0.5])
+    def test_resolve_alpha_rejects(self, bad):
+        with pytest.raises(ContractViolation, match="nonnegative number"):
+            resolve_alpha(bad)
 
 
 class TestCeilTimes:
@@ -100,6 +109,20 @@ class TestRunAlphaEdf:
                 a = resolve_alpha(alpha)
                 assert tr.m == [ceil_times(a, v) for v in tr.off]
                 assert all(x <= y for x, y in zip(tr.m, tr.m[1:]))
+
+    @given(st.lists(st.tuples(st.integers(0, 8), st.integers(1, 5)),
+                    min_size=1, max_size=30),
+           st.sampled_from(["e", 1, 2, Fraction(3, 2), Fraction(1, 2), 0]))
+    def test_dispatch_is_edf_under_its_machine_series(self, pairs, alpha):
+        # The online run is EDF under the machine counts it rented.
+        inst = Instance.of("unit-min", [Job(i, r, r + span)
+                                        for i, (r, span) in enumerate(pairs)])
+        tr = run_alpha_edf(inst, alpha)
+        trace, sched = edf_simulate(inst.jobs, MachineProfile.from_series(tr.m))
+        assert tr.schedule.assignments == sched.assignments
+        assert tr.schedule.misses == sched.misses
+        assert tr.trace.chosen == trace.chosen
+        assert tr.trace.miss_events == trace.miss_events
 
     def test_no_misses_at_e_on_random_corpus(self):
         for seed in range(100):

@@ -13,7 +13,9 @@ from schedlab.generators import (
     throughput_instance,
 )
 from schedlab.oracle import (
+    EdfQueue,
     IncrementalOff,
+    _DeadlineHull,
     brute_force_feasible,
     edf_simulate,
     flow_feasible,
@@ -76,6 +78,25 @@ class TestEdfSimulate:
             for jid in slot:
                 j = by_id[jid]
                 assert j.r <= t and t + 1 <= j.d
+
+    def test_miss_recorded_at_expiry_or_at_deadline(self):
+        # Job 1 expires at step 1 while pending; job 3 is never run, so the
+        # drain records it at its deadline 3.
+        trace, sched = edf_simulate(unit_jobs((0, 1), (0, 1), (0, 3), (1, 3)),
+                                    MachineProfile.from_series([1, 1, 0]))
+        assert trace.chosen == [[0], [2], []]
+        assert trace.miss_events == [(1, 1), (3, 3)]
+        assert sched.misses == [1, 3]
+        assert sched.assignments == [(0, 0, 0), (2, 0, 1)]
+
+    def test_queue_steps_with_varying_quota(self):
+        edf = EdfQueue()
+        assert edf.step(0, unit_jobs((0, 3), (0, 2), (0, 2)), 2) == [1, 2]
+        assert edf.step(1, [], 0) == []
+        assert edf.step(2, [Job(3, 2, 3)], 5) == [0, 3]
+        trace, sched = edf.finish()
+        assert sched.assignments == [(1, 0, 0), (2, 1, 0), (0, 0, 2), (3, 1, 2)]
+        assert trace.miss_events == [] and sched.misses == []
 
     def test_scheduled_before_is_monotone(self):
         inst = random_unit_instance(10, 5, seed=1)
@@ -162,6 +183,15 @@ class TestOffSeries:
             assert all(a <= b for a, b in zip(vals, vals[1:]))
             assert vals[-1] == off_unit(inst.jobs)
 
+    def test_matches_off_unit_of_every_prefix_on_corpus(self):
+        # Horizons up to 20 give columns enough rows for the hull to drop
+        # the ones behind its pointer and keep answering after the drop.
+        for jobs, horizon in ((30, 8), (60, 20)):
+            for seed in range(30):
+                inst = random_unit_instance(jobs, horizon, seed=seed)
+                for t, value in off_prefix_series(inst.jobs).items():
+                    assert value == off_unit([j for j in inst.jobs if j.r <= t])
+
     def test_incremental_matches_batch(self):
         inst = random_unit_instance(18, 6, seed=4)
         series = off_prefix_series(inst.jobs)
@@ -203,6 +233,22 @@ class TestIncrementalOff:
         inc.add([Job(0, 0, 2)], 0)
         with pytest.raises(ContractViolation, match="job 1 due at 2"):
             inc.add([Job(1, 2, 2)], 2)
+
+
+class TestDeadlineHull:
+    def test_adversary_stream_leaves_constant_lines(self):
+        # The final burst leads from the newest row, so every older row ends
+        # up behind the pointer and must not be kept.
+        n = 3000
+        hull = _DeadlineHull(n)
+        released = 0
+        for t in range(n):
+            hull.add(t, released)
+            released += n * n // (n - t)
+            hull.query_ceil(released)
+        assert len(hull.lines) <= 2
+        # the last step alone releases N = n * n jobs into one slot
+        assert hull.query_ceil(released) == n * n
 
 
 # Windows ``[r, r + span)`` with releases up to 8, so some steps release

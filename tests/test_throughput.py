@@ -1,9 +1,12 @@
 """Throughput-to-matching reduction and the randomized matching players."""
+import heapq
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from schedlab.core import ContractViolation, Instance, Job
 from schedlab.generators import throughput_instance, upper_triangular_instance
@@ -199,6 +202,41 @@ class TestEdfThroughput:
             sched = edf_throughput_unweighted(inst)
             opt, _ = offline_throughput_opt(inst)
             assert len(sched.assignments) == opt
+
+
+def reference_edf_throughput(instance):
+    """The heap loop edf_throughput_unweighted ran before it used EdfQueue."""
+    horizon = max((int(j.d) for j in instance.jobs), default=0)
+    by_release = {}
+    for job in instance.jobs:
+        by_release.setdefault(int(job.r), []).append(job)
+    pending = []
+    assignments = []
+    scheduled = set()
+    for t in range(horizon):
+        for job in by_release.get(t, ()):
+            heapq.heappush(pending, (int(job.d), job.id))
+        while pending and pending[0][0] < t + 1:
+            heapq.heappop(pending)
+        for i in range(instance.k):
+            if not pending:
+                break
+            d, job_id = heapq.heappop(pending)
+            assignments.append((job_id, i, t))
+            scheduled.add(job_id)
+    misses = sorted(j.id for j in instance.jobs if j.id not in scheduled)
+    return assignments, misses
+
+
+@given(st.lists(st.tuples(st.integers(0, 8), st.integers(1, 5)), max_size=30),
+       st.integers(1, 3), st.booleans())
+def test_edf_throughput_matches_reference_loop(pairs, k, shuffle):
+    jobs = [Job(i, r, r + span, w=1) for i, (r, span) in enumerate(pairs)]
+    if shuffle:
+        jobs.reverse()
+    inst = Instance.of("throughput", jobs, k=k)
+    sched = edf_throughput_unweighted(inst)
+    assert (sched.assignments, sched.misses) == reference_edf_throughput(inst)
 
 
 class TestEstimateRatio:
