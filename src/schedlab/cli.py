@@ -266,6 +266,9 @@ BENCH_COLUMNS = ["kind", "params", "seed", "status", "elapsed",
 #: Keys each bench cell kind must carry; the others have defaults.
 BENCH_REQUIRED = {"aggregate-game": ["n"], "matching-ratio": [], "run": ["instance"]}
 
+#: Keys whose values, when present, must be ints (bools are refused).
+BENCH_INTEGERS = ("n", "N", "seed", "trials", "jobs", "horizon", "k", "levels", "w_max")
+
 
 def _bench_cell(cell: dict) -> dict:
     kind = cell.get("kind")
@@ -319,6 +322,9 @@ def cmd_bench(args) -> int:
         missing = [key for key in BENCH_REQUIRED[kind] if key not in cell]
         if missing:
             raise ContractViolation(f"bench cell {kind!r} needs {', '.join(missing)}")
+        bad = [key for key in BENCH_INTEGERS if type(cell.get(key, 0)) is not int]
+        if bad:
+            raise ContractViolation(f"bench cell {kind!r}: {bad[0]} must be an integer")
     budget = args.budget if args.budget is not None else spec.get("budget")
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=BENCH_COLUMNS)

@@ -4,7 +4,7 @@ All scheduling models in this package move jobs ``(id, r, d, p, w)`` around:
 a job is released at time ``r``, must complete by deadline ``d``, needs ``p``
 units of processing, and pays weight ``w`` if completed.  Unit-job models keep
 all times integral; the equal-deadline model allows exact rationals
-(``fractions.Fraction``), which serialize as decimal strings.
+(``fractions.Fraction``), which serialize as exact strings.
 
 Time convention: a unit job placed in slot ``t`` occupies ``[t, t+1)`` and
 therefore needs ``t + 1 <= d``.  Every module in this package uses this
@@ -281,29 +281,23 @@ def audit_schedule(schedule: Schedule, instance: Instance) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization.  Non-integral rationals travel as decimal strings so
-# files stay exact; floats are never written.
+# JSON serialization.  Non-integral rationals travel as decimal strings, or
+# as "p/q" strings when no finite decimal exists, so files stay exact;
+# floats are never written.
 
 def _num_out(x: Rational):
     f = Fraction(x)
     if f.denominator == 1:
         return int(f)
-    num, den = f.numerator, f.denominator
-    shift = 0
-    while den % 2 == 0:
-        den //= 2
-        shift += 1
-    pow5 = 0
-    while den % 5 == 0:
-        den //= 5
-        pow5 += 1
-    if den != 1:
-        raise ValueError(f"{x} has no finite decimal form")
-    digits = max(shift, pow5)
-    scaled = num * 10 ** digits // f.denominator
+    # A finite decimal needs as many digits as the larger power of 2 or 5
+    # in the denominator; the bit length bounds both.
+    digits = f.denominator.bit_length()
+    scaled, rest = divmod(f.numerator * 10 ** digits, f.denominator)
+    if rest:
+        return str(f)
     sign = "-" if scaled < 0 else ""
     s = str(abs(scaled)).rjust(digits + 1, "0")
-    return f"{sign}{s[:-digits]}.{s[-digits:]}"
+    return f"{sign}{s[:-digits]}.{s[-digits:].rstrip('0')}"
 
 
 def _num_in(value, where: str) -> Rational:

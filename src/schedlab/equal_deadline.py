@@ -14,6 +14,7 @@ threshold are dyadic, so no rounding ever occurs in a placement decision.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -53,7 +54,6 @@ def classify(p, length) -> str:
 class _Machine:
     id: int
     busy_until: Fraction
-    pool: str
 
 
 @dataclass
@@ -138,66 +138,81 @@ class EqualDeadlineTranscript:
 
 
 class _Runner:
-    def __init__(self, kappa: int):
-        self.kappa = kappa
+    """Open machines and the short pool in id order; the rest are long.
+
+    Pools change only when a machine opens or at a phase start.
+    """
+
+    def __init__(self):
         self.open: dict[int, _Machine] = {}
+        self.short: list[_Machine] = []
         self.closed: set[int] = set()
         self.next_fresh = 0
         self.assignments: list[tuple[int, int, Fraction]] = []
         self.peak = 0
         self.half_busy_ok = True
 
-    def acquire(self, pool: str, busy_from) -> _Machine:
-        """Open a machine, reusing the lowest closed id before a fresh one."""
+    def record_pools(self, report: PhaseReport) -> None:
+        report.m_short = max(report.m_short, len(self.short))
+        report.m_long = max(report.m_long, len(self.open) - len(self.short))
+
+    def acquire(self, pool: str, job: Job, start: Fraction) -> None:
+        """Open a machine for ``job`` from ``start``, reusing the lowest
+        closed id before a fresh one."""
         if self.closed:
             mid = min(self.closed)
             self.closed.remove(mid)
         else:
             mid = self.next_fresh
             self.next_fresh += 1
-        machine = _Machine(mid, Fraction(busy_from), pool)
+        machine = _Machine(mid, start + Fraction(job.p))
         self.open[mid] = machine
+        if pool == "short":
+            insort(self.short, machine, key=lambda m: m.id)
+        self.assignments.append((job.id, mid, start))
         self.peak = max(self.peak, len(self.open))
-        return machine
 
-    def close_idle(self, now) -> int:
-        gone = [mid for mid, m in self.open.items() if m.busy_until <= now]
+    def start_phase(self, phase: Phase) -> int:
+        """Close idle machines and re-pool the rest; returns how many closed.
+
+        A running machine joins the long pool when at least a quarter phase
+        of its booked work remains, the short pool otherwise.
+        """
+        gone = [mid for mid, m in self.open.items() if m.busy_until <= phase.start]
         for mid in gone:
             del self.open[mid]
-            self.closed.add(mid)
+        self.closed.update(gone)
+        quarter = Fraction(phase.length, 4)
+        self.short = [m for _, m in sorted(self.open.items())
+                      if m.busy_until - phase.start < quarter]
         return len(gone)
 
-    def pool_ids(self, pool: str) -> list[int]:
-        return sorted(mid for mid, m in self.open.items() if m.pool == pool)
-
-    def place_short(self, job: Job, phase: Phase, earliest) -> None:
+    def place_short(self, job: Job, phase: Phase, earliest) -> bool:
         """Stack onto the lowest-id short machine that still finishes in time.
 
         ``earliest`` is the job's own floor for its start: the phase start
         for postponed work, the release time for final-phase work.  When
         nothing fits, a machine is opened; at that moment every other short
         machine must already be booked past the phase midpoint, the packing
-        fact that keeps the pool near the volume bound.
+        fact that keeps the pool near the volume bound.  Returns whether a
+        machine was opened.
         """
         p = Fraction(job.p)
         floor = Fraction(earliest)
-        for mid in self.pool_ids("short"):
-            machine = self.open[mid]
+        for machine in self.short:
             start = max(machine.busy_until, floor)
             if start + p <= phase.end:
                 machine.busy_until = start + p
-                self.assignments.append((job.id, mid, start))
-                return
+                self.assignments.append((job.id, machine.id, start))
+                return False
         midpoint = phase.end - Fraction(phase.length, 2)
-        for mid in self.pool_ids("short"):
-            if self.open[mid].busy_until < midpoint:
-                self.half_busy_ok = False
+        if any(machine.busy_until < midpoint for machine in self.short):
+            self.half_busy_ok = False
         if floor + p > phase.end:
             raise ContractViolation(
                 f"job {job.id} cannot finish by {phase.end} even alone")
-        machine = self.acquire("short", floor)
-        machine.busy_until = floor + p
-        self.assignments.append((job.id, machine.id, floor))
+        self.acquire("short", job, floor)
+        return True
 
 
 def run_equal_deadline(instance: Instance) -> EqualDeadlineTranscript:
@@ -219,7 +234,7 @@ def run_equal_deadline(instance: Instance) -> EqualDeadlineTranscript:
     lb = volume_lower_bound(instance.jobs, d)
     kappa = d.bit_length()
     phases = phase_split(kappa)
-    runner = _Runner(kappa)
+    runner = _Runner()
     reports = [PhaseReport(ph.index, ph.start, ph.end, ph.length) for ph in phases]
     job_class: dict[int, str] = {}
     lengths = {job.id: Fraction(job.p) for job in instance.jobs}
@@ -229,20 +244,12 @@ def run_equal_deadline(instance: Instance) -> EqualDeadlineTranscript:
     postponed: list[Job] = []
     for ph, report in zip(phases, reports):
         if ph.index > 1:
-            report.closed_at_start = runner.close_idle(ph.start)
-            quarter = Fraction(ph.length, 4)
-            for machine in runner.open.values():
-                remaining = machine.busy_until - ph.start
-                machine.pool = "long" if remaining >= quarter else "short"
+            report.closed_at_start = runner.start_phase(ph)
             carried = sorted(postponed, key=lambda j: (-Fraction(j.p), j.id))
             postponed = []
             for job in carried:
-                before = len(runner.open)
-                runner.place_short(job, ph, ph.start)
-                if len(runner.open) > before:
-                    report.opened += 1
-        report.m_short = len(runner.pool_ids("short"))
-        report.m_long = len(runner.pool_ids("long"))
+                report.opened += runner.place_short(job, ph, ph.start)
+        runner.record_pools(report)
         while pos < len(jobs) and Fraction(jobs[pos].r) < ph.end:
             job = jobs[pos]
             pos += 1
@@ -250,21 +257,15 @@ def run_equal_deadline(instance: Instance) -> EqualDeadlineTranscript:
             job_class[job.id] = cls
             if cls == "long":
                 report.released_long += 1
-                machine = runner.acquire("long", job.r)
-                machine.busy_until = Fraction(job.r) + Fraction(job.p)
-                runner.assignments.append((job.id, machine.id, Fraction(job.r)))
+                runner.acquire("long", job, Fraction(job.r))
                 report.opened += 1
             elif ph.index < kappa:
                 report.released_short += 1
                 postponed.append(job)
             else:
                 report.released_short += 1
-                before = len(runner.open)
-                runner.place_short(job, ph, job.r)
-                if len(runner.open) > before:
-                    report.opened += 1
-            report.m_short = max(report.m_short, len(runner.pool_ids("short")))
-            report.m_long = max(report.m_long, len(runner.pool_ids("long")))
+                report.opened += runner.place_short(job, ph, job.r)
+            runner.record_pools(report)
 
     schedule = Schedule(assignments=sorted(runner.assignments,
                                            key=lambda a: (a[2], a[1])))

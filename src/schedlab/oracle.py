@@ -332,18 +332,21 @@ def volume_lower_bound(jobs: Sequence[Job], d) -> int:
 
     Every job released at or after ``r`` must run inside ``[r, d)``, so any
     schedule needs at least ``ceil(volume / (d - r))`` machines; take the
-    worst release point.  Valid for arbitrary (rational) job lengths.
+    worst release point (Horn's window condition).  Valid for arbitrary
+    (rational) job lengths.  One suffix sum over the distinct releases,
+    latest first, in exact arithmetic: O(n log n).
     """
     if not jobs:
         return 0
-    best = 1
-    for r in sorted({j.r for j in jobs} | {0}):
-        vol = sum(j.p for j in jobs if j.r >= r)
-        if vol == 0:
-            continue
-        q = Fraction(vol) / (Fraction(d) - Fraction(r))
-        need = -(-q.numerator // q.denominator)
-        best = max(best, need)
+    volume_at = {0: 0}
+    for j in jobs:
+        volume_at[j.r] = volume_at.get(j.r, 0) + j.p
+    best, vol, d = 1, 0, Fraction(d)
+    for r in sorted(volume_at, reverse=True):
+        vol += volume_at[r]
+        if vol:
+            q = Fraction(vol) / (d - Fraction(r))
+            best = max(best, -(-q.numerator // q.denominator))
     return best
 
 

@@ -116,6 +116,24 @@ class TestRun:
         assert payload["peak"] == 1
         assert payload["ok"] is True
 
+    def test_equal_deadline_out_with_non_decimal_lengths(self, capsys, tmp_path):
+        path = tmp_path / "third.json"
+        path.write_text(json.dumps({
+            "model": "equal-deadline",
+            "jobs": [{"id": 0, "r": 0, "d": 7, "p": "1/3"},
+                     {"id": 1, "r": "1/3", "d": 7, "p": "2.5"}]}))
+        out_path = tmp_path / "transcript.json"
+        code, out, err = run_cli(capsys, "run", "equal-deadline",
+                                 "--instance", str(path),
+                                 "--out", str(out_path))
+        assert code == 0 and err == ""
+        rows = {row["id"]: row
+                for row in json.loads(out_path.read_text())["schedule"]}
+        assert rows[0]["start"] == 4 and rows[0]["end"] == "13/3"
+        assert rows[1]["start"] == "1/3" and rows[1]["end"] == "17/6"
+        assert sum(Fraction(row["end"]) - Fraction(row["start"])
+                   for row in rows.values()) == Fraction(1, 3) + Fraction(5, 2)
+
     def test_model_algo_mismatch(self, capsys, adversary_file):
         code, _, _ = run_cli(capsys, "run", "equal-deadline",
                              "--instance", adversary_file)
@@ -331,6 +349,17 @@ class TestBench:
         ('{"cells": [{"kind": ["run"]}]}', "unknown bench cell kind"),
         ('{"cells": [{"kind": "aggregate-game"}]}', "needs n"),
         ('{"cells": [{"kind": "run", "alpha": "e"}]}', "needs instance"),
+        ('{"cells": [{"kind": "aggregate-game", "n": "5"}]}',
+         "n must be an integer"),
+        ('{"cells": [{"kind": "aggregate-game", "n": 5, "N": 2.5}]}',
+         "N must be an integer"),
+        ('{"cells": [{"kind": "aggregate-game", "n": true}]}',
+         "n must be an integer"),
+        ('{"cells": [{"kind": "aggregate-game", "n": 5}, '
+         '{"kind": "matching-ratio", "trials": false}]}',
+         "trials must be an integer"),
+        ('{"cells": [{"kind": "matching-ratio", "seed": null}]}',
+         "seed must be an integer"),
     ])
     def test_malformed_spec_is_usage_error(self, capsys, tmp_path, text,
                                            message):

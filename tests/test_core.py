@@ -1,4 +1,6 @@
 """Model types, validation rules, cost accounting, and JSON round-trips."""
+import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,8 @@ from schedlab.core import (
     ParseError,
     Schedule,
     ValidationError,
+    _num_in,
+    _num_out,
     audit_schedule,
     feasible_slot,
     instance_from_dict,
@@ -224,6 +228,35 @@ class TestJson:
         assert doc["jobs"][0]["r"] == "0.5"
         assert doc["jobs"][0]["p"] == "1.25"
         assert read_instance(write_instance(inst)) == inst
+
+    def test_non_decimal_rationals_encode_as_fraction_strings(self):
+        text = json.dumps({"model": "equal-deadline", "jobs": [
+            {"id": 0, "r": 0, "d": 7, "p": "1/3"},
+            {"id": 1, "r": "2/7", "d": 7, "p": "2.5"}]})
+        inst = read_instance(text)
+        assert inst.jobs[0].p == Fraction(1, 3)
+        doc = instance_to_dict(inst)
+        assert doc["jobs"][0]["p"] == "1/3"
+        assert doc["jobs"][1]["r"] == "2/7"
+        assert doc["jobs"][1]["p"] == "2.5"
+        assert read_instance(write_instance(inst)) == inst
+        assert write_instance(read_instance(write_instance(inst))) == write_instance(inst)
+
+    @given(st.fractions())
+    def test_number_encoding_round_trips(self, value):
+        out = _num_out(value)
+        assert _num_in(out, "x") == value
+        den = value.denominator
+        while den % 2 == 0:
+            den //= 2
+        while den % 5 == 0:
+            den //= 5
+        if value.denominator == 1:
+            assert out == int(value)
+        elif den == 1:
+            assert re.fullmatch(r"-?(0|[1-9][0-9]*)\.[0-9]*[1-9]", out)
+        else:
+            assert out == f"{value.numerator}/{value.denominator}"
 
     def test_unsorted_document_is_normalized(self):
         doc = {"model": "unit-min", "horizon": 3,

@@ -1,4 +1,6 @@
 """Phase-based scheduling of mixed-length jobs against one common deadline."""
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,44 @@ from schedlab.generators import equal_deadline_instance
 from schedlab.oracle import volume_lower_bound
 
 HALF = Fraction(1, 2)
+
+#: sha256 of ``json.dumps(run_equal_deadline(inst).to_jsonable(),
+#: sort_keys=True)`` for ``inst = equal_deadline_instance(kappa, jobs, seed)``,
+#: keyed by ``(kappa, jobs, seed)``.  Any change to the generator or to the
+#: runner's placements, pool maxima, bound or JSON encoding changes a digest.
+GOLDEN_TRANSCRIPTS = {
+    (1, 40, 0): "865e0cc0d2d82b5d3564533350ad95e5c9efce95d1397dc4ddd7c9032e43667d",
+    (1, 40, 1): "c054e7dbc9c7ca0ba908974905121319fca5bfee68ec18a1dad61b88b68e8787",
+    (1, 40, 2): "2486bb44208a69b832f2b9a4571458f064ef991ea4420581259665225735f530",
+    (2, 40, 0): "39544b4fcbe0dc5e4348106cef76b41291d171658958f4453566716b4858aca8",
+    (2, 40, 1): "28c87240db4043e018d7bcaf3798b46d477635b4a1ee6ddb6d6460a9e8ae29b4",
+    (2, 40, 2): "0d73068163e7201f6d4a9879025b12aee4ee766d9f6487230d087026f9a93d7a",
+    (3, 40, 0): "53562fb0a7e85061b1676b59278268c95b47602661d97c552355e2cafd4afc79",
+    (3, 40, 1): "18c35bfe619a076270aa291e353ca2cabc7627fd34ede47019c4228b6a60937f",
+    (3, 40, 2): "c135cc929e6dee72030e0d244d8f58795493f1f479afefe06f78419aeff12ec5",
+    (4, 40, 0): "b9b850d710314912ab45f143e54fb2cb17baa12bae65c119dbec50d1dd8abbd7",
+    (4, 40, 1): "b1db8ad7c993da3f75900393dffb8b9c8388fbc2700a1970b2ea7e48655aa701",
+    (4, 40, 2): "0814f87ae5d98adb04c18c8f492f56be0c20a0be1d980ac1f540d981a426ef17",
+    (5, 40, 0): "3192e5e228dc96a71a788ba177ea9d90cc98b3619b0d27311c6e394df577b3f5",
+    (5, 40, 1): "a704f6ed77510f69a4295a567306efb6311af6e6fbb1a1483a81b1d2433bb19b",
+    (5, 40, 2): "992a467eb6b7779c875314ba85f5ea3d29ef744838e358bb3f2e38237a0d806c",
+    (6, 40, 0): "735de0a4360d94fe1b45a3ecc658058f3379fd1262ea86e5a09a9ace6dda1dfb",
+    (6, 40, 1): "4625b0e1b3054290eddb21055fda7b33af83823e4ce18582dc6c1eb327b4946d",
+    (6, 40, 2): "5c0c1b1efb5b17a3ce3739b8267b1802c23f9a8b62f9c5f9f7d7fc6fb80bebcc",
+    (7, 40, 0): "172096b94d5a62aa271f9a474a424226d1e2cfb8cecf9c0ee10baa8e98b47a12",
+    (7, 40, 1): "10a0027142a410c46e7410f0126c395cdd2dc6b62403714b3a7f8bf039b797cf",
+    (7, 40, 2): "990224fc2f5b3702f7a57259445b971f0f69d5820406aee32bab07dbc12cf3af",
+    (8, 40, 0): "abada779c8aa1340e652e194273519669c92cf75770d9bba93fd3943fd106333",
+    (8, 40, 1): "e539b3ee3a1a12eb32efd5969a91615c7e97f62a1bdf5315789db9b9d59b2b83",
+    (8, 40, 2): "68d197cddd41ff0c18b61db32b03e3842f1e0cb21b2dbac40c52378a15f2b117",
+    (9, 40, 0): "b4abaa9962870ca89693da3cf100f7bf120bc5f14558236b0db4a6e3961e5d8b",
+    (9, 40, 1): "9b59fcdee45717c3a52563dac8e9092fcafb7541684a6d3702c82804345fb5c7",
+    (9, 40, 2): "17ac65418b8390642f4bcde95e91e542f7b2b7668c4ddd2127f5798cc2e888b9",
+    (10, 40, 0): "5bf6a2736333faa14f19495663492c186a4f1ba11c320a290f01a81785440341",
+    (10, 40, 1): "d37b1367dd5844f8c6ac2b83f72434db2f67fb4d7925a2752f0bf5b68211cfd4",
+    (10, 40, 2): "a99226df27aa35f568aa285cac472e901215dcceb195235abdaa687e31da738f",
+    (9, 1000, 0): "c55814894fdac2de950022ff149e2b55350729ced715b845968073a72ad0e0c0",
+}
 
 
 def ed_instance(*jobs):
@@ -208,3 +248,10 @@ class TestCorpus:
         for row in doc["schedule"]:
             for key in ("id", "machine", "start", "end", "class"):
                 assert key in row
+
+
+@pytest.mark.parametrize("kappa, jobs, seed", sorted(GOLDEN_TRANSCRIPTS))
+def test_transcript_bytes_are_pinned(kappa, jobs, seed):
+    doc = run_equal_deadline(equal_deadline_instance(kappa, jobs, seed)).to_jsonable()
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == GOLDEN_TRANSCRIPTS[kappa, jobs, seed]

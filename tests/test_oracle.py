@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 from fractions import Fraction
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from schedlab.core import ContractViolation, Instance, Job, MachineProfile
@@ -285,7 +285,52 @@ def test_engine_matches_brute_force(pairs):
         assert value == feasible[0]
 
 
+def reference_volume_lower_bound(jobs, d):
+    """Reference bound: rescan every job at each release, O(n·R)."""
+    if not jobs:
+        return 0
+    best = 1
+    for r in sorted({j.r for j in jobs} | {0}):
+        vol = sum(j.p for j in jobs if j.r >= r)
+        if vol == 0:
+            continue
+        q = Fraction(vol) / (Fraction(d) - Fraction(r))
+        need = -(-q.numerator // q.denominator)
+        best = max(best, need)
+    return best
+
+
+@st.composite
+def volume_cases(draw):
+    """Jobs against a common deadline ``d``: int and rational releases from
+    a small pool, so releases repeat; with ``lo > 0`` no job sits at 0;
+    lengths include non-dyadic rationals."""
+    d = draw(st.integers(1, 31))
+    lo = draw(st.sampled_from([0, Fraction(1, 3)]))
+    release = st.one_of(st.integers(0, d - 1),
+                        st.fractions(0, d, max_denominator=12)
+                        ).filter(lambda r: lo <= r < d)
+    length = st.one_of(st.integers(1, 5),
+                       st.fractions(0, 5, max_denominator=12).filter(bool))
+    pool = draw(st.lists(release, min_size=1, max_size=4))
+    jobs = [Job(i, draw(st.sampled_from(pool)), d, p=draw(length))
+            for i in range(draw(st.integers(1, 12)))]
+    return jobs, d
+
+
 class TestVolumeLowerBound:
+    # Examples: one job, none at 0; a repeated int release before a
+    # rational one; a job at 0 and a repeated rational release.
+    @given(volume_cases())
+    @example(([Job(0, Fraction(5, 2), 3, p=Fraction(1, 3))], 3))
+    @example(([Job(0, 1, 7, p=Fraction(2, 3)), Job(1, 1, 7, p=5),
+               Job(2, Fraction(4, 3), 7, p=Fraction(17, 3))], 7))
+    @example(([Job(0, 0, 7, p=3), Job(1, Fraction(1, 3), 7, p=Fraction(1, 7)),
+               Job(2, Fraction(1, 3), 7, p=Fraction(20, 3))], 7))
+    def test_matches_quadratic_reference(self, case):
+        jobs, d = case
+        assert volume_lower_bound(jobs, d) == reference_volume_lower_bound(jobs, d)
+
     def test_late_pair(self):
         jobs = [Job(0, 3, 7, p=4), Job(1, 3, 7, p=4)]
         assert volume_lower_bound(jobs, 7) == 2
