@@ -25,7 +25,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .core import ContractViolation, Job, MachineProfile, Schedule
-from .online_min import EULER, OnlineState, ceil_times, resolve_alpha
+from .online_min import EULER, OnlineState, _ratio_out, ceil_times, resolve_alpha
 from .oracle import IncrementalOff, _DeadlineHull, edf_simulate
 
 
@@ -118,8 +118,7 @@ class GameTranscript:
     def to_jsonable(self) -> dict:
         return {
             "n": self.n, "N": self.N,
-            "rho": None if self.rho is None else (
-                "e" if self.rho == EULER else str(self.rho)),
+            "rho": None if self.rho is None else _ratio_out(self.rho),
             "outcome": ("stopped" if self.stopped_at is not None else "ran-to-end"),
             "stopped_at": self.stopped_at,
             "released": self.released_total,
@@ -230,9 +229,8 @@ class AggregateGame:
     def summary(self) -> dict:
         return {
             "n": self.n, "N": self.N,
-            "alpha": "e" if self.alpha == EULER else str(self.alpha),
-            "rho": None if self.rho is None else (
-                "e" if self.rho == EULER else str(self.rho)),
+            "alpha": _ratio_out(self.alpha),
+            "rho": None if self.rho is None else _ratio_out(self.rho),
             "stopped_at": self.stopped_at,
             "released": self.released_total,
             "processed": self.processed_total,

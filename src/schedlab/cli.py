@@ -239,12 +239,11 @@ def _verify_reduction(args) -> int:
             jobs=rng.randint(1, 30), horizon=rng.randint(2, 20),
             k=rng.randint(1, 4), w_max=10, seed=rng.getrandbits(32))
         mi = throughput.reduce_to_matching(instance)
-        _, schedule = oracle.offline_throughput_opt(instance)
+        opt_weight, schedule = oracle.offline_throughput_opt(instance)
         matching = throughput.schedule_to_matching(mi, schedule)
         back = throughput.matching_to_schedule(mi, matching)
         same = sorted(back.assignments) == sorted(schedule.assignments)
-        weight = sum(mi.weights[j] for j, _, _ in schedule.assignments)
-        if not same or weight != matching.weight:
+        if not same or opt_weight != matching.weight:
             failures.append(case)
     _emit_json({"count": args.count, "seed": args.seed,
                 "failures": failures, "ok": not failures}, args.out)

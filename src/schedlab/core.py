@@ -131,9 +131,6 @@ class MachineProfile:
         """Total machine-slots over integer steps in ``[lo, hi)``."""
         return sum(m for t, m in self.counts.items() if lo <= t < hi)
 
-    def max_count(self) -> int:
-        return max(self.counts.values(), default=0)
-
 
 def feasible_slot(job: Job, t: int) -> bool:
     """Whether unit job ``job`` may occupy slot ``[t, t+1)``."""

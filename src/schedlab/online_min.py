@@ -41,6 +41,11 @@ _E_NUM = EULER.numerator
 _E_DEN = EULER.denominator
 
 
+def _ratio_out(x: Fraction) -> str:
+    """A scaling factor as transcripts write it: ``"e"`` for EULER."""
+    return "e" if x == EULER else str(x)
+
+
 def resolve_alpha(alpha) -> Fraction:
     """Normalize a machine-scaling factor to an exact rational.
 
@@ -104,7 +109,7 @@ class OnlineTranscript:
 
     def to_jsonable(self) -> dict:
         return {
-            "alpha": str(self.alpha) if self.alpha != EULER else "e",
+            "alpha": _ratio_out(self.alpha),
             "cost": self.cost,
             "off_final": self.off_final,
             "misses": sorted(self.schedule.misses),

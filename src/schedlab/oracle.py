@@ -23,6 +23,7 @@ in the per-step quota they give it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,7 +37,8 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
-from .core import ContractViolation, Instance, Job, MachineProfile, Schedule
+from .core import (ContractViolation, Instance, Job, MachineProfile, Schedule,
+                   require_valid)
 
 _window = attrgetter("r", "d")
 
@@ -59,13 +61,6 @@ class EdfTrace:
 
     chosen: list[list[int]] = field(default_factory=list)
     miss_events: list[tuple[int, int]] = field(default_factory=list)
-
-    def scheduled_before(self, t: int) -> set[int]:
-        """The set S(t) of jobs scheduled in steps 0..t-1."""
-        out: set[int] = set()
-        for step in range(min(t, len(self.chosen))):
-            out.update(self.chosen[step])
-        return out
 
 
 class EdfQueue:
@@ -350,39 +345,51 @@ def volume_lower_bound(jobs: Sequence[Job], d) -> int:
     return best
 
 
+def active_steps(jobs: Iterable[Job]
+                 ) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
+    """Steps some unit job can run in, each with the ids that can run there.
+
+    A job with integer window ``[r, d)`` can run in steps ``r .. d-1``.  One
+    pass over the windows; each step's ids come out ascending.
+    """
+    cover: dict[int, list[int]] = {}
+    for j in sorted(jobs, key=attrgetter("id")):
+        for t in range(int(j.r), int(j.d)):
+            cover.setdefault(t, []).append(j.id)
+    steps = tuple(sorted(cover))
+    return steps, {t: tuple(cover[t]) for t in steps}
+
+
 def offline_throughput_opt(instance: Instance) -> tuple[Fraction, Schedule]:
     """Maximum total weight schedulable on ``k`` machines, with a witness.
 
     Solved as an assignment problem: each job either takes one of the
-    ``k * horizon`` machine-slots inside its window or falls back to a
-    private zero-weight column, so skipping a job is always allowed.
+    ``k`` machine-slots of each active step inside its window or falls back
+    to a private zero-weight column, so skipping a job is always allowed.
+    Slot ``s * k + i`` is machine ``i`` at the ``s``-th active step, so a
+    job's slots are one contiguous column range.
     """
     if instance.model != "throughput":
         raise ContractViolation(f"expected a throughput instance, got {instance.model}")
+    require_valid(instance)
     jobs = instance.jobs
-    k = instance.k or 1
-    if not jobs:
-        return Fraction(0), Schedule()
-    max_d = int(max(j.d for j in jobs))
-    steps = [t for t in range(max_d)
-             if any(j.r <= t and t + 1 <= j.d for j in jobs)]
-    positions = [(t, i) for t in steps for i in range(k)]
-    n, m = len(jobs), len(positions)
+    k = instance.k
+    steps, _ = active_steps(jobs)
+    n, m = len(jobs), k * len(steps)
     weight = np.full((n, m + n), -1.0)
+    weight[np.arange(n), m + np.arange(n)] = 0.0
     for ji, j in enumerate(jobs):
-        weight[ji, m + ji] = 0.0
-        for pi, (t, _) in enumerate(positions):
-            if j.r <= t and t + 1 <= j.d:
-                weight[ji, pi] = float(j.w)
+        lo, hi = bisect_left(steps, j.r), bisect_left(steps, j.d)
+        weight[ji, k * lo:k * hi] = float(j.w)
     rows, cols = linear_sum_assignment(weight, maximize=True)
     total = Fraction(0)
     schedule = Schedule()
     placed: set[int] = set()
     for ji, ci in zip(rows, cols):
         if ci < m:
-            t, machine = positions[ci]
+            step, machine = divmod(int(ci), k)
             job = jobs[ji]
-            schedule.assignments.append((job.id, machine, t))
+            schedule.assignments.append((job.id, machine, steps[step]))
             total += Fraction(job.w)
             placed.add(job.id)
     schedule.assignments.sort(key=lambda a: (a[2], a[1]))

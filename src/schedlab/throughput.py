@@ -8,9 +8,10 @@ and any online matching algorithm becomes an online scheduler.
 
 The randomized matcher draws one uniform ``x`` per job at reveal time and
 greedily matches each arriving vertex to the unmatched neighbor maximizing
-``w * (1 - exp(x - 1))``.  A vectorized runner replays many seeds at once
-for Monte Carlo ratio estimates; it reproduces the sequential matcher
-bit for bit because both consume the same precomputed score table.
+``w * (1 - exp(x - 1))``.  One numpy kernel runs this greedy over a table of
+scores with one row per run: a single seeded row for
+:func:`perturbed_greedy`, the plain weights for :func:`greedy_baseline`, and
+one seeded row per trial for the Monte Carlo ratio estimate.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import (ContractViolation, Instance, MachineProfile, Schedule, _num_out,
                    require_valid)
-from .oracle import edf_simulate, offline_throughput_opt
+from .oracle import active_steps, edf_simulate, offline_throughput_opt
 
 
 @dataclass(frozen=True)
@@ -83,11 +84,7 @@ def reduce_to_matching(instance: Instance) -> MatchingInstance:
     if instance.model != "throughput":
         raise ContractViolation("needs a throughput instance")
     jobs = instance.jobs
-    horizon = max((int(j.d) for j in jobs), default=0)
-    steps = tuple(t for t in range(horizon)
-                  if any(j.r <= t and t + 1 <= j.d for j in jobs))
-    neighbors = {t: tuple(sorted(j.id for j in jobs if j.r <= t and t + 1 <= j.d))
-                 for t in steps}
+    steps, neighbors = active_steps(jobs)
     return MatchingInstance(
         k=instance.k,
         steps=steps,
@@ -139,28 +136,52 @@ def schedule_to_matching(mi: MatchingInstance, schedule: Schedule) -> Matching:
     return matching
 
 
-def _score_table(mi: MatchingInstance, seed: int) -> np.ndarray:
-    """Per-job scores w*(1-exp(x-1)), with x drawn once per job in reveal order."""
+def _float_weights(mi: MatchingInstance) -> np.ndarray:
+    return np.array([float(mi.weights[u]) for u in mi.job_ids])
+
+
+def _perturbation(mi: MatchingInstance, seed: int) -> np.ndarray:
+    """Per-job factors 1-exp(x-1), with x drawn once per job in reveal order."""
     rng = random.Random(seed)
     x = np.array([rng.random() for _ in mi.job_ids])
-    w = np.array([float(mi.weights[u]) for u in mi.job_ids])
-    return w * (1.0 - np.exp(x - 1.0))
+    return 1.0 - np.exp(x - 1.0)
 
 
-def _greedy_pairs(mi: MatchingInstance,
-                  score_of: dict[int, float]) -> list[tuple[int, tuple[int, int]]]:
-    available = set(mi.job_ids)
+def _greedy(mi: MatchingInstance, scores: np.ndarray,
+            w: np.ndarray) -> tuple[np.ndarray, list[tuple[int, tuple[int, int]]]]:
+    """The greedy matcher, run once per row of ``scores`` (rows x jobs).
+
+    Online vertices arrive in (step, machine) order; each takes, in every
+    row, the unmatched neighbor of highest score, the lowest id on ties.
+    Scores must be nonnegative.  Returns each row's matched weight, summed
+    from ``w`` in pick order, and the pairs row 0 matched.
+    """
+    index = {u: j for j, u in enumerate(mi.job_ids)}
+    rows = np.arange(len(scores))
+    available = np.ones(scores.shape, dtype=bool)
+    totals = np.zeros(len(scores))
     pairs = []
     for t in mi.steps:
+        cols = np.array([index[u] for u in mi.neighbors[t]], dtype=np.intp)
+        masked = np.where(available[:, cols], scores[:, cols], -1.0)
         for i in range(mi.k):
-            best = None
-            for u in mi.neighbors[t]:
-                if u in available and (best is None or score_of[u] > score_of[best]):
-                    best = u
-            if best is not None:
-                available.remove(best)
-                pairs.append((best, (t, i)))
-    return pairs
+            pick = masked.argmax(axis=1)
+            got = masked[rows, pick] > -0.5
+            hit_rows = rows[got]
+            hit_cols = cols[pick[got]]
+            masked[hit_rows, pick[got]] = -1.0
+            available[hit_rows, hit_cols] = False
+            totals[hit_rows] += w[hit_cols]
+            if got[:1].any():  # row 0 matched this vertex
+                pairs.append((mi.job_ids[hit_cols[0]], (t, i)))
+    return totals, pairs
+
+
+def _matching(mi: MatchingInstance, scores: np.ndarray) -> Matching:
+    """One kernel row; the exact weight is summed from the pairs."""
+    _, pairs = _greedy(mi, scores[np.newaxis], scores)
+    weight = sum((mi.weights[u] for u, _ in pairs), Fraction(0))
+    return Matching(pairs=pairs, weight=weight)
 
 
 def perturbed_greedy(mi: MatchingInstance, seed: int) -> Matching:
@@ -170,52 +191,26 @@ def perturbed_greedy(mi: MatchingInstance, seed: int) -> Matching:
     toward the smaller perturbation, since the score is strictly decreasing
     in x.  The same seed always yields the same matching.
     """
-    score = _score_table(mi, seed)
-    score_of = dict(zip(mi.job_ids, score.tolist()))
-    pairs = _greedy_pairs(mi, score_of)
-    weight = sum((mi.weights[u] for u, _ in pairs), Fraction(0))
-    return Matching(pairs=pairs, weight=weight)
+    return _matching(mi, _float_weights(mi) * _perturbation(mi, seed))
 
 
 def greedy_baseline(mi: MatchingInstance) -> Matching:
     """Deterministic comparator: always take the heaviest unmatched neighbor."""
-    score_of = {u: float(mi.weights[u]) for u in mi.job_ids}
-    pairs = _greedy_pairs(mi, score_of)
-    weight = sum((mi.weights[u] for u, _ in pairs), Fraction(0))
-    return Matching(pairs=pairs, weight=weight)
+    return _matching(mi, _float_weights(mi))
 
 
 def batched_greedy_weights(mi: MatchingInstance,
                            seeds: Sequence[int]) -> np.ndarray:
     """Matched weight of :func:`perturbed_greedy` for every seed at once.
 
-    All trials share the masked-argmax loop over online vertices; scores come
-    from the same table the sequential matcher uses, so each row equals the
-    sequential run for that seed exactly.
+    One score row per seed, run through the same kernel as the single
+    matcher, so each row equals that seed's run exactly.
     """
-    trials = len(seeds)
-    n = len(mi.job_ids)
-    index = {u: j for j, u in enumerate(mi.job_ids)}
-    w = np.array([float(mi.weights[u]) for u in mi.job_ids])
-    scores = np.empty((trials, n))
+    w = _float_weights(mi)
+    scores = np.empty((len(seeds), len(w)))
     for row, seed in enumerate(seeds):
-        scores[row] = _score_table(mi, seed)
-    available = np.ones((trials, n), dtype=bool)
-    totals = np.zeros(trials)
-    rows = np.arange(trials)
-    for t in mi.steps:
-        cols = np.array([index[u] for u in mi.neighbors[t]], dtype=np.intp)
-        if len(cols) == 0:
-            continue
-        sub = scores[:, cols]
-        for _ in range(mi.k):
-            masked = np.where(available[:, cols], sub, -1.0)
-            pick = masked.argmax(axis=1)
-            got = masked[rows, pick] > -0.5
-            hit_rows = rows[got]
-            hit_cols = cols[pick[got]]
-            available[hit_rows, hit_cols] = False
-            totals[hit_rows] += w[hit_cols]
+        scores[row] = w * _perturbation(mi, seed)
+    totals, _ = _greedy(mi, scores, w)
     return totals
 
 
@@ -258,23 +253,18 @@ def trial_seeds(seed: int, trials: int) -> list[int]:
     return [base.getrandbits(63) for _ in range(trials)]
 
 
-def estimate_ratio(instance: Instance,
-                   algorithm: Callable[[MatchingInstance, int], Matching] = perturbed_greedy,
-                   trials: int = 2000, seed: int = 0) -> RatioEstimate:
-    """Monte Carlo mean of algorithm weight over the exact offline optimum.
+def estimate_ratio(instance: Instance, trials: int = 2000,
+                   seed: int = 0) -> RatioEstimate:
+    """Monte Carlo mean of :func:`perturbed_greedy`'s weight over the exact
+    offline optimum.
 
     Trials use seeds derived deterministically from ``seed``, so the whole
-    estimate is reproducible.  The default algorithm runs through the
-    vectorized replay; any other callable is invoked once per trial.
+    estimate is reproducible.
     """
     if trials < 1:
         raise ContractViolation("need trials >= 1")
     mi = reduce_to_matching(instance)
-    seeds = trial_seeds(seed, trials)
-    if algorithm is perturbed_greedy:
-        totals = batched_greedy_weights(mi, seeds)
-    else:
-        totals = np.array([float(algorithm(mi, s).weight) for s in seeds])
+    totals = batched_greedy_weights(mi, trial_seeds(seed, trials))
     opt_weight, _ = offline_throughput_opt(instance)
     opt = float(opt_weight)
     mean = float(totals.mean())

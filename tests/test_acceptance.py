@@ -282,13 +282,12 @@ def test_7_reduction_bijection(capsys):
         inst = throughput_instance(1 + seed % 30, 2 + seed % 12,
                                    k=1 + seed % 4, seed=seed)
         mi = reduce_to_matching(inst)
-        _, sched = offline_throughput_opt(inst)
+        opt_weight, sched = offline_throughput_opt(inst)
         matching = schedule_to_matching(mi, sched)
         check_matching(mi, matching)
         back = matching_to_schedule(mi, matching)
-        weight = sum(mi.weights[j] for j, _, _ in sched.assignments)
         if (sorted(back.assignments) != sorted(sched.assignments)
-                or weight != matching.weight):
+                or opt_weight != matching.weight):
             mismatches += 1
     passed = mismatches == 0
     announce(capsys, 7, passed,

@@ -1,5 +1,6 @@
 """End-to-end coverage of the sched command line interface."""
 import csv
+import dataclasses
 import io
 import json
 import shutil
@@ -9,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from schedlab import throughput
 from schedlab.cli import CSV_VERSION, main
 from schedlab.core import read_instance
 
@@ -289,6 +291,21 @@ class TestVerify:
         assert code == 0
         payload = json.loads(out)
         assert payload["failures"] == []
+
+    def test_reduction_catches_mismapped_weights(self, capsys, monkeypatch):
+        reduce = throughput.reduce_to_matching
+
+        def rotated(instance):
+            mi = reduce(instance)
+            ids = list(mi.job_ids)
+            moved = dict(zip(ids, [mi.weights[u] for u in ids[1:] + ids[:1]]))
+            return dataclasses.replace(mi, weights=moved)
+
+        monkeypatch.setattr(throughput, "reduce_to_matching", rotated)
+        code, out, _ = run_cli(capsys, "verify", "reduction", "--count", "20",
+                               "--seed", "1")
+        assert code == 1
+        assert json.loads(out)["failures"] != []
 
 
 class TestBench:

@@ -170,7 +170,6 @@ class TestMachineProfile:
     def test_absent_steps_are_zero(self):
         prof = MachineProfile.from_series([1, 4])
         assert prof.at(7) == 0
-        assert prof.max_count() == 4
 
     def test_capacity_between(self):
         prof = MachineProfile.from_series([1, 2, 3])

@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from schedlab.core import ContractViolation, Instance, Job, MachineProfile
+from schedlab.core import ContractViolation, Instance, Job, MachineProfile, ValidationError
 from schedlab.generators import (
     adversary_instance,
     random_unit_instance,
@@ -97,12 +97,6 @@ class TestEdfSimulate:
         trace, sched = edf.finish()
         assert sched.assignments == [(1, 0, 0), (2, 1, 0), (0, 0, 2), (3, 1, 2)]
         assert trace.miss_events == [] and sched.misses == []
-
-    def test_scheduled_before_is_monotone(self):
-        inst = random_unit_instance(10, 5, seed=1)
-        trace, _ = edf_simulate(inst.jobs, MachineProfile.constant(2, 5))
-        for t in range(5):
-            assert trace.scheduled_before(t) <= trace.scheduled_before(t + 1)
 
 
 class TestFlowFeasible:
@@ -391,6 +385,11 @@ class TestThroughputOpt:
             slots.setdefault(start, set()).add(machine)
         assert all(len(ms) <= inst.k for ms in slots.values())
         assert weight == sum(by_id[a[0]].w for a in sched.assignments)
+
+    def test_fractional_window_refused(self):
+        inst = Instance.of("throughput", [Job(0, Fraction(1, 2), 2, w=3)], k=1)
+        with pytest.raises(ValidationError):
+            offline_throughput_opt(inst)
 
 
 @given(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 5)), min_size=1,

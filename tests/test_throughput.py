@@ -1,6 +1,9 @@
 """Throughput-to-matching reduction and the randomized matching players."""
+import hashlib
 import heapq
+import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -265,9 +268,95 @@ class TestEstimateRatio:
         with pytest.raises(ContractViolation):
             estimate_ratio(tp((0, 1, 1)), trials=0)
 
-    def test_custom_algorithm_path(self):
-        inst = tp((0, 1, 10), (0, 1, 1))
-        est = estimate_ratio(inst, algorithm=lambda mi, s: greedy_baseline(mi),
-                             trials=3, seed=0)
-        assert est.mean_alg == 10.0
-        assert est.ratio == 1.0
+
+def reference_scores(mi, seed):
+    """Perturbed scores w*(1-exp(x-1)) as the sequential matcher drew them."""
+    rng = random.Random(seed)
+    x = np.array([rng.random() for _ in mi.job_ids])
+    w = np.array([float(mi.weights[u]) for u in mi.job_ids])
+    return dict(zip(mi.job_ids, (w * (1.0 - np.exp(x - 1.0))).tolist()))
+
+
+def reference_greedy_pairs(mi, score_of):
+    """The Python greedy loop the matcher ran before its numpy kernel."""
+    available = set(mi.job_ids)
+    pairs = []
+    for t in mi.steps:
+        for i in range(mi.k):
+            best = None
+            for u in mi.neighbors[t]:
+                if u in available and (best is None or score_of[u] > score_of[best]):
+                    best = u
+            if best is not None:
+                available.remove(best)
+                pairs.append((best, (t, i)))
+    return pairs
+
+
+WEIGHTS = [0, 1, 3, Fraction(1, 3), Fraction(2, 3), Fraction(5, 7),
+           Fraction(7, 2), Fraction(22, 9)]
+
+
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(1, 4),
+                          st.sampled_from(WEIGHTS)), max_size=24),
+       st.integers(1, 4), st.integers(0, 2**63 - 1))
+def test_one_matcher_equals_reference_loop(spec, k, seed):
+    mi = reduce_to_matching(tp(*[(r, r + span, w) for r, span, w in spec], k=k))
+    seeds = [seed, seed ^ 1, 7]
+    totals = batched_greedy_weights(mi, seeds)
+    for s, total in zip(seeds, totals.tolist()):
+        pairs = reference_greedy_pairs(mi, reference_scores(mi, s))
+        assert perturbed_greedy(mi, s).pairs == pairs
+        # the batched rows add float weights in pick order
+        expected = 0.0
+        for u, _ in pairs:
+            expected += float(mi.weights[u])
+        assert total == expected
+    baseline = reference_greedy_pairs(
+        mi, {u: float(w) for u, w in mi.weights.items()})
+    assert greedy_baseline(mi).pairs == baseline
+
+
+def matcher_corpus():
+    corpus = [throughput_instance(4 + 7 * s, 2 + s % 9, k=1 + s % 4, seed=s)
+              for s in range(16)]
+    corpus.append(upper_triangular_instance(3, 5))
+    corpus.append(tp(*[(s % 3, s % 3 + 1 + s % 4, Fraction(s % 5, 3 + s % 4))
+                       for s in range(24)], k=2))
+    return corpus
+
+
+def matcher_digests(corpus):
+    """sha256 of each matcher output, over the whole corpus."""
+    parts = {"pairs": [], "totals": [], "estimate": [], "matching_instance": [],
+             "opt": []}
+    for inst in corpus:
+        mi = reduce_to_matching(inst)
+        runs = [perturbed_greedy(mi, s) for s in (0, 1, 2**62 + 5)]
+        runs.append(greedy_baseline(mi))
+        parts["pairs"].append([[m.pairs, str(m.weight)] for m in runs])
+        parts["totals"].append(
+            batched_greedy_weights(mi, trial_seeds(3, 50)).tobytes().hex())
+        parts["estimate"].append(
+            estimate_ratio(inst, trials=50, seed=3).to_jsonable())
+        parts["matching_instance"].append(mi.to_jsonable())
+        weight, schedule = offline_throughput_opt(inst)
+        parts["opt"].append([str(weight), schedule.assignments, schedule.misses])
+    return {name: hashlib.sha256(json.dumps(value).encode()).hexdigest()
+            for name, value in parts.items()}
+
+
+# Recorded from the two-loop matcher (a Python greedy for single runs, the
+# numpy argmax for batches) that the one kernel replaced.
+MATCHER_DIGESTS = {
+    "pairs": "2573c89e5b12ba7ce0e2ef66fbb3297de6cba954523d371be571a67f3f06a13c",
+    "totals": "ba9b2650c27b71370a8f02b9842e30498b70ac1bd48f9d2aa3b485af6f90f7f0",
+    "estimate": "f411901b5986978b3b4d96bcf568a674076b7ef84ed334f36bc8b5c503b123fb",
+    "matching_instance":
+        "23a9c146e8b86f56df6c0bdfa5441d6e518ea3b8219cc2bda7bb9105de4e000e",
+    "opt": "c11861cfcf635459c90839c8cdd6f592b27d2e69f99eebb56e79a9389218cdbb",
+}
+
+
+def test_matcher_outputs_match_pinned_digests():
+    assert matcher_digests(matcher_corpus()) == MATCHER_DIGESTS
