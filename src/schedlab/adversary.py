@@ -7,11 +7,12 @@ online player through :func:`play_game` records the full exchange;
 :func:`aggregate_game` plays the same game purely with counters so that
 horizons in the millions stay cheap.
 
-For a common deadline the offline cost is ``max over s of
-ceil(released[s..t] / (n - s))``: the single deadline column of the oracle's
-``IncrementalOff`` engine.  :func:`aggregate_game` and
-:func:`scaling_bound_report` drive that column's hull directly on release
-counts, so every ``OFF(t)`` is exact in amortized constant time per step.
+:class:`AdversaryState` alone knows the stream and the stop rule.  For a
+common deadline the offline cost is ``max over s of
+ceil(released[s..t] / (n - s))``: one deadline column of the oracle's hull.
+One private generator drives that column on the state's release counts, so
+:func:`play_game`, :func:`aggregate_game` and :func:`scaling_bound_report`
+read every ``OFF(t)`` exactly, in amortized constant time per step.
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Protocol, Sequence
+from itertools import islice
+from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
 from .core import ContractViolation, Job, MachineProfile, Schedule
 from .online_min import EULER, OnlineState, _ratio_out, ceil_times, resolve_alpha
-from .oracle import IncrementalOff, _DeadlineHull, edf_simulate
+from .oracle import _DeadlineHull, edf_simulate
 
 
 class OnlinePlayer(Protocol):
@@ -69,10 +71,14 @@ class AdversaryState:
     stopped_at: int | None = None
     next_id: int = 0
 
-    def release(self, t: int) -> list[Job]:
+    def count(self, t: int) -> int:
+        """``floor(N / (n - t))``, or 0 once stopped or past the horizon."""
         if self.stopped_at is not None or t >= self.n:
-            return []
-        count = self.N // (self.n - t)
+            return 0
+        return self.N // (self.n - t)
+
+    def release(self, t: int) -> list[Job]:
+        count = self.count(t)
         jobs = [Job(self.next_id + i, t, self.n) for i in range(count)]
         self.next_id += count
         return jobs
@@ -85,14 +91,26 @@ class AdversaryState:
             self.stopped_at = t
 
 
-def adversary_step(state: AdversaryState, t: int,
-                   observed_online: int | None, observed_off: int | None) -> list[Job]:
-    """One protocol round: record last step's counts, then release for ``t``."""
-    if t >= state.n:
-        raise ContractViolation(f"step {t} past horizon {state.n}")
-    if observed_online is not None and observed_off is not None:
-        state.observe(t - 1, observed_online, observed_off)
-    return state.release(t)
+def _stream(state: AdversaryState) -> Iterator[tuple[int, int, int]]:
+    """Yield ``(t, a_t, OFF(t))`` for each step of ``state``'s stream.
+
+    ``a_t`` is read when step ``t`` begins, so a stop the consumer observes
+    at step ``t`` silences every later step.  Only steps that release open a
+    hull row, as in ``IncrementalOff``: an empty step's row never leads.
+    """
+    hull = _DeadlineHull(state.n)
+    released = 0
+    for t in range(state.n):
+        a = state.count(t)
+        if a:
+            hull.add(t, released)
+            released += a
+        yield t, a, hull.query_ceil(released) if released else 0
+
+
+def _envelope(n: int, N: int, tstar: int) -> int:
+    """``ceil(N / (e (n - tstar)))`` in exact integer arithmetic."""
+    return -(-(N * EULER.denominator) // (EULER.numerator * (n - tstar)))
 
 
 @dataclass
@@ -142,13 +160,11 @@ def play_game(player: OnlinePlayer, n: int, N: int | None = None,
     """
     N = resolve_stream(n, N)
     state = AdversaryState(n=n, N=N, rho=resolve_rho(rho))
-    off_engine = IncrementalOff([n])
     transcript = GameTranscript(n=n, N=N, rho=state.rho)
     outstanding: set[int] = set()
-    for t in range(n):
+    for t, _, off in _stream(state):
         released = state.release(t)
         transcript.released_total += len(released)
-        off = off_engine.add(released, t)
         online, chosen = player.step(t, released)
         if online < 0:
             raise ContractViolation(f"negative machine count at step {t}")
@@ -166,8 +182,8 @@ def play_game(player: OnlinePlayer, n: int, N: int | None = None,
         transcript.steps.append({
             "t": t, "released": len(released), "off": off, "online": online})
         transcript.cost = max(transcript.cost, online)
+        transcript.off_final = off
     transcript.stopped_at = state.stopped_at
-    transcript.off_final = off_engine.value
     return transcript
 
 
@@ -260,8 +276,7 @@ def aggregate_game(alpha, n: int, N: int | None = None, rho=None) -> AggregateGa
     """
     N = resolve_stream(n, N)
     alpha = resolve_alpha(alpha)
-    rho_f = resolve_rho(rho)
-    guard = alpha == EULER
+    state = AdversaryState(n=n, N=N, rho=resolve_rho(rho))
     limit = np.iinfo(np.int64).max
     # N * n bounds the release total and spares the exact sum when it fits;
     # OFF(t) <= N, so ceil(alpha * N) bounds every machine count.
@@ -269,28 +284,16 @@ def aggregate_game(alpha, n: int, N: int | None = None, rho=None) -> AggregateGa
         raise ContractViolation(
             f"n={n}, N={N} releases {actual_released(n, N)} jobs, "
             f"more than an int64 holds ({limit})")
-    if ceil_times(alpha, N) > limit:
+    if alpha * N > limit:
         raise ContractViolation(
-            f"alpha={alpha}, N={N} may rent {ceil_times(alpha, N)} machines, "
+            f"alpha={alpha}, N={N} may rent {math.ceil(alpha * N)} machines, "
             f"more than an int64 holds ({limit})")
     a_out, off_out, online_out, backlog_out = (array("q") for _ in range(4))
-    hull = _DeadlineHull(n)
-    A = 0
     backlog = 0
-    stopped_at: int | None = None
-    for t in range(n):
-        if stopped_at is None:
-            a = N // (n - t)
-            hull.add(t, A)
-            A += a
-        else:
-            a = 0
-        off = hull.query_ceil(A) if A else 0
-        online = ceil_times(alpha, off, knife_guard=guard)
+    for t, a, off in _stream(state):
+        online = ceil_times(alpha, off)
         backlog = max(0, backlog + a - online)
-        if (stopped_at is None and rho_f is not None and off > 0
-                and online * rho_f.denominator >= rho_f.numerator * off):
-            stopped_at = t
+        state.observe(t, online, off)
         a_out.append(a)
         off_out.append(off)
         online_out.append(online)
@@ -298,9 +301,9 @@ def aggregate_game(alpha, n: int, N: int | None = None, rho=None) -> AggregateGa
     a_arr, off_arr, online_arr, backlog_arr = (
         np.frombuffer(v, dtype=np.int64)
         for v in (a_out, off_out, online_out, backlog_out))
-    return AggregateGame(n=n, N=N, alpha=alpha, rho=rho_f, a=a_arr,
+    return AggregateGame(n=n, N=N, alpha=alpha, rho=state.rho, a=a_arr,
                          off=off_arr, online=online_arr, backlog=backlog_arr,
-                         stopped_at=stopped_at)
+                         stopped_at=state.stopped_at)
 
 
 @dataclass
@@ -383,8 +386,8 @@ def crossover_n(alpha=2.5) -> int | None:
 
 def actual_released(n: int, N: int | None = None) -> int:
     """Exact total the full-horizon adversary stream releases."""
-    N = resolve_stream(n, N)
-    return sum(N // (n - t) for t in range(n))
+    state = AdversaryState(n=n, N=resolve_stream(n, N))
+    return sum(state.count(t) for t in range(n))
 
 
 @dataclass
@@ -406,9 +409,7 @@ def offline_witness(n: int, N: int, tstar: int) -> WitnessResult:
     N = resolve_stream(n, N)
     if not (0 <= tstar < n):
         raise ContractViolation(f"tstar must lie in [0, {n - 1}]")
-    num = N * EULER.denominator
-    den = EULER.numerator * (n - tstar)
-    m = -(-num // den)
+    m = _envelope(n, N, tstar)
     source = AdversaryState(n=n, N=N)
     jobs = [j for t in range(tstar + 1) for j in source.release(t)]
     _, schedule = edf_simulate(jobs, MachineProfile.constant(m, n))
@@ -438,13 +439,6 @@ def scaling_bound_report(n: int, N: int | None = None,
     N = resolve_stream(n, N)
     if t_max is None:
         t_max = n - 1
-    hull = _DeadlineHull(n)
-    released = 0
-    rows = []
-    for tstar in range(min(t_max, n - 1) + 1):
-        hull.add(tstar, released)
-        released += N // (n - tstar)
-        bound = -(-(N * EULER.denominator) // (EULER.numerator * (n - tstar)))
-        rows.append(EnvelopeRow(tstar=tstar, off=hull.query_ceil(released),
-                                bound=bound))
-    return rows
+    steps = islice(_stream(AdversaryState(n=n, N=N)), max(t_max + 1, 0))
+    return [EnvelopeRow(tstar=t, off=off, bound=_envelope(n, N, t))
+            for t, _, off in steps]

@@ -71,15 +71,22 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _player_alpha(args) -> str:
+    """The player's alpha: ``"e"`` for e-edf, ``--alpha`` for alpha-edf."""
+    if args.algo == "alpha-edf" and args.alpha is None:
+        raise ContractViolation("alpha-edf needs --alpha")
+    return "e" if args.algo == "e-edf" else args.alpha
+
+
 def _run_unit(args, instance) -> int:
-    alpha = "e" if args.algo == "e-edf" else args.alpha
+    alpha = _player_alpha(args)
     transcript = online_min.run_alpha_edf(instance, alpha)
     misses = len(transcript.schedule.misses)
     if args.out:
         _emit_json(transcript.to_jsonable(), args.out)
     _summary({
         "algo": args.algo, "instance": args.instance,
-        "alpha": "e" if args.algo == "e-edf" else str(args.alpha),
+        "alpha": alpha,
         "jobs": len(instance.jobs), "cost": transcript.cost,
         "off": transcript.off_final, "ratio": round(transcript.ratio, 6),
         "misses": misses,
@@ -144,8 +151,6 @@ def cmd_run(args) -> int:
     if args.algo not in wanted[instance.model]:
         log.error("algo %s does not apply to model %s", args.algo, instance.model)
         return 2
-    if args.algo == "alpha-edf" and args.alpha is None:
-        raise ContractViolation("alpha-edf needs --alpha")
     if args.algo in unit:
         return _run_unit(args, instance)
     if args.algo == "equal-deadline":
@@ -154,9 +159,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_game(args) -> int:
-    alpha = "e" if args.algo == "e-edf" else args.alpha
-    if args.algo == "alpha-edf" and alpha is None:
-        raise ContractViolation("alpha-edf needs --alpha")
+    alpha = _player_alpha(args)
     if args.aggregate:
         rho = args.rho if args.rho is not None else "none"
         game = adversary.aggregate_game(alpha, args.n, args.big_n, rho)

@@ -11,21 +11,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .adversary import resolve_stream
+from .adversary import AdversaryState, resolve_stream
 from .core import ContractViolation, Instance, Job
 
 
 def adversary_instance(n: int, N: int | None = None) -> Instance:
     """The full release stream floor(N/(n-t)) at each t, all due at n."""
-    N = resolve_stream(n, N)
-    jobs = []
-    next_id = 0
-    for t in range(n):
-        count = N // (n - t)
-        for _ in range(count):
-            jobs.append(Job(next_id, t, n))
-            next_id += 1
-    return Instance.of("unit-min", jobs)
+    state = AdversaryState(n=n, N=resolve_stream(n, N))
+    return Instance.of("unit-min", [j for t in range(n) for j in state.release(t)])
 
 
 def random_unit_instance(jobs: int, horizon: int, seed: int = 0) -> Instance:

@@ -66,19 +66,21 @@ def resolve_alpha(alpha) -> Fraction:
     raise ContractViolation(f"expected 'e' or a nonnegative number, got {alpha!r}")
 
 
-def ceil_times(alpha: Fraction, x: int, *, knife_guard: bool = False) -> int:
+def ceil_times(alpha: Fraction, x: int) -> int:
     """``ceil(alpha * x)`` in exact integer arithmetic.
 
-    With ``knife_guard`` the call refuses to round a product lying within
-    1e-12 of an integer; that can only happen when ``alpha`` approximates an
-    irrational constant and the approximation error could flip the ceiling.
+    At ``alpha == EULER`` the call refuses to round a product lying within
+    1e-12 of an integer: EULER stands in for an irrational constant, and its
+    approximation error could flip the ceiling.  Other rationals are exact.
     """
     if x == 0:
         return 0
     num = alpha.numerator * x
     den = alpha.denominator
     q, rem = divmod(num, den)
-    if knife_guard and min(rem, den - rem) * 10**12 < den:
+    # ``alpha == EULER``, compared part by part to stay cheap per step.
+    is_euler = den == _E_DEN and alpha.numerator == _E_NUM
+    if is_euler and min(rem, den - rem) * 10**12 < den:
         raise ContractViolation(
             f"alpha*{x} sits within 1e-12 of an integer; refusing to round")
     return q + 1 if rem else q
@@ -133,7 +135,6 @@ class OnlineState:
 
     def __init__(self, alpha, deadline_values: Iterable[int]):
         self.alpha = resolve_alpha(alpha)
-        self._guard = self.alpha == EULER
         self._off_engine = IncrementalOff(deadline_values)
         self._edf = EdfQueue()
         self.t = 0
@@ -149,7 +150,7 @@ class OnlineState:
                 raise ContractViolation(f"job {j.id} is not a unit job")
         self.t += 1
         off = self._off_engine.add(released, t)
-        m = ceil_times(self.alpha, off, knife_guard=self._guard)
+        m = ceil_times(self.alpha, off)
         self.released.append([j.id for j in released])
         slot = self._edf.step(t, released, m)
         self.off.append(off)

@@ -12,9 +12,9 @@ These three are the independent cross-checks.  The production engine is
 ``IncrementalOff``: it keeps the same value over a growing released prefix
 with one monotone convex hull per deadline column (Hall's condition on
 interval windows), in amortized constant time per column a step touches.
-Online players, the adversary game, the envelope report and
-``off_prefix_series`` all track the optimum of everything released so far
-through it.
+Online players and ``off_prefix_series`` track the optimum of everything
+released so far through it; the adversary stream, whose jobs share one
+deadline, drives that one column's hull directly.
 
 ``EdfQueue`` is the one earliest-deadline-first dispatch loop: ``edf_simulate``,
 the online player, unweighted throughput and the offline witness differ only
@@ -33,9 +33,6 @@ from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
 
 from .core import (ContractViolation, Instance, Job, MachineProfile, Schedule,
                    require_valid)
@@ -128,6 +125,9 @@ def flow_feasible(jobs: Sequence[Job], profile: MachineProfile, d: int) -> bool:
     slots between window endpoints on the other, so the network size depends
     on the number of distinct endpoints rather than on the horizon.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
+
     subset = [j for j in jobs if j.d <= d]
     for j in subset:
         if j.p != 1:
@@ -369,6 +369,8 @@ def offline_throughput_opt(instance: Instance) -> tuple[Fraction, Schedule]:
     Slot ``s * k + i`` is machine ``i`` at the ``s``-th active step, so a
     job's slots are one contiguous column range.
     """
+    from scipy.optimize import linear_sum_assignment
+
     if instance.model != "throughput":
         raise ContractViolation(f"expected a throughput instance, got {instance.model}")
     require_valid(instance)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -56,6 +57,11 @@ class MatchingInstance:
         r, d = self.windows[u]
         return r <= t and t + 1 <= d
 
+    def _window_steps(self, u: int) -> list[int]:
+        """The active steps inside job ``u``'s window ``[r, d)``."""
+        r, d = self.windows[u]
+        return list(self.steps[bisect_left(self.steps, r):bisect_left(self.steps, d)])
+
     def to_jsonable(self) -> dict:
         return {
             "k": self.k,
@@ -63,7 +69,7 @@ class MatchingInstance:
             "offline": [
                 {"id": u, "w": _num_out(self.weights[u]),
                  "reveal": self.reveal[u],
-                 "steps": [t for t in self.steps if self.is_edge(u, (t, 0))]}
+                 "steps": self._window_steps(u)}
                 for u in self.job_ids
             ],
         }

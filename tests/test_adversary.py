@@ -1,5 +1,8 @@
 """Adversarial release stream, interactive game, and counting analysis."""
+import hashlib
+import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -8,7 +11,6 @@ from hypothesis import strategies as st
 from schedlab.adversary import (
     AdversaryState,
     actual_released,
-    adversary_step,
     aggregate_game,
     alpha_edf_player,
     counting_bounds,
@@ -19,7 +21,7 @@ from schedlab.adversary import (
     resolve_stream,
     scaling_bound_report,
 )
-from schedlab.core import ContractViolation, Schedule
+from schedlab.core import ContractViolation, Schedule, write_instance
 from schedlab.generators import adversary_instance
 from schedlab.online_min import EULER
 from schedlab.oracle import off_prefix_series, off_unit
@@ -49,17 +51,25 @@ class TestAdversaryState:
         state.observe(0, 5, 0)
         assert state.stopped_at is None
 
-    def test_step_past_horizon_rejected(self):
-        state = AdversaryState(n=4, N=16, rho=EULER)
-        with pytest.raises(ContractViolation):
-            adversary_step(state, 4, 1, 1)
+    def test_count_is_the_stream(self):
+        state = AdversaryState(n=10, N=3)
+        # floor(3 / (10 - t)) is 0 until 10 - t <= 3.
+        assert [state.count(t) for t in range(12)] == [0] * 7 + [1, 1, 3, 0, 0]
+        assert [len(state.release(t)) for t in range(10)] == [0] * 7 + [1, 1, 3]
+        assert state.next_id == 5
 
-    def test_adversary_step_wrapper(self):
-        state = AdversaryState(n=4, N=16, rho=None)
-        jobs = adversary_step(state, 0, None, None)
-        assert len(jobs) == 4
+    def test_count_after_stop_is_zero(self):
+        state = AdversaryState(n=4, N=16, rho=Fraction(2))
+        state.observe(1, 6, 3)
+        assert state.stopped_at == 1
+        assert [state.count(t) for t in range(4)] == [0, 0, 0, 0]
+
+    def test_released_jobs_are_unit_and_due_at_n(self):
+        state = AdversaryState(n=4, N=16)
+        jobs = state.release(0) + state.release(1)
+        assert [j.id for j in jobs] == list(range(9))
         assert all(j.d == 4 and j.p == 1 for j in jobs)
-        assert len(adversary_step(state, 1, 1, 1)) == 5
+        assert [j.r for j in jobs] == [0] * 4 + [1] * 5
 
     def test_resolve_rho_forms(self):
         assert resolve_rho(None) is None
@@ -200,6 +210,28 @@ class TestAggregateGame:
         assert list(g.backlog) == [3, 5, 8, 8]
         assert g.forcing_stop() == 2
         assert aggregate_game("e", 1000).forcing_stop() is None
+
+    def test_empty_steps_release_nothing(self):
+        # N < n - t for t < 7: those steps release nothing and OFF stays 0.
+        g = aggregate_game(1, 10, 3)
+        assert list(g.a) == [0] * 7 + [1, 1, 3]
+        assert list(g.off) == [0] * 7 + [1, 1, 3]
+        tr = play_game(alpha_edf_player(1, 10), 10, 3, rho=None)
+        assert [s["off"] for s in tr.steps] == list(g.off)
+
+    def test_stop_takes_effect_at_the_next_step(self):
+        g = aggregate_game(2, 6, 36, rho=2)
+        assert g.stopped_at == 0
+        assert list(g.a) == [6, 0, 0, 0, 0, 0]
+
+    def test_int64_precheck_is_exact_at_e(self):
+        # e * 403978495031 lies about 1.2e-13 above an integer, where the
+        # game refuses to round; the overflow check must not round it.  The
+        # game stops at t = 0 and never rents for OFF = N.
+        g = aggregate_game("e", 2, 403978495031, rho="e")
+        assert g.stopped_at == 0
+        with pytest.raises(ContractViolation, match="within 1e-12"):
+            aggregate_game("e", 1, 403978495031)
 
     def test_summary_fields(self):
         s = aggregate_game(2, 100).summary()
@@ -389,3 +421,90 @@ class TestScalingBoundReport:
         rows = scaling_bound_report(12)
         assert [r.off for r in rows] == [
             off_unit([j for j in inst.jobs if j.r <= t]) for t in range(12)]
+
+
+# One stream, pinned: sha256 digests of every stream consumer's output on a
+# fixed corpus, recorded from the release before the stream had one source.
+# N in {0, 1, 5} with n > 5 includes steps with N < n - t that release nothing.
+STREAM_RHOS = (None, "e", 2)
+
+
+def stream_Ns(n):
+    return (0, 1, 5, n, n * n, 3 * n * n + 7)
+
+
+def _sha(chunks):
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk if isinstance(chunk, bytes)
+                 else json.dumps(chunk, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+AGGREGATE_DIGESTS = {
+    "e": "4a07e0b18481db333838b1cbd314249d9bf4c7eab6849dc2647229c2fcf28feb",
+    1: "6df395e500aca8556f102f71e87d1d00ae71a1f43bd5e9db3d35c4e27b154cfc",
+    2: "71934f5b0910e44715678a526a0b43c37f9ea315dd1ab7ca82fff6c2d8b02354",
+    Fraction(5, 2):
+        "efea3fd5a80b2fdb80905bd303d16a2d38e1fc365a586e50f7b79973f8c06c6b",
+    Fraction(1, 2):
+        "bc1a39bafbe25f2baddaa39b9ce3e5f75b69b41efa6f2857db01ac5db84312b0",
+}
+
+PLAY_DIGESTS = {
+    "e": "dd831ed1aa8541757d825380f9742fddf3694c4dd26d0e16e5a3764e83cc3541",
+    1: "dc8e23997afcfcb4bc384f57acad5d08fac14b7e599a4f41ba4fa3a9fb085c83",
+    2: "a5f5d5012994ad55c2f335047b37ae90f944c89622970f5de5828ce5d3642417",
+    Fraction(1, 2):
+        "f92bad34e0fb577f3bc7a8071ca786028047f236a375401cb2e3a88c7a3d15d2",
+}
+
+
+@pytest.mark.parametrize("alpha", list(AGGREGATE_DIGESTS), ids=str)
+def test_aggregate_game_digest(alpha):
+    def chunks():
+        for n in (1, 2, 3, 7, 31, 100, 400):
+            for N in stream_Ns(n):
+                for rho in STREAM_RHOS:
+                    g = aggregate_game(alpha, n, N, rho)
+                    yield [g.summary(), g.stopped_at]
+                    for series in (g.a, g.off, g.online, g.backlog):
+                        yield series.tobytes()
+    assert _sha(chunks()) == AGGREGATE_DIGESTS[alpha]
+
+
+@pytest.mark.parametrize("alpha", list(PLAY_DIGESTS), ids=str)
+def test_play_game_digest(alpha):
+    def chunks():
+        for n in (1, 2, 5, 17, 60):
+            for N in (0, 3, n, n * n):
+                for rho in STREAM_RHOS:
+                    player = alpha_edf_player(alpha, n)
+                    yield play_game(player, n, N, rho).to_jsonable()
+    assert _sha(chunks()) == PLAY_DIGESTS[alpha]
+
+
+def test_scaling_bound_report_digest():
+    rows = ([[r.tstar, r.off, r.bound] for r in scaling_bound_report(n, N)]
+            for n in (1, 2, 3, 7, 31, 100, 400) for N in stream_Ns(n))
+    assert _sha(rows) == (
+        "ba020269a01a3783fd0f4cbe57f28a6a3957bebdd8bf5e6105e336cfc939c179")
+
+
+def test_offline_witness_digest():
+    def chunks():
+        for n in (1, 2, 3, 7, 31):
+            for N in stream_Ns(n):
+                for tstar in sorted({0, n // 2, n - 1}):
+                    w = offline_witness(n, N, tstar)
+                    yield [w.m, w.schedule.assignments, w.schedule.misses,
+                           w.feasible, w.jobs_total]
+    assert _sha(chunks()) == (
+        "19467b61660ace7ce84b5fca3ea4f092516da0c369b4a0fa4e649c080e6c40dc")
+
+
+def test_adversary_instance_digest():
+    texts = (write_instance(adversary_instance(n, N)).encode()
+             for n in (1, 2, 3, 7, 31) for N in stream_Ns(n))
+    assert _sha(texts) == (
+        "4f3a4c66b870967a1c8c09f8e365e4f9424492640cfbac4fd57b9ee1809e8268")

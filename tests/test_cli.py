@@ -105,6 +105,7 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "alpha-edf",
                                "--instance", adversary_file)
         assert code == 2
+        assert "error: alpha-edf needs --alpha" in err
 
     def test_equal_deadline_single_job(self, capsys, tmp_path):
         path = tmp_path / "one.json"
@@ -223,6 +224,13 @@ class TestGame:
         assert code == 2
         assert out == ""
         assert "error: expected 'e' or a nonnegative number" in err
+
+    @pytest.mark.parametrize("argv", [[], ["--aggregate"]])
+    def test_alpha_edf_needs_alpha(self, capsys, argv):
+        code, out, err = run_cli(capsys, "game", "alpha-edf", "--n", "5", *argv)
+        assert code == 2
+        assert out == ""
+        assert "error: alpha-edf needs --alpha" in err
 
 
 class TestVerify:
@@ -395,6 +403,18 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert len(read_instance(proc.stdout).jobs) == 33
+
+
+def test_import_loads_no_scipy():
+    # scipy serves only the flow cross-check and the assignment OPT, which
+    # import it when called; every other sched call is spared the load.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, schedlab; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.skipif(shutil.which("sched") is None,

@@ -62,13 +62,17 @@ class TestCeilTimes:
             e80 = Decimal(1).exp()
             for x in [1, 2, 3, 5, 16, 44, 1000, 94235, 10**6, 10**9]:
                 want = int((e80 * x).to_integral_value(rounding="ROUND_CEILING"))
-                assert ceil_times(EULER, x, knife_guard=True) == want
+                assert ceil_times(EULER, x) == want
 
     def test_knife_guard_trips_on_near_integer_product(self):
+        # 403978495031 is a continued-fraction denominator of e, so e times
+        # it lies about 1.2e-13 above an integer: too close to round.
+        with pytest.raises(ContractViolation, match="within 1e-12"):
+            ceil_times(EULER, 403978495031)
+        # Any other rational is exact, so it rounds however near it lies.
         near = Fraction(3 * 10**13 + 1, 10**13)
-        with pytest.raises(ContractViolation):
-            ceil_times(near, 1, knife_guard=True)
         assert ceil_times(near, 1) == 4
+        assert ceil_times(Fraction(3 * 10**13 - 1, 10**13), 1) == 3
 
 
 class TestRunAlphaEdf:
