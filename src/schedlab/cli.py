@@ -234,6 +234,8 @@ def _verify_equal_deadline(args) -> int:
 
 
 def _verify_reduction(args) -> int:
+    if args.count < 1:
+        raise ContractViolation(f"verify reduction needs --count >= 1, got {args.count}")
     import random as _random
     rng = _random.Random(args.seed)
     failures = []
@@ -419,11 +421,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ContractViolation, ParseError, ValidationError) as exc:
+    except (ContractViolation, ParseError, ValidationError, OSError) as exc:
         log.error("%s", exc)
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except FileNotFoundError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -16,7 +16,6 @@ workload can reach.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -194,20 +193,14 @@ class FractionalCertificate:
     ``[r_j, dstar - (dstar - r_j)/e]`` and zero elsewhere.  The density
     integrates to exactly one over the support, total density at any instant
     stays below ``e`` times the offline optimum, and the integer schedule
-    keeps ahead of the accumulated fractional mass.
+    keeps ahead of the accumulated fractional mass.  Where a support ends is
+    decided exactly, against the rational ``EULER``, by ``_support_hi_index``:
+    :func:`check_certificate` sweeps dominance over those exact ends and
+    samples completion and packing on a grid.
     """
 
     dstar: int
     jobs: tuple[Job, ...]
-    excluded: tuple[int, ...] = ()
-
-    def support_end(self, job: Job) -> float:
-        return self.dstar - (self.dstar - job.r) / math.e
-
-    def density(self, job: Job, x: float) -> float:
-        if job.r <= x <= self.support_end(job):
-            return 1.0 / (self.dstar - x)
-        return 0.0
 
     def completion_integral(self, job: Job) -> float:
         span = self.dstar - job.r
@@ -215,23 +208,19 @@ class FractionalCertificate:
 
 
 def build_certificate(jobs: Sequence[Job], dstar: int) -> FractionalCertificate:
-    """Collect the jobs due by ``dstar`` and attach their densities."""
-    members = []
-    excluded = []
-    for j in jobs:
-        if j.d > dstar:
-            continue
-        if j.r >= dstar:
-            excluded.append(j.id)
-        else:
-            members.append(j)
-    if excluded:
-        warnings.warn(
-            f"{len(excluded)} job(s) released at or after dstar={dstar} excluded",
-            stacklevel=2)
-    members.sort(key=lambda j: (j.r, j.id))
-    return FractionalCertificate(dstar=dstar, jobs=tuple(members),
-                                 excluded=tuple(excluded))
+    """Collect the jobs due by ``dstar``, sorted by ``(release, id)``.
+
+    Refuses ``dstar < 1`` and any member released at or after ``dstar``: its
+    window ``[r, d)`` is empty, so it has no support to spread over.
+    """
+    if dstar < 1:
+        raise ContractViolation(f"dstar must be at least 1, got {dstar}")
+    members = sorted((j for j in jobs if j.d <= dstar), key=lambda j: (j.r, j.id))
+    if members and members[-1].r >= dstar:
+        j = members[-1]
+        raise ContractViolation(
+            f"job {j.id} has release {j.r} >= deadline {j.d}: empty window")
+    return FractionalCertificate(dstar=dstar, jobs=tuple(members))
 
 
 def _support_hi_index(r: int, dstar: int, g: int) -> int:
@@ -320,36 +309,40 @@ class CertificateReport:
         }
 
 
+def _padded(series: list[int], length: int) -> np.ndarray:
+    """``series[t]`` for ``t < length``; past its end the last value holds
+    (zeros for an empty series)."""
+    out = np.full(length, series[-1] if series else 0, dtype=np.float64)
+    head = series[:length]
+    out[:len(head)] = head
+    return out
+
+
 def check_certificate(cert: FractionalCertificate, transcript: OnlineTranscript,
                       grid_per_unit: int = 1000) -> CertificateReport:
     """Numerically audit one certificate against an online run.
 
-    Checks, at `grid_per_unit` points per unit of time:
+    Completion and packing are checked at `grid_per_unit` points per unit
+    of time:
 
     * completion: every member's density integrates to 1 (closed form);
     * packing: total density, computed both by direct summation and by the
       interval-counting closed form (the two must agree), never exceeds the
-      run's machine count, nor ``e`` times the offline optimum;
-    * dominance: at every integer t, the number of certificate jobs already
-      scheduled is at least the total fractional mass accrued by t.
+      run's machine count, nor ``e`` times the offline optimum.
+
+    Dominance needs no grid: at every integer t, the number of certificate
+    jobs already scheduled is at least the total fractional mass accrued by
+    t.  One sweep over the distinct releases decides it; a release counts
+    as finished once t passes its exact support end (``_support_hi_index``
+    at one point per unit), and only the still-active releases add a log
+    term.
     """
     g = grid_per_unit
     if g < 2:
         raise ContractViolation("need at least 2 grid points per unit")
     dstar = cert.dstar
-    tol = 1e-9
     report = CertificateReport(dstar=dstar, grid_per_unit=g, n_jobs=len(cert.jobs))
-    steps = len(transcript.m)
-
-    def off_at(t: int) -> int:
-        if not transcript.off:
-            return 0
-        return transcript.off[min(t, steps - 1)]
-
-    def m_at(t: int) -> int:
-        if not transcript.m:
-            return 0
-        return transcript.m[min(t, steps - 1)]
+    tol = report.tolerance
 
     worst = 0.0
     for j in cert.jobs:
@@ -377,32 +370,36 @@ def check_certificate(cert: FractionalCertificate, transcript: OnlineTranscript,
     report.agreement_worst = float(np.abs(acc - closed).max(initial=0.0))
 
     floor_idx = kk // g
-    m_arr = np.array([m_at(t) for t in range(dstar)], dtype=np.float64)[floor_idx]
-    off_arr = np.array([off_at(t) for t in range(dstar)], dtype=np.float64)[floor_idx]
+    m_arr = _padded(transcript.m, dstar)[floor_idx]
+    off_arr = _padded(transcript.off, dstar)[floor_idx]
     bad = np.nonzero(closed > m_arr + tol)[0]
     for k in bad[:100]:
         report.packing_profile_failures.append(
             (float(tgrid[k]), float(closed[k]), int(m_arr[k])))
     report.packing_scaled_off_excess = float((closed - math.e * off_arr).max(initial=float("-inf")))
 
+    # Support ends rise with the release, so at each t the started releases
+    # (r < t) and the finished ones (end < t) are both prefixes of the sorted
+    # distinct releases; [lo, hi) is the active window.
+    releases, per_release = np.unique(
+        np.array([j.r for j in cert.jobs], dtype=np.int64), return_counts=True)
+    ends = [_support_hi_index(int(r), dstar, 1) for r in releases]
+    log_span = np.log(dstar - releases.astype(np.float64))
     star_ids = {j.id for j in cert.jobs}
-    scheduled_running = 0
-    lhs_by_t = [0]
-    for t in range(dstar):
-        if t < len(transcript.trace.chosen):
-            scheduled_running += sum(1 for jid in transcript.trace.chosen[t]
-                                     if jid in star_ids)
-        lhs_by_t.append(scheduled_running)
+    chosen = transcript.trace.chosen
+    scheduled = finished = lo = hi = 0
     for t in range(dstar + 1):
-        mass = 0.0
-        for j in cert.jobs:
-            if t <= j.r:
-                continue
-            end = cert.support_end(j)
-            if t >= end:
-                mass += cert.completion_integral(j)
-            else:
-                mass += math.log((dstar - j.r) / (dstar - t))
-        if lhs_by_t[t] < mass - tol:
-            report.dominance_failures.append((t, lhs_by_t[t], mass))
+        if 0 < t <= len(chosen):
+            scheduled += sum(1 for jid in chosen[t - 1] if jid in star_ids)
+        while hi < len(releases) and releases[hi] < t:
+            hi += 1
+        while lo < hi and ends[lo] < t:
+            finished += int(per_release[lo])
+            lo += 1
+        mass = float(finished)
+        if lo < hi:
+            mass += float((per_release[lo:hi]
+                           * (log_span[lo:hi] - math.log(dstar - t))).sum())
+        if scheduled < mass - tol:
+            report.dominance_failures.append((t, scheduled, mass))
     return report

@@ -1,12 +1,15 @@
 """End-to-end coverage of the sched command line interface."""
 import csv
 import dataclasses
+import importlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +150,20 @@ class TestRun:
                                "--instance", "/nonexistent.json")
         assert code == 2
 
+    def test_instance_directory_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "run", "e-edf",
+                                 "--instance", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert "error: " in err
+
+    def test_out_directory_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "gen", "adversary", "--n", "4",
+                                 "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert "error: " in err
+
     def test_perturbed_greedy_needs_seed(self, capsys, tmp_path):
         path = tmp_path / "tp.json"
         assert main(["gen", "throughput", "--jobs", "8", "--horizon", "4",
@@ -251,6 +268,15 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "certificate")
         assert code == 2
 
+    @pytest.mark.parametrize("dstar", ["-3", "0"])
+    def test_certificate_dstar_below_one_is_usage_error(self, capsys,
+                                                        adversary_file, dstar):
+        code, out, err = run_cli(capsys, "verify", "certificate",
+                                 "--instance", adversary_file, "--dstar", dstar)
+        assert code == 2
+        assert out == ""
+        assert f"error: dstar must be at least 1, got {dstar}" in err
+
     def test_envelope_clean_prefix(self, capsys, tmp_path):
         report = tmp_path / "env.json"
         code, _, _ = run_cli(capsys, "verify", "envelope", "--n", "100",
@@ -299,6 +325,14 @@ class TestVerify:
         assert code == 0
         payload = json.loads(out)
         assert payload["failures"] == []
+
+    @pytest.mark.parametrize("count", ["-1", "0"])
+    def test_reduction_count_below_one_is_usage_error(self, capsys, count):
+        # An audit that checks nothing could only ever pass.
+        code, out, err = run_cli(capsys, "verify", "reduction", "--count", count)
+        assert code == 2
+        assert out == ""
+        assert "error: verify reduction needs --count >= 1" in err
 
     def test_reduction_catches_mismapped_weights(self, capsys, monkeypatch):
         reduce = throughput.reduce_to_matching
@@ -417,11 +451,24 @@ def test_import_loads_no_scipy():
     assert proc.stdout == "[]\n"
 
 
-@pytest.mark.skipif(shutil.which("sched") is None,
-                    reason="console script not on PATH")
 def test_console_script():
-    proc = subprocess.run(["sched", "game", "e-edf", "--n", "4",
-                           "--big-n", "16", "--format", "json"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
+    # Run the installed script when it is on PATH; otherwise check that
+    # pyproject.toml names the entry point and run that entry point.
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["sched"]
+    assert target == "schedlab.cli:main"
+    module, _, attr = target.partition(":")
+    assert callable(getattr(importlib.import_module(module), attr))
+    argv = ["game", "e-edf", "--n", "4", "--big-n", "16", "--format", "json"]
+    if shutil.which("sched") is not None:
+        proc = subprocess.run(["sched", *argv], capture_output=True, text=True)
+    else:
+        path = os.pathsep.join(filter(None, [str(root / "src"),
+                                             os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", module, *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["stopped_at"] == 0

@@ -1,4 +1,5 @@
 """Scaled-EDF online runs and the fractional feasibility certificate."""
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -11,6 +12,7 @@ from schedlab.core import ContractViolation, Instance, Job, MachineProfile
 from schedlab.generators import adversary_instance, random_unit_instance
 from schedlab.online_min import (
     EULER,
+    _support_hi_index,
     build_certificate,
     ceil_times,
     check_certificate,
@@ -154,22 +156,24 @@ class TestBuildCertificate:
         cert = build_certificate([Job(0, 0, 4)], 4)
         assert cert.completion_integral(cert.jobs[0]) == pytest.approx(1.0)
 
-    def test_release_at_dstar_excluded_with_warning(self):
-        with pytest.warns(UserWarning):
-            cert = build_certificate([Job(0, 4, 4, p=1)], 4)
-        assert cert.jobs == ()
-        assert cert.excluded == (0,)
+    def test_release_at_dstar_is_refused(self):
+        # d <= dstar <= r: the job's window is empty, so it has no support.
+        with pytest.raises(ContractViolation, match="empty window"):
+            build_certificate([Job(0, 4, 4, p=1)], 4)
 
-    def test_density_midpoint(self):
-        cert = build_certificate([Job(0, 0, 4)], 4)
-        assert cert.density(cert.jobs[0], 2.0) == pytest.approx(0.5)
+    @pytest.mark.parametrize("dstar", [0, -3])
+    def test_dstar_below_one_is_refused(self, dstar):
+        with pytest.raises(ContractViolation, match="dstar"):
+            build_certificate([Job(0, 0, 4)], dstar)
 
-    def test_density_zero_outside_support(self):
-        cert = build_certificate([Job(0, 0, 4)], 4)
-        job = cert.jobs[0]
-        assert cert.density(job, -0.5) == 0.0
-        assert cert.density(job, 3.9) == 0.0
-        assert cert.support_end(job) == pytest.approx(4 - 4 / math.e)
+    def test_support_end_is_decided_exactly(self):
+        # The last grid point k/g on the support [r, dstar - (dstar - r)/e].
+        assert _support_hi_index(0, 4, 1000) == 2528
+        for dstar in range(1, 13):
+            for r in range(dstar):
+                for g in (1, 7, 1000):
+                    end = g * (dstar - (dstar - r) / EULER)
+                    assert _support_hi_index(r, dstar, g) == math.floor(end)
 
     def test_later_deadlines_not_members(self):
         cert = build_certificate([Job(0, 0, 2), Job(1, 0, 5)], 2)
@@ -216,3 +220,124 @@ class TestCheckCertificate:
         with pytest.raises(ContractViolation):
             check_certificate(build_certificate(inst.jobs, 1), tr,
                               grid_per_unit=1)
+
+
+def reference_dominance(cert, transcript, tol=1e-9):
+    """The dominance check as a (steps x jobs) double loop with float
+    support ends, kept to cross-check the sweep in ``check_certificate``."""
+    dstar = cert.dstar
+    star_ids = {j.id for j in cert.jobs}
+    scheduled_running = 0
+    lhs_by_t = [0]
+    for t in range(dstar):
+        if t < len(transcript.trace.chosen):
+            scheduled_running += sum(1 for jid in transcript.trace.chosen[t]
+                                     if jid in star_ids)
+        lhs_by_t.append(scheduled_running)
+    failures = []
+    for t in range(dstar + 1):
+        mass = 0.0
+        for j in cert.jobs:
+            if t <= j.r:
+                continue
+            end = dstar - (dstar - j.r) / math.e
+            if t >= end:
+                mass += cert.completion_integral(j)
+            else:
+                mass += math.log((dstar - j.r) / (dstar - t))
+        if lhs_by_t[t] < mass - tol:
+            failures.append((t, lhs_by_t[t], mass))
+    return failures
+
+
+def sweep_dominance(cert, transcript):
+    # Dominance is grid-free; the coarsest grid keeps the other checks cheap.
+    return check_certificate(cert, transcript, grid_per_unit=2).dominance_failures
+
+
+def assert_matches_reference(cert, transcript):
+    got = sweep_dominance(cert, transcript)
+    want = reference_dominance(cert, transcript)
+    assert [(t, lhs) for t, lhs, _ in got] == [(t, lhs) for t, lhs, _ in want]
+    for (_, _, mass), (_, _, ref_mass) in zip(got, want):
+        assert abs(mass - ref_mass) <= 1e-9
+    return got
+
+
+class TestDominanceSweep:
+    def test_matches_reference_on_acceptance_3_corpus(self):
+        failing = 0
+        for seed in range(200):
+            inst = random_unit_instance(1 + seed % 40, 2 + seed % 10, seed=seed)
+            for alpha in ("e", 1):
+                tr = run_alpha_edf(inst, alpha)
+                for dstar in sorted({int(j.d) for j in inst.jobs}):
+                    got = assert_matches_reference(
+                        build_certificate(inst.jobs, dstar), tr)
+                    failing += bool(got)
+        assert failing > 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_reference_on_large_random_runs(self, seed):
+        inst = random_unit_instance(2000, 500, seed)
+        deadlines = sorted({int(j.d) for j in inst.jobs})
+        for alpha in ("e", 1, 2, Fraction(5, 2)):
+            tr = run_alpha_edf(inst, alpha)
+            for dstar in (deadlines[0], deadlines[len(deadlines) // 2],
+                          deadlines[-1]):
+                got = assert_matches_reference(
+                    build_certificate(inst.jobs, dstar), tr)
+                if alpha == 1 and dstar == deadlines[-1]:
+                    assert got
+
+    @pytest.mark.parametrize("n", [3, 6, 8, 20, 60])
+    def test_matches_reference_on_adversary_runs(self, n):
+        inst = adversary_instance(n)
+        for alpha in ("e", 1, 2):
+            assert_matches_reference(build_certificate(inst.jobs, n),
+                                     run_alpha_edf(inst, alpha))
+
+    @given(st.lists(st.tuples(st.integers(0, 8), st.integers(1, 5)),
+                    min_size=1, max_size=30),
+           st.sampled_from(["e", 1, 2, Fraction(3, 2), Fraction(1, 2)]),
+           st.integers(0, 10))
+    def test_matches_reference_on_generated_runs(self, pairs, alpha, pick):
+        inst = Instance.of("unit-min", [Job(i, r, r + span)
+                                        for i, (r, span) in enumerate(pairs)])
+        tr = run_alpha_edf(inst, alpha)
+        deadlines = sorted({int(j.d) for j in inst.jobs})
+        dstar = deadlines[pick % len(deadlines)]
+        assert_matches_reference(build_certificate(inst.jobs, dstar), tr)
+
+    def test_alpha_one_run_fails_dominance(self):
+        inst = adversary_instance(6)
+        tr = run_alpha_edf(inst, 1)
+        rep = check_certificate(build_certificate(inst.jobs, 6), tr,
+                                grid_per_unit=100)
+        assert rep.dominance_failures
+        assert not rep.dominance_ok and not rep.ok
+
+    def test_delaying_one_job_shows_a_failure(self):
+        inst = random_unit_instance(30, 10, seed=4)
+        tr = run_alpha_edf(inst, "e")
+        cert = build_certificate(inst.jobs, 4)
+        assert sweep_dominance(cert, tr) == []
+        # Hold the first certificate job EDF ran back to the last step
+        # before dstar; the schedule then trails the mass it must cover.
+        members = {j.id for j in cert.jobs}
+        chosen = [list(ids) for ids in tr.trace.chosen]
+        step = next(t for t, ids in enumerate(chosen) if members & set(ids))
+        job = next(jid for jid in chosen[step] if jid in members)
+        chosen[step].remove(job)
+        chosen[3].append(job)
+        delayed = dataclasses.replace(
+            tr, trace=dataclasses.replace(tr.trace, chosen=chosen))
+        failures = assert_matches_reference(cert, delayed)
+        assert failures
+        assert all(step < t <= 3 for t, _, _ in failures)
+
+    def test_empty_certificate_has_no_mass(self):
+        inst = Instance.of("unit-min", [Job(0, 0, 5)])
+        cert = build_certificate(inst.jobs, 3)
+        assert cert.jobs == ()
+        assert sweep_dominance(cert, run_alpha_edf(inst, "e")) == []
