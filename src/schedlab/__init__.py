@@ -13,9 +13,9 @@ from .adversary import (AdversaryState, AggregateGame, GameTranscript,
                         crossover_n, offline_witness, play_game,
                         scaling_bound_report)
 from .core import (ContractViolation, Instance, Job, MachineProfile,
-                   ParseError, Schedule, ValidationError, audit_schedule,
-                   feasible_slot, read_instance, schedule_cost,
-                   validate_instance, write_instance)
+                   ParseError, Schedule, UnitJobs, ValidationError,
+                   audit_schedule, feasible_slot, read_instance, schedule_cost,
+                   unit_columns, validate_instance, write_instance)
 from .equal_deadline import (EqualDeadlineTranscript, classify, phase_bounds,
                              phase_split, run_equal_deadline)
 from .generators import (adversary_instance, equal_deadline_instance,
@@ -40,10 +40,11 @@ __all__ = [
     "AdversaryState", "AggregateGame", "GameTranscript", "aggregate_game",
     "alpha_edf_player", "counting_bounds", "crossover_n", "offline_witness",
     "play_game", "scaling_bound_report", "ContractViolation", "Instance",
-    "Job", "MachineProfile", "ParseError", "Schedule", "ValidationError",
-    "audit_schedule", "feasible_slot", "read_instance", "schedule_cost",
-    "validate_instance", "write_instance", "EqualDeadlineTranscript",
-    "classify", "phase_bounds", "phase_split", "run_equal_deadline",
+    "Job", "MachineProfile", "ParseError", "Schedule", "UnitJobs",
+    "ValidationError", "audit_schedule", "feasible_slot", "read_instance",
+    "schedule_cost", "unit_columns", "validate_instance", "write_instance",
+    "EqualDeadlineTranscript", "classify", "phase_bounds", "phase_split",
+    "run_equal_deadline",
     "adversary_instance", "equal_deadline_instance", "generate",
     "random_unit_instance", "throughput_instance", "upper_triangular_instance",
     "EULER", "CertificateReport", "FractionalCertificate", "OnlineState",

@@ -10,24 +10,31 @@ horizons in the millions stay cheap.
 :class:`AdversaryState` alone knows the stream and the stop rule.  For a
 common deadline the offline cost is ``max over s of
 ceil(released[s..t] / (n - s))``: one deadline column of the oracle's hull.
-One private generator drives that column on the state's release counts, so
+One private generator drives that column on the release counts, so
 :func:`play_game`, :func:`aggregate_game` and :func:`scaling_bound_report`
 read every ``OFF(t)`` exactly, in amortized constant time per step.
+
+Jobs travel as int64 columns (:class:`~schedlab.core.UnitJobs`): a step's
+release is one block of consecutive ids and the full stream is filled by
+``np.repeat``, so no ``Job`` row is built.  :func:`aggregate_game` runs the
+hull over the full stream once, then takes the ceilings, the stop and the
+backlog over the whole series with numpy, exactly.  A stream whose release
+total exceeds int64 is refused up front rather than left to wrap.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .core import ContractViolation, Job, MachineProfile, Schedule
-from .online_min import EULER, OnlineState, _ratio_out, ceil_times, resolve_alpha
+from .core import INT64_MAX, ContractViolation, Job, MachineProfile, Schedule, UnitJobs
+from .online_min import (EULER, OnlineState, _ratio_out, ceil_times,
+                         ceil_times_series, resolve_alpha)
 from .oracle import _DeadlineHull, edf_simulate
 
 
@@ -61,6 +68,26 @@ def resolve_stream(n: int, N: int | None = None) -> int:
     return N
 
 
+def require_int64_stream(n: int, N: int) -> None:
+    """Refuse a stream whose release total, and so its largest job id and
+    its release sums, do not fit an int64.  ``N * n`` bounds the total and
+    spares the exact sum when it fits."""
+    if N * n > INT64_MAX:
+        total = actual_released(n, N)
+        if total > INT64_MAX:
+            raise ContractViolation(
+                f"n={n}, N={N} releases {total} jobs, "
+                f"more than an int64 holds ({INT64_MAX})")
+
+
+def stream_jobs(n: int, N: int, last: int | None = None) -> UnitJobs:
+    """The stream's jobs released at steps ``0..last`` (default: every
+    step) as columns: ids count up in release order, all due at ``n``."""
+    counts = AdversaryState(n=n, N=N).counts()[:None if last is None else last + 1]
+    r = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    return UnitJobs(np.arange(len(r)), r, np.full(len(r), n))
+
+
 @dataclass
 class AdversaryState:
     """Release source with the ratio-triggered stop rule."""
@@ -77,11 +104,23 @@ class AdversaryState:
             return 0
         return self.N // (self.n - t)
 
-    def release(self, t: int) -> list[Job]:
+    def counts(self) -> np.ndarray:
+        """:meth:`count` of every step of the full stream, as int64."""
+        require_int64_stream(self.n, self.N)
+        # The last step alone releases N, so N fits once the total does.
+        return self.N // np.arange(self.n, 0, -1, dtype=np.int64)
+
+    def release(self, t: int) -> UnitJobs:
+        """Step ``t``'s jobs as one column block, ids continuing the stream."""
         count = self.count(t)
-        jobs = [Job(self.next_id + i, t, self.n) for i in range(count)]
+        first = self.next_id
+        if first + count - 1 > INT64_MAX:
+            raise ContractViolation(
+                f"step {t} releases job ids up to {first + count - 1}, "
+                f"more than an int64 holds ({INT64_MAX})")
         self.next_id += count
-        return jobs
+        return UnitJobs(first + np.arange(count, dtype=np.int64),
+                        np.full(count, t), np.full(count, self.n))
 
     def observe(self, t: int, online: int, off: int) -> None:
         """Stop once the online/offline ratio reaches ``rho`` (well-defined only for off > 0)."""
@@ -91,21 +130,22 @@ class AdversaryState:
             self.stopped_at = t
 
 
-def _stream(state: AdversaryState) -> Iterator[tuple[int, int, int]]:
-    """Yield ``(t, a_t, OFF(t))`` for each step of ``state``'s stream.
+def _off_series(n: int, counts: Iterable[int]) -> Iterator[int]:
+    """Yield ``OFF(t)`` for a stream due at ``n`` releasing ``counts[t]``.
 
-    ``a_t`` is read when step ``t`` begins, so a stop the consumer observes
-    at step ``t`` silences every later step.  Only steps that release open a
-    hull row, as in ``IncrementalOff``: an empty step's row never leads.
+    ``counts`` is read one step at a time, so a lazy source such as
+    ``map(state.count, range(n))`` sees a stop the consumer observed at
+    step ``t`` from step ``t + 1`` on.  Only steps that release open a hull
+    row, as in ``IncrementalOff``: an empty step's row never leads.  The
+    counts must be Python ints; the hull cross-multiplies them.
     """
-    hull = _DeadlineHull(state.n)
+    hull = _DeadlineHull(n)
     released = 0
-    for t in range(state.n):
-        a = state.count(t)
+    for t, a in enumerate(counts):
         if a:
             hull.add(t, released)
             released += a
-        yield t, a, hull.query_ceil(released) if released else 0
+        yield hull.query_ceil(released) if released else 0
 
 
 def _envelope(n: int, N: int, tstar: int) -> int:
@@ -159,10 +199,11 @@ def play_game(player: OnlinePlayer, n: int, N: int | None = None,
     overbooking, no unknown or repeated jobs) and violations raise.
     """
     N = resolve_stream(n, N)
+    require_int64_stream(n, N)
     state = AdversaryState(n=n, N=N, rho=resolve_rho(rho))
     transcript = GameTranscript(n=n, N=N, rho=state.rho)
-    outstanding: set[int] = set()
-    for t, _, off in _stream(state):
+    pending = np.zeros(0, dtype=bool)  # pending[i]: job i released, not yet run
+    for t, off in enumerate(_off_series(n, map(state.count, range(n)))):
         released = state.release(t)
         transcript.released_total += len(released)
         online, chosen = player.step(t, released)
@@ -171,12 +212,12 @@ def play_game(player: OnlinePlayer, n: int, N: int | None = None,
         if len(chosen) > online:
             raise ContractViolation(
                 f"step {t}: scheduled {len(chosen)} jobs on {online} machines")
-        outstanding.update(j.id for j in released)
-        for job_id in chosen:
-            if job_id not in outstanding:
-                raise ContractViolation(
-                    f"step {t}: job {job_id} not pending (unknown, early, or repeated)")
-            outstanding.remove(job_id)
+        if state.next_id > len(pending):
+            grown = np.zeros(max(state.next_id, 2 * len(pending)), dtype=bool)
+            grown[:len(pending)] = pending
+            pending = grown
+        pending[released.ids] = True
+        _run_pending(pending, t, chosen)
         transcript.scheduled_total += len(chosen)
         state.observe(t, online, off)
         transcript.steps.append({
@@ -185,6 +226,29 @@ def play_game(player: OnlinePlayer, n: int, N: int | None = None,
         transcript.off_final = off
     transcript.stopped_at = state.stopped_at
     return transcript
+
+
+def _run_pending(pending: np.ndarray, t: int, chosen: Sequence[int]) -> None:
+    """Clear the ``chosen`` ids from ``pending``, refusing, by the first in
+    order, an id that is unknown, not yet released or already run (also
+    earlier in ``chosen``)."""
+    if not len(chosen):
+        return
+    try:
+        picked = np.asarray(chosen, dtype=np.int64)
+    except OverflowError:  # an id beyond int64 was never released: map it to -1
+        picked = np.array([j if 0 <= j <= INT64_MAX else -1 for j in chosen],
+                          dtype=np.int64)
+    known = (picked >= 0) & (picked < len(pending))
+    first = np.zeros(len(picked), dtype=bool)
+    first[np.unique(picked, return_index=True)[1]] = True
+    ok = first & known
+    ok[known] &= pending[picked[known]]
+    if not ok.all():
+        job_id = chosen[int(np.argmin(ok))]
+        raise ContractViolation(
+            f"step {t}: job {job_id} not pending (unknown, early, or repeated)")
+    pending[picked] = False
 
 
 @dataclass
@@ -233,14 +297,17 @@ class AggregateGame:
         clear at most ``(n - 1 - tau) * online[tau]`` jobs.  A miss is forced
         exactly when ``backlog[tau]`` exceeds that, by the difference;
         ``tau = n - 1`` is :attr:`missed`.  ``None`` when no stop forces a
-        miss.  The products are Python ints, so they cannot wrap.
+        miss.  The test runs as ``(backlog - 1) // online >= n - 1 - tau``
+        where ``online >= 1`` and as ``backlog > 0`` where ``online == 0``,
+        so no product is formed and int64 cannot wrap.
         """
-        n = self.n
-        for tau, (backlog, online) in enumerate(
-                zip(self.backlog.tolist(), self.online.tolist())):
-            if backlog > (n - 1 - tau) * online:
-                return tau
-        return None
+        remaining = self.n - 1 - np.arange(len(self.backlog))
+        forced = np.where(
+            self.online >= 1,
+            (self.backlog - 1) // np.maximum(self.online, 1) >= remaining,
+            self.backlog > 0)
+        hits = np.flatnonzero(forced)
+        return int(hits[0]) if len(hits) else None
 
     def summary(self) -> dict:
         return {
@@ -276,34 +343,43 @@ def aggregate_game(alpha, n: int, N: int | None = None, rho=None) -> AggregateGa
     """
     N = resolve_stream(n, N)
     alpha = resolve_alpha(alpha)
-    state = AdversaryState(n=n, N=N, rho=resolve_rho(rho))
-    limit = np.iinfo(np.int64).max
-    # N * n bounds the release total and spares the exact sum when it fits;
+    rho = resolve_rho(rho)
+    a = AdversaryState(n=n, N=N).counts()
     # OFF(t) <= N, so ceil(alpha * N) bounds every machine count.
-    if N * n > limit and actual_released(n, N) > limit:
-        raise ContractViolation(
-            f"n={n}, N={N} releases {actual_released(n, N)} jobs, "
-            f"more than an int64 holds ({limit})")
-    if alpha * N > limit:
+    if alpha * N > INT64_MAX:
         raise ContractViolation(
             f"alpha={alpha}, N={N} may rent {math.ceil(alpha * N)} machines, "
-            f"more than an int64 holds ({limit})")
-    a_out, off_out, online_out, backlog_out = (array("q") for _ in range(4))
-    backlog = 0
-    for t, a, off in _stream(state):
-        online = ceil_times(alpha, off)
-        backlog = max(0, backlog + a - online)
-        state.observe(t, online, off)
-        a_out.append(a)
-        off_out.append(off)
-        online_out.append(online)
-        backlog_out.append(backlog)
-    a_arr, off_arr, online_arr, backlog_arr = (
-        np.frombuffer(v, dtype=np.int64)
-        for v in (a_out, off_out, online_out, backlog_out))
-    return AggregateGame(n=n, N=N, alpha=alpha, rho=state.rho, a=a_arr,
-                         off=off_arr, online=online_arr, backlog=backlog_arr,
-                         stopped_at=state.stopped_at)
+            f"more than an int64 holds ({INT64_MAX})")
+    # A memoryview yields the counts as Python ints, without a list.
+    off = np.fromiter(_off_series(n, memoryview(a)), dtype=np.int64, count=n)
+    online, knife = ceil_times_series(alpha, off)
+    # The full stream's series hold up to the stop; after it nothing is
+    # released, so OFF and the machine count freeze.
+    stopped_at = None
+    if rho is not None:
+        reached = (off > 0) & (online.astype(object) * rho.denominator
+                               >= off.astype(object) * rho.numerator)
+        hits = np.flatnonzero(reached)
+        if len(hits):
+            stopped_at = int(hits[0])
+    played = n if stopped_at is None else stopped_at + 1
+    unsafe = np.flatnonzero(knife[:played])
+    if len(unsafe):
+        ceil_times(alpha, int(off[unsafe[0]]))  # raises the knife guard's error
+    if stopped_at is not None:
+        a[played:] = 0
+        off[played:] = off[stopped_at]
+        online[played:] = online[stopped_at]
+    # backlog[t] = max(0, backlog[t-1] + a[t] - online[t]) is the prefix
+    # sum of a - online less its running minimum (floored at 0).  The sums
+    # are Python ints unless every one of them provably fits an int64.
+    net = a - online
+    if n * int(online.max(initial=0)) > INT64_MAX - int(a.sum()):
+        net = net.astype(object)
+    level = np.cumsum(net)
+    backlog = (level - np.minimum(np.minimum.accumulate(level), 0)).astype(np.int64)
+    return AggregateGame(n=n, N=N, alpha=alpha, rho=rho, a=a, off=off,
+                         online=online, backlog=backlog, stopped_at=stopped_at)
 
 
 @dataclass
@@ -410,8 +486,7 @@ def offline_witness(n: int, N: int, tstar: int) -> WitnessResult:
     if not (0 <= tstar < n):
         raise ContractViolation(f"tstar must lie in [0, {n - 1}]")
     m = _envelope(n, N, tstar)
-    source = AdversaryState(n=n, N=N)
-    jobs = [j for t in range(tstar + 1) for j in source.release(t)]
+    jobs = stream_jobs(n, N, tstar)
     _, schedule = edf_simulate(jobs, MachineProfile.constant(m, n))
     return WitnessResult(m=m, schedule=schedule, feasible=not schedule.misses,
                          jobs_total=len(jobs))
@@ -439,6 +514,7 @@ def scaling_bound_report(n: int, N: int | None = None,
     N = resolve_stream(n, N)
     if t_max is None:
         t_max = n - 1
-    steps = islice(_stream(AdversaryState(n=n, N=N)), max(t_max + 1, 0))
+    state = AdversaryState(n=n, N=N)
+    steps = islice(_off_series(n, map(state.count, range(n))), max(t_max + 1, 0))
     return [EnvelopeRow(tstar=t, off=off, bound=_envelope(n, N, t))
-            for t, _, off in steps]
+            for t, off in enumerate(steps)]

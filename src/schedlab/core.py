@@ -16,7 +16,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Union
+from itertools import groupby
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+
+import numpy as np
 
 Rational = Union[int, Fraction]
 
@@ -51,6 +54,105 @@ class Job(NamedTuple):
     w: Rational = 1
 
 
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+class UnitJobs(Sequence[Job]):
+    """Unit jobs of unit weight as int64 columns ``ids``, ``r`` and ``d``.
+
+    An instance's columns are sorted by ``(r, id)``; a block handed to one
+    step keeps the order its caller gave.  ``len`` and slicing never build
+    ``Job`` rows.  Indexing and iteration build every row on first use and
+    cache them, so a column block equals the tuple of the same jobs.
+    """
+
+    __slots__ = ("ids", "r", "d", "_rows", "_groups")
+
+    def __init__(self, ids, r, d):
+        self.ids = np.asarray(ids, dtype=np.int64)
+        self.r = np.asarray(r, dtype=np.int64)
+        self.d = np.asarray(d, dtype=np.int64)
+        if not len(self.ids) == len(self.r) == len(self.d):
+            raise ContractViolation("job columns differ in length")
+        self._rows: tuple[Job, ...] | None = None
+        self._groups: list[tuple[int, list[int]]] | None = None
+
+    @property
+    def rows(self) -> tuple[Job, ...]:
+        """Every job as a ``Job`` row, built on first use."""
+        if self._rows is None:
+            self._rows = tuple(map(Job, self.ids.tolist(), self.r.tolist(),
+                                   self.d.tolist()))
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return UnitJobs(self.ids[index], self.r[index], self.d[index])
+        return self.rows[index]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, UnitJobs):
+            return (np.array_equal(self.ids, other.ids)
+                    and np.array_equal(self.r, other.r)
+                    and np.array_equal(self.d, other.d))
+        if isinstance(other, (tuple, list)):
+            return len(self) == len(other) and self.rows == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return f"UnitJobs({len(self)} jobs)"
+
+    def by_deadline(self) -> list[tuple[int, list[int]]]:
+        """``(deadline, ids)`` for each distinct deadline, both ascending.
+
+        Computed once per block: the ``OFF`` engine counts these groups and
+        the EDF queue files them, at the same step.
+        """
+        if self._groups is None:
+            order = np.lexsort((self.ids, self.d))
+            ids = self.ids[order].tolist()
+            self._groups = []
+            lo = 0
+            for d, run in groupby(self.d[order].tolist()):
+                hi = lo + len(list(run))
+                self._groups.append((d, ids[lo:hi]))
+                lo = hi
+        return self._groups
+
+
+def unit_columns(jobs: Iterable[Job]) -> UnitJobs:
+    """The one conversion of ``Job`` rows into columns, order kept.
+
+    Refuses jobs that are not unit length, windows that are not integral
+    and values beyond int64.  Weights are dropped: every engine that runs
+    on columns ignores them.
+    """
+    if isinstance(jobs, UnitJobs):
+        return jobs
+    rows = tuple(jobs)
+    for j in rows:
+        if j.p != 1:
+            raise ContractViolation(f"job {j.id} is not a unit job: p={j.p}")
+        if not (_is_integral(j.r) and _is_integral(j.d)):
+            raise ContractViolation(
+                f"job {j.id} has a non-integer window [{j.r}, {j.d})")
+    try:
+        return UnitJobs([j.id for j in rows], [int(j.r) for j in rows],
+                        [int(j.d) for j in rows])
+    except OverflowError:
+        raise ContractViolation(
+            f"job ids and times must fit an int64 ({INT64_MAX})") from None
+
+
 class Violation(NamedTuple):
     job_id: int | None
     rule: str
@@ -66,13 +168,15 @@ class Instance:
     """An immutable problem instance.
 
     ``jobs`` are kept sorted by (release, id); use :meth:`of` to build an
-    instance from unordered jobs.  ``k`` is the machine count for the
+    instance from unordered jobs.  They are a tuple of ``Job`` rows or, for
+    generated unit jobs, :class:`UnitJobs` columns; both compare equal
+    when they hold the same jobs.  ``k`` is the machine count for the
     throughput model.  ``horizon`` is the maximum deadline of a unit-job
     instance and is carried explicitly so files round-trip byte for byte.
     """
 
     model: str
-    jobs: tuple[Job, ...]
+    jobs: Sequence[Job]
     k: int | None = None
     horizon: int | None = None
 

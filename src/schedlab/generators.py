@@ -11,14 +11,19 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .adversary import AdversaryState, resolve_stream
+from .adversary import resolve_stream, stream_jobs
 from .core import ContractViolation, Instance, Job
 
 
 def adversary_instance(n: int, N: int | None = None) -> Instance:
-    """The full release stream floor(N/(n-t)) at each t, all due at n."""
-    state = AdversaryState(n=n, N=resolve_stream(n, N))
-    return Instance.of("unit-min", [j for t in range(n) for j in state.release(t)])
+    """The full release stream floor(N/(n-t)) at each t, all due at n.
+
+    The jobs are :class:`~schedlab.core.UnitJobs` columns, filled without
+    building a ``Job`` row; a stream whose release total exceeds int64 is
+    refused.
+    """
+    jobs = stream_jobs(n, resolve_stream(n, N))
+    return Instance("unit-min", jobs, horizon=n if len(jobs) else None)
 
 
 def random_unit_instance(jobs: int, horizon: int, seed: int = 0) -> Instance:

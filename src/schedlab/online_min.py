@@ -23,8 +23,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ContractViolation, Instance, Job, Schedule
-from .oracle import EdfQueue, EdfTrace, IncrementalOff, _by_release
+from .core import INT64_MAX, ContractViolation, Instance, Job, Schedule, unit_columns
+from .oracle import EdfQueue, EdfTrace, IncrementalOff, release_blocks
 
 
 def _euler_fraction(digits: int = 60) -> Fraction:
@@ -83,6 +83,27 @@ def ceil_times(alpha: Fraction, x: int) -> int:
         raise ContractViolation(
             f"alpha*{x} sits within 1e-12 of an integer; refusing to round")
     return q + 1 if rem else q
+
+
+def ceil_times_series(alpha: Fraction, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`ceil_times` of every int64 ``x`` at once, exact, unguarded.
+
+    Returns the ceilings and a mask of the ``x`` whose product the knife
+    guard refuses to round; the caller decides which of them it reaches.
+    """
+    num, den = alpha.numerator, alpha.denominator
+    if max(num * int(xs.max(initial=0)), den) <= INT64_MAX:
+        product = xs * num
+    else:
+        product = xs.astype(object) * num  # Python ints: exact at any size
+    q = product // den
+    rem = product - q * den
+    values = (q + (rem != 0)).astype(np.int64)
+    if den == _E_DEN and num == _E_NUM:
+        knife = (xs != 0) & (np.minimum(rem, den - rem) * 10**12 < den)
+    else:
+        knife = np.zeros(len(xs), dtype=bool)
+    return values, knife
 
 
 @dataclass
@@ -144,13 +165,11 @@ class OnlineState:
     def step(self, t: int, released: Sequence[Job]) -> tuple[int, list[int]]:
         if t != self.t:
             raise ContractViolation(f"expected step {self.t}, got {t}")
-        for j in released:
-            if j.p != 1:
-                raise ContractViolation(f"job {j.id} is not a unit job")
+        released = unit_columns(released)
         self.t += 1
         off = self._off_engine.add(released, t)
         m = ceil_times(self.alpha, off)
-        self.released.append([j.id for j in released])
+        self.released.append(released.ids.tolist())
         slot = self._edf.step(t, released, m)
         self.off.append(off)
         self.m.append(m)
@@ -173,12 +192,11 @@ def run_alpha_edf(instance: Instance, alpha="e") -> OnlineTranscript:
     """
     if instance.model != "unit-min":
         raise ContractViolation(f"expected a unit-min instance, got {instance.model}")
-    jobs = instance.jobs
-    horizon = instance.horizon or (int(max(j.d for j in jobs)) if jobs else 0)
-    releases = _by_release(jobs)
-    state = OnlineState(alpha, {j.d for j in jobs})
-    for t in range(horizon):
-        state.step(t, releases.get(t, ()))
+    jobs = unit_columns(instance.jobs)
+    horizon = instance.horizon or int(jobs.d.max(initial=0))
+    state = OnlineState(alpha, np.unique(jobs.d).tolist())
+    for t, released in enumerate(release_blocks(jobs, horizon)):
+        state.step(t, released)
     return state.finish()
 
 

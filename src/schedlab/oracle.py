@@ -18,34 +18,43 @@ deadline, drives that one column's hull directly.
 
 ``EdfQueue`` is the one earliest-deadline-first dispatch loop: ``edf_simulate``,
 the online player, unweighted throughput and the offline witness differ only
-in the per-step quota they give it.
+in the per-step quota they give it.  It is a bucket queue keyed by integer
+deadline, so a step costs a slice per deadline it touches, not a heap
+operation per job.  The engines run on :class:`~schedlab.core.UnitJobs`
+column blocks, one per release step, found by ``release_blocks``; plain
+``Job`` rows are converted once, by ``core.unit_columns``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import groupby
+from itertools import repeat
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .core import (ContractViolation, Instance, Job, MachineProfile, Schedule,
-                   require_valid)
-
-_window = attrgetter("r", "d")
+                   UnitJobs, require_valid, unit_columns)
 
 
-def _by_release(jobs: Iterable[Job]) -> dict[int, list[Job]]:
-    """Jobs grouped by integer release, in input order; fastest when sorted."""
-    out: dict[int, list[Job]] = {}
-    for r, group in groupby(jobs, attrgetter("r")):
-        out.setdefault(int(r), []).extend(group)
-    return out
+def release_blocks(jobs: UnitJobs, steps: int) -> Iterator[UnitJobs]:
+    """The jobs released at each step ``t < steps``, in input order.
+
+    Columns not sorted by release are stably sorted first; each step's block
+    is then one slice, its bounds found by ``searchsorted``.
+    """
+    r = jobs.r
+    if (r[1:] < r[:-1]).any():
+        order = np.argsort(r, kind="stable")
+        jobs = UnitJobs(jobs.ids[order], r[order], jobs.d[order])
+        r = jobs.r
+    bounds = np.searchsorted(r, np.arange(steps + 1)).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield jobs[lo:hi]
 
 
 @dataclass
@@ -65,38 +74,75 @@ class EdfQueue:
 
     Pending jobs are ordered by ``(deadline, id)``; one still pending at a
     step ``t >= d`` is recorded as missed at ``t`` and the run continues.
+
+    A bucket queue keyed by integer deadline (Dial, 1969): each deadline
+    holds its pending ids ascending, from a head index on, and a small heap
+    holds the deadlines with pending jobs.  A step costs one slice per
+    deadline it touches, however many jobs it runs.
     """
 
-    __slots__ = ("_heap", "trace", "schedule")
+    __slots__ = ("_due", "_buckets", "trace", "schedule")
 
     def __init__(self):
-        self._heap: list[tuple[int, int]] = []
+        self._due: list[int] = []                          # heap of deadlines
+        self._buckets: dict[int, tuple[list[int], int]] = {}  # d -> (ids, head)
         self.trace = EdfTrace()
         self.schedule = Schedule()
+
+    def _admit(self, released: UnitJobs) -> None:
+        buckets = self._buckets
+        for d, fresh in released.by_deadline():
+            bucket = buckets.get(d)
+            if bucket is None:
+                buckets[d] = (fresh[:], 0)  # the block keeps its own lists
+                heappush(self._due, d)
+                continue
+            ids, head = bucket
+            if ids[-1] < fresh[0]:
+                ids += fresh
+            else:
+                # a smaller id arrived late: merge it into id order
+                ids = ids[head:] + fresh
+                ids.sort()
+                buckets[d] = (ids, 0)
+
+    def _expire(self, t: int) -> None:
+        """Record every job due by ``t`` as missed at ``t``."""
+        due, buckets = self._due, self._buckets
+        while due and due[0] <= t:
+            ids, head = buckets.pop(heappop(due))
+            missed = ids[head:]
+            self.trace.miss_events.extend(zip(missed, repeat(t)))
+            self.schedule.misses.extend(missed)
 
     def step(self, t: int, released: Iterable[Job], quota: int) -> list[int]:
         """Admit step ``t``'s releases, expire overdue jobs, then run up to
         ``quota`` jobs on machines ``0..quota-1``; return their ids."""
-        heap = self._heap
-        for j in released:
-            heappush(heap, (int(j.d), j.id))
-        # expired jobs have the smallest deadlines, so they surface first
-        while heap and heap[0][0] <= t:
-            job_id = heappop(heap)[1]
-            self.trace.miss_events.append((job_id, t))
-            self.schedule.misses.append(job_id)
-        slot = [heappop(heap)[1] for _ in range(min(quota, len(heap)))]
-        self.schedule.assignments.extend(
-            (job_id, machine, t) for machine, job_id in enumerate(slot))
+        self._admit(unit_columns(released))
+        self._expire(t)
+        due, buckets = self._due, self._buckets
+        slot: list[int] = []
+        while due and len(slot) < quota:
+            d = due[0]
+            ids, head = buckets[d]
+            take = ids[head:head + quota - len(slot)]
+            slot += take
+            head += len(take)
+            if head == len(ids):
+                heappop(due)
+                del buckets[d]
+            elif 2 * head > len(ids):
+                buckets[d] = (ids[head:], 0)
+            else:
+                buckets[d] = (ids, head)
+        self.schedule.assignments.extend(zip(slot, range(len(slot)), repeat(t)))
         self.trace.chosen.append(slot)
         return slot
 
     def finish(self) -> tuple[EdfTrace, Schedule]:
         """Record every never-run job as missed at its deadline."""
-        while self._heap:
-            d, job_id = heappop(self._heap)
-            self.trace.miss_events.append((job_id, d))
-            self.schedule.misses.append(job_id)
+        while self._due:
+            self._expire(self._due[0])
         return self.trace, self.schedule
 
 
@@ -107,14 +153,11 @@ def edf_simulate(jobs: Sequence[Job], profile: MachineProfile) -> tuple[EdfTrace
     occupy machines ``0..m(t)-1``.  A job whose deadline passes while it is
     still pending is recorded as missed and the run continues.
     """
-    for j in jobs:
-        if j.p != 1:
-            raise ContractViolation(f"edf_simulate needs unit jobs, job {j.id} has p={j.p}")
-    releases = _by_release(jobs)
+    jobs = unit_columns(jobs)
     edf = EdfQueue()
-    horizon = max((int(j.d) for j in jobs), default=0)
-    for t in range(horizon):
-        edf.step(t, releases.get(t, ()), profile.at(t))
+    horizon = int(jobs.d.max(initial=0))
+    for t, released in enumerate(release_blocks(jobs, horizon)):
+        edf.step(t, released, profile.at(t))
     return edf.finish()
 
 
@@ -199,12 +242,13 @@ def off_prefix_series(jobs: Sequence[Job]) -> dict[int, int]:
     Keys run from 0 to the maximum release; the jobs may come in any order.
     The values come from one :class:`IncrementalOff` pass.
     """
-    if not jobs:
+    jobs = unit_columns(jobs)
+    if not len(jobs):
         return {}
-    by_release = _by_release(jobs)
     engine = IncrementalOff.for_jobs(jobs)
-    return {t: engine.add(by_release.get(t, []), t)
-            for t in range(max(by_release) + 1)}
+    steps = int(jobs.r.max()) + 1
+    return {t: engine.add(released, t)
+            for t, released in enumerate(release_blocks(jobs, steps))}
 
 
 class _DeadlineHull:
@@ -281,7 +325,7 @@ class IncrementalOff:
 
     @classmethod
     def for_jobs(cls, jobs: Sequence[Job]) -> "IncrementalOff":
-        return cls(int(j.d) for j in jobs)
+        return cls(np.unique(unit_columns(jobs).d).tolist())
 
     @property
     def value(self) -> int:
@@ -293,18 +337,16 @@ class IncrementalOff:
         if self._t is not None and t <= self._t:
             raise ContractViolation(f"step {t} does not follow step {self._t}")
         self._t = t
-        if not released:
+        released = unit_columns(released)
+        if not len(released):
             return self._value
-        fresh: dict[int, int] = {}  # column -> jobs due there released now
-        for (r, d), count in Counter(map(_window, released)).items():
-            col = self._column.get(d)
-            if r != t or col is None or d <= t:
-                job = next(j for j in released if _window(j) == (r, d))
-                if r != t:
-                    raise ContractViolation(f"job {job.id} released at {r}, not {t}")
-                raise ContractViolation(
-                    f"job {job.id} due at {d}: not a registered deadline after {t}")
-            fresh[col] = count
+        groups = released.by_deadline()
+        column = self._column
+        if ((released.r != t).any()
+                or any(d not in column or d <= t for d, _ in groups)):
+            self._refuse(released, t)
+        # column -> jobs due there released now
+        fresh = {column[d]: len(ids) for d, ids in groups}
         hulls, counts = self._hulls, self._counts
         best = self._value
         added = 0
@@ -320,6 +362,17 @@ class IncrementalOff:
                 best = value
         self._value = best
         return best
+
+    def _refuse(self, released: UnitJobs, t: int) -> None:
+        """Name the first job, in input order, released off step ``t`` or
+        due at no registered deadline after it."""
+        for job_id, r, d in zip(released.ids.tolist(), released.r.tolist(),
+                                released.d.tolist()):
+            if r != t:
+                raise ContractViolation(f"job {job_id} released at {r}, not {t}")
+            if d not in self._column or d <= t:
+                raise ContractViolation(
+                    f"job {job_id} due at {d}: not a registered deadline after {t}")
 
 
 def volume_lower_bound(jobs: Sequence[Job], d) -> int:

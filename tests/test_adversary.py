@@ -21,7 +21,7 @@ from schedlab.adversary import (
     resolve_stream,
     scaling_bound_report,
 )
-from schedlab.core import ContractViolation, Schedule, write_instance
+from schedlab.core import ContractViolation, Schedule, UnitJobs, write_instance
 from schedlab.generators import adversary_instance
 from schedlab.online_min import EULER
 from schedlab.oracle import off_prefix_series, off_unit
@@ -66,10 +66,32 @@ class TestAdversaryState:
 
     def test_released_jobs_are_unit_and_due_at_n(self):
         state = AdversaryState(n=4, N=16)
-        jobs = state.release(0) + state.release(1)
+        jobs = [*state.release(0), *state.release(1)]
         assert [j.id for j in jobs] == list(range(9))
         assert all(j.d == 4 and j.p == 1 for j in jobs)
         assert [j.r for j in jobs] == [0] * 4 + [1] * 5
+
+    def test_release_is_one_column_block(self):
+        state = AdversaryState(n=4, N=16)
+        state.release(0)
+        block = state.release(1)
+        assert isinstance(block, UnitJobs) and block._rows is None
+        assert block.ids.tolist() == list(range(4, 9))
+        assert set(block.r.tolist()) == {1} and set(block.d.tolist()) == {4}
+
+    def test_ids_beyond_int64_refused(self):
+        state = AdversaryState(n=4, N=16, next_id=2**63 - 4)
+        assert state.release(0).ids.tolist()[-1] == 2**63 - 1
+        with pytest.raises(ContractViolation, match="more than an int64"):
+            state.release(1)
+
+    def test_stream_beyond_int64_refused(self):
+        # floor(N / 2) + N = 1.5e19 jobs: more ids than an int64 holds.
+        for call in (adversary_instance,
+                     lambda n, N: play_game(alpha_edf_player("e", n), n, N)):
+            with pytest.raises(ContractViolation,
+                               match="15000000000000000000 jobs"):
+                call(2, 10**19)
 
     def test_resolve_rho_forms(self):
         assert resolve_rho(None) is None
@@ -237,6 +259,32 @@ class TestAggregateGame:
         s = aggregate_game(2, 100).summary()
         for key in ("alpha", "n", "N", "missed", "cost", "off_final", "ratio"):
             assert key in s
+
+    def test_backlog_beyond_int64_sums_matches_loop(self):
+        # 100 steps renting up to 8e17 machines each sum past 2**63 - 1, so
+        # the backlog's prefix sums run in Python ints.
+        for alpha, N in ((2, 4 * 10**17), ("e", 10**12), (1, 3)):
+            g = aggregate_game(alpha, 100, N)
+            assert g.backlog.tolist() == reference_backlog(g)
+            assert g.forcing_stop() == reference_forcing_stop(g)
+
+
+def reference_backlog(g):
+    """The per-step backlog loop aggregate_game ran before its prefix sums."""
+    out, level = [], 0
+    for a, online in zip(g.a.tolist(), g.online.tolist()):
+        level = max(0, level + a - online)
+        out.append(level)
+    return out
+
+
+def reference_forcing_stop(g):
+    """The loop forcing_stop ran before it was vectorized: Python products."""
+    for tau, (backlog, online) in enumerate(
+            zip(g.backlog.tolist(), g.online.tolist())):
+        if backlog > (g.n - 1 - tau) * online:
+            return tau
+    return None
 
 
 class TestCountingBounds:
@@ -501,6 +549,28 @@ def test_offline_witness_digest():
                            w.feasible, w.jobs_total]
     assert _sha(chunks()) == (
         "19467b61660ace7ce84b5fca3ea4f092516da0c369b4a0fa4e649c080e6c40dc")
+
+
+def test_forcing_stop_matches_loop_on_aggregate_corpus():
+    for alpha in AGGREGATE_DIGESTS:
+        for n in (1, 2, 3, 7, 31, 100, 400):
+            for N in stream_Ns(n):
+                for rho in STREAM_RHOS:
+                    g = aggregate_game(alpha, n, N, rho)
+                    assert g.forcing_stop() == reference_forcing_stop(g)
+
+
+def test_offline_witness_digest_large():
+    # Recorded before the witness ran on column blocks and deadline buckets.
+    def chunks():
+        for n in (50, 150, 400):
+            for N in (n, n * n):
+                for tstar in (0, n // 3, n // 2, n - 1):
+                    w = offline_witness(n, N, tstar)
+                    yield [w.m, w.schedule.assignments, w.schedule.misses,
+                           w.feasible, w.jobs_total]
+    assert _sha(chunks()) == (
+        "cfb1cbb06291821e84d903c66edd0fde9368d43085621391d0f0159462e52b43")
 
 
 def test_adversary_instance_digest():

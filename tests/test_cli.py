@@ -78,6 +78,17 @@ class TestGen:
         assert "error: need N >= 0" in err
         assert not path.exists()
 
+    def test_stream_beyond_int64_is_usage_error(self, capsys, tmp_path):
+        # floor(N / 2) + N = 1.5e19 jobs: their ids do not fit an int64.
+        path = tmp_path / "adv.json"
+        code, out, err = run_cli(capsys, "gen", "adversary", "--n", "2",
+                                 "--big-n", "10000000000000000000",
+                                 "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert "releases 15000000000000000000 jobs" in err
+        assert not path.exists()
+
     def test_stdout_when_no_out(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "upper-triangular",
                                "--k", "2", "--levels", "2")
@@ -220,6 +231,14 @@ class TestGame:
         assert out == ""
         assert "error:" in err and "20749510070558481011" in err
 
+
+    @pytest.mark.parametrize("argv", [[], ["--aggregate"]])
+    def test_stream_beyond_int64_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "game", "e-edf", "--n", "2",
+                                 "--big-n", "10000000000000000000", *argv)
+        assert code == 2
+        assert out == ""
+        assert "releases 15000000000000000000 jobs" in err
 
     @pytest.mark.parametrize("argv", [
         ["e-edf", "--n", "5", "--big-n", "-3", "--aggregate"],

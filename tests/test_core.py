@@ -14,6 +14,7 @@ from schedlab.core import (
     MachineProfile,
     ParseError,
     Schedule,
+    UnitJobs,
     ValidationError,
     _num_in,
     _num_out,
@@ -24,10 +25,11 @@ from schedlab.core import (
     read_instance,
     require_valid,
     schedule_cost,
+    unit_columns,
     validate_instance,
     write_instance,
 )
-from schedlab.generators import KINDS, generate
+from schedlab.generators import KINDS, adversary_instance, generate
 
 
 def rules(instance):
@@ -46,6 +48,49 @@ def sample(kind, seed):
         return generate(kind, seed=seed, jobs=1 + seed % 12, horizon=6,
                         k=1 + seed % 3)
     return generate(kind, k=1 + seed % 4, levels=1 + seed % 5)
+
+
+class TestUnitJobs:
+    def test_rows_are_built_once_and_only_when_read(self):
+        jobs = UnitJobs([4, 2, 9], [0, 1, 1], [3, 3, 2])
+        assert len(jobs) == 3 and jobs._rows is None
+        head = jobs[:2]
+        assert isinstance(head, UnitJobs) and head.ids.tolist() == [4, 2]
+        assert jobs._rows is None
+        assert jobs[1] == Job(2, 1, 3)
+        assert jobs.rows is jobs.rows
+        assert list(jobs) == [Job(4, 0, 3), Job(2, 1, 3), Job(9, 1, 2)]
+
+    def test_equals_the_tuple_of_the_same_jobs(self):
+        jobs = UnitJobs([0, 1], [0, 0], [2, 2])
+        rows = (Job(0, 0, 2), Job(1, 0, 2))
+        assert jobs == rows and rows == jobs and jobs == list(rows)
+        assert jobs != rows[:1] and jobs != UnitJobs([0, 1], [0, 0], [2, 3])
+        assert hash(jobs) == hash(rows)
+
+    def test_column_instance_equals_tuple_instance(self):
+        inst = adversary_instance(5)
+        assert isinstance(inst.jobs, UnitJobs)
+        rows = Instance.of("unit-min", list(inst.jobs))
+        assert inst == rows and rows == inst
+        assert read_instance(write_instance(inst)) == inst
+
+    def test_groups_by_deadline_in_id_order(self):
+        jobs = UnitJobs([4, 2, 9, 1], [1, 1, 1, 1], [5, 3, 5, 5])
+        assert jobs.by_deadline() == [(3, [2]), (5, [1, 4, 9])]
+        assert UnitJobs([], [], []).by_deadline() == []
+
+    def test_conversion_keeps_order_and_refuses_other_jobs(self):
+        jobs = unit_columns([Job(3, 1, 4), Job(1, 0, 2, w=5)])
+        assert (jobs.ids.tolist(), jobs.r.tolist(), jobs.d.tolist()) == (
+            [3, 1], [1, 0], [4, 2])
+        assert unit_columns(jobs) is jobs
+        with pytest.raises(ContractViolation, match="job 7 is not a unit job"):
+            unit_columns([Job(0, 0, 4), Job(7, 0, 4, p=2)])
+        with pytest.raises(ContractViolation, match="non-integer window"):
+            unit_columns([Job(0, Fraction(1, 2), 4)])
+        with pytest.raises(ContractViolation, match="int64"):
+            unit_columns([Job(2**63, 0, 4)])
 
 
 class TestValidation:

@@ -1,5 +1,7 @@
 """Scaled-EDF online runs and the fractional feasibility certificate."""
 import dataclasses
+import hashlib
+import json
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -149,6 +151,51 @@ class TestRunAlphaEdf:
         assert doc["alpha"] == "e"
         assert doc["cost"] == 44
         assert [s["m"] for s in doc["steps"]] == [3, 9, 14, 44]
+
+    def test_adversary_run_builds_no_job_rows(self):
+        inst = adversary_instance(500)
+        tr = run_alpha_edf(inst, "e")
+        assert len(inst.jobs) == 1697979 == sum(map(len, tr.trace.chosen))
+        assert inst.jobs._rows is None
+
+
+def acceptance_1_corpus():
+    """The 1005 instances of acceptance test 1."""
+    for seed in range(1000):
+        yield random_unit_instance(1 + (seed * 7) % 200, 2 + (seed * 13) % 99,
+                                   seed=seed)
+    for n in (4, 10, 50, 100, 500):
+        yield adversary_instance(n)
+
+
+def _sha(chunks):
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(json.dumps(chunk, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+# sha256 digests recorded from the heap EDF queue and the row-at-a-time
+# engines, before unit jobs moved to columns.
+def test_run_transcripts_digest():
+    runs = (run_alpha_edf(inst, "e").to_jsonable()
+            for inst in acceptance_1_corpus())
+    assert _sha(runs) == (
+        "25c8cdf425ac3248d172559ee4965c5bd455491f6bcad8d89b2071361bb99343")
+
+
+def test_edf_simulate_digest():
+    def chunks():
+        for i, inst in enumerate(acceptance_1_corpus()):
+            # Quotas cycle from 0 to about the mean load, so runs miss.
+            top = 2 + len(inst.jobs) // inst.horizon
+            profile = MachineProfile.from_series(
+                [(3 * t + i) % top for t in range(inst.horizon)])
+            trace, schedule = edf_simulate(inst.jobs, profile)
+            yield [trace.chosen, trace.miss_events, schedule.assignments,
+                   schedule.misses]
+    assert _sha(chunks()) == (
+        "31fc42acb2f72d8f75edca57a62a993a169a40a26b4a194f9f78d673a525e670")
 
 
 class TestBuildCertificate:

@@ -1,4 +1,5 @@
 """Offline ground truth: EDF runs, feasibility oracles, optima, bounds."""
+import heapq
 import itertools
 
 import pytest
@@ -6,7 +7,8 @@ from fractions import Fraction
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from schedlab.core import ContractViolation, Instance, Job, MachineProfile, ValidationError
+from schedlab.core import (ContractViolation, Instance, Job, MachineProfile,
+                           Schedule, ValidationError, unit_columns)
 from schedlab.generators import (
     adversary_instance,
     random_unit_instance,
@@ -14,6 +16,7 @@ from schedlab.generators import (
 )
 from schedlab.oracle import (
     EdfQueue,
+    EdfTrace,
     IncrementalOff,
     _DeadlineHull,
     brute_force_feasible,
@@ -405,3 +408,74 @@ def test_off_unit_capacity_suffices(pairs):
     if m > 1:
         _, tight = edf_simulate(jobs, MachineProfile.constant(m - 1, d))
         assert tight.misses
+
+
+class HeapEdfQueue:
+    """The heap dispatch loop EdfQueue ran before it kept deadline buckets:
+    one push and one pop of ``(deadline, id)`` per job."""
+
+    def __init__(self):
+        self.heap = []
+        self.trace = EdfTrace()
+        self.schedule = Schedule()
+
+    def step(self, t, released, quota):
+        for j in released:
+            heapq.heappush(self.heap, (int(j.d), j.id))
+        while self.heap and self.heap[0][0] <= t:
+            job_id = heapq.heappop(self.heap)[1]
+            self.trace.miss_events.append((job_id, t))
+            self.schedule.misses.append(job_id)
+        slot = [heapq.heappop(self.heap)[1]
+                for _ in range(min(quota, len(self.heap)))]
+        self.schedule.assignments.extend(
+            (job_id, machine, t) for machine, job_id in enumerate(slot))
+        self.trace.chosen.append(slot)
+        return slot
+
+    def finish(self):
+        while self.heap:
+            d, job_id = heapq.heappop(self.heap)
+            self.trace.miss_events.append((job_id, d))
+            self.schedule.misses.append(job_id)
+        return self.trace, self.schedule
+
+
+@st.composite
+def edf_runs(draw):
+    """Per-step releases and quotas for one EDF run.
+
+    Ids are a permutation dealt out in draw order, so a later release often
+    carries a smaller id than a pending job with the same deadline.  A few
+    deadlines, from the release step itself (expired on arrival) to past
+    the horizon (drained by ``finish``), are shared by many jobs.  Quotas
+    start at 0 and are often below demand; many steps release nothing.
+    """
+    horizon = draw(st.integers(1, 8))
+    ids = draw(st.permutations(range(draw(st.integers(0, 30)))))
+    deadlines = draw(st.lists(st.integers(0, horizon + 2), min_size=1,
+                              max_size=4))
+    steps = [[] for _ in range(horizon)]
+    for job_id in ids:
+        r = draw(st.integers(0, horizon - 1))
+        steps[r].append(Job(job_id, r, draw(st.sampled_from(deadlines))))
+    quotas = draw(st.lists(st.integers(0, 5), min_size=horizon,
+                           max_size=horizon))
+    columns = draw(st.lists(st.booleans(), min_size=horizon, max_size=horizon))
+    return steps, quotas, columns
+
+
+@given(edf_runs())
+@example(([[Job(5, 0, 3), Job(7, 0, 3)], [Job(2, 1, 3), Job(9, 1, 3)], []],
+          [1, 1, 0], [False, True, False]))
+def test_bucket_queue_matches_heap_reference(run):
+    steps, quotas, columns = run
+    buckets, heap = EdfQueue(), HeapEdfQueue()
+    for t, (released, quota, as_columns) in enumerate(zip(steps, quotas, columns)):
+        block = unit_columns(released) if as_columns else released
+        assert buckets.step(t, block, quota) == heap.step(t, released, quota)
+    (trace, schedule), (ref_trace, ref_schedule) = buckets.finish(), heap.finish()
+    assert trace.chosen == ref_trace.chosen
+    assert trace.miss_events == ref_trace.miss_events
+    assert schedule.assignments == ref_schedule.assignments
+    assert schedule.misses == ref_schedule.misses

@@ -242,6 +242,17 @@ def test_edf_throughput_matches_reference_loop(pairs, k, shuffle):
     assert (sched.assignments, sched.misses) == reference_edf_throughput(inst)
 
 
+def test_edf_throughput_digest():
+    # Recorded before EDF kept deadline buckets over column blocks.
+    h = hashlib.sha256()
+    for seed in range(5):
+        sched = edf_throughput_unweighted(
+            throughput_instance(400, 100, 4, seed=seed, unweighted=True))
+        h.update(json.dumps([sched.assignments, sched.misses]).encode())
+    assert h.hexdigest() == (
+        "b29a2888deab71c7c5e51d9d35b6fd284ccc27eaf1fef6f8f6a27f977854fcdd")
+
+
 class TestEstimateRatio:
     def test_single_job_ratio_one(self):
         est = estimate_ratio(tp((0, 1, 5)), trials=50, seed=1)
