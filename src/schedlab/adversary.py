@@ -9,33 +9,36 @@ horizons in the millions stay cheap.
 
 :class:`AdversaryState` alone knows the stream and the stop rule.  For a
 common deadline the offline cost is ``max over s of
-ceil(released[s..t] / (n - s))``: one deadline column of the oracle's hull.
-One private generator drives that column on the release counts, so
+ceil(released[s..t] / (n - s))``.  The stream never decreases, so over
+``s`` that ratio rises and then falls, and its peak is found for every
+``t`` at once by one ``searchsorted`` (:func:`_off_series`).
 :func:`play_game`, :func:`aggregate_game` and :func:`scaling_bound_report`
-read every ``OFF(t)`` exactly, in amortized constant time per step.
+read every ``OFF(t)`` from that one closed form, exactly; the oracle's hull
+engine stays the one for general instances.
 
 Jobs travel as int64 columns (:class:`~schedlab.core.UnitJobs`): a step's
 release is one block of consecutive ids and the full stream is filled by
-``np.repeat``, so no ``Job`` row is built.  :func:`aggregate_game` runs the
-hull over the full stream once, then takes the ceilings, the stop and the
+``np.repeat``, so no ``Job`` row is built.  :func:`aggregate_game` takes
+the ``OFF`` series of the full stream, then the ceilings, the stop and the
 backlog over the whole series with numpy, exactly.  A stream whose release
-total exceeds int64 is refused up front rather than left to wrap.
+total exceeds int64, or whose columns numpy cannot allocate, is refused up
+front rather than left to wrap.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
 from .core import INT64_MAX, ContractViolation, Job, MachineProfile, Schedule, UnitJobs
 from .online_min import (EULER, OnlineState, _ratio_out, ceil_times,
                          ceil_times_series, resolve_alpha)
-from .oracle import _DeadlineHull, edf_simulate
+from .oracle import edf_simulate
 
 
 class OnlinePlayer(Protocol):
@@ -83,9 +86,24 @@ def require_int64_stream(n: int, N: int) -> None:
 def stream_jobs(n: int, N: int, last: int | None = None) -> UnitJobs:
     """The stream's jobs released at steps ``0..last`` (default: every
     step) as columns: ids count up in release order, all due at ``n``."""
-    counts = AdversaryState(n=n, N=N).counts()[:None if last is None else last + 1]
-    r = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    return UnitJobs(np.arange(len(r)), r, np.full(len(r), n))
+    require_int64_stream(n, N)
+    counts = AdversaryState(n=n, N=N).counts(last)
+    with _allocating(int(counts.sum())):
+        r = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        ids, d = np.arange(len(r)), np.full(len(r), n)
+    return UnitJobs(ids, r, d)
+
+
+@contextmanager
+def _allocating(count: int):
+    """Refuse, as a :class:`ContractViolation`, ``count`` jobs' columns that
+    numpy will not allocate: it raises ``ValueError`` for a size past the
+    address space and ``MemoryError`` for one the host cannot hold."""
+    try:
+        yield
+    except (ValueError, MemoryError) as exc:
+        raise ContractViolation(
+            f"{count} jobs do not fit in memory as int64 columns") from exc
 
 
 @dataclass
@@ -104,11 +122,12 @@ class AdversaryState:
             return 0
         return self.N // (self.n - t)
 
-    def counts(self) -> np.ndarray:
-        """:meth:`count` of every step of the full stream, as int64."""
-        require_int64_stream(self.n, self.N)
-        # The last step alone releases N, so N fits once the total does.
-        return self.N // np.arange(self.n, 0, -1, dtype=np.int64)
+    def counts(self, last: int | None = None) -> np.ndarray:
+        """:meth:`count` of the full stream's steps ``0..last`` (default:
+        every step): int64 when ``N`` fits one, Python ints otherwise."""
+        stop = 0 if last is None else max(self.n - 1 - last, 0)
+        dtype = np.int64 if self.N <= INT64_MAX else object
+        return self.N // np.arange(self.n, stop, -1, dtype=dtype)
 
     def release(self, t: int) -> UnitJobs:
         """Step ``t``'s jobs as one column block, ids continuing the stream."""
@@ -118,9 +137,11 @@ class AdversaryState:
             raise ContractViolation(
                 f"step {t} releases job ids up to {first + count - 1}, "
                 f"more than an int64 holds ({INT64_MAX})")
+        with _allocating(count):
+            ids = first + np.arange(count, dtype=np.int64)
+            r, d = np.full(count, t), np.full(count, self.n)
         self.next_id += count
-        return UnitJobs(first + np.arange(count, dtype=np.int64),
-                        np.full(count, t), np.full(count, self.n))
+        return UnitJobs(ids, r, d)
 
     def observe(self, t: int, online: int, off: int) -> None:
         """Stop once the online/offline ratio reaches ``rho`` (well-defined only for off > 0)."""
@@ -130,22 +151,39 @@ class AdversaryState:
             self.stopped_at = t
 
 
-def _off_series(n: int, counts: Iterable[int]) -> Iterator[int]:
-    """Yield ``OFF(t)`` for a stream due at ``n`` releasing ``counts[t]``.
+def _off_series(n: int, a: np.ndarray) -> np.ndarray:
+    """``OFF(t)`` for every step ``t`` of a nondecreasing count series due at
+    ``n``: ``a[t]`` jobs are released at step ``t``, for ``t < len(a) <= n``.
 
-    ``counts`` is read one step at a time, so a lazy source such as
-    ``map(state.count, range(n))`` sees a stop the consumer observed at
-    step ``t`` from step ``t + 1`` on.  Only steps that release open a hull
-    row, as in ``IncrementalOff``: an empty step's row never leads.  The
-    counts must be Python ints; the hull cross-multiplies them.
+    With ``P_s`` the count released before step ``s`` and ``X_t = P_{t+1}``,
+    ``OFF(t) = max over s <= t of ceil((X_t - P_s) / (n - s))``.  The ratio
+    grows from ``s`` to ``s + 1`` exactly when ``X_t >= B_s = P_s + a_s (n - s)``,
+    and ``B_{s+1} - B_s = (a_{s+1} - a_s)(n - s - 1) >= 0``.  So the ratio
+    rises and then falls in ``s``, and its peak over ``s <= t`` lies at
+    ``s* = min(#{s : B_s <= X_t}, t)``: one ``searchsorted`` for every ``t``.
+
+    ``B``'s last entry is its largest and bounds every ``X`` and ``P``, so the
+    series is int64 when that entry fits one and Python ints otherwise.  A
+    series that decreases, is negative or runs past ``n`` is refused.
     """
-    hull = _DeadlineHull(n)
-    released = 0
-    for t, a in enumerate(counts):
-        if a:
-            hull.add(t, released)
-            released += a
-        yield hull.query_ceil(released) if released else 0
+    a = np.asarray(a)
+    if not len(a):
+        return np.zeros(0, dtype=np.int64)
+    if len(a) > n or a[0] < 0 or (a[1:] < a[:-1]).any():
+        raise ContractViolation(
+            f"OFF series needs at most n={n} nonnegative, nondecreasing counts")
+    last = int(a[-1])
+    # total + last * (n - len(a)) is B's last entry; n * last bounds it.
+    wide = (n * last > INT64_MAX
+            and sum(a.tolist()) + last * (n - len(a)) > INT64_MAX)
+    dtype = object if wide else np.int64
+    a = a.astype(dtype)
+    X = np.cumsum(a)
+    P = X - a
+    w = (n - np.arange(len(a))).astype(dtype)
+    s = np.minimum(np.searchsorted(P + a * w, X, side="right"),
+                   np.arange(len(a)))
+    return -((P[s] - X) // w[s])
 
 
 def _envelope(n: int, N: int, tstar: int) -> int:
@@ -203,7 +241,13 @@ def play_game(player: OnlinePlayer, n: int, N: int | None = None,
     state = AdversaryState(n=n, N=N, rho=resolve_rho(rho))
     transcript = GameTranscript(n=n, N=N, rho=state.rho)
     pending = np.zeros(0, dtype=bool)  # pending[i]: job i released, not yet run
-    for t, off in enumerate(_off_series(n, map(state.count, range(n)))):
+    # The full stream's OFF holds up to the stop; after it nothing is
+    # released, so OFF stays at its value there.
+    full_off = _off_series(n, state.counts()).tolist()
+    off = 0
+    for t in range(n):
+        if state.stopped_at is None:
+            off = full_off[t]
         released = state.release(t)
         transcript.released_total += len(released)
         online, chosen = player.step(t, released)
@@ -344,14 +388,14 @@ def aggregate_game(alpha, n: int, N: int | None = None, rho=None) -> AggregateGa
     N = resolve_stream(n, N)
     alpha = resolve_alpha(alpha)
     rho = resolve_rho(rho)
+    require_int64_stream(n, N)
     a = AdversaryState(n=n, N=N).counts()
     # OFF(t) <= N, so ceil(alpha * N) bounds every machine count.
     if alpha * N > INT64_MAX:
         raise ContractViolation(
             f"alpha={alpha}, N={N} may rent {math.ceil(alpha * N)} machines, "
             f"more than an int64 holds ({INT64_MAX})")
-    # A memoryview yields the counts as Python ints, without a list.
-    off = np.fromiter(_off_series(n, memoryview(a)), dtype=np.int64, count=n)
+    off = _off_series(n, a)
     online, knife = ceil_times_series(alpha, off)
     # The full stream's series hold up to the stop; after it nothing is
     # released, so OFF and the machine count freeze.
@@ -514,7 +558,6 @@ def scaling_bound_report(n: int, N: int | None = None,
     N = resolve_stream(n, N)
     if t_max is None:
         t_max = n - 1
-    state = AdversaryState(n=n, N=N)
-    steps = islice(_off_series(n, map(state.count, range(n))), max(t_max + 1, 0))
+    counts = AdversaryState(n=n, N=N).counts(t_max)
     return [EnvelopeRow(tstar=t, off=off, bound=_envelope(n, N, t))
-            for t, off in enumerate(steps)]
+            for t, off in enumerate(_off_series(n, counts).tolist())]

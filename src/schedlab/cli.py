@@ -203,8 +203,9 @@ def _verify_envelope(args) -> int:
         raise ContractViolation("verify envelope needs --n")
     N = adversary.resolve_stream(args.n, args.big_n)
     t_max = args.t_max if args.t_max is not None else args.n - 1
-    if t_max < 0:
-        raise ContractViolation(f"verify envelope needs --t-max >= 0, got {t_max}")
+    if not 0 <= t_max <= args.n - 1:
+        raise ContractViolation(
+            f"verify envelope needs 0 <= --t-max <= n - 1 = {args.n - 1}, got {t_max}")
     rows = adversary.scaling_bound_report(args.n, N, t_max)
     violations = [row.tstar for row in rows if not row.holds]
     clean_until = violations[0] - 1 if violations else rows[-1].tstar

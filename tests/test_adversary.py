@@ -4,12 +4,14 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schedlab.adversary import (
     AdversaryState,
+    _off_series,
     actual_released,
     aggregate_game,
     alpha_edf_player,
@@ -24,7 +26,7 @@ from schedlab.adversary import (
 from schedlab.core import ContractViolation, Schedule, UnitJobs, write_instance
 from schedlab.generators import adversary_instance
 from schedlab.online_min import EULER
-from schedlab.oracle import off_prefix_series, off_unit
+from schedlab.oracle import _DeadlineHull, off_prefix_series, off_unit
 
 
 class TestAdversaryState:
@@ -267,6 +269,80 @@ class TestAggregateGame:
             g = aggregate_game(alpha, 100, N)
             assert g.backlog.tolist() == reference_backlog(g)
             assert g.forcing_stop() == reference_forcing_stop(g)
+
+
+def reference_off_series(n, counts):
+    """The hull loop _off_series ran before its closed form: one deadline-n
+    hull row per releasing step, queried at the running release count."""
+    hull = _DeadlineHull(n)
+    released = 0
+    out = []
+    for t, a in enumerate(counts):
+        if a:
+            hull.add(t, released)
+            released += a
+        out.append(hull.query_ceil(released) if released else 0)
+    return out
+
+
+@st.composite
+def nondecreasing_streams(draw):
+    """``(n, counts)``: a prefix of the paper's stream, with ``N`` from 0 to
+    past ``n^3`` and past int64 (Python-int counts), or any sorted series."""
+    n = draw(st.integers(1, 400))
+    last = draw(st.one_of(st.just(n - 1), st.integers(-1, n - 1)))
+    if draw(st.booleans()):
+        N = draw(st.one_of(st.integers(0, n), st.integers(0, 2 * n ** 3),
+                           st.integers(2**62, 2**80)))
+        return n, AdversaryState(n=n, N=N).counts(last)
+    counts = sorted(draw(st.lists(st.integers(0, 10**6), max_size=last + 1)))
+    return n, np.array(counts, dtype=np.int64)
+
+
+class TestOffSeries:
+    @settings(max_examples=300)
+    @given(nondecreasing_streams())
+    @example((1, np.array([0])))
+    @example((3, np.array([0, 0, 0])))
+    @example((100, AdversaryState(n=100, N=10**30).counts()))
+    @example((150, AdversaryState(n=150, N=2**70 + 3).counts()))
+    def test_matches_reference_hull_loop(self, stream):
+        n, counts = stream
+        off = _off_series(n, counts)
+        counts = counts.tolist()
+        assert off.tolist() == reference_off_series(n, counts)
+        # Python ints exactly when the largest sum formed, the last
+        # P_s + a_s (n - s), does not fit an int64.
+        wide = bool(counts) and sum(counts) + counts[-1] * (n - len(counts)) > 2**63 - 1
+        assert off.dtype == (object if wide else np.int64)
+
+    @pytest.mark.parametrize("n, counts", [
+        (5, [1, 3, 2]), (3, [0, 0, 0, 0]), (4, [-1, 0]),
+        (3, np.array([2**70, 2**69], dtype=object))])
+    def test_refuses_what_is_not_a_stream(self, n, counts):
+        with pytest.raises(ContractViolation, match="nondecreasing"):
+            _off_series(n, np.asarray(counts))
+
+    def test_stream_consumers_agree_with_job_level_engine(self):
+        # Both consumers read the closed form, so the cross-check is the
+        # oracle's IncrementalOff over the jobs themselves.
+        n, N = 100, 10**3
+        jobs = adversary_instance(n, N).jobs
+        series = off_prefix_series(jobs)
+        assert [r.off for r in scaling_bound_report(n, N)] == [
+            series[t] for t in range(n)]
+
+        class Renter:
+            """Rents t^2 machines at step t and runs nothing: the ratio
+            to OFF first reaches rho = 300 in mid-stream."""
+            def step(self, t, released):
+                return t * t, []
+
+        tr = play_game(Renter(), n, N, rho=300)
+        assert tr.stopped_at == 39
+        released = off_prefix_series([job for job in jobs if job.r <= 39])
+        assert [s["off"] for s in tr.steps] == [
+            released[min(t, 39)] for t in range(n)]
 
 
 def reference_backlog(g):

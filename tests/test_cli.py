@@ -89,6 +89,19 @@ class TestGen:
         assert "releases 15000000000000000000 jobs" in err
         assert not path.exists()
 
+    def test_stream_too_large_to_allocate_is_usage_error(self, capsys, tmp_path):
+        # 5e18 jobs fit an int64 count, but numpy refuses their columns
+        # before allocating anything.
+        path = tmp_path / "adv.json"
+        code, out, err = run_cli(capsys, "gen", "adversary", "--n", "1",
+                                 "--big-n", "5000000000000000000",
+                                 "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert ("error: 5000000000000000000 jobs do not fit in memory as "
+                "int64 columns") in err
+        assert not path.exists()
+
     def test_stdout_when_no_out(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "upper-triangular",
                                "--k", "2", "--levels", "2")
@@ -240,6 +253,15 @@ class TestGame:
         assert out == ""
         assert "releases 15000000000000000000 jobs" in err
 
+    def test_stream_too_large_to_allocate_is_usage_error(self, capsys):
+        # Numpy refuses the step's 5e18-job block before allocating it.
+        code, out, err = run_cli(capsys, "game", "e-edf", "--n", "1",
+                                 "--big-n", "5000000000000000000")
+        assert code == 2
+        assert out == ""
+        assert ("error: 5000000000000000000 jobs do not fit in memory as "
+                "int64 columns") in err
+
     @pytest.mark.parametrize("argv", [
         ["e-edf", "--n", "5", "--big-n", "-3", "--aggregate"],
         ["e-edf", "--n", "5", "--big-n", "-3"],
@@ -316,6 +338,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("argv", [
         ["--n", "3", "--big-n", "-10"], ["--n", "0"], ["--n", "5", "--t-max", "-1"],
+        ["--n", "10", "--t-max", "50"], ["--n", "10", "--t-max", "10"],
     ])
     def test_envelope_bad_parameters_are_usage_errors(self, capsys, argv):
         code, out, err = run_cli(capsys, "verify", "envelope", *argv)
