@@ -198,7 +198,6 @@ class Instance:
         return {j.id: j for j in self.jobs}
 
 
-@dataclass
 class Schedule:
     """Assignments are ``(job_id, machine_id, start)`` triples.
 
@@ -207,8 +206,50 @@ class Schedule:
     ``misses``; for the throughput model a job appears at most once.
     """
 
-    assignments: list[tuple[int, int, Rational]] = field(default_factory=list)
-    misses: list[int] = field(default_factory=list)
+    __slots__ = ("_assignments", "_slots", "misses")
+
+    def __init__(self, assignments: list[tuple[int, int, Rational]] | None = None,
+                 misses: list[int] | None = None):
+        self.assignments = [] if assignments is None else assignments
+        self.misses = [] if misses is None else misses
+
+    @classmethod
+    def from_slots(cls, slots: list[list[int]], misses: list[int]) -> "Schedule":
+        """Unit jobs ``slots[t]`` on machines ``0, 1, ...`` at each step ``t``.
+
+        The triples, in step then machine order, are built from ``slots`` on
+        first read, so a run whose assignments nobody reads never builds one
+        tuple per job.  ``slots`` must not change before that read.
+        """
+        schedule = cls(misses=misses)
+        schedule._assignments = None
+        schedule._slots = slots
+        return schedule
+
+    @property
+    def assignments(self) -> list[tuple[int, int, Rational]]:
+        if self._assignments is None:
+            self._assignments = [(job_id, machine, t)
+                                 for t, slot in enumerate(self._slots)
+                                 for machine, job_id in enumerate(slot)]
+            self._slots = None
+        return self._assignments
+
+    @assignments.setter
+    def assignments(self, value: list[tuple[int, int, Rational]]) -> None:
+        self._assignments = value
+        self._slots = None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Schedule):
+            return NotImplemented
+        return (self.assignments == other.assignments
+                and self.misses == other.misses)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Schedule(assignments={self.assignments!r}, misses={self.misses!r})"
 
 
 @dataclass

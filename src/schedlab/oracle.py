@@ -10,11 +10,12 @@ routes compute or cross-check it:
 
 These three are the independent cross-checks.  The production engine is
 ``IncrementalOff``: it keeps the same value over a growing released prefix
-with one monotone convex hull per deadline column (Hall's condition on
-interval windows), in amortized constant time per column a step touches.
-Online players and ``off_prefix_series`` track the optimum of everything
-released so far through it; the adversary stream, whose jobs share one
-deadline, drives that one column's hull directly.
+with one monotone convex hull per deadline column (Horn's window condition),
+all held in one numpy table and updated together, in amortized constant
+time per column a step touches.  Online players and ``off_prefix_series``
+track the optimum of everything released so far through it.  The adversary
+stream, whose counts never decrease, has its own closed form in
+``adversary._off_series``, which the tests check against the hull.
 
 ``EdfQueue`` is the one earliest-deadline-first dispatch loop: ``edf_simulate``,
 the online player, unweighted throughput and the offline witness differ only
@@ -37,8 +38,11 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import (ContractViolation, Instance, Job, MachineProfile, Schedule,
-                   UnitJobs, require_valid, unit_columns)
+from .core import (INT64_MAX, ContractViolation, Instance, Job, MachineProfile,
+                   Schedule, UnitJobs, require_valid, unit_columns)
+
+# Slots per column when the hull table is made; it doubles as columns need.
+_HULL_CAPACITY = 8
 
 
 def release_blocks(jobs: UnitJobs, steps: int) -> Iterator[UnitJobs]:
@@ -81,13 +85,13 @@ class EdfQueue:
     deadline it touches, however many jobs it runs.
     """
 
-    __slots__ = ("_due", "_buckets", "trace", "schedule")
+    __slots__ = ("_due", "_buckets", "trace", "misses")
 
     def __init__(self):
         self._due: list[int] = []                          # heap of deadlines
         self._buckets: dict[int, tuple[list[int], int]] = {}  # d -> (ids, head)
         self.trace = EdfTrace()
-        self.schedule = Schedule()
+        self.misses: list[int] = []
 
     def _admit(self, released: UnitJobs) -> None:
         buckets = self._buckets
@@ -113,7 +117,7 @@ class EdfQueue:
             ids, head = buckets.pop(heappop(due))
             missed = ids[head:]
             self.trace.miss_events.extend(zip(missed, repeat(t)))
-            self.schedule.misses.extend(missed)
+            self.misses.extend(missed)
 
     def step(self, t: int, released: Iterable[Job], quota: int) -> list[int]:
         """Admit step ``t``'s releases, expire overdue jobs, then run up to
@@ -135,15 +139,15 @@ class EdfQueue:
                 buckets[d] = (ids[head:], 0)
             else:
                 buckets[d] = (ids, head)
-        self.schedule.assignments.extend(zip(slot, range(len(slot)), repeat(t)))
         self.trace.chosen.append(slot)
         return slot
 
     def finish(self) -> tuple[EdfTrace, Schedule]:
-        """Record every never-run job as missed at its deadline."""
+        """Record every never-run job as missed at its deadline; the
+        schedule's assignments are read from the trace's slots."""
         while self._due:
             self._expire(self._due[0])
-        return self.trace, self.schedule
+        return self.trace, Schedule.from_slots(self.trace.chosen, self.misses)
 
 
 def edf_simulate(jobs: Sequence[Job], profile: MachineProfile) -> tuple[EdfTrace, Schedule]:
@@ -251,75 +255,51 @@ def off_prefix_series(jobs: Sequence[Job]) -> dict[int, int]:
             for t, released in enumerate(release_blocks(jobs, steps))}
 
 
-class _DeadlineHull:
-    """Exact ``max over rows s of ceil((x - P_s) / (e - s))`` for deadline ``e``.
-
-    Row ``s`` is a line in ``x``, the count of released jobs due by ``e``;
-    ``P_s`` is that count before step ``s``.  Rows arrive in increasing slope
-    and queries at nondecreasing ``x`` (the monotone convex-hull case), so a
-    pointer walks forward; the lines behind it can never lead again and are
-    dropped once they fill half the list.  All comparisons cross-multiply
-    Python ints.
-    """
-
-    __slots__ = ("e", "lines", "ptr")
-
-    def __init__(self, e: int):
-        self.e = e
-        self.lines: list[tuple[int, int]] = []  # (e - s, P_s)
-        self.ptr = 0
-
-    def add(self, s: int, P: int) -> None:
-        w = self.e - s
-        lines = self.lines
-        while len(lines) >= 2:
-            w1, p1 = lines[-2]
-            w2, p2 = lines[-1]
-            # The last line never leads if the new one overtakes lines[-2]
-            # no later than it does: compare the two crossing points.
-            if (P * w1 - p1 * w) * (w1 - w2) > (p2 * w1 - p1 * w2) * (w1 - w):
-                break
-            lines.pop()
-        lines.append((w, P))
-        if self.ptr >= len(lines):
-            self.ptr = len(lines) - 1
-
-    def query_ceil(self, x: int) -> int:
-        """``ceil`` of the hull maximum at count ``x``."""
-        lines = self.lines
-        i = self.ptr
-        last = len(lines) - 1
-        w, p = lines[i]
-        while i < last:
-            w2, p2 = lines[i + 1]
-            if (x - p2) * w < (x - p) * w2:
-                break
-            i += 1
-            w, p = w2, p2
-        if 2 * i > last:
-            del lines[:i]
-            i = 0
-        self.ptr = i
-        return -((p - x) // w)
-
-
 class IncrementalOff:
     """Exact optimum machine count over a growing released-job set.
 
     ``m`` constant machines suffice iff every window ``[s, e)`` holds at most
-    ``m * (e - s)`` of the jobs confined to it.  Jobs arrive in release order,
-    so with ``C_e`` the released jobs due by ``e``, the window holds
-    ``C_e - P_e(s)`` with ``P_e(s)`` fixed when step ``s`` began: one
-    :class:`_DeadlineHull` per registered deadline.  A step opens its row and
-    queries only on the columns its jobs count towards; elsewhere that row
-    would tie a later row's count and lose to it, or stay at zero.
+    ``m * (e - s)`` of the jobs confined to it (Horn, 1974).  Jobs arrive in
+    release order, so with ``C_e`` the released jobs due by ``e``, the window
+    holds ``C_e - P_e(s)`` with ``P_e(s)`` fixed when step ``s`` began, and
+    ``OFF`` is the largest ``ceil((C_e - P_e(s)) / (e - s))``.  For each
+    deadline column ``e`` the rows ``s`` are lines in ``C_e`` of increasing
+    slope, queried at nondecreasing ``C_e``: the monotone convex-hull case.
+
+    One table holds every column's hull: flat arrays ``W`` (the widths
+    ``e - s``) and ``P`` (the counts ``P_e(s)``) with ``capacity`` slots per
+    column, and per column a length, a pointer to the leading line and the
+    running count ``C``.  A step opens its row on the columns from the
+    smallest deadline it releases to the last; elsewhere that row would tie
+    a later row's count and lose to it, or stay at zero.  It pops, appends
+    and advances pointers on all those columns at once, each loop running
+    as many passes as the worst column needs.  Lines behind a pointer never
+    lead again; they are shifted out of every column before any column can
+    fill its last slot, and the capacity doubles only if a column is still
+    more than half full after that.
+
+    Both tests multiply a width by a count difference, so with ``C_total``
+    the jobs released so far and ``H`` the widest window every value they
+    form stays within ``2 * C_total * H``.  The table runs in int64 while
+    that fits and switches once, for good, to object arrays of Python ints
+    when it would not.
     """
 
     def __init__(self, deadline_values: Iterable[int]):
         deadlines = sorted(set(int(v) for v in deadline_values))
         self._column = {d: i for i, d in enumerate(deadlines)}
-        self._hulls = [_DeadlineHull(d) for d in deadlines]
-        self._counts = [0] * len(deadlines)
+        try:
+            self._E = np.array(deadlines, dtype=np.int64)
+        except OverflowError:
+            self._E = np.array(deadlines, dtype=object)
+        columns = len(deadlines)
+        self._len = np.zeros(columns, dtype=np.int64)
+        self._ptr = np.zeros(columns, dtype=np.int64)
+        self._C = np.zeros(columns, dtype=np.int64)
+        self._resize(np.zeros((columns, _HULL_CAPACITY), dtype=np.int64),
+                     np.zeros((columns, _HULL_CAPACITY), dtype=np.int64))
+        self._total = 0
+        self._int64_total: int | None = None  # largest total int64 holds
         self._t: int | None = None
         self._value = 0
 
@@ -333,35 +313,104 @@ class IncrementalOff:
 
     def add(self, released: Sequence[Job], t: int) -> int:
         """Register jobs released at step ``t`` (steps must increase, and
-        steps without releases may be skipped); return the new optimum."""
+        steps without releases may be skipped); return the new optimum.
+
+        A refused block leaves the engine as it was."""
         if self._t is not None and t <= self._t:
             raise ContractViolation(f"step {t} does not follow step {self._t}")
-        self._t = t
         released = unit_columns(released)
         if not len(released):
+            self._t = t
             return self._value
         groups = released.by_deadline()
         column = self._column
         if ((released.r != t).any()
                 or any(d not in column or d <= t for d, _ in groups)):
             self._refuse(released, t)
-        # column -> jobs due there released now
-        fresh = {column[d]: len(ids) for d, ids in groups}
-        hulls, counts = self._hulls, self._counts
-        best = self._value
-        added = 0
-        for col in range(min(fresh), len(hulls)):
-            added += fresh.get(col, 0)
-            hull = hulls[col]
-            count = counts[col]
-            hull.add(t, count)
-            count += added
-            counts[col] = count
-            value = hull.query_ceil(count)
-            if value > best:
-                best = value
-        self._value = best
-        return best
+        self._t = t
+        self._total += len(released)
+        if self._int64_total is None:
+            widest = int(self._E[-1]) - t
+            self._int64_total = INT64_MAX // (2 * widest)
+        if self._total > self._int64_total and self._W.dtype != object:
+            self._widen()
+        if not self._room:
+            self._compact()
+        self._room -= 1
+        first = column[groups[0][0]]
+        # jobs released now that count towards each column from `first` on
+        added = np.empty(len(self._len) - first, dtype=np.int64)
+        bounds = [column[d] - first for d, _ in groups] + [len(added)]
+        due = 0
+        for (_, ids), lo, hi in zip(groups, bounds, bounds[1:]):
+            due += len(ids)
+            added[lo:hi] = due
+        W, P, base = self._W, self._P, self._base[first:]
+        lens, ptr, count = self._len[first:], self._ptr[first:], self._C[first:]
+        w = self._E[first:] - t
+        # Pop the last line wherever the new one overtakes the line before
+        # it no later than the last line does: the last never leads again.
+        # Columns with fewer than two lines read stale slots, masked out.
+        while True:
+            top = base + lens
+            w1, p1, w2, p2 = W[top - 2], P[top - 2], W[top - 1], P[top - 1]
+            # (count*w1 - p1*w)(w1 - w2) <= (p2*w1 - p1*w2)(w1 - w), divided by w1
+            pop = w1 * (count - p2) - w2 * (count - p1) + w * (p2 - p1) <= 0
+            pop &= lens >= 2
+            if not pop.any():
+                break
+            lens -= pop
+        # Every pointer stays on a line.  The new line is 0 at the current
+        # count and no line is below 0 there, so of the lines up to the
+        # pointer it can pop only the pointer's own, by a tie at that
+        # count, and then takes its slot.
+        W[top] = w
+        P[top] = count
+        lens += 1
+        count += added
+        # Advance each pointer while the next line leads at the new count.
+        # A column's last line reads the free slot after it, masked out.
+        while True:
+            at = base + ptr
+            wa, pa, wb, pb = W[at], P[at], W[at + 1], P[at + 1]
+            move = (count - pb) * wa >= (count - pa) * wb
+            move &= ptr + 1 < lens
+            if not move.any():
+                break
+            ptr += move
+        best = -int(((pa - count) // wa).min())  # the largest ceiling
+        if best > self._value:
+            self._value = best
+        return self._value
+
+    def _widen(self) -> None:
+        """Hold the table in Python ints from now on."""
+        for name in ("_E", "_W", "_P", "_C"):
+            setattr(self, name, getattr(self, name).astype(object))
+
+    def _resize(self, W: np.ndarray, P: np.ndarray) -> None:
+        """Take ``(columns, capacity)`` tables as the new ``W`` and ``P``."""
+        columns, self._capacity = W.shape
+        self._W, self._P = W.ravel(), P.ravel()
+        self._base = np.arange(0, columns * self._capacity, self._capacity)
+        # A step appends at most one line per column, so this many steps
+        # fit before some column fills all but its last slot, which stays
+        # free for the pointer test to read.
+        self._room = self._capacity - 1 - int(self._len.max(initial=0))
+
+    def _compact(self) -> None:
+        """Shift every column left by its pointer; double the capacity if
+        a column is still more than half full."""
+        size = self._capacity
+        src = self._base[:, None] + np.minimum(self._ptr[:, None] + np.arange(size),
+                                               size - 1)
+        W, P = self._W[src], self._P[src]
+        self._len -= self._ptr
+        self._ptr[:] = 0
+        if 2 * self._len.max() > size:
+            W = np.hstack((W, np.zeros_like(W)))
+            P = np.hstack((P, np.zeros_like(P)))
+        self._resize(W, P)
 
     def _refuse(self, released: UnitJobs, t: int) -> None:
         """Name the first job, in input order, released off step ``t`` or

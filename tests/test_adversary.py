@@ -26,7 +26,9 @@ from schedlab.adversary import (
 from schedlab.core import ContractViolation, Schedule, UnitJobs, write_instance
 from schedlab.generators import adversary_instance
 from schedlab.online_min import EULER
-from schedlab.oracle import _DeadlineHull, off_prefix_series, off_unit
+from schedlab.oracle import off_prefix_series, off_unit
+
+from reference_hull import DeadlineHull
 
 
 class TestAdversaryState:
@@ -274,7 +276,7 @@ class TestAggregateGame:
 def reference_off_series(n, counts):
     """The hull loop _off_series ran before its closed form: one deadline-n
     hull row per releasing step, queried at the running release count."""
-    hull = _DeadlineHull(n)
+    hull = DeadlineHull(n)
     released = 0
     out = []
     for t, a in enumerate(counts):

@@ -183,6 +183,19 @@ class TestFeasibleSlot:
         assert feasible_slot(job, t) == (r <= t <= r + span - 1)
 
 
+class TestSchedule:
+    def test_slots_build_the_same_triples_on_first_read(self):
+        slots = [[4, 1], [], [0]]
+        lazy = Schedule.from_slots(slots, [3])
+        eager = Schedule([(4, 0, 0), (1, 1, 0), (0, 0, 2)], [3])
+        assert lazy == eager and eager == lazy
+        assert lazy.assignments == eager.assignments
+        assert repr(lazy) == repr(eager)
+        assert lazy != Schedule.from_slots([[1, 4], [], [0]], [3])
+        lazy.assignments = []
+        assert lazy == Schedule([], [3])
+
+
 class TestScheduleCost:
     def test_empty(self):
         assert schedule_cost(Schedule([], [])) == 0

@@ -1,14 +1,16 @@
 """Offline ground truth: EDF runs, feasibility oracles, optima, bounds."""
 import heapq
 import itertools
+from collections import Counter
 
+import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schedlab.core import (ContractViolation, Instance, Job, MachineProfile,
-                           Schedule, ValidationError, unit_columns)
+                           Schedule, UnitJobs, ValidationError, unit_columns)
 from schedlab.generators import (
     adversary_instance,
     random_unit_instance,
@@ -18,15 +20,18 @@ from schedlab.oracle import (
     EdfQueue,
     EdfTrace,
     IncrementalOff,
-    _DeadlineHull,
+    _HULL_CAPACITY,
     brute_force_feasible,
     edf_simulate,
     flow_feasible,
     off_prefix_series,
     off_unit,
     offline_throughput_opt,
+    release_blocks,
     volume_lower_bound,
 )
+
+from reference_hull import ReferenceOff
 
 
 def unit_jobs(*windows):
@@ -232,20 +237,143 @@ class TestIncrementalOff:
             inc.add([Job(1, 2, 2)], 2)
 
 
-class TestDeadlineHull:
+    def test_refused_block_leaves_engine_unchanged(self):
+        first = [Job(0, 1, 5), Job(1, 1, 8)]
+        later = [Job(2, 3, 8), Job(3, 3, 5), Job(4, 3, 5)]
+        inc = IncrementalOff([5, 8])
+        inc.add(first, 1)
+        with pytest.raises(ContractViolation, match="job 6 due at 6"):
+            inc.add([Job(5, 3, 8), Job(6, 3, 6)], 3)
+        with pytest.raises(ContractViolation, match="job 7 released at 2"):
+            inc.add([Job(7, 2, 8)], 3)
+        fresh = IncrementalOff([5, 8])
+        fresh.add(first, 1)
+        assert inc.add(later, 3) == fresh.add(later, 3) == 1
+        assert inc.add([Job(8, 4, 5)], 4) == fresh.add([Job(8, 4, 5)], 4) == 2
+
     def test_adversary_stream_leaves_constant_lines(self):
         # The final burst leads from the newest row, so every older row ends
-        # up behind the pointer and must not be kept.
-        n = 3000
-        hull = _DeadlineHull(n)
-        released = 0
-        for t in range(n):
-            hull.add(t, released)
-            released += n * n // (n - t)
-            hull.query_ceil(released)
-        assert len(hull.lines) <= 2
+        # up behind the pointer and must not stay live.
+        n = 300
+        jobs = adversary_instance(n).jobs
+        inc = IncrementalOff.for_jobs(jobs)
+        for t, released in enumerate(release_blocks(jobs, n)):
+            inc.add(released, t)
+        assert inc._len[0] - inc._ptr[0] <= 2
         # the last step alone releases N = n * n jobs into one slot
-        assert hull.query_ceil(released) == n * n
+        assert inc.value == n * n
+
+    def test_int64_until_the_bound_then_python_ints(self):
+        # Values stay within 2 * total * H, H the widest window: with
+        # H = 2^60 the table holds 3 jobs in int64, and the 4th switches it
+        # to Python ints for good.
+        e = 2**60
+        inc = IncrementalOff([e])
+        ref = ReferenceOff([e])
+        assert inc.add(unit_block(range(3), 0, e), 0) == ref.add({e: 3}, 0)
+        assert inc._W.dtype == inc._P.dtype == inc._C.dtype == np.int64
+        assert inc.add(unit_block(range(3, 4), 1, e), 1) == ref.add({e: 1}, 1)
+        assert inc._W.dtype == inc._P.dtype == inc._C.dtype == object
+        assert inc.add(unit_block(range(4, 5), 2, e), 2) == ref.add({e: 1}, 2)
+        assert inc._W.dtype == object
+        # Past 2^62 even one job exceeds the bound; a registered deadline
+        # past int64 starts the deadline column in Python ints too.
+        d = 2**62 + 5
+        inc = IncrementalOff([d, 2**70])
+        assert inc._E.dtype == object
+        assert inc.add(unit_block([0], 0, d), 0) == 1
+        assert inc._W.dtype == object
+        assert inc.add(unit_block([1, 2, 3], d - 1, d), d - 1) == 3
+
+    def test_long_live_hull_compacts_and_doubles(self):
+        # Releases growing by one a step, due far away, keep nearly every
+        # row on the hull ahead of the pointer.
+        e, steps = 1000, 40
+        inc, ref = IncrementalOff([e]), ReferenceOff([e])
+        ids = 0
+        for t in range(steps):
+            block = unit_block(range(ids, ids + t + 1), t, e)
+            ids += t + 1
+            assert inc.add(block, t) == ref.add({e: t + 1}, t)
+        assert inc._capacity >= 4 * _HULL_CAPACITY
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_series_matches_reference_at_scale(self, seed):
+        jobs = unit_columns(random_unit_instance(5000, 1000, seed).jobs)
+        ref = ReferenceOff(jobs.d.tolist())
+        steps = int(jobs.r.max()) + 1
+        expected = {t: ref.add(dict(Counter(block.d.tolist())), t)
+                    for t, block in enumerate(release_blocks(jobs, steps))}
+        assert off_prefix_series(jobs) == expected
+
+
+def unit_block(ids, t, d):
+    """Unit jobs with the given ids, all released at ``t`` and due at ``d``."""
+    ids = np.asarray(list(ids), dtype=np.int64)
+    return UnitJobs(ids, np.full(len(ids), t), np.full(len(ids), d))
+
+
+@st.composite
+def off_streams(draw):
+    """``(deadlines, steps)`` for one engine run: registered deadline
+    columns and, per releasing step ``t``, the count due at each deadline.
+
+    Four shapes: up to about 50 columns over 30 steps, with skipped steps,
+    ``d = r + 1`` and unused columns; one column; one column whose live
+    hull outgrows the table's first capacity; and windows from ``2^58`` to
+    past ``2^62``, whose totals cross the int64 bound mid-stream or start
+    past it.
+    """
+    shape = draw(st.sampled_from(("columns", "one", "deep", "wide")))
+    steps = []
+    if shape == "columns":
+        deadlines = set()
+        for t in sorted(draw(st.sets(st.integers(0, 29), min_size=1, max_size=20))):
+            ends = draw(st.lists(st.integers(t + 1, t + 30), min_size=1,
+                                 max_size=4))
+            due = {d: draw(st.integers(1, 6)) for d in ends}
+            steps.append((t, due))
+            deadlines |= set(due)
+        deadlines |= draw(st.sets(st.integers(1, 60), max_size=10))
+        return sorted(deadlines), steps
+    if shape == "one":
+        e = draw(st.integers(1, 200))
+        counts = draw(st.lists(st.integers(0, 50), min_size=1, max_size=e))
+    elif shape == "deep":
+        e = draw(st.integers(200, 1000))
+        slope, noise = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+        counts = [slope * s + 1 + draw(st.integers(0, noise))
+                  for s in range(draw(st.integers(20, 60)))]
+    else:
+        e = draw(st.integers(2**58, 2**63 - 1))
+        counts = draw(st.lists(st.integers(0, 40), min_size=1, max_size=12))
+    return [e], [(t, {e: a}) for t, a in enumerate(counts) if a]
+
+
+@settings(max_examples=200)
+@given(off_streams())
+@example(([1, 2, 3], [(0, {1: 2, 3: 1}), (2, {3: 4})]))
+@example(([2**60], [(t, {2**60: 1}) for t in range(8)]))
+# Fills a column's last slot with the pointer on its last line: the
+# pointer test then reads the free slot the table keeps after it.
+@example(([13], [(t, {13: a}) for t, a in enumerate(
+    [1, 0, 2, 0, 3, 0, 34, 74, 116, 144, 589, 783, 863]) if a]))
+def test_table_matches_per_column_hulls(stream):
+    deadlines, steps = stream
+    inc, ref = IncrementalOff(deadlines), ReferenceOff(deadlines)
+    ids = 0
+    for t, due in steps:
+        d = np.repeat(list(due), list(due.values()))
+        block = UnitJobs(np.arange(ids, ids + len(d)), np.full(len(d), t), d)
+        ids += len(d)
+        assert inc.add(block, t) == ref.add(due, t)
+    assert inc.value == ref.value
+    # Python ints exactly once 2 * total * H passes int64, H the widest
+    # window from the first releasing step.
+    if steps:
+        widest = max(deadlines) - steps[0][0]
+        wide = 2 * ids * widest > 2**63 - 1
+        assert inc._W.dtype == (object if wide else np.int64)
 
 
 # Windows ``[r, r + span)`` with releases up to 8, so some steps release
