@@ -8,10 +8,12 @@ and any online matching algorithm becomes an online scheduler.
 
 The randomized matcher draws one uniform ``x`` per job at reveal time and
 greedily matches each arriving vertex to the unmatched neighbor maximizing
-``w * (1 - exp(x - 1))``.  One numpy kernel runs this greedy over a table of
-scores with one row per run: a single seeded row for
+``w * (1 - exp(x - 1))``.  One numpy kernel runs this greedy over a
+(jobs x runs) table of scores, which it consumes: a single seeded column for
 :func:`perturbed_greedy`, the plain weights for :func:`greedy_baseline`, and
-one seeded row per trial for the Monte Carlo ratio estimate.
+one seeded column per trial for the Monte Carlo ratio estimate.  Every
+run's draws are read from one byte string of Mersenne Twister words, bit for
+bit the values ``random.Random(seed).random()`` returns.
 """
 
 from __future__ import annotations
@@ -146,46 +148,90 @@ def _float_weights(mi: MatchingInstance) -> np.ndarray:
     return np.array([float(mi.weights[u]) for u in mi.job_ids])
 
 
-def _perturbation(mi: MatchingInstance, seed: int) -> np.ndarray:
-    """Per-job factors 1-exp(x-1), with x drawn once per job in reveal order."""
-    rng = random.Random(seed)
-    x = np.array([rng.random() for _ in mi.job_ids])
-    return 1.0 - np.exp(x - 1.0)
+#: Seeds whose draws are read from one byte string: 2 KiB per job, and few
+#: enough numpy calls per seed that small instances gain too.
+_DRAW_CHUNK = 256
+
+
+def _perturbed_scores(w: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
+    """Scores ``w * (1 - exp(x - 1))`` as a (jobs x seeds) table.
+
+    Column ``c`` holds the ``x`` that ``random.Random(seeds[c]).random()``
+    returns, drawn once per job in reveal order.  ``random()`` combines two
+    32-bit Mersenne Twister words ``a, b`` into ``((a >> 5) * 2^26 + (b >> 6))
+    * 2^-53``, and ``getrandbits(64 * n)`` yields the same ``2n`` words, the
+    first one least significant.  So each chunk of seeds is read from one
+    byte string, and every ``x`` is bit-identical to the loop's.
+    """
+    n = len(w)
+    table = np.empty((n, len(seeds)))
+    for start in range(0, len(seeds), _DRAW_CHUNK):
+        chunk = seeds[start:start + _DRAW_CHUNK]
+        raw = b"".join(random.Random(s).getrandbits(64 * n).to_bytes(8 * n, "little")
+                       for s in chunk)
+        words = np.frombuffer(raw, dtype="<u4").reshape(len(chunk), n, 2)
+        # in place, to keep chunk-sized temporaries few
+        score = (words[..., 0] >> 5) * 67108864.0
+        score += words[..., 1] >> 6
+        score *= 1.0 / 9007199254740992.0  # x, exact in float64
+        score -= 1.0
+        np.exp(score, out=score)
+        np.subtract(1.0, score, out=score)
+        score *= w
+        table[:, start:start + len(chunk)] = score.T
+    return table
 
 
 def _greedy(mi: MatchingInstance, scores: np.ndarray,
             w: np.ndarray) -> tuple[np.ndarray, list[tuple[int, tuple[int, int]]]]:
-    """The greedy matcher, run once per row of ``scores`` (rows x jobs).
+    """The greedy matcher, run once per column of ``scores`` (jobs x runs).
 
     Online vertices arrive in (step, machine) order; each takes, in every
-    row, the unmatched neighbor of highest score, the lowest id on ties.
-    Scores must be nonnegative.  Returns each row's matched weight, summed
-    from ``w`` in pick order, and the pairs row 0 matched.
+    run, the unmatched neighbor of highest score, the lowest id on ties.
+    Scores must be nonnegative.  The C-contiguous table is consumed: a
+    matched cell becomes -1.  Each step copies its neighbor rows into one
+    buffer and transposes them into another (runs x neighbors), so that
+    every pick is an argmax along contiguous rows.  Returns each run's
+    matched weight, summed from ``w`` in pick order, and the pairs run 0
+    matched.
     """
     index = {u: j for j, u in enumerate(mi.job_ids)}
-    rows = np.arange(len(scores))
-    available = np.ones(scores.shape, dtype=bool)
-    totals = np.zeros(len(scores))
+    runs = scores.shape[1]
+    width = max(map(len, mi.neighbors.values()), default=0)
+    rows_buf, block_buf = np.empty(width * runs), np.empty(width * runs)
+    every = np.arange(runs)
+    pick = np.empty(runs, dtype=np.intp)
+    totals = np.zeros(runs)
     pairs = []
     for t in mi.steps:
-        cols = np.array([index[u] for u in mi.neighbors[t]], dtype=np.intp)
-        masked = np.where(available[:, cols], scores[:, cols], -1.0)
+        rows = np.array([index[u] for u in mi.neighbors[t]], dtype=np.intp)
+        size = len(rows) * runs
+        # "clip" writes straight into the buffer ("raise" stages a copy);
+        # every row index is in range
+        gathered = np.take(scores, rows, axis=0, mode="clip",
+                           out=rows_buf[:size].reshape(len(rows), runs))
+        flat = block_buf[:size]
+        block = flat.reshape(runs, len(rows))
+        np.copyto(block, gathered.T)
+        first = every * len(rows)
         for i in range(mi.k):
-            pick = masked.argmax(axis=1)
-            got = masked[rows, pick] > -0.5
-            hit_rows = rows[got]
-            hit_cols = cols[pick[got]]
-            masked[hit_rows, pick[got]] = -1.0
-            available[hit_rows, hit_cols] = False
-            totals[hit_rows] += w[hit_cols]
-            if got[:1].any():  # row 0 matched this vertex
-                pairs.append((mi.job_ids[hit_cols[0]], (t, i)))
+            block.argmax(axis=1, out=pick)
+            cells = first + pick
+            best = flat[cells]
+            jobs = rows[pick]
+            flat[cells] = -1.0
+            scores[jobs, every] = -1.0
+            # a run with no unmatched neighbor left re-marks a -1 cell, adds 0
+            totals += np.where(best >= 0.0, w[jobs], 0.0)
+            if runs and best[0] >= 0.0:
+                pairs.append((mi.job_ids[jobs[0]], (t, i)))
     return totals, pairs
 
 
 def _matching(mi: MatchingInstance, scores: np.ndarray) -> Matching:
-    """One kernel row; the exact weight is summed from the pairs."""
-    _, pairs = _greedy(mi, scores[np.newaxis], scores)
+    """One kernel run on a one-column copy of ``scores``; the exact weight
+    is summed from the pairs."""
+    _, pairs = _greedy(mi, scores[:, np.newaxis].copy(), scores)
     weight = sum((mi.weights[u] for u, _ in pairs), Fraction(0))
     return Matching(pairs=pairs, weight=weight)
 
@@ -197,7 +243,7 @@ def perturbed_greedy(mi: MatchingInstance, seed: int) -> Matching:
     toward the smaller perturbation, since the score is strictly decreasing
     in x.  The same seed always yields the same matching.
     """
-    return _matching(mi, _float_weights(mi) * _perturbation(mi, seed))
+    return _matching(mi, _perturbed_scores(_float_weights(mi), [seed])[:, 0])
 
 
 def greedy_baseline(mi: MatchingInstance) -> Matching:
@@ -209,14 +255,11 @@ def batched_greedy_weights(mi: MatchingInstance,
                            seeds: Sequence[int]) -> np.ndarray:
     """Matched weight of :func:`perturbed_greedy` for every seed at once.
 
-    One score row per seed, run through the same kernel as the single
-    matcher, so each row equals that seed's run exactly.
+    One score column per seed, run through the same kernel as the single
+    matcher, so each column equals that seed's run exactly.
     """
     w = _float_weights(mi)
-    scores = np.empty((len(seeds), len(w)))
-    for row, seed in enumerate(seeds):
-        scores[row] = w * _perturbation(mi, seed)
-    totals, _ = _greedy(mi, scores, w)
+    totals, _ = _greedy(mi, _perturbed_scores(w, seeds), w)
     return totals
 
 
@@ -265,11 +308,18 @@ def estimate_ratio(instance: Instance, trials: int = 2000,
     offline optimum.
 
     Trials use seeds derived deterministically from ``seed``, so the whole
-    estimate is reproducible.
+    estimate is reproducible.  A score table (jobs x trials, plus a row of
+    totals) that numpy will not allocate is refused before any seed is drawn.
     """
     if trials < 1:
         raise ContractViolation("need trials >= 1")
     mi = reduce_to_matching(instance)
+    try:
+        np.empty((len(mi.job_ids) + 1, trials))
+    except (ValueError, MemoryError) as exc:
+        raise ContractViolation(
+            f"{trials} trials of {len(mi.job_ids)} jobs do not fit in memory "
+            "as a float64 score table") from exc
     totals = batched_greedy_weights(mi, trial_seeds(seed, trials))
     opt_weight, _ = offline_throughput_opt(instance)
     opt = float(opt_weight)

@@ -436,6 +436,22 @@ class TestBench:
         assert code == 1
         assert "timeout" in out
 
+    def test_score_table_too_large_to_allocate_is_usage_error(self, capsys,
+                                                              tmp_path):
+        # 20 jobs x 1e18 trials of float64 pass the address space, so numpy
+        # refuses the table before allocating it and no seed is drawn.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"cells": [
+            {"kind": "matching-ratio", "jobs": 20, "horizon": 8, "k": 2,
+             "trials": 10**18},
+        ]}))
+        code, out, err = run_cli(capsys, "bench", "--spec", str(spec))
+        assert code == 2
+        assert out == ""
+        assert ("error: 1000000000000000000 trials of 20 jobs do not fit in "
+                "memory as a float64 score table") in err
+        assert "Traceback" not in err
+
     def test_unknown_cell_kind(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"cells": [{"kind": "mystery"}]}))

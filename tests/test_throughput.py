@@ -15,7 +15,10 @@ from schedlab.core import ContractViolation, Instance, Job
 from schedlab.generators import throughput_instance, upper_triangular_instance
 from schedlab.oracle import offline_throughput_opt
 from schedlab.throughput import (
+    _DRAW_CHUNK,
     Matching,
+    _float_weights,
+    _perturbed_scores,
     batched_greedy_weights,
     check_matching,
     edf_throughput_unweighted,
@@ -288,6 +291,19 @@ def reference_scores(mi, seed):
     return dict(zip(mi.job_ids, (w * (1.0 - np.exp(x - 1.0))).tolist()))
 
 
+@pytest.mark.parametrize("jobs", [0, 1, 7, 400])
+def test_draws_equal_reference_loop_bit_for_bit(jobs):
+    mi = reduce_to_matching(throughput_instance(jobs, 9, k=2, seed=jobs))
+    # two full draw chunks, then a third that holds the edge seeds
+    seeds = trial_seeds(1, 2 * _DRAW_CHUNK) + [0, 1, -5, 2**63 - 1, 2**64 + 5,
+                                               2**200]
+    table = _perturbed_scores(_float_weights(mi), seeds)
+    assert table.shape == (jobs, len(seeds))
+    for column, seed in zip(table.T, seeds):
+        expected = np.array(list(reference_scores(mi, seed).values()))
+        assert column.tobytes() == expected.tobytes()
+
+
 def reference_greedy_pairs(mi, score_of):
     """The Python greedy loop the matcher ran before its numpy kernel."""
     available = set(mi.job_ids)
@@ -310,7 +326,7 @@ WEIGHTS = [0, 1, 3, Fraction(1, 3), Fraction(2, 3), Fraction(5, 7),
 
 @given(st.lists(st.tuples(st.integers(0, 6), st.integers(1, 4),
                           st.sampled_from(WEIGHTS)), max_size=24),
-       st.integers(1, 4), st.integers(0, 2**63 - 1))
+       st.integers(1, 4), st.integers(-2**72, 2**72))
 def test_one_matcher_equals_reference_loop(spec, k, seed):
     mi = reduce_to_matching(tp(*[(r, r + span, w) for r, span, w in spec], k=k))
     seeds = [seed, seed ^ 1, 7]
@@ -371,3 +387,22 @@ MATCHER_DIGESTS = {
 
 def test_matcher_outputs_match_pinned_digests():
     assert matcher_digests(matcher_corpus()) == MATCHER_DIGESTS
+
+
+# sha256 of batched_greedy_weights(reduce_to_matching(throughput_instance(
+# 400, 100, 4, seed=s)), trial_seeds(s, 2000)).tobytes(): the benchmark's
+# size, whose 2000 trials span several draw chunks.  Recorded from the
+# row-major kernel with one rng.random() call per job and trial.
+WORKLOAD_TOTALS_DIGESTS = {
+    0: "d52cee08eda36efae65b9bea0fa17664313e1501e68963e802fe86a206234d12",
+    1: "626039f369333de0453fcae0eca5205cb42d3a78d0521920b856109b1249fe2c",
+    2: "49630c981f51c98e715d8ff41ecc8dd9b353f801e847c9924d5f6fcff0ff823a",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(WORKLOAD_TOTALS_DIGESTS))
+def test_workload_size_totals_match_pinned_digests(seed):
+    mi = reduce_to_matching(throughput_instance(400, 100, 4, seed=seed))
+    totals = batched_greedy_weights(mi, trial_seeds(seed, 2000))
+    assert hashlib.sha256(totals.tobytes()).hexdigest() == \
+        WORKLOAD_TOTALS_DIGESTS[seed]
