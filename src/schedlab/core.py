@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
+from itertools import count, groupby
+from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -288,53 +289,87 @@ def _is_integral(x: Rational) -> bool:
     return isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1)
 
 
+def time_grid(*columns: Sequence[Rational]) -> tuple[int, list[Sequence[int]]]:
+    """The common denominator ``L`` of every value in ``columns``, and each
+    column as the integer numerators ``x * L``.
+
+    Sums and comparisons of the numerators are those of the values, exact at
+    any size.  The values are ints or other rationals (``Fraction``); a
+    column of ints is only multiplied by ``L``, and comes back as it is when
+    every value is an int.
+    """
+    whole = [set(map(type, col)) <= {int} for col in columns]
+    dens = {x.denominator for col, ints in zip(columns, whole) if not ints
+            for x in col}
+    scale = lcm(*dens)
+    factor = {q: scale // q for q in dens}
+    return scale, [
+        (col if scale == 1 else [x * scale for x in col]) if ints
+        else [x.numerator * factor[x.denominator] for x in col]
+        for col, ints in zip(columns, whole)]
+
+
 def validate_instance(instance: Instance) -> list[Violation]:
-    """Check all model invariants; returns an empty list when valid."""
+    """Check all model invariants; returns an empty list when valid.
+
+    Times are compared as integer numerators over their common denominator
+    (:func:`time_grid`); on an all-integer instance those are the times.
+    """
     v: list[Violation] = []
     if instance.model not in MODELS:
         v.append(Violation(None, "BadModel", f"unknown model {instance.model!r}"))
         return v
 
+    jobs = instance.jobs
+    if isinstance(jobs, UnitJobs):
+        ids, rs, ds = jobs.ids.tolist(), jobs.r.tolist(), jobs.d.tolist()
+        ps = ws = [1] * len(ids)
+        scale, (r_at, d_at, p_at) = 1, (rs, ds, ps)
+    else:
+        ids, rs, ds, ps, ws = zip(*jobs) if jobs else ((),) * 5
+        scale, (r_at, d_at, p_at) = time_grid(rs, ds, ps)
     seen: set[int] = set()
     prev_key = None
-    for j in instance.jobs:
-        if j.id < 0:
-            v.append(Violation(j.id, "BadId", "ids must be non-negative"))
-        if j.id in seen:
-            v.append(Violation(j.id, "DuplicateId", "job id reused"))
-        seen.add(j.id)
-        key = (j.r, j.id)
+    for i, jid, r, d, p, w in zip(count(), ids, r_at, d_at, p_at, ws):
+        if jid < 0:
+            v.append(Violation(jid, "BadId", "ids must be non-negative"))
+        if jid in seen:
+            v.append(Violation(jid, "DuplicateId", "job id reused"))
+        seen.add(jid)
+        key = (r, jid)
         if prev_key is not None and key < prev_key:
-            v.append(Violation(j.id, "UnsortedJobs",
+            v.append(Violation(jid, "UnsortedJobs",
                                "jobs must be sorted by (release, id)"))
         prev_key = key
-        if j.r < 0:
-            v.append(Violation(j.id, "NegativeRelease", f"r={j.r}"))
-        if j.p <= 0:
-            v.append(Violation(j.id, "NonPositiveLength", f"p={j.p}"))
-        if j.w < 0:
-            v.append(Violation(j.id, "NegativeWeight", f"w={j.w}"))
-        if j.r + j.p > j.d:
-            v.append(Violation(j.id, "WindowTooSmall",
-                               f"r+p={j.r + j.p} exceeds d={j.d}"))
+        if r < 0:
+            v.append(Violation(jid, "NegativeRelease", f"r={rs[i]}"))
+        if p <= 0:
+            v.append(Violation(jid, "NonPositiveLength", f"p={ps[i]}"))
+        if w < 0:
+            v.append(Violation(jid, "NegativeWeight", f"w={w}"))
+        if r + p > d:
+            v.append(Violation(jid, "WindowTooSmall",
+                               f"r+p={rs[i] + ps[i]} exceeds d={ds[i]}"))
 
-    if instance.model in ("unit-min", "throughput"):
-        for j in instance.jobs:
-            if j.p != 1:
-                v.append(Violation(j.id, "NonUnitLength", f"p={j.p}"))
-            if not (_is_integral(j.r) and _is_integral(j.d)):
-                v.append(Violation(j.id, "NonIntegerTime",
-                                   f"r={j.r}, d={j.d} must be integers"))
+    # unit columns hold unit-length jobs at integer times by construction
+    if (instance.model in ("unit-min", "throughput")
+            and not isinstance(jobs, UnitJobs)):
+        for jid, p_scaled, p, r, d in zip(ids, p_at, ps, rs, ds):
+            if p_scaled != scale:
+                v.append(Violation(jid, "NonUnitLength", f"p={p}"))
+            if not (_is_integral(r) and _is_integral(d)):
+                v.append(Violation(jid, "NonIntegerTime",
+                                   f"r={r}, d={d} must be integers"))
 
-    if instance.model == "unit-min" and instance.jobs and instance.horizon is not None:
-        max_d = max(j.d for j in instance.jobs)
+    if instance.model == "unit-min" and jobs and instance.horizon is not None:
+        max_d = max(ds)
         if instance.horizon != max_d:
             v.append(Violation(None, "HorizonMismatch",
                                f"horizon={instance.horizon}, max deadline={max_d}"))
 
-    if instance.model == "equal-deadline" and instance.jobs:
-        d0 = instance.jobs[0].d
-        if any(j.d != d0 for j in instance.jobs):
+    if instance.model == "equal-deadline" and jobs:
+        d0 = ds[0]
+        if d_at.count(d_at[0]) != len(jobs):
             v.append(Violation(None, "UnequalDeadlines",
                                "all deadlines must coincide"))
         if not _is_integral(d0) or int(d0) < 1 or (int(d0) + 1) & int(d0) != 0:
@@ -428,7 +463,9 @@ def audit_schedule(schedule: Schedule, instance: Instance) -> list[str]:
 # floats are never written.
 
 def _num_out(x: Rational):
-    f = Fraction(x)
+    if type(x) is int:
+        return x
+    f = x if type(x) is Fraction else Fraction(x)
     if f.denominator == 1:
         return int(f)
     # A finite decimal needs as many digits as the larger power of 2 or 5

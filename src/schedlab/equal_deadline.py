@@ -8,8 +8,14 @@ the next phase boundary, where they are stacked greedily onto a pool of
 short machines.  Closed machines are reopened lowest id first, so the cost
 that matters is the peak number concurrently open.
 
-All times are exact rationals; phase boundaries and the quarter-phase
-threshold are dyadic, so no rounding ever occurs in a placement decision.
+Times are exact.  The runner carries every time as a Python ``int`` over
+the instance's common denominator ``L``, the lcm of the ``r`` and ``p``
+denominators (:func:`~schedlab.core.time_grid`): ``x`` is held as ``x * L``.
+Phase boundaries are integers, so they scale too, and the quarter-phase and
+midpoint tests compare ``4x`` and ``2x`` against the scaled phase length.
+Every placement decision is one integer comparison, however large ``L``
+is.  ``Fraction`` appears only at the edges: the transcript's schedule
+starts and ``lengths``, and the end times its JSON form writes.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import ContractViolation, Instance, Job, Schedule, _num_out, require_valid
+from .core import (ContractViolation, Instance, Schedule, _num_out,
+                   require_valid, time_grid)
 from .oracle import volume_lower_bound
 
 
@@ -46,14 +53,17 @@ def phase_split(kappa: int) -> list[Phase]:
 
 
 def classify(p, length) -> str:
-    """Short iff the length fits in a quarter of the phase (inclusive)."""
-    return "short" if 4 * Fraction(p) <= length else "long"
+    """Short iff the length fits in a quarter of the phase (inclusive).
+
+    The test is the same on times scaled by any common factor.
+    """
+    return "short" if 4 * p <= length else "long"
 
 
-@dataclass
+@dataclass(slots=True)
 class _Machine:
     id: int
-    busy_until: Fraction
+    busy_until: int
 
 
 @dataclass
@@ -140,7 +150,10 @@ class EqualDeadlineTranscript:
 class _Runner:
     """Open machines and the short pool in id order; the rest are long.
 
-    Pools change only when a machine opens or at a phase start.
+    Times are ints over the instance's common denominator ``L``: a job's
+    length and floor, each machine's ``busy_until``, and the start, end and
+    length of the :class:`Phase` passed to each call.  Pools change only
+    when a machine opens or at a phase start.
     """
 
     def __init__(self):
@@ -148,7 +161,7 @@ class _Runner:
         self.short: list[_Machine] = []
         self.closed: set[int] = set()
         self.next_fresh = 0
-        self.assignments: list[tuple[int, int, Fraction]] = []
+        self.assignments: list[tuple[int, int, int]] = []
         self.peak = 0
         self.half_busy_ok = True
 
@@ -156,20 +169,20 @@ class _Runner:
         report.m_short = max(report.m_short, len(self.short))
         report.m_long = max(report.m_long, len(self.open) - len(self.short))
 
-    def acquire(self, pool: str, job: Job, start: Fraction) -> None:
-        """Open a machine for ``job`` from ``start``, reusing the lowest
-        closed id before a fresh one."""
+    def acquire(self, pool: str, job_id: int, p: int, start: int) -> None:
+        """Open a machine for a job of length ``p`` from ``start``, reusing
+        the lowest closed id before a fresh one."""
         if self.closed:
             mid = min(self.closed)
             self.closed.remove(mid)
         else:
             mid = self.next_fresh
             self.next_fresh += 1
-        machine = _Machine(mid, start + Fraction(job.p))
+        machine = _Machine(mid, start + p)
         self.open[mid] = machine
         if pool == "short":
             insort(self.short, machine, key=lambda m: m.id)
-        self.assignments.append((job.id, mid, start))
+        self.assignments.append((job_id, mid, start))
         self.peak = max(self.peak, len(self.open))
 
     def start_phase(self, phase: Phase) -> int:
@@ -182,36 +195,36 @@ class _Runner:
         for mid in gone:
             del self.open[mid]
         self.closed.update(gone)
-        quarter = Fraction(phase.length, 4)
         self.short = [m for _, m in sorted(self.open.items())
-                      if m.busy_until - phase.start < quarter]
+                      if 4 * (m.busy_until - phase.start) < phase.length]
         return len(gone)
 
-    def place_short(self, job: Job, phase: Phase, earliest) -> bool:
+    def place_short(self, job_id: int, p: int, phase: Phase, floor: int) -> bool:
         """Stack onto the lowest-id short machine that still finishes in time.
 
-        ``earliest`` is the job's own floor for its start: the phase start
-        for postponed work, the release time for final-phase work.  When
-        nothing fits, a machine is opened; at that moment every other short
-        machine must already be booked past the phase midpoint, the packing
-        fact that keeps the pool near the volume bound.  Returns whether a
+        ``floor`` is the job's own earliest start: the phase start for
+        postponed work, the release time for final-phase work.  When nothing
+        fits, a machine is opened; at that moment every other short machine
+        must already be booked past the phase midpoint, the packing fact
+        that keeps the pool near the volume bound.  Returns whether a
         machine was opened.
         """
-        p = Fraction(job.p)
-        floor = Fraction(earliest)
+        end = phase.end
         for machine in self.short:
-            start = max(machine.busy_until, floor)
-            if start + p <= phase.end:
+            start = machine.busy_until
+            if start < floor:
+                start = floor
+            if start + p <= end:
                 machine.busy_until = start + p
-                self.assignments.append((job.id, machine.id, start))
+                self.assignments.append((job_id, machine.id, start))
                 return False
-        midpoint = phase.end - Fraction(phase.length, 2)
-        if any(machine.busy_until < midpoint for machine in self.short):
+        midpoint2 = 2 * end - phase.length
+        if any(2 * machine.busy_until < midpoint2 for machine in self.short):
             self.half_busy_ok = False
-        if floor + p > phase.end:
-            raise ContractViolation(
-                f"job {job.id} cannot finish by {phase.end} even alone")
-        self.acquire("short", job, floor)
+        if floor + p > end:
+            raise ContractViolation(f"job {job_id} cannot finish by the end "
+                                    f"of phase {phase.index} even alone")
+        self.acquire("short", job_id, p, floor)
         return True
 
 
@@ -230,48 +243,54 @@ def run_equal_deadline(instance: Instance) -> EqualDeadlineTranscript:
         return EqualDeadlineTranscript(
             kappa=0, d=0, lb=0, schedule=Schedule(), job_class={}, lengths={},
             phases=[], peak_concurrent=0, machines_used=0, half_busy_ok=True)
-    d = instance.common_deadline
+    d = int(instance.common_deadline)
     lb = volume_lower_bound(instance.jobs, d)
     kappa = d.bit_length()
     phases = phase_split(kappa)
-    runner = _Runner()
     reports = [PhaseReport(ph.index, ph.start, ph.end, ph.length) for ph in phases]
+    ids, rs, _, ps, _ = zip(*instance.jobs)
+    scale, (rel, size) = time_grid(rs, ps)
+    scaled = [Phase(ph.index, ph.start * scale, ph.end * scale, ph.length * scale)
+              for ph in phases]
+    runner = _Runner()
     job_class: dict[int, str] = {}
-    lengths = {job.id: Fraction(job.p) for job in instance.jobs}
 
-    jobs = list(instance.jobs)
+    n = len(ids)
     pos = 0
-    postponed: list[Job] = []
-    for ph, report in zip(phases, reports):
+    postponed: list[int] = []
+    for ph, report in zip(scaled, reports):
         if ph.index > 1:
             report.closed_at_start = runner.start_phase(ph)
-            carried = sorted(postponed, key=lambda j: (-Fraction(j.p), j.id))
+            postponed.sort(key=lambda i: (-size[i], ids[i]))
+            for i in postponed:
+                report.opened += runner.place_short(ids[i], size[i], ph, ph.start)
             postponed = []
-            for job in carried:
-                report.opened += runner.place_short(job, ph, ph.start)
         runner.record_pools(report)
-        while pos < len(jobs) and Fraction(jobs[pos].r) < ph.end:
-            job = jobs[pos]
+        while pos < n and rel[pos] < ph.end:
+            i = pos
             pos += 1
-            cls = classify(job.p, ph.length)
-            job_class[job.id] = cls
+            cls = job_class[ids[i]] = classify(size[i], ph.length)
             if cls == "long":
                 report.released_long += 1
-                runner.acquire("long", job, Fraction(job.r))
+                runner.acquire("long", ids[i], size[i], rel[i])
                 report.opened += 1
-            elif ph.index < kappa:
-                report.released_short += 1
-                postponed.append(job)
             else:
                 report.released_short += 1
-                report.opened += runner.place_short(job, ph, job.r)
+                if ph.index < kappa:
+                    postponed.append(i)
+                else:
+                    report.opened += runner.place_short(ids[i], size[i], ph, rel[i])
             runner.record_pools(report)
 
-    schedule = Schedule(assignments=sorted(runner.assignments,
-                                           key=lambda a: (a[2], a[1])))
+    end = d * scale
+    length_at = dict(zip(ids, size))
+    runner.assignments.sort(key=lambda a: (a[2], a[1]))
+    schedule = Schedule(assignments=[(j, m, Fraction(s, scale))
+                                     for j, m, s in runner.assignments])
     schedule.misses = sorted(j for j, m, s in runner.assignments
-                             if s + lengths[j] > d)
+                             if s + length_at[j] > end)
     return EqualDeadlineTranscript(
         kappa=kappa, d=d, lb=lb, schedule=schedule, job_class=job_class,
-        lengths=lengths, phases=reports, peak_concurrent=runner.peak,
-        machines_used=runner.next_fresh, half_busy_ok=runner.half_busy_ok)
+        lengths={j: Fraction(p) for j, p in zip(ids, ps)}, phases=reports,
+        peak_concurrent=runner.peak, machines_used=runner.next_fresh,
+        half_busy_ok=runner.half_busy_ok)

@@ -39,34 +39,32 @@ def random_unit_instance(jobs: int, horizon: int, seed: int = 0) -> Instance:
     return Instance.of("unit-min", out, horizon=realized)
 
 
-def _dyadic(rng: random.Random, lo: Fraction, hi: Fraction,
-            max_denom_bits: int = 4) -> Fraction:
-    """Uniform-ish dyadic rational in (lo, hi]."""
-    bits = rng.randint(0, max_denom_bits)
-    scale = 1 << bits
-    lo_n = int(lo * scale) + 1
-    hi_n = int(hi * scale)
-    if hi_n < lo_n:
-        return Fraction(hi)
-    return Fraction(rng.randint(lo_n, hi_n), scale)
-
-
 def equal_deadline_instance(kappa: int, jobs: int, seed: int = 0) -> Instance:
-    """Random dyadic releases and sizes against the deadline 2^kappa - 1."""
+    """Random dyadic releases and sizes against the deadline 2^kappa - 1.
+
+    A release is a multiple of ``2^-b`` in ``(0, d]`` (``b`` drawn from 0-3)
+    less 1/8, clamped at 0; a size is a multiple of ``2^-b`` in
+    ``(0, d - r]`` (``b`` from 0-4), or all of ``d - r`` when no multiple
+    fits.  Releases are drawn as integer eighths and sorted on them; ``r`` is
+    an ``int`` when integral and ``p`` is always a ``Fraction``.
+    """
     if kappa < 1 or jobs < 0:
         raise ContractViolation("need kappa >= 1 and jobs >= 0")
-    rng = random.Random(seed)
+    randint = random.Random(seed).randint
     d = (1 << kappa) - 1
-    out = []
+    drawn = []
     for i in range(jobs):
-        r = _dyadic(rng, Fraction(0), Fraction(d), 3) - Fraction(1, 8)
-        if r < 0:
-            r = Fraction(0)
-        p = _dyadic(rng, Fraction(0), d - r)
-        if r.denominator == 1:
-            r = int(r)
-        out.append(Job(i, r, d, p=p))
-    return Instance.of("equal-deadline", out)
+        bits = randint(0, 3)
+        r8 = max((randint(1, d << bits) << (3 - bits)) - 1, 0)
+        room8 = 8 * d - r8
+        bits = randint(0, 4)
+        hi = (room8 << bits) >> 3
+        p = Fraction(randint(1, hi), 1 << bits) if hi else Fraction(room8, 8)
+        drawn.append((r8, i, p))
+    drawn.sort()
+    return Instance("equal-deadline", tuple(
+        Job(i, r8 >> 3 if r8 & 7 == 0 else Fraction(r8, 8), d, p)
+        for r8, i, p in drawn))
 
 
 def throughput_instance(jobs: int, horizon: int, k: int = 1, w_max: int = 10,

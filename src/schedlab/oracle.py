@@ -39,7 +39,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import (INT64_MAX, ContractViolation, Instance, Job, MachineProfile,
-                   Schedule, UnitJobs, require_valid, unit_columns)
+                   Schedule, UnitJobs, require_valid, time_grid, unit_columns)
 
 # Slots per column when the hull table is made; it doubles as columns need.
 _HULL_CAPACITY = 8
@@ -431,19 +431,22 @@ def volume_lower_bound(jobs: Sequence[Job], d) -> int:
     schedule needs at least ``ceil(volume / (d - r))`` machines; take the
     worst release point (Horn's window condition).  Valid for arbitrary
     (rational) job lengths.  One suffix sum over the distinct releases,
-    latest first, in exact arithmetic: O(n log n).
+    latest first, on integer numerators over the common denominator
+    (:func:`~schedlab.core.time_grid`), so each ratio is one integer
+    division: O(n log n).
     """
     if not jobs:
         return 0
+    _, (rel, size, (end,)) = time_grid([j.r for j in jobs],
+                                       [j.p for j in jobs], [d])
     volume_at = {0: 0}
-    for j in jobs:
-        volume_at[j.r] = volume_at.get(j.r, 0) + j.p
-    best, vol, d = 1, 0, Fraction(d)
+    for r, p in zip(rel, size):
+        volume_at[r] = volume_at.get(r, 0) + p
+    best, vol = 1, 0
     for r in sorted(volume_at, reverse=True):
         vol += volume_at[r]
         if vol:
-            q = Fraction(vol) / (d - Fraction(r))
-            best = max(best, -(-q.numerator // q.denominator))
+            best = max(best, -(-vol // (end - r)))
     return best
 
 

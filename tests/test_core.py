@@ -4,10 +4,12 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference_equal_deadline import reference_validate_instance
 from schedlab.core import (
+    MODELS,
     ContractViolation,
     Instance,
     Job,
@@ -25,6 +27,7 @@ from schedlab.core import (
     read_instance,
     require_valid,
     schedule_cost,
+    time_grid,
     unit_columns,
     validate_instance,
     write_instance,
@@ -93,6 +96,52 @@ class TestUnitJobs:
             unit_columns([Job(2**63, 0, 4)])
 
 
+_times = st.one_of(st.integers(-3, 12),
+                   st.fractions(-2, 12, max_denominator=12),
+                   st.sampled_from([Fraction(7), Fraction(1, 3), Fraction(22, 7)]))
+
+
+@st.composite
+def broken_instances(draw):
+    """Instances of every model, valid or not: duplicate and negative ids,
+    unsorted rows, negative or empty windows, non-unit or non-positive
+    lengths, negative weights, stray deadlines, bad horizons and ``k``, and
+    unit columns with the same faults."""
+    model = draw(st.sampled_from(MODELS + ("nonsense",)))
+    horizon = draw(st.one_of(st.none(), st.integers(0, 12)))
+    k = draw(st.one_of(st.none(), st.integers(-1, 3)))
+    if draw(st.integers(0, 3)) == 0:
+        rows = draw(st.lists(st.tuples(st.integers(-2, 9), st.integers(-3, 12),
+                                       st.integers(-3, 12)), max_size=8))
+        jobs = UnitJobs(*zip(*rows)) if rows else UnitJobs([], [], [])
+        return Instance(model, jobs, k=k, horizon=horizon)
+    d = draw(_times)
+    rows = draw(st.lists(st.builds(
+        Job, id=st.integers(-2, 9), r=_times,
+        d=st.one_of(st.just(d), _times),
+        p=st.one_of(st.just(1), _times),
+        w=st.one_of(st.just(1), st.integers(-2, 4),
+                    st.fractions(-1, 4, max_denominator=6))), max_size=8))
+    if draw(st.booleans()):
+        rows.sort(key=lambda j: (j.r, j.id))
+    return Instance(model, tuple(rows), k=k, horizon=horizon)
+
+
+class TestTimeGrid:
+    def test_integer_columns_come_back_as_they_are(self):
+        col = (3, 0, 7)
+        scale, (out,) = time_grid(col)
+        assert scale == 1 and out is col
+
+    def test_common_denominator_of_all_columns(self):
+        scale, cols = time_grid([Fraction(1, 3), 2], [Fraction(22, 7)], [7])
+        assert scale == 21
+        assert cols == [[7, 42], [66], [147]]
+
+    def test_integral_fractions_keep_the_grid_at_one(self):
+        assert time_grid([Fraction(7), 3], [Fraction(4, 2)]) == (1, [[7, 3], [2]])
+
+
 class TestValidation:
     def test_window_too_small(self):
         inst = Instance.of("unit-min", [Job(0, 3, 3)], horizon=3)
@@ -155,6 +204,16 @@ class TestValidation:
         inst = Instance.of("unit-min", [Job(0, 0, 1)], horizon=1)
         inst = Instance(model="nonsense", jobs=inst.jobs, k=None, horizon=None)
         assert rules(inst) == ["BadModel"]
+
+    @settings(max_examples=200)
+    @given(broken_instances())
+    @example(Instance("equal-deadline", (Job(0, 0, Fraction(7), p=1),
+                                         Job(1, Fraction(1, 3), 7, p=Fraction(20, 3)),
+                                         Job(2, Fraction(1, 3), 7, p=Fraction(22, 7)))))
+    @example(Instance("unit-min", UnitJobs([2, 2, 0], [3, -1, 0], [3, 0, 9]),
+                      horizon=4))
+    def test_matches_row_reference(self, inst):
+        assert validate_instance(inst) == reference_validate_instance(inst)
 
     def test_require_valid_raises_with_rule_names(self):
         inst = Instance.of("unit-min", [Job(0, 3, 3)], horizon=3)
@@ -299,6 +358,12 @@ class TestJson:
         assert read_instance(write_instance(inst)) == inst
         assert write_instance(read_instance(write_instance(inst))) == write_instance(inst)
 
+    def test_ints_are_written_as_they_are(self):
+        big = 10**30 + 1
+        assert _num_out(big) is big
+        assert _num_out(True) == 1 and type(_num_out(True)) is int
+        assert _num_out(Fraction(6, 2)) == 3 and type(_num_out(Fraction(6, 2))) is int
+
     @given(st.fractions())
     def test_number_encoding_round_trips(self, value):
         out = _num_out(value)
@@ -325,7 +390,7 @@ class TestJson:
     def test_generated_instances_validate(self, kind):
         for seed in range(5):
             inst = sample(kind, seed)
-            assert validate_instance(inst) == []
+            assert validate_instance(inst) == reference_validate_instance(inst) == []
 
     def test_thousand_instance_round_trip(self):
         count = 0

@@ -4,8 +4,14 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from schedlab.core import ContractViolation, Instance, Job
+from reference_equal_deadline import (
+    reference_equal_deadline_instance,
+    reference_run_equal_deadline,
+)
+from schedlab.core import ContractViolation, Instance, Job, write_instance
 from schedlab.equal_deadline import (
     classify,
     phase_bounds,
@@ -53,6 +59,50 @@ GOLDEN_TRANSCRIPTS = {
     (10, 40, 1): "d37b1367dd5844f8c6ac2b83f72434db2f67fb4d7925a2752f0bf5b68211cfd4",
     (10, 40, 2): "a99226df27aa35f568aa285cac472e901215dcceb195235abdaa687e31da738f",
     (9, 1000, 0): "c55814894fdac2de950022ff149e2b55350729ced715b845968073a72ad0e0c0",
+}
+
+
+#: sha256 of ``write_instance(equal_deadline_instance(kappa, jobs, seed))``,
+#: keyed by ``(kappa, jobs, seed)``, recorded from the ``Fraction`` generator
+#: (``reference_equal_deadline_instance``).
+GOLDEN_INSTANCES = {
+    (1, 40, 0): "4e552e7124534879cf42264c2fbacb95350abdf64a888b08c4f72cc3873a357d",
+    (1, 40, 1): "a1f7a2ded4ff6e838b7f76568b6bcf4b41d10b6ea603f42e738d6d7d5ac6000f",
+    (1, 40, 2): "296354a10d4e901945f2ff109ee449847479d431e2eb9097a7754edf0bbfb4c0",
+    (2, 40, 0): "d0bae8a0cdcac57316953f1d17fbf5ebcda015ea9a045b7f0e9feb54ef6120af",
+    (2, 40, 1): "00f12eb1364bf7ca3f8e8812bc50cb9b61b5b083d50af53989c1eb86dfa9d558",
+    (2, 40, 2): "0d1701d808b51d4faac739246a59878bb3f76dc2982b73439591d9adf17bbeda",
+    (3, 40, 0): "687c57d47328e77baa47153c17ddfc2081ec37b294ea71fde70b94b6f09a128b",
+    (3, 40, 1): "1c200a39dc6f9b6d44ee9a712a19df398a4d3000765ac33d9ea8a81a76c56bab",
+    (3, 40, 2): "0a3a7df2c9d019e2256e3954e2f257e85bbb60e2e9eb1d2b6776827477780df2",
+    (4, 40, 0): "9bba7ff84d23e14b34e951216daa2dbeb607dcea6ece09e0a812de8440fd1635",
+    (4, 40, 1): "f7d38fb4c9c89bdcb2297b25fe7948e175a73093416b67b4f26fcc9c1307eec6",
+    (4, 40, 2): "548dcf28fcc2392fab0e0b49390233161d670f7ec84a5e87708b8452bcf790d2",
+    (5, 40, 0): "95ff8830277b7fce249fce77c9d737010faa81591d7e3eb658c2b00fad0c2556",
+    (5, 40, 1): "2d9ed55dbdd465322094c71885ae1b33882648d3fef0a703357cfbb9956f9343",
+    (5, 40, 2): "128df8f5b070aec104727e23975c5d8ec16811ea4dbb8b3f6a91ab725fe8b300",
+    (6, 40, 0): "aac175c3fbf092aec46b687b655ff16041c0cf26ac3c58afe464ee588163495c",
+    (6, 40, 1): "d8c634375f0c960957a5b3ba53e84ca0defda4fef8d9eb256834719e169bc122",
+    (6, 40, 2): "0bd4a51d7c3bf91100e974427c0e0c2d2e5c05c764f9623fa2254ef78d4ae436",
+    (7, 40, 0): "32fb28ec98db166f10662b1c1c699b309ef8de4b95fbb0e7b0fd0623c3814114",
+    (7, 40, 1): "7215c150b8fb07ba4946c565b772a620dc6dc31414388dfd6d86e9d3e8af4ca1",
+    (7, 40, 2): "42f54f7592c2db2af9daea3f4bab544959fad0795795ff6da58b9954d6c08b86",
+    (8, 40, 0): "b8d1dc2292a3e15d992c960788672bb852cdc806e97c9c428fcf3cf4d0bef12c",
+    (8, 40, 1): "fc5c8da88c4791bed6aabdb74605efe53b6e9fb1d39d2f997cc9a684966a2bed",
+    (8, 40, 2): "7a821e1eaa57ad1bb24f87b45a2afca3a41b1c1c94fd697e5bb17ccd733c6a3b",
+    (9, 40, 0): "f3557918230b5fc36dab159ac3d528196ea4f98559d2d75adc6cff55d1fbd970",
+    (9, 40, 1): "6c307b9fef97bc55aca8170a4ed49cf12234104a1e1fc5cfff8c2ab4aa4c2869",
+    (9, 40, 2): "752a4713789a549c523945343241d26b8be4f24e48eacc34dc85e712ef216386",
+    (10, 40, 0): "29e7b45a24fa63190c764729a6727a1fc0ab69909339a04f3c5883c1dfe81e9c",
+    (10, 40, 1): "6de71e54249c0b13bd99d79e429a5fea3e5bcc70aece8de11cf81d60212c7b9e",
+    (10, 40, 2): "4a4bed4d4ac1f988cfc31d596165b33d8fd3d2c813bcd39df3e4e12a667d680b",
+    (11, 40, 0): "6017b3e421611cc577aba07e4130b78addb45b6790a4fb8065642038f8f0a7f1",
+    (11, 40, 1): "3370f9d722dee5ee64cfd14af7c21322865ac1ef393f1d3ace5747d1878c4a2d",
+    (11, 40, 2): "cb27c3aace5365cbfee7e7bb5e0329b34f2749c6f4422208866d469199b59702",
+    (12, 40, 0): "8e9318b29256a2547b6c20eb8574bc3846f72954f9c880e6bfc416ee8a2cbe7c",
+    (12, 40, 1): "7b447e32acd95465a00bb5e17d85bafcc2292dcd5695bdc26da995853cc657fb",
+    (12, 40, 2): "e2a2ea2edd7ccfc49ac9e345f09f0990bffe56ba6a6adf077db495399e31367f",
+    (9, 1000, 0): "cabf569bc41d569a7d959f6a171f322c10d0158310b7f1173513c7e3e4663e81",
 }
 
 
@@ -255,3 +305,102 @@ def test_transcript_bytes_are_pinned(kappa, jobs, seed):
     doc = run_equal_deadline(equal_deadline_instance(kappa, jobs, seed)).to_jsonable()
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
     assert digest == GOLDEN_TRANSCRIPTS[kappa, jobs, seed]
+
+
+@pytest.mark.parametrize("kappa, jobs, seed", sorted(GOLDEN_INSTANCES))
+def test_instance_bytes_are_pinned(kappa, jobs, seed):
+    text = write_instance(equal_deadline_instance(kappa, jobs, seed))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == GOLDEN_INSTANCES[kappa, jobs, seed]
+
+
+def test_integral_fraction_deadline_runs():
+    inst = Instance.of("equal-deadline", [Job(0, 0, Fraction(7), p=1),
+                                          Job(1, 0, Fraction(7), p=3)])
+    tr = run_equal_deadline(inst)
+    assert tr.kappa == 3 and tr.d == 7 and type(tr.d) is int
+    assert tr.schedule.assignments == [(1, 0, 0), (0, 0, 4)]
+    assert json.dumps(tr.to_jsonable(), sort_keys=True) == json.dumps(
+        run_equal_deadline(ed_instance((0, 1, 7), (0, 3, 7))).to_jsonable(),
+        sort_keys=True)
+
+
+@given(st.integers(1, 12), st.integers(0, 60), st.integers(0, 2**32))
+@example(1, 40, 0)
+@example(12, 60, 5)
+def test_generator_matches_fraction_reference(kappa, jobs, seed):
+    """Same rows, field types included (``r`` an int when integral)."""
+    got = equal_deadline_instance(kappa, jobs, seed)
+    want = reference_equal_deadline_instance(kappa, jobs, seed)
+    assert repr(got) == repr(want)
+
+
+PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
+          67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127]
+
+
+def _exact(x: Fraction):
+    return int(x) if x.denominator == 1 else x
+
+
+@st.composite
+def rational_cases(draw):
+    """Equal-deadline instances whose times are not all dyadic.
+
+    ``thirds`` mixes lengths of 1/3 and 22/7 with dyadic and thirds times;
+    ``coprime`` gives every release and length its own prime denominator,
+    so the common denominator is the product of them all; ``boundary``
+    releases jobs on phase boundaries with lengths of exactly a quarter
+    phase.
+    """
+    kappa = draw(st.integers(1, 6))
+    d = (1 << kappa) - 1
+    shape = draw(st.sampled_from(["thirds", "coprime", "boundary"]))
+    jobs = []
+    for i in range(draw(st.integers(1, 14 if shape == "coprime" else 30))):
+        if shape == "coprime":
+            qr, qp = PRIMES[2 * i], PRIMES[2 * i + 1]
+        else:
+            qr, qp = (draw(st.sampled_from([1, 2, 3, 4, 7, 8]))
+                      for _ in range(2))
+        if shape == "boundary":
+            r = Fraction(draw(st.sampled_from(
+                [ph.start for ph in phase_split(kappa)])))
+        else:
+            r = Fraction(draw(st.integers(0, d * qr - 1)), qr)
+        room = d - r
+        fixed = [x for x in (Fraction(1, 3), Fraction(22, 7),
+                             Fraction(1 << max(kappa - 3, 0), 4)) if x <= room]
+        top = int(room * qp)
+        if fixed and draw(st.booleans()):
+            p = draw(st.sampled_from(fixed))
+        elif top >= 1:
+            p = Fraction(draw(st.integers(1, top)), qp)
+        else:
+            p = room
+        jobs.append(Job(i, _exact(r), d, p=p))
+    return Instance.of("equal-deadline", jobs)
+
+
+def _same_run(inst):
+    got, want = run_equal_deadline(inst), reference_run_equal_deadline(inst)
+    assert (json.dumps(got.to_jsonable(), sort_keys=True)
+            == json.dumps(want.to_jsonable(), sort_keys=True))
+    # repr shows the types: starts and lengths are Fractions, even integral
+    assert repr(got.schedule) == repr(want.schedule)
+    assert repr(got.lengths) == repr(want.lengths)
+    assert got.lb == want.lb and got.job_class == want.job_class
+
+
+@given(st.integers(1, 9), st.integers(0, 80), st.integers(0, 2**32))
+def test_runner_matches_fraction_reference_on_dyadic(kappa, jobs, seed):
+    _same_run(equal_deadline_instance(kappa, jobs, seed))
+
+
+@settings(max_examples=200)
+@given(rational_cases())
+@example(Instance.of("equal-deadline", [Job(0, 0, 7, p=Fraction(1, 3)),
+                                        Job(1, Fraction(2, 7), 7, p=Fraction(22, 7)),
+                                        Job(2, 4, 7, p=Fraction(1, 3))]))
+def test_runner_matches_fraction_reference_on_rationals(inst):
+    _same_run(inst)
