@@ -28,14 +28,14 @@ front rather than left to wrap.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Protocol, Sequence
 
 import numpy as np
 
-from .core import INT64_MAX, ContractViolation, Job, MachineProfile, Schedule, UnitJobs
+from .core import (INT64_MAX, ContractViolation, Job, MachineProfile, Schedule,
+                   UnitJobs, allocating)
 from .online_min import (EULER, OnlineState, _ratio_out, ceil_times,
                          ceil_times_series, resolve_alpha)
 from .oracle import edf_simulate
@@ -88,22 +88,10 @@ def stream_jobs(n: int, N: int, last: int | None = None) -> UnitJobs:
     step) as columns: ids count up in release order, all due at ``n``."""
     require_int64_stream(n, N)
     counts = AdversaryState(n=n, N=N).counts(last)
-    with _allocating(int(counts.sum())):
+    with allocating(int(counts.sum()), "jobs"):
         r = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
         ids, d = np.arange(len(r)), np.full(len(r), n)
     return UnitJobs(ids, r, d)
-
-
-@contextmanager
-def _allocating(count: int):
-    """Refuse, as a :class:`ContractViolation`, ``count`` jobs' columns that
-    numpy will not allocate: it raises ``ValueError`` for a size past the
-    address space and ``MemoryError`` for one the host cannot hold."""
-    try:
-        yield
-    except (ValueError, MemoryError) as exc:
-        raise ContractViolation(
-            f"{count} jobs do not fit in memory as int64 columns") from exc
 
 
 @dataclass
@@ -137,7 +125,7 @@ class AdversaryState:
             raise ContractViolation(
                 f"step {t} releases job ids up to {first + count - 1}, "
                 f"more than an int64 holds ({INT64_MAX})")
-        with _allocating(count):
+        with allocating(count, "jobs"):
             ids = first + np.arange(count, dtype=np.int64)
             r, d = np.full(count, t), np.full(count, self.n)
         self.next_id += count

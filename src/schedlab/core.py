@@ -14,6 +14,7 @@ completion-based convention; there is no "inclusive deadline slot" anywhere.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, groupby
@@ -56,6 +57,19 @@ class Job(NamedTuple):
 
 
 INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+@contextmanager
+def allocating(count: int, what: str):
+    """Refuse, as a :class:`ContractViolation`, int64 columns of ``count``
+    ``what`` that numpy will not allocate: it raises ``ValueError`` for a
+    size past the address space and ``MemoryError`` for one the host cannot
+    hold."""
+    try:
+        yield
+    except (ValueError, MemoryError) as exc:
+        raise ContractViolation(
+            f"{count} {what} do not fit in memory as int64 columns") from exc
 
 
 class UnitJobs(Sequence[Job]):

@@ -23,6 +23,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .core import (ContractViolation, Instance, Schedule, _num_out,
@@ -159,7 +160,7 @@ class _Runner:
     def __init__(self):
         self.open: dict[int, _Machine] = {}
         self.short: list[_Machine] = []
-        self.closed: set[int] = set()
+        self.closed: list[int] = []  # heap of closed ids
         self.next_fresh = 0
         self.assignments: list[tuple[int, int, int]] = []
         self.peak = 0
@@ -173,8 +174,7 @@ class _Runner:
         """Open a machine for a job of length ``p`` from ``start``, reusing
         the lowest closed id before a fresh one."""
         if self.closed:
-            mid = min(self.closed)
-            self.closed.remove(mid)
+            mid = heappop(self.closed)
         else:
             mid = self.next_fresh
             self.next_fresh += 1
@@ -194,7 +194,7 @@ class _Runner:
         gone = [mid for mid, m in self.open.items() if m.busy_until <= phase.start]
         for mid in gone:
             del self.open[mid]
-        self.closed.update(gone)
+            heappush(self.closed, mid)
         self.short = [m for _, m in sorted(self.open.items())
                       if 4 * (m.busy_until - phase.start) < phase.length]
         return len(gone)

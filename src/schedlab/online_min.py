@@ -188,12 +188,17 @@ def run_alpha_edf(instance: Instance, alpha="e") -> OnlineTranscript:
 
     The caller is responsible for instance validity (see
     ``core.require_valid``); this loop does not re-validate so that very
-    large generated instances run at full speed.
+    large generated instances run at full speed.  It refuses only a horizon
+    below the largest deadline, whose later jobs it would drop unreported.
     """
     if instance.model != "unit-min":
         raise ContractViolation(f"expected a unit-min instance, got {instance.model}")
     jobs = unit_columns(instance.jobs)
-    horizon = instance.horizon or int(jobs.d.max(initial=0))
+    last = int(jobs.d.max(initial=0))
+    horizon = instance.horizon or last
+    if horizon < last:
+        raise ContractViolation(
+            f"horizon {horizon} is below the largest deadline {last}")
     state = OnlineState(alpha, np.unique(jobs.d).tolist())
     for t, released in enumerate(release_blocks(jobs, horizon)):
         state.step(t, released)
@@ -214,15 +219,11 @@ class FractionalCertificate:
     keeps ahead of the accumulated fractional mass.  Where a support ends is
     decided exactly, against the rational ``EULER``, by ``_support_hi_index``:
     :func:`check_certificate` sweeps dominance over those exact ends and
-    samples completion and packing on a grid.
+    samples packing on a grid.
     """
 
     dstar: int
     jobs: tuple[Job, ...]
-
-    def completion_integral(self, job: Job) -> float:
-        span = self.dstar - job.r
-        return math.log(span / (span / math.e))
 
 
 def build_certificate(jobs: Sequence[Job], dstar: int) -> FractionalCertificate:
@@ -340,68 +341,57 @@ def check_certificate(cert: FractionalCertificate, transcript: OnlineTranscript,
                       grid_per_unit: int = 1000) -> CertificateReport:
     """Numerically audit one certificate against an online run.
 
-    Completion and packing are checked at `grid_per_unit` points per unit
-    of time:
+    Each distinct release's work is done once: its completion error, its
+    support end at `grid_per_unit` points per unit (``_support_hi_index``),
+    one add of its density slice per job into the direct sum, and its entry
+    in a difference array of open supports.
 
     * completion: every member's density integrates to 1 (closed form);
-    * packing: total density, computed both by direct summation and by the
-      interval-counting closed form (the two must agree), never exceeds the
-      run's machine count, nor ``e`` times the offline optimum.
+    * packing: total density, by direct summation and as the open-support
+      count (one ``cumsum``) times ``1/(dstar - x)`` (the two must agree),
+      never exceeds the run's machine count, nor ``e`` times the offline
+      optimum.  The grid is read as a ``(dstar, g)`` table whose row ``s``
+      is step ``s``, so the run's ``m`` and ``OFF`` broadcast along rows.
 
-    Dominance needs no grid: at every integer t, the number of certificate
-    jobs already scheduled is at least the total fractional mass accrued by
-    t.  One sweep over the distinct releases decides it; a release counts
-    as finished once t passes its exact support end (``_support_hi_index``
-    at one point per unit), and only the still-active releases add a log
-    term.
+    Dominance needs no grid: at every integer t, the certificate jobs
+    already scheduled are at least the fractional mass accrued by t.  A
+    sweep over the distinct releases decides it; a release is finished once
+    t passes its exact support end (``_support_hi_index`` at one point per
+    unit), and only the still-active releases add a log term.
     """
     g = grid_per_unit
     if g < 2:
         raise ContractViolation("need at least 2 grid points per unit")
     dstar = cert.dstar
     report = CertificateReport(dstar=dstar, grid_per_unit=g, n_jobs=len(cert.jobs))
-    tol = report.tolerance
-
-    worst = 0.0
-    for j in cert.jobs:
-        worst = max(worst, abs(cert.completion_integral(j) - 1.0))
-    report.completion_worst = worst
-
-    total = dstar * g
-    tgrid = np.arange(total, dtype=np.float64) / g
-    inv = 1.0 / (dstar - tgrid)
-    acc = np.zeros(total)
-    klos = np.empty(len(cert.jobs), dtype=np.int64)
-    khis = np.empty(len(cert.jobs), dtype=np.int64)
-    for idx, j in enumerate(cert.jobs):
-        klo = int(j.r) * g
-        khi = _support_hi_index(int(j.r), dstar, g)
-        klos[idx] = klo
-        khis[idx] = khi
-        acc[klo:khi + 1] += inv[klo:khi + 1]
-    klos.sort()
-    khis.sort()
-    kk = np.arange(total, dtype=np.int64)
-    counts = (np.searchsorted(klos, kk, side="right")
-              - np.searchsorted(khis, kk, side="left"))
-    closed = counts * inv
-    report.agreement_worst = float(np.abs(acc - closed).max(initial=0.0))
-
-    floor_idx = kk // g
-    m_arr = _padded(transcript.m, dstar)[floor_idx]
-    off_arr = _padded(transcript.off, dstar)[floor_idx]
-    bad = np.nonzero(closed > m_arr + tol)[0]
-    for k in bad[:100]:
-        report.packing_profile_failures.append(
-            (float(tgrid[k]), float(closed[k]), int(m_arr[k])))
-    report.packing_scaled_off_excess = float((closed - math.e * off_arr).max(initial=float("-inf")))
-
-    # Support ends rise with the release, so at each t the started releases
-    # (r < t) and the finished ones (end < t) are both prefixes of the sorted
-    # distinct releases; [lo, hi) is the active window.
     releases, per_release = np.unique(
         np.array([j.r for j in cert.jobs], dtype=np.int64), return_counts=True)
-    ends = [_support_hi_index(int(r), dstar, 1) for r in releases]
+    report.completion_worst = max((abs(math.log(span / (span / math.e)) - 1.0)
+                                   for span in (dstar - releases).tolist()), default=0.0)
+
+    inv = 1.0 / (dstar - np.arange(dstar * g, dtype=np.float64) / g)
+    acc = np.zeros_like(inv)
+    opened = np.zeros(dstar * g + 1, dtype=np.int64)
+    for r, count in zip(releases.tolist(), per_release.tolist()):
+        lo, hi = r * g, _support_hi_index(r, dstar, g) + 1
+        for _ in range(count):  # repeated adds: route agreement measures them
+            acc[lo:hi] += inv[lo:hi]
+        opened[lo] += count
+        opened[hi] -= count
+    closed = np.cumsum(opened[:-1]) * inv
+    del opened
+    report.agreement_worst = float(np.abs(acc - closed).max(initial=0.0))
+
+    table = closed.reshape(dstar, g)
+    m = _padded(transcript.m, dstar)[:, None]
+    off = _padded(transcript.off, dstar)[:, None]
+    for k in np.flatnonzero(table > m + report.tolerance)[:100].tolist():
+        report.packing_profile_failures.append((k / g, float(closed[k]), int(m[k // g, 0])))
+    report.packing_scaled_off_excess = float((table - math.e * off).max(initial=float("-inf")))
+
+    # Support ends rise with the release, so the started (r < t) and the
+    # finished (end < t) releases are prefixes: [lo, hi) is the active window.
+    ends = [_support_hi_index(r, dstar, 1) for r in releases.tolist()]
     log_span = np.log(dstar - releases.astype(np.float64))
     star_ids = {j.id for j in cert.jobs}
     chosen = transcript.trace.chosen
@@ -418,6 +408,6 @@ def check_certificate(cert: FractionalCertificate, transcript: OnlineTranscript,
         if lo < hi:
             mass += float((per_release[lo:hi]
                            * (log_span[lo:hi] - math.log(dstar - t))).sum())
-        if scheduled < mass - tol:
+        if scheduled < mass - report.tolerance:
             report.dominance_failures.append((t, scheduled, mass))
     return report

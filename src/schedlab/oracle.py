@@ -39,7 +39,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import (INT64_MAX, ContractViolation, Instance, Job, MachineProfile,
-                   Schedule, UnitJobs, require_valid, time_grid, unit_columns)
+                   Schedule, UnitJobs, allocating, require_valid, time_grid,
+                   unit_columns)
 
 # Slots per column when the hull table is made; it doubles as columns need.
 _HULL_CAPACITY = 8
@@ -49,14 +50,16 @@ def release_blocks(jobs: UnitJobs, steps: int) -> Iterator[UnitJobs]:
     """The jobs released at each step ``t < steps``, in input order.
 
     Columns not sorted by release are stably sorted first; each step's block
-    is then one slice, its bounds found by ``searchsorted``.
+    is then one slice, its bounds found by ``searchsorted``.  A ``steps``
+    too large for numpy to hold the bounds is refused.
     """
     r = jobs.r
     if (r[1:] < r[:-1]).any():
         order = np.argsort(r, kind="stable")
         jobs = UnitJobs(jobs.ids[order], r[order], jobs.d[order])
         r = jobs.r
-    bounds = np.searchsorted(r, np.arange(steps + 1)).tolist()
+    with allocating(steps, "steps"):
+        bounds = np.searchsorted(r, np.arange(steps + 1)).tolist()
     for lo, hi in zip(bounds, bounds[1:]):
         yield jobs[lo:hi]
 

@@ -174,6 +174,20 @@ class TestRun:
                                "--instance", "/nonexistent.json")
         assert code == 2
 
+    def test_horizon_too_large_to_allocate_is_usage_error(self, capsys, tmp_path):
+        # A valid one-job file whose 2^62 steps numpy refuses to index
+        # before allocating anything.
+        horizon = 2**62
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "model": "unit-min", "horizon": horizon,
+            "jobs": [{"id": 0, "r": 0, "d": horizon}]}))
+        code, out, err = run_cli(capsys, "run", "e-edf", "--instance", str(path))
+        assert code == 2
+        assert out == ""
+        assert (f"error: {horizon} steps do not fit in memory as "
+                "int64 columns") in err
+
     def test_instance_directory_is_usage_error(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "run", "e-edf",
                                  "--instance", str(tmp_path))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference_certificate import reference_check_certificate
 from schedlab.core import ContractViolation, Instance, Job, MachineProfile
 from schedlab.generators import adversary_instance, random_unit_instance
 from schedlab.online_min import (
@@ -152,6 +153,12 @@ class TestRunAlphaEdf:
         assert doc["cost"] == 44
         assert [s["m"] for s in doc["steps"]] == [3, 9, 14, 44]
 
+    def test_horizon_below_largest_deadline_is_refused(self):
+        # Steps stop at the horizon, so job 1 would be neither run nor missed.
+        inst = Instance.of("unit-min", [Job(0, 0, 2), Job(1, 5, 6)], horizon=3)
+        with pytest.raises(ContractViolation, match="below the largest deadline 6"):
+            run_alpha_edf(inst, "e")
+
     def test_adversary_run_builds_no_job_rows(self):
         inst = adversary_instance(500)
         tr = run_alpha_edf(inst, "e")
@@ -199,10 +206,6 @@ def test_edf_simulate_digest():
 
 
 class TestBuildCertificate:
-    def test_completion_integral_is_one(self):
-        cert = build_certificate([Job(0, 0, 4)], 4)
-        assert cert.completion_integral(cert.jobs[0]) == pytest.approx(1.0)
-
     def test_release_at_dstar_is_refused(self):
         # d <= dstar <= r: the job's window is empty, so it has no support.
         with pytest.raises(ContractViolation, match="empty window"):
@@ -228,6 +231,13 @@ class TestBuildCertificate:
 
 
 class TestCheckCertificate:
+    def test_completion_integrates_to_one(self):
+        inst = Instance.of("unit-min", [Job(0, 0, 4), Job(1, 1, 4)], horizon=4)
+        rep = check_certificate(build_certificate(inst.jobs, 4),
+                                run_alpha_edf(inst, "e"), grid_per_unit=10)
+        assert rep.completion_worst == pytest.approx(0.0, abs=1e-12)
+        assert rep.to_jsonable()["completion"]["ok"]
+
     def test_random_instances_all_dstars_pass(self):
         for seed in range(12):
             inst = random_unit_instance(18, 7, seed=seed)
@@ -289,7 +299,7 @@ def reference_dominance(cert, transcript, tol=1e-9):
                 continue
             end = dstar - (dstar - j.r) / math.e
             if t >= end:
-                mass += cert.completion_integral(j)
+                mass += math.log((dstar - j.r) / ((dstar - j.r) / math.e))
             else:
                 mass += math.log((dstar - j.r) / (dstar - t))
         if lhs_by_t[t] < mass - tol:
@@ -388,3 +398,65 @@ class TestDominanceSweep:
         cert = build_certificate(inst.jobs, 3)
         assert cert.jobs == ()
         assert sweep_dominance(cert, run_alpha_edf(inst, "e")) == []
+
+
+def assert_same_report(cert, transcript, grid_per_unit):
+    """The checker's report equals the grid reference's, byte for byte."""
+    got = check_certificate(cert, transcript, grid_per_unit)
+    want = reference_check_certificate(cert, transcript, grid_per_unit)
+    assert (json.dumps(got.to_jsonable(), sort_keys=True)
+            == json.dumps(want.to_jsonable(), sort_keys=True))
+    assert got == want  # the full failure lists too, past the 20 written
+    return got
+
+
+class TestReportBytes:
+    def test_random_corpus_at_every_dstar(self):
+        packing = dominance = 0
+        for seed in range(40):
+            inst = random_unit_instance(1 + seed % 40, 2 + seed % 10, seed=seed)
+            for alpha in ("e", 1, 2, Fraction(1, 2)):
+                tr = run_alpha_edf(inst, alpha)
+                # Every dstar, plus one past the horizon, where the run's
+                # m and OFF series hold their last values.
+                for dstar in range(1, inst.horizon + 2):
+                    rep = assert_same_report(
+                        build_certificate(inst.jobs, dstar), tr, 50)
+                    packing += not rep.packing_profile_ok
+                    dominance += not rep.dominance_ok
+        assert packing and dominance
+
+    @pytest.mark.parametrize("n", [4, 8, 20])
+    def test_adversary_runs(self, n):
+        inst = adversary_instance(n)
+        for alpha in ("e", 1, 2):
+            tr = run_alpha_edf(inst, alpha)
+            for dstar in (n, n + 1):
+                assert_same_report(build_certificate(inst.jobs, dstar), tr, 200)
+
+    @pytest.mark.parametrize("grid", [2, 7, 50, 1000])
+    def test_large_runs_at_each_grid(self, grid):
+        inst = random_unit_instance(2000, 500, seed=1)
+        deadlines = sorted({int(j.d) for j in inst.jobs})
+        for alpha in ("e", 1):
+            tr = run_alpha_edf(inst, alpha)
+            rep = assert_same_report(
+                build_certificate(inst.jobs, deadlines[-1]), tr, grid)
+            assert rep.ok == (alpha == "e")
+
+    @pytest.mark.parametrize("grid", [2, 50])
+    def test_empty_certificate(self, grid):
+        inst = Instance.of("unit-min", [Job(0, 0, 5)])
+        cert = build_certificate(inst.jobs, 3)
+        assert cert.jobs == ()
+        assert assert_same_report(cert, run_alpha_edf(inst, "e"), grid).ok
+
+    @given(st.lists(st.tuples(st.integers(0, 8), st.integers(1, 5)),
+                    min_size=1, max_size=30),
+           st.sampled_from(["e", 1, 2, Fraction(3, 2), Fraction(1, 2), 0]),
+           st.integers(0, 10), st.sampled_from([2, 7, 50]))
+    def test_generated_runs(self, pairs, alpha, pick, grid):
+        inst = Instance.of("unit-min", [Job(i, r, r + span)
+                                        for i, (r, span) in enumerate(pairs)])
+        tr = run_alpha_edf(inst, alpha)
+        assert_same_report(build_certificate(inst.jobs, 1 + pick), tr, grid)
