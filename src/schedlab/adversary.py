@@ -34,7 +34,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .core import (INT64_MAX, ContractViolation, Job, MachineProfile, Schedule,
+from .core import (INT64_MAX, ContractViolation, MachineProfile, Schedule,
                    UnitJobs, allocating)
 from .online_min import (EULER, OnlineState, _ratio_out, ceil_times,
                          ceil_times_series, resolve_alpha)
@@ -42,7 +42,7 @@ from .oracle import edf_simulate
 
 
 class OnlinePlayer(Protocol):
-    def step(self, t: int, released: Sequence[Job]) -> tuple[int, list[int]]: ...
+    def step(self, t: int, released: UnitJobs) -> tuple[int, list[int]]: ...
 
 
 def alpha_edf_player(alpha, n: int) -> OnlineState:

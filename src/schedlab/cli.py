@@ -17,6 +17,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import adversary, equal_deadline, generators, online_min, oracle, throughput
 from .core import (ContractViolation, ParseError, ValidationError,
                    read_instance, write_instance)
@@ -149,8 +151,8 @@ def cmd_run(args) -> int:
               "throughput": {"perturbed-greedy", "greedy-baseline",
                              "edf-throughput"}}
     if args.algo not in wanted[instance.model]:
-        log.error("algo %s does not apply to model %s", args.algo, instance.model)
-        return 2
+        raise ContractViolation(
+            f"algo {args.algo} does not apply to model {instance.model}")
     if args.algo in unit:
         return _run_unit(args, instance)
     if args.algo == "equal-deadline":
@@ -185,7 +187,7 @@ def _verify_certificate(args) -> int:
     instance = _load_instance(args.instance)
     transcript = online_min.run_alpha_edf(instance, args.alpha)
     reports = []
-    deadlines = sorted({int(j.d) for j in instance.jobs})
+    deadlines = np.unique(instance.jobs.d).tolist()
     targets = [args.dstar] if args.dstar is not None else deadlines
     all_ok = True
     for dstar in targets:
@@ -423,7 +425,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ContractViolation, ParseError, ValidationError, OSError) as exc:
-        log.error("%s", exc)
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

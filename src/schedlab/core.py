@@ -73,55 +73,46 @@ def allocating(count: int, what: str):
 
 
 class UnitJobs(Sequence[Job]):
-    """Unit jobs of unit weight as int64 columns ``ids``, ``r`` and ``d``.
+    """Unit jobs of unit weight as int64 columns ``ids``, ``r`` and ``d``,
+    the one form of a unit-min instance inside the library.
 
     An instance's columns are sorted by ``(r, id)``; a block handed to one
-    step keeps the order its caller gave.  ``len`` and slicing never build
-    ``Job`` rows.  Indexing and iteration build every row on first use and
-    cache them, so a column block equals the tuple of the same jobs.
+    step keeps the order its caller gave.  A slice or an index array gives
+    columns; an integer index and iteration build a ``Job`` row per job
+    asked for, for callers outside the library.
     """
 
-    __slots__ = ("ids", "r", "d", "_rows", "_groups")
+    __slots__ = ("ids", "r", "d", "_groups")
 
     def __init__(self, ids, r, d):
-        self.ids = np.asarray(ids, dtype=np.int64)
-        self.r = np.asarray(r, dtype=np.int64)
-        self.d = np.asarray(d, dtype=np.int64)
+        try:
+            self.ids = np.asarray(ids, dtype=np.int64)
+            self.r = np.asarray(r, dtype=np.int64)
+            self.d = np.asarray(d, dtype=np.int64)
+        except OverflowError:
+            raise ContractViolation(
+                f"job ids and times must fit an int64 ({INT64_MAX})") from None
         if not len(self.ids) == len(self.r) == len(self.d):
             raise ContractViolation("job columns differ in length")
-        self._rows: tuple[Job, ...] | None = None
         self._groups: list[tuple[int, list[int]]] | None = None
-
-    @property
-    def rows(self) -> tuple[Job, ...]:
-        """Every job as a ``Job`` row, built on first use."""
-        if self._rows is None:
-            self._rows = tuple(map(Job, self.ids.tolist(), self.r.tolist(),
-                                   self.d.tolist()))
-        return self._rows
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return UnitJobs(self.ids[index], self.r[index], self.d[index])
-        return self.rows[index]
+        if isinstance(index, (int, np.integer)):
+            return Job(int(self.ids[index]), int(self.r[index]), int(self.d[index]))
+        return UnitJobs(self.ids[index], self.r[index], self.d[index])
 
     def __iter__(self):
-        return iter(self.rows)
+        return map(Job, self.ids.tolist(), self.r.tolist(), self.d.tolist())
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, UnitJobs):
-            return (np.array_equal(self.ids, other.ids)
-                    and np.array_equal(self.r, other.r)
-                    and np.array_equal(self.d, other.d))
-        if isinstance(other, (tuple, list)):
-            return len(self) == len(other) and self.rows == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
+        if not isinstance(other, UnitJobs):
+            return NotImplemented
+        return (np.array_equal(self.ids, other.ids)
+                and np.array_equal(self.r, other.r)
+                and np.array_equal(self.d, other.d))
 
     def __repr__(self) -> str:
         return f"UnitJobs({len(self)} jobs)"
@@ -160,12 +151,8 @@ def unit_columns(jobs: Iterable[Job]) -> UnitJobs:
         if not (_is_integral(j.r) and _is_integral(j.d)):
             raise ContractViolation(
                 f"job {j.id} has a non-integer window [{j.r}, {j.d})")
-    try:
-        return UnitJobs([j.id for j in rows], [int(j.r) for j in rows],
-                        [int(j.d) for j in rows])
-    except OverflowError:
-        raise ContractViolation(
-            f"job ids and times must fit an int64 ({INT64_MAX})") from None
+    return UnitJobs([j.id for j in rows], [int(j.r) for j in rows],
+                    [int(j.d) for j in rows])
 
 
 class Violation(NamedTuple):
@@ -183,11 +170,10 @@ class Instance:
     """An immutable problem instance.
 
     ``jobs`` are kept sorted by (release, id); use :meth:`of` to build an
-    instance from unordered jobs.  They are a tuple of ``Job`` rows or, for
-    generated unit jobs, :class:`UnitJobs` columns; both compare equal
-    when they hold the same jobs.  ``k`` is the machine count for the
-    throughput model.  ``horizon`` is the maximum deadline of a unit-job
-    instance and is carried explicitly so files round-trip byte for byte.
+    instance from unordered ``Job`` rows.  Generated and read unit-min
+    instances hold :class:`UnitJobs` columns instead.  ``k`` is the machine
+    count for the throughput model.  ``horizon`` is the maximum deadline of
+    a unit-job instance, carried so files round-trip byte for byte.
     """
 
     model: str
@@ -279,10 +265,6 @@ class MachineProfile:
     @classmethod
     def constant(cls, m: int, horizon: int) -> "MachineProfile":
         return cls({t: m for t in range(horizon)})
-
-    @classmethod
-    def from_series(cls, series: Iterable[int]) -> "MachineProfile":
-        return cls({t: m for t, m in enumerate(series)})
 
     def at(self, t: int) -> int:
         return self.counts.get(t, 0)
@@ -516,11 +498,13 @@ def instance_to_dict(instance: Instance) -> dict:
         doc["k"] = instance.k
     if instance.horizon is not None:
         doc["horizon"] = instance.horizon
-    doc["jobs"] = [
-        {"id": j.id, "r": _num_out(j.r), "d": _num_out(j.d),
-         "p": _num_out(j.p), "w": _num_out(j.w)}
-        for j in instance.jobs
-    ]
+    jobs = instance.jobs
+    if isinstance(jobs, UnitJobs):
+        doc["jobs"] = [{"id": i, "r": r, "d": d, "p": 1, "w": 1} for i, r, d
+                       in zip(jobs.ids.tolist(), jobs.r.tolist(), jobs.d.tolist())]
+    else:
+        doc["jobs"] = [{"id": j.id, "r": _num_out(j.r), "d": _num_out(j.d),
+                        "p": _num_out(j.p), "w": _num_out(j.w)} for j in jobs]
     return doc
 
 
@@ -567,10 +551,16 @@ def instance_from_dict(doc: dict) -> Instance:
     jobs.sort(key=lambda j: (j.r, j.id))
     instance = Instance(model=model, jobs=tuple(jobs), k=k, horizon=horizon)
     require_valid(instance)
+    if model == "unit-min":
+        instance = Instance(model, unit_columns(jobs), k, horizon)
     return instance
 
 
 def read_instance(text: str) -> Instance:
+    """Parse and validate an instance file.  A unit-min file becomes
+    :class:`UnitJobs` columns, which must fit int64 and keep no weights: no
+    unit-min engine reads them, and no ``sched`` command writes a read
+    instance back."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

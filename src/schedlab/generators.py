@@ -11,8 +11,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from .adversary import resolve_stream, stream_jobs
-from .core import ContractViolation, Instance, Job
+from .core import ContractViolation, Instance, Job, UnitJobs
 
 
 def adversary_instance(n: int, N: int | None = None) -> Instance:
@@ -27,16 +29,18 @@ def adversary_instance(n: int, N: int | None = None) -> Instance:
 
 
 def random_unit_instance(jobs: int, horizon: int, seed: int = 0) -> Instance:
+    """Job ``i`` draws ``r`` in ``[0, horizon)``, then ``d`` in ``(r, horizon]``;
+    a stable sort on ``r`` orders the columns by ``(r, id)``."""
     if jobs < 0 or horizon < 1:
         raise ContractViolation("need jobs >= 0 and horizon >= 1")
     rng = random.Random(seed)
-    out = []
-    for i in range(jobs):
-        r = rng.randrange(horizon)
-        d = rng.randint(r + 1, horizon)
-        out.append(Job(i, r, d))
-    realized = max((j.d for j in out), default=horizon)
-    return Instance.of("unit-min", out, horizon=realized)
+    rs, ds = [], []
+    for _ in range(jobs):
+        rs.append(rng.randrange(horizon))
+        ds.append(rng.randint(rs[-1] + 1, horizon))
+    drawn = UnitJobs(range(jobs), rs, ds)
+    return Instance("unit-min", drawn[np.argsort(drawn.r, kind="stable")],
+                    horizon=max(ds, default=horizon))
 
 
 def equal_deadline_instance(kappa: int, jobs: int, seed: int = 0) -> Instance:

@@ -23,7 +23,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import INT64_MAX, ContractViolation, Instance, Job, Schedule, unit_columns
+from .core import (INT64_MAX, ContractViolation, Instance, Job, Schedule, UnitJobs,
+                   allocating, unit_columns)
 from .oracle import EdfQueue, EdfTrace, IncrementalOff, release_blocks
 
 
@@ -162,10 +163,9 @@ class OnlineState:
         self.off: list[int] = []
         self.m: list[int] = []
 
-    def step(self, t: int, released: Sequence[Job]) -> tuple[int, list[int]]:
+    def step(self, t: int, released: UnitJobs) -> tuple[int, list[int]]:
         if t != self.t:
             raise ContractViolation(f"expected step {self.t}, got {t}")
-        released = unit_columns(released)
         self.t += 1
         off = self._off_engine.add(released, t)
         m = ceil_times(self.alpha, off)
@@ -219,11 +219,12 @@ class FractionalCertificate:
     keeps ahead of the accumulated fractional mass.  Where a support ends is
     decided exactly, against the rational ``EULER``, by ``_support_hi_index``:
     :func:`check_certificate` sweeps dominance over those exact ends and
-    samples packing on a grid.
+    samples packing on a grid.  ``jobs`` is one column block, sorted by
+    ``(release, id)``.
     """
 
     dstar: int
-    jobs: tuple[Job, ...]
+    jobs: UnitJobs
 
 
 def build_certificate(jobs: Sequence[Job], dstar: int) -> FractionalCertificate:
@@ -234,12 +235,14 @@ def build_certificate(jobs: Sequence[Job], dstar: int) -> FractionalCertificate:
     """
     if dstar < 1:
         raise ContractViolation(f"dstar must be at least 1, got {dstar}")
-    members = sorted((j for j in jobs if j.d <= dstar), key=lambda j: (j.r, j.id))
-    if members and members[-1].r >= dstar:
+    jobs = unit_columns(jobs)
+    due = jobs[jobs.d <= dstar]
+    members = due[np.lexsort((due.ids, due.r))]
+    if len(members) and members.r[-1] >= dstar:
         j = members[-1]
         raise ContractViolation(
             f"job {j.id} has release {j.r} >= deadline {j.d}: empty window")
-    return FractionalCertificate(dstar=dstar, jobs=tuple(members))
+    return FractionalCertificate(dstar=dstar, jobs=members)
 
 
 def _support_hi_index(r: int, dstar: int, g: int) -> int:
@@ -363,15 +366,15 @@ def check_certificate(cert: FractionalCertificate, transcript: OnlineTranscript,
     if g < 2:
         raise ContractViolation("need at least 2 grid points per unit")
     dstar = cert.dstar
+    with allocating(dstar * g, "grid points"):
+        inv = 1.0 / (dstar - np.arange(dstar * g, dtype=np.float64) / g)
+        acc = np.zeros_like(inv)
+        opened = np.zeros(dstar * g + 1, dtype=np.int64)
     report = CertificateReport(dstar=dstar, grid_per_unit=g, n_jobs=len(cert.jobs))
-    releases, per_release = np.unique(
-        np.array([j.r for j in cert.jobs], dtype=np.int64), return_counts=True)
+    releases, per_release = np.unique(cert.jobs.r, return_counts=True)
     report.completion_worst = max((abs(math.log(span / (span / math.e)) - 1.0)
                                    for span in (dstar - releases).tolist()), default=0.0)
 
-    inv = 1.0 / (dstar - np.arange(dstar * g, dtype=np.float64) / g)
-    acc = np.zeros_like(inv)
-    opened = np.zeros(dstar * g + 1, dtype=np.int64)
     for r, count in zip(releases.tolist(), per_release.tolist()):
         lo, hi = r * g, _support_hi_index(r, dstar, g) + 1
         for _ in range(count):  # repeated adds: route agreement measures them
@@ -393,7 +396,7 @@ def check_certificate(cert: FractionalCertificate, transcript: OnlineTranscript,
     # finished (end < t) releases are prefixes: [lo, hi) is the active window.
     ends = [_support_hi_index(r, dstar, 1) for r in releases.tolist()]
     log_span = np.log(dstar - releases.astype(np.float64))
-    star_ids = {j.id for j in cert.jobs}
+    star_ids = set(cert.jobs.ids.tolist())
     chosen = transcript.trace.chosen
     scheduled = finished = lo = hi = 0
     for t in range(dstar + 1):

@@ -22,8 +22,10 @@ the online player, unweighted throughput and the offline witness differ only
 in the per-step quota they give it.  It is a bucket queue keyed by integer
 deadline, so a step costs a slice per deadline it touches, not a heap
 operation per job.  The engines run on :class:`~schedlab.core.UnitJobs`
-column blocks, one per release step, found by ``release_blocks``; plain
-``Job`` rows are converted once, by ``core.unit_columns``.
+column blocks, one per release step, found by ``release_blocks``.  Their
+per-step methods take column blocks only; the instance-level entries
+(``edf_simulate``, ``off_prefix_series``) also take ``Job`` rows, which
+``core.unit_columns`` converts once.
 """
 
 from __future__ import annotations
@@ -55,8 +57,7 @@ def release_blocks(jobs: UnitJobs, steps: int) -> Iterator[UnitJobs]:
     """
     r = jobs.r
     if (r[1:] < r[:-1]).any():
-        order = np.argsort(r, kind="stable")
-        jobs = UnitJobs(jobs.ids[order], r[order], jobs.d[order])
+        jobs = jobs[np.argsort(r, kind="stable")]
         r = jobs.r
     with allocating(steps, "steps"):
         bounds = np.searchsorted(r, np.arange(steps + 1)).tolist()
@@ -122,10 +123,10 @@ class EdfQueue:
             self.trace.miss_events.extend(zip(missed, repeat(t)))
             self.misses.extend(missed)
 
-    def step(self, t: int, released: Iterable[Job], quota: int) -> list[int]:
+    def step(self, t: int, released: UnitJobs, quota: int) -> list[int]:
         """Admit step ``t``'s releases, expire overdue jobs, then run up to
         ``quota`` jobs on machines ``0..quota-1``; return their ids."""
-        self._admit(unit_columns(released))
+        self._admit(released)
         self._expire(t)
         due, buckets = self._due, self._buckets
         slot: list[int] = []
@@ -252,7 +253,7 @@ def off_prefix_series(jobs: Sequence[Job]) -> dict[int, int]:
     jobs = unit_columns(jobs)
     if not len(jobs):
         return {}
-    engine = IncrementalOff.for_jobs(jobs)
+    engine = IncrementalOff(np.unique(jobs.d).tolist())
     steps = int(jobs.r.max()) + 1
     return {t: engine.add(released, t)
             for t, released in enumerate(release_blocks(jobs, steps))}
@@ -306,22 +307,17 @@ class IncrementalOff:
         self._t: int | None = None
         self._value = 0
 
-    @classmethod
-    def for_jobs(cls, jobs: Sequence[Job]) -> "IncrementalOff":
-        return cls(np.unique(unit_columns(jobs).d).tolist())
-
     @property
     def value(self) -> int:
         return self._value
 
-    def add(self, released: Sequence[Job], t: int) -> int:
+    def add(self, released: UnitJobs, t: int) -> int:
         """Register jobs released at step ``t`` (steps must increase, and
         steps without releases may be skipped); return the new optimum.
 
         A refused block leaves the engine as it was."""
         if self._t is not None and t <= self._t:
             raise ContractViolation(f"step {t} does not follow step {self._t}")
-        released = unit_columns(released)
         if not len(released):
             self._t = t
             return self._value

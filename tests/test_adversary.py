@@ -41,7 +41,7 @@ class TestAdversaryState:
         state.release(0)
         state.observe(0, 3, 1)
         assert state.stopped_at == 0
-        assert state.release(1) == []
+        assert len(state.release(1)) == 0
 
     def test_below_threshold_keeps_releasing(self):
         state = AdversaryState(n=4, N=16, rho=EULER)
@@ -79,7 +79,7 @@ class TestAdversaryState:
         state = AdversaryState(n=4, N=16)
         state.release(0)
         block = state.release(1)
-        assert isinstance(block, UnitJobs) and block._rows is None
+        assert isinstance(block, UnitJobs)
         assert block.ids.tolist() == list(range(4, 9))
         assert set(block.r.tolist()) == {1} and set(block.d.tolist()) == {4}
 

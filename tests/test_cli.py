@@ -1,9 +1,11 @@
 """End-to-end coverage of the sched command line interface."""
 import csv
 import dataclasses
+import hashlib
 import importlib
 import io
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -19,8 +21,24 @@ from schedlab.core import read_instance
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """Run ``sched`` in-process; return its exit code, stdout and stderr.
+
+    Logging starts with no handler, as in a shell, so whatever ``main``
+    logs reaches the captured stderr.  Every usage error (exit 2) must
+    write exactly one line, ``error: <message>``.
+    """
+    root = logging.getLogger()
+    handlers, level = root.handlers[:], root.level
+    root.handlers.clear()
+    try:
+        code = main(list(argv))
+    finally:
+        root.handlers[:] = handlers
+        root.setLevel(level)
     captured = capsys.readouterr()
+    if code == 2:
+        assert captured.err.startswith("error: "), captured.err
+        assert captured.err.count("\n") == 1, captured.err
     return code, captured.out, captured.err
 
 
@@ -165,9 +183,11 @@ class TestRun:
                    for row in rows.values()) == Fraction(1, 3) + Fraction(5, 2)
 
     def test_model_algo_mismatch(self, capsys, adversary_file):
-        code, _, _ = run_cli(capsys, "run", "equal-deadline",
-                             "--instance", adversary_file)
+        code, out, err = run_cli(capsys, "run", "equal-deadline",
+                                 "--instance", adversary_file)
         assert code == 2
+        assert out == ""
+        assert err == "error: algo equal-deadline does not apply to model unit-min\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "run", "e-edf",
@@ -404,6 +424,64 @@ class TestVerify:
                                "--seed", "1")
         assert code == 1
         assert json.loads(out)["failures"] != []
+
+
+#: ``sched gen`` arguments of the files the pinned certificate runs read.
+CERTIFICATE_FILES = {
+    "random-small": ["random-unit", "--jobs", "40", "--horizon", "12",
+                     "--seed", "5"],
+    "random-large": ["random-unit", "--jobs", "300", "--horizon", "60",
+                     "--seed", "1"],
+    "adversary": ["adversary", "--n", "20"],
+}
+
+#: Exit code and sha256 of ``sched verify certificate`` stdout, every dstar,
+#: by ``(file, --alpha, --grid)``; recorded from the row certificate.
+CERTIFICATE_DIGESTS = {
+    ('adversary', '2', 7): (1, 'ef3718790435ee53edc33e4d1c9a0d7c4e82a5e230dc0abf92f307107f30c02d'),
+    ('adversary', '2', 1000): (1, '371f46dc393d8fccad601364dba1837b0dcba40be3c229ac755e8f7a890de8ed'),
+    ('adversary', 'e', 7): (0, 'a907f5dcce8e9860c5f7785ab56905f9cc50cd6ed16b06b0681426e37388bdfa'),
+    ('adversary', 'e', 1000): (0, '6b4317b4724b74902a5356352fb16d2b14e8f6f67630df2417489283f50a1f27'),
+    ('random-large', '2', 7): (1, '1b02bda03d35cbd60c33c9d18d6d60096fad0b16bae23f6319eb109f212198bd'),
+    ('random-large', '2', 1000): (1, 'cc70df45193baa18f27be2e621c7a66c355836b7117d32f441b082f12e6c8202'),
+    ('random-large', 'e', 7): (0, '274315e10bc4c76af260dde85045cc17d1e74c504fb506423f320052724be29a'),
+    ('random-large', 'e', 1000): (0, '6700067e93a71f8565fed037a0ef99abcc0b59c0eafd686c51ca921cbb72e5f5'),
+    ('random-small', '2', 7): (1, '2f67bb7955b7e0b96e25f626aaba63f56c00f7c26462a6c05290a9056a0e2aed'),
+    ('random-small', '2', 1000): (1, '343f01c828ea6c4cc31c2c693fd48faa40471541823546c3f4f218727a9a3b6f'),
+    ('random-small', 'e', 7): (0, '738143709bb374a8b64ddd85ec63b2eb1e3d547b575f3c38a502e79d59166e29'),
+    ('random-small', 'e', 1000): (0, '87a06d6f9a5bc6d3a5e035931827d8b1cb0775be43011aec534a86d078e014b2'),
+}
+
+
+class TestCertificateBytes:
+    @pytest.mark.parametrize("name, alpha, grid", sorted(CERTIFICATE_DIGESTS))
+    def test_every_dstar_is_pinned(self, capsys, tmp_path, monkeypatch,
+                                   name, alpha, grid):
+        monkeypatch.chdir(tmp_path)
+        path = f"{name}.json"
+        assert main(["gen", *CERTIFICATE_FILES[name], "--out", path]) == 0
+        code, out, _ = run_cli(capsys, "verify", "certificate", "--instance",
+                               path, "--alpha", alpha, "--grid", str(grid))
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (code, digest) == CERTIFICATE_DIGESTS[name, alpha, grid]
+
+    @pytest.mark.parametrize("argv, count", [
+        # the file's smallest deadline, 5, is the first dstar checked
+        (["--grid", str(2**62)], 5 * 2**62),
+        (["--dstar", str(10**20)], 10**20 * 1000),
+    ])
+    def test_grid_too_large_to_allocate_is_usage_error(self, capsys, tmp_path,
+                                                        argv, count):
+        # numpy refuses more than 2**63 grid points before allocating any
+        path = tmp_path / "unit.json"
+        assert main(["gen", "random-unit", "--jobs", "20", "--horizon", "10",
+                     "--out", str(path)]) == 0
+        code, out, err = run_cli(capsys, "verify", "certificate",
+                                 "--instance", str(path), *argv)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: {count} grid points do not fit in memory as "
+                       "int64 columns\n")
 
 
 class TestBench:

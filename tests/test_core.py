@@ -1,14 +1,18 @@
 """Model types, validation rules, cost accounting, and JSON round-trips."""
+import hashlib
 import json
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference_equal_deadline import reference_validate_instance
+from reference_instance import reference_instance_from_dict
 from schedlab.core import (
+    INT64_MAX,
     MODELS,
     ContractViolation,
     Instance,
@@ -32,7 +36,8 @@ from schedlab.core import (
     validate_instance,
     write_instance,
 )
-from schedlab.generators import KINDS, adversary_instance, generate
+from schedlab.generators import (KINDS, adversary_instance, generate,
+                                 random_unit_instance)
 
 
 def rules(instance):
@@ -54,29 +59,35 @@ def sample(kind, seed):
 
 
 class TestUnitJobs:
-    def test_rows_are_built_once_and_only_when_read(self):
+    def test_rows_are_built_when_asked(self):
         jobs = UnitJobs([4, 2, 9], [0, 1, 1], [3, 3, 2])
-        assert len(jobs) == 3 and jobs._rows is None
         head = jobs[:2]
         assert isinstance(head, UnitJobs) and head.ids.tolist() == [4, 2]
-        assert jobs._rows is None
-        assert jobs[1] == Job(2, 1, 3)
-        assert jobs.rows is jobs.rows
+        picked = jobs[np.array([2, 0])]
+        assert isinstance(picked, UnitJobs) and picked.ids.tolist() == [9, 4]
+        assert jobs[jobs.d == 3].ids.tolist() == [4, 2]
+        assert jobs[1] == Job(2, 1, 3) and jobs[-1] == Job(9, 1, 2)
+        assert type(jobs[0].id) is int
         assert list(jobs) == [Job(4, 0, 3), Job(2, 1, 3), Job(9, 1, 2)]
+        with pytest.raises(IndexError):
+            jobs[3]
 
-    def test_equals_the_tuple_of_the_same_jobs(self):
+    def test_equal_when_the_columns_are(self):
         jobs = UnitJobs([0, 1], [0, 0], [2, 2])
-        rows = (Job(0, 0, 2), Job(1, 0, 2))
-        assert jobs == rows and rows == jobs and jobs == list(rows)
-        assert jobs != rows[:1] and jobs != UnitJobs([0, 1], [0, 0], [2, 3])
-        assert hash(jobs) == hash(rows)
+        assert jobs == UnitJobs(np.arange(2), [0, 0], [2, 2])
+        assert jobs != UnitJobs([0, 1], [0, 0], [2, 3])
+        assert jobs != tuple(jobs)
 
-    def test_column_instance_equals_tuple_instance(self):
+    def test_column_instance_writes_as_rows_do(self):
         inst = adversary_instance(5)
         assert isinstance(inst.jobs, UnitJobs)
         rows = Instance.of("unit-min", list(inst.jobs))
-        assert inst == rows and rows == inst
-        assert read_instance(write_instance(inst)) == inst
+        assert write_instance(rows) == write_instance(inst)
+        assert read_instance(write_instance(rows)) == inst
+
+    def test_values_past_int64_are_refused(self):
+        with pytest.raises(ContractViolation, match="must fit an int64"):
+            UnitJobs([0], [2**63], [2**63 + 1])
 
     def test_groups_by_deadline_in_id_order(self):
         jobs = UnitJobs([4, 2, 9, 1], [1, 1, 1, 1], [5, 3, 5, 5])
@@ -285,11 +296,11 @@ class TestMachineProfile:
         assert [prof.at(t) for t in range(4)] == [2, 2, 2, 0]
 
     def test_absent_steps_are_zero(self):
-        prof = MachineProfile.from_series([1, 4])
+        prof = MachineProfile(dict(enumerate([1, 4])))
         assert prof.at(7) == 0
 
     def test_capacity_between(self):
-        prof = MachineProfile.from_series([1, 2, 3])
+        prof = MachineProfile(dict(enumerate([1, 2, 3])))
         assert prof.capacity_between(0, 3) == 6
         assert prof.capacity_between(1, 2) == 2
 
@@ -314,7 +325,8 @@ class TestAuditSchedule:
 class TestJson:
     def test_one_job_round_trip(self):
         inst = Instance.of("unit-min", [Job(0, 0, 2)], horizon=2)
-        assert read_instance(write_instance(inst)) == inst
+        assert read_instance(write_instance(inst)) == Instance(
+            "unit-min", UnitJobs([0], [0], [2]), horizon=2)
 
     def test_missing_model_is_parse_error(self):
         with pytest.raises(ParseError):
@@ -400,3 +412,117 @@ class TestJson:
                 assert read_instance(write_instance(inst)) == inst
                 count += 1
         assert count == 1000
+
+
+#: sha256 of ``write_instance(random_unit_instance(jobs, horizon, seed))`` by
+#: ``(jobs, horizon, seed)``, recorded from the row generator.
+RANDOM_UNIT_DIGESTS = {
+    (0, 1, 0): "2f31d318beecd0f093b1e136dbb8de9405ba2bcd14c164770eab561a08a2025f",
+    (0, 1, 3): "2f31d318beecd0f093b1e136dbb8de9405ba2bcd14c164770eab561a08a2025f",
+    (0, 7, 0): "ee68deb9fcc1a0e4e18234a9221fefa69c1096ddb0a87bff5700fa5a08b4d5e2",
+    (0, 7, 3): "ee68deb9fcc1a0e4e18234a9221fefa69c1096ddb0a87bff5700fa5a08b4d5e2",
+    (0, 500, 0): "f072d8d38ac915b1f8da4845695f978019bf94730bb37cbb4c67a74a8a37692d",
+    (0, 500, 3): "f072d8d38ac915b1f8da4845695f978019bf94730bb37cbb4c67a74a8a37692d",
+    (1, 1, 0): "89b2e50a4d227280626e860900bba72391f6c5e8a84535216db7a7792f3c145e",
+    (1, 1, 3): "89b2e50a4d227280626e860900bba72391f6c5e8a84535216db7a7792f3c145e",
+    (1, 7, 0): "70d3d8d7686e44afdbc5f09643cf36a85f8264184d9888372acf3509e60b1770",
+    (1, 7, 3): "43a6a8d3b64339f35ad40912b30e53210336efb762142584119ab8d59084cd1d",
+    (1, 500, 0): "6a04010e5b750cdf7439a2012261ff9ed0f59e73081ea6354e2db38513c4f726",
+    (1, 500, 3): "ea3232dcc22e2213c5c97e180d0f6521beec74bbab728ef84e3e787dd1201b1f",
+    (30, 1, 0): "4a4f4ed3cb0b045623e1c9ec7b9396ef4337fc1d26aa4d13973d84031c53e825",
+    (30, 1, 3): "4a4f4ed3cb0b045623e1c9ec7b9396ef4337fc1d26aa4d13973d84031c53e825",
+    (30, 7, 0): "e09767c8e616906860a15d7e1f9ac15baa6bcb1b9e04d907cc5a19586f23321b",
+    (30, 7, 3): "ba58d682495acc9584b51e960e2d089fd6c80ed998753686f8e1ff61186f1805",
+    (30, 500, 0): "725ff3d0528497d3d929d36f204f4e44e42e53de423ccf003e56ea51391ce960",
+    (30, 500, 3): "5930af4bf2baf601bed556e72cf9c618216a5275bdbf2e44634f1d20d4af2fdb",
+    (2000, 1, 0): "1cab8b5a3d26a4f2a9e1a79f5a4f5d0698389397ef07d0d8881fad01347be5cc",
+    (2000, 1, 3): "1cab8b5a3d26a4f2a9e1a79f5a4f5d0698389397ef07d0d8881fad01347be5cc",
+    (2000, 7, 0): "1bcbab4ca1191e55f8cb8140ec9c13d82eea59adf683e998a0559f75e7a7ee33",
+    (2000, 7, 3): "5140196d0856447b6c73c251e43d0d3acf3eea945a38f4047ce25bde6de1d179",
+    (2000, 500, 0): "be64e64407b80eea47f9a3de6dd1689ad2119f1dd404381167ba43a8be663457",
+    (2000, 500, 3): "432b88d8353ab31d15607970df106abdbed1464359fd7741e1ca48448e238e8b",
+}
+
+
+@pytest.mark.parametrize("jobs, horizon, seed", sorted(RANDOM_UNIT_DIGESTS))
+def test_random_unit_instance_bytes_are_pinned(jobs, horizon, seed):
+    text = write_instance(random_unit_instance(jobs, horizon, seed))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == RANDOM_UNIT_DIGESTS[jobs, horizon, seed]
+
+
+_odd_times = [-2, "1/2", 2.5, 3.0, "7/1", True, "x"]
+
+
+@st.composite
+def unit_min_documents(draw):
+    """unit-min documents, valid or not: unsorted jobs, duplicate or negative
+    ids, lengths other than 1, fractional, float or negative times, bad
+    horizons, ids and times past int64, and weights other than 1."""
+    jobs = []
+    for i in range(draw(st.integers(0, 6))):
+        r = draw(st.integers(0, 8))
+        entry = {"id": i, "r": r, "d": r + draw(st.integers(1, 4))}
+        fault = draw(st.sampled_from(
+            [None] * 4 + ["id", "r", "d", "p", "w", "past"]))
+        if fault == "id":
+            entry["id"] = draw(st.sampled_from([0, -1, 2**63, 2**64 + 3]))
+        elif fault in ("r", "d"):
+            entry[fault] = draw(st.sampled_from(_odd_times))
+        elif fault == "p":
+            entry["p"] = draw(st.sampled_from([1, 2, 0, "1/2", "1", 1.0]))
+        elif fault == "w":
+            entry["w"] = draw(st.sampled_from([1, 0, 5, "3/2", 2.5, -1]))
+        elif fault == "past":
+            entry["r"] += 2**63
+            entry["d"] += 2**63
+        jobs.append(entry)
+    doc = {"model": "unit-min", "jobs": draw(st.permutations(jobs))}
+    ends = [j["d"] for j in jobs if type(j["d"]) is int]
+    last = max(ends, default=0)
+    horizon = draw(st.sampled_from([last] * 3 + [last + 1, None, 0, "5"]))
+    if horizon is not None:
+        doc["horizon"] = horizon
+    k = draw(st.sampled_from([None] * 3 + [2, "2"]))
+    if k is not None:
+        doc["k"] = k
+    return doc
+
+
+def _read(reader, doc):
+    try:
+        return reader(doc)
+    except (ParseError, ValidationError, ContractViolation) as exc:
+        return type(exc), str(exc)
+
+
+class TestColumnReader:
+    """The column reader against the row reader it replaced."""
+
+    @settings(max_examples=300)
+    @given(unit_min_documents())
+    @example({"model": "unit-min", "horizon": 2**63 + 1,
+              "jobs": [{"id": 0, "r": 2**63, "d": 2**63 + 1, "w": 3}]})
+    def test_matches_row_reference(self, doc):
+        expected = _read(reference_instance_from_dict, doc)
+        got = _read(instance_from_dict, doc)
+        if not isinstance(expected, Instance):
+            assert got == expected
+            return
+        rows = [(j.id, j.r, j.d) for j in expected.jobs]
+        if max(map(max, rows), default=0) > INT64_MAX:
+            # refused at read, as the run refused it before
+            assert got == (ContractViolation,
+                           f"job ids and times must fit an int64 ({INT64_MAX})")
+            return
+        assert isinstance(got.jobs, UnitJobs)
+        assert (got.model, got.k, got.horizon) == (
+            expected.model, expected.k, expected.horizon)
+        assert list(zip(got.jobs.ids.tolist(), got.jobs.r.tolist(),
+                        got.jobs.d.tolist())) == rows
+
+    def test_weights_are_not_kept(self):
+        doc = {"model": "unit-min", "horizon": 2,
+               "jobs": [{"id": 0, "r": 0, "d": 2, "w": 5}]}
+        assert reference_instance_from_dict(doc).jobs[0].w == 5
+        assert instance_to_dict(instance_from_dict(doc))["jobs"][0]["w"] == 1

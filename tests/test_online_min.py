@@ -6,12 +6,14 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from reference_certificate import reference_check_certificate
-from schedlab.core import ContractViolation, Instance, Job, MachineProfile
+from schedlab.core import (ContractViolation, Instance, Job, MachineProfile,
+                           UnitJobs, read_instance, write_instance)
 from schedlab.generators import adversary_instance, random_unit_instance
 from schedlab.online_min import (
     EULER,
@@ -127,7 +129,8 @@ class TestRunAlphaEdf:
         inst = Instance.of("unit-min", [Job(i, r, r + span)
                                         for i, (r, span) in enumerate(pairs)])
         tr = run_alpha_edf(inst, alpha)
-        trace, sched = edf_simulate(inst.jobs, MachineProfile.from_series(tr.m))
+        trace, sched = edf_simulate(inst.jobs,
+                                    MachineProfile(dict(enumerate(tr.m))))
         assert tr.schedule.assignments == sched.assignments
         assert tr.schedule.misses == sched.misses
         assert tr.trace.chosen == trace.chosen
@@ -159,11 +162,35 @@ class TestRunAlphaEdf:
         with pytest.raises(ContractViolation, match="below the largest deadline 6"):
             run_alpha_edf(inst, "e")
 
-    def test_adversary_run_builds_no_job_rows(self):
+    def test_adversary_run_builds_no_job_rows(self, no_job_rows):
         inst = adversary_instance(500)
         tr = run_alpha_edf(inst, "e")
         assert len(inst.jobs) == 1697979 == sum(map(len, tr.trace.chosen))
-        assert inst.jobs._rows is None
+
+
+@pytest.fixture
+def no_job_rows(monkeypatch):
+    """Building a ``Job`` row from columns fails: iterating a ``UnitJobs``
+    and indexing it by an integer raise, while slices and index arrays
+    still give columns."""
+    def refuse(*_):
+        raise AssertionError("a Job row was built from columns")
+
+    getitem = UnitJobs.__getitem__
+    monkeypatch.setattr(UnitJobs, "__iter__", refuse)
+    monkeypatch.setattr(UnitJobs, "__getitem__", lambda self, index: (
+        refuse() if isinstance(index, (int, np.integer)) else getitem(self, index)))
+
+
+def test_unit_min_pipeline_builds_no_job_rows(no_job_rows):
+    # gen -> write -> read -> run -> certificate at every deadline
+    inst = random_unit_instance(300, 40, seed=2)
+    back = read_instance(write_instance(inst))
+    assert isinstance(back.jobs, UnitJobs) and back == inst
+    run = run_alpha_edf(back, "e")
+    for dstar in np.unique(back.jobs.d).tolist():
+        cert = build_certificate(back.jobs, dstar)
+        assert check_certificate(cert, run, 20).ok
 
 
 def acceptance_1_corpus():
@@ -196,8 +223,8 @@ def test_edf_simulate_digest():
         for i, inst in enumerate(acceptance_1_corpus()):
             # Quotas cycle from 0 to about the mean load, so runs miss.
             top = 2 + len(inst.jobs) // inst.horizon
-            profile = MachineProfile.from_series(
-                [(3 * t + i) % top for t in range(inst.horizon)])
+            profile = MachineProfile(
+                {t: (3 * t + i) % top for t in range(inst.horizon)})
             trace, schedule = edf_simulate(inst.jobs, profile)
             yield [trace.chosen, trace.miss_events, schedule.assignments,
                    schedule.misses]
@@ -396,7 +423,7 @@ class TestDominanceSweep:
     def test_empty_certificate_has_no_mass(self):
         inst = Instance.of("unit-min", [Job(0, 0, 5)])
         cert = build_certificate(inst.jobs, 3)
-        assert cert.jobs == ()
+        assert len(cert.jobs) == 0
         assert sweep_dominance(cert, run_alpha_edf(inst, "e")) == []
 
 
@@ -448,7 +475,7 @@ class TestReportBytes:
     def test_empty_certificate(self, grid):
         inst = Instance.of("unit-min", [Job(0, 0, 5)])
         cert = build_certificate(inst.jobs, 3)
-        assert cert.jobs == ()
+        assert len(cert.jobs) == 0
         assert assert_same_report(cert, run_alpha_edf(inst, "e"), grid).ok
 
     @given(st.lists(st.tuples(st.integers(0, 8), st.integers(1, 5)),

@@ -49,7 +49,7 @@ def all_small_instances():
 SMALL_PROFILES = [
     MachineProfile.constant(1, 4),
     MachineProfile.constant(2, 4),
-    MachineProfile.from_series([2, 0, 1, 1]),
+    MachineProfile(dict(enumerate([2, 0, 1, 1]))),
 ]
 
 
@@ -68,7 +68,7 @@ class TestEdfSimulate:
 
     def test_varying_profile_fits_three_jobs(self):
         trace, sched = edf_simulate(unit_jobs((0, 2), (0, 2), (1, 2)),
-                                    MachineProfile.from_series([2, 1]))
+                                    MachineProfile(dict(enumerate([2, 1]))))
         assert trace.chosen == [[0, 1], [2]]
         assert sched.misses == []
 
@@ -78,7 +78,7 @@ class TestEdfSimulate:
 
     def test_trace_slots_respect_quota_and_windows(self):
         inst = random_unit_instance(14, 6, seed=3)
-        profile = MachineProfile.from_series([3, 1, 2, 2, 1, 3])
+        profile = MachineProfile(dict(enumerate([3, 1, 2, 2, 1, 3])))
         trace, sched = edf_simulate(inst.jobs, profile)
         by_id = inst.jobs_by_id()
         for t, slot in enumerate(trace.chosen):
@@ -91,7 +91,7 @@ class TestEdfSimulate:
         # Job 1 expires at step 1 while pending; job 3 is never run, so the
         # drain records it at its deadline 3.
         trace, sched = edf_simulate(unit_jobs((0, 1), (0, 1), (0, 3), (1, 3)),
-                                    MachineProfile.from_series([1, 1, 0]))
+                                    MachineProfile(dict(enumerate([1, 1, 0]))))
         assert trace.chosen == [[0], [2], []]
         assert trace.miss_events == [(1, 1), (3, 3)]
         assert sched.misses == [1, 3]
@@ -99,9 +99,9 @@ class TestEdfSimulate:
 
     def test_queue_steps_with_varying_quota(self):
         edf = EdfQueue()
-        assert edf.step(0, unit_jobs((0, 3), (0, 2), (0, 2)), 2) == [1, 2]
-        assert edf.step(1, [], 0) == []
-        assert edf.step(2, [Job(3, 2, 3)], 5) == [0, 3]
+        assert edf.step(0, unit_columns(unit_jobs((0, 3), (0, 2), (0, 2))), 2) == [1, 2]
+        assert edf.step(1, unit_columns([]), 0) == []
+        assert edf.step(2, unit_columns([Job(3, 2, 3)]), 5) == [0, 3]
         trace, sched = edf.finish()
         assert sched.assignments == [(1, 0, 0), (2, 1, 0), (0, 0, 2), (3, 1, 2)]
         assert trace.miss_events == [] and sched.misses == []
@@ -197,12 +197,12 @@ class TestOffSeries:
     def test_incremental_matches_batch(self):
         inst = random_unit_instance(18, 6, seed=4)
         series = off_prefix_series(inst.jobs)
-        inc = IncrementalOff.for_jobs(inst.jobs)
+        inc = IncrementalOff(inst.jobs.d.tolist())
         by_release = {}
         for j in inst.jobs:
             by_release.setdefault(int(j.r), []).append(j)
         for t in sorted(series):
-            assert inc.add(by_release.get(t, []), t) == series[t]
+            assert inc.add(unit_columns(by_release.get(t, [])), t) == series[t]
 
     def test_unsorted_input_and_empty_steps(self):
         jobs = [Job(0, 4, 5), Job(1, 0, 3), Job(2, 4, 5), Job(3, 0, 1)]
@@ -212,51 +212,52 @@ class TestOffSeries:
 class TestIncrementalOff:
     def test_repeated_step_rejected(self):
         inc = IncrementalOff([5])
-        inc.add([Job(0, 3, 5)], 3)
+        inc.add(unit_columns([Job(0, 3, 5)]), 3)
         with pytest.raises(ContractViolation):
-            inc.add([], 3)
+            inc.add(unit_columns([]), 3)
         with pytest.raises(ContractViolation):
-            inc.add([Job(1, 2, 5)], 2)
+            inc.add(unit_columns([Job(1, 2, 5)]), 2)
         assert inc.value == 1
 
     def test_skipped_steps_allowed(self):
         inc = IncrementalOff([4, 6])
-        assert inc.add([Job(0, 1, 4), Job(1, 1, 6)], 1) == 1
-        assert inc.add([Job(2, 3, 4), Job(3, 3, 4)], 3) == 2
+        assert inc.add(unit_columns([Job(0, 1, 4), Job(1, 1, 6)]), 1) == 1
+        assert inc.add(unit_columns([Job(2, 3, 4), Job(3, 3, 4)]), 3) == 2
 
     def test_wrong_release_rejected(self):
         with pytest.raises(ContractViolation, match="job 7 released at 1"):
-            IncrementalOff([5]).add([Job(0, 2, 5), Job(7, 1, 5)], 2)
+            IncrementalOff([5]).add(unit_columns([Job(0, 2, 5), Job(7, 1, 5)]), 2)
 
     def test_unregistered_or_past_deadline_rejected(self):
         with pytest.raises(ContractViolation, match="job 1 due at 4"):
-            IncrementalOff([5]).add([Job(0, 0, 5), Job(1, 0, 4)], 0)
+            IncrementalOff([5]).add(unit_columns([Job(0, 0, 5), Job(1, 0, 4)]), 0)
         inc = IncrementalOff([2, 5])
-        inc.add([Job(0, 0, 2)], 0)
+        inc.add(unit_columns([Job(0, 0, 2)]), 0)
         with pytest.raises(ContractViolation, match="job 1 due at 2"):
-            inc.add([Job(1, 2, 2)], 2)
+            inc.add(unit_columns([Job(1, 2, 2)]), 2)
 
 
     def test_refused_block_leaves_engine_unchanged(self):
-        first = [Job(0, 1, 5), Job(1, 1, 8)]
-        later = [Job(2, 3, 8), Job(3, 3, 5), Job(4, 3, 5)]
+        first = unit_columns([Job(0, 1, 5), Job(1, 1, 8)])
+        later = unit_columns([Job(2, 3, 8), Job(3, 3, 5), Job(4, 3, 5)])
+        last = unit_columns([Job(8, 4, 5)])
         inc = IncrementalOff([5, 8])
         inc.add(first, 1)
         with pytest.raises(ContractViolation, match="job 6 due at 6"):
-            inc.add([Job(5, 3, 8), Job(6, 3, 6)], 3)
+            inc.add(unit_columns([Job(5, 3, 8), Job(6, 3, 6)]), 3)
         with pytest.raises(ContractViolation, match="job 7 released at 2"):
-            inc.add([Job(7, 2, 8)], 3)
+            inc.add(unit_columns([Job(7, 2, 8)]), 3)
         fresh = IncrementalOff([5, 8])
         fresh.add(first, 1)
         assert inc.add(later, 3) == fresh.add(later, 3) == 1
-        assert inc.add([Job(8, 4, 5)], 4) == fresh.add([Job(8, 4, 5)], 4) == 2
+        assert inc.add(last, 4) == fresh.add(last, 4) == 2
 
     def test_adversary_stream_leaves_constant_lines(self):
         # The final burst leads from the newest row, so every older row ends
         # up behind the pointer and must not stay live.
         n = 300
         jobs = adversary_instance(n).jobs
-        inc = IncrementalOff.for_jobs(jobs)
+        inc = IncrementalOff([n])
         for t, released in enumerate(release_blocks(jobs, n)):
             inc.add(released, t)
         assert inc._len[0] - inc._ptr[0] <= 2
@@ -299,7 +300,7 @@ class TestIncrementalOff:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_series_matches_reference_at_scale(self, seed):
-        jobs = unit_columns(random_unit_instance(5000, 1000, seed).jobs)
+        jobs = random_unit_instance(5000, 1000, seed).jobs
         ref = ReferenceOff(jobs.d.tolist())
         steps = int(jobs.r.max()) + 1
         expected = {t: ref.add(dict(Counter(block.d.tolist())), t)
@@ -391,9 +392,9 @@ def test_engine_matches_off_unit_of_every_prefix(pairs):
     for t, value in series.items():
         assert value == off_unit([j for j in jobs if j.r <= t])
     # Driven only at the steps that release, the engine gives the same values.
-    inc = IncrementalOff.for_jobs(jobs)
+    inc = IncrementalOff(j.d for j in jobs)
     for t in sorted({j.r for j in jobs}):
-        assert inc.add([j for j in jobs if j.r == t], t) == series[t]
+        assert inc.add(unit_columns([j for j in jobs if j.r == t]), t) == series[t]
 
 
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(1, 6)), min_size=1,
@@ -589,19 +590,18 @@ def edf_runs(draw):
         steps[r].append(Job(job_id, r, draw(st.sampled_from(deadlines))))
     quotas = draw(st.lists(st.integers(0, 5), min_size=horizon,
                            max_size=horizon))
-    columns = draw(st.lists(st.booleans(), min_size=horizon, max_size=horizon))
-    return steps, quotas, columns
+    return steps, quotas
 
 
 @given(edf_runs())
 @example(([[Job(5, 0, 3), Job(7, 0, 3)], [Job(2, 1, 3), Job(9, 1, 3)], []],
-          [1, 1, 0], [False, True, False]))
+          [1, 1, 0]))
 def test_bucket_queue_matches_heap_reference(run):
-    steps, quotas, columns = run
+    steps, quotas = run
     buckets, heap = EdfQueue(), HeapEdfQueue()
-    for t, (released, quota, as_columns) in enumerate(zip(steps, quotas, columns)):
-        block = unit_columns(released) if as_columns else released
-        assert buckets.step(t, block, quota) == heap.step(t, released, quota)
+    for t, (released, quota) in enumerate(zip(steps, quotas)):
+        assert (buckets.step(t, unit_columns(released), quota)
+                == heap.step(t, released, quota))
     (trace, schedule), (ref_trace, ref_schedule) = buckets.finish(), heap.finish()
     assert trace.chosen == ref_trace.chosen
     assert trace.miss_events == ref_trace.miss_events

@@ -3,11 +3,16 @@
 ``perfbench/reference_digests.json`` holds the sha256 of the first ops'
 output at the benchmark's default seed 0.  Running op 0 here, untraced,
 catches a change to any output byte before a benchmark run does.  The
-benchmark's files are read, never written.
+per-layer counts, which only a traced run computes, and the callables a
+traced run wraps are checked here too.  The benchmark's files are read,
+never written.
 """
+import importlib
 import importlib.util
 import json
+import numbers
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -35,3 +40,15 @@ def test_op_zero_matches_reference_digest(name):
     out = workload.op(workloads.op_seed(0, 0), tracing.NullTracer())
     assert workload.check(out) == []
     assert workloads.digest(out.text) == REFERENCE[name]["0"]
+    counts = workload.counts(out)
+    assert isinstance(counts, dict) and counts
+    assert all(isinstance(value, numbers.Real) and not isinstance(value, bool)
+               for value in counts.values()), counts
+
+
+@pytest.mark.parametrize("span", sorted(workloads.TRACE_TARGETS))
+def test_trace_targets_resolve(span):
+    for target in workloads.TRACE_TARGETS[span]:
+        module, _, path = target.partition(":")
+        assert callable(reduce(getattr, path.split("."),
+                               importlib.import_module(module))), target
