@@ -20,9 +20,10 @@ Jobs travel as int64 columns (:class:`~schedlab.core.UnitJobs`): a step's
 release is one block of consecutive ids and the full stream is filled by
 ``np.repeat``, so no ``Job`` row is built.  :func:`aggregate_game` takes
 the ``OFF`` series of the full stream, then the ceilings, the stop and the
-backlog over the whole series with numpy, exactly.  A stream whose release
-total exceeds int64, or whose columns numpy cannot allocate, is refused up
-front rather than left to wrap.
+backlog over the whole series with numpy, exactly.  A stream whose exact
+release total (:func:`actual_released`) exceeds int64 is refused up front
+rather than left to wrap, and one with more steps or jobs than numpy holds
+by :func:`~schedlab.core.allocating` around its arrays.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .core import (INT64_MAX, ContractViolation, MachineProfile, Schedule,
-                   UnitJobs, allocating)
+                   UnitJobs, allocating, arange_exact)
 from .online_min import (EULER, OnlineState, _ratio_out, ceil_times,
                          ceil_times_series, resolve_alpha)
 from .oracle import edf_simulate
@@ -74,7 +75,8 @@ def resolve_stream(n: int, N: int | None = None) -> int:
 def require_int64_stream(n: int, N: int) -> None:
     """Refuse a stream whose release total, and so its largest job id and
     its release sums, do not fit an int64.  ``N * n`` bounds the total and
-    spares the exact sum when it fits."""
+    spares the exact sum when it fits; otherwise :func:`actual_released`
+    gives it."""
     if N * n > INT64_MAX:
         total = actual_released(n, N)
         if total > INT64_MAX:
@@ -92,6 +94,10 @@ def stream_jobs(n: int, N: int, last: int | None = None) -> UnitJobs:
         r = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
         ids, d = np.arange(len(r)), np.full(len(r), n)
     return UnitJobs(ids, r, d)
+
+
+#: Steps whose counts :func:`actual_released` holds as Python ints at once.
+_SUM_CHUNK = 1 << 14
 
 
 @dataclass
@@ -112,10 +118,14 @@ class AdversaryState:
 
     def counts(self, last: int | None = None) -> np.ndarray:
         """:meth:`count` of the full stream's steps ``0..last`` (default:
-        every step): int64 when ``N`` fits one, Python ints otherwise."""
+        every step): int64 when ``N`` fits one, Python ints otherwise.
+        Steps numpy will not hold are refused by :func:`allocating`."""
         stop = 0 if last is None else max(self.n - 1 - last, 0)
-        dtype = np.int64 if self.N <= INT64_MAX else object
-        return self.N // np.arange(self.n, stop, -1, dtype=dtype)
+        wide = self.N > INT64_MAX
+        with allocating(self.n - stop, "steps",
+                        "Python ints" if wide else "int64 columns"):
+            return self.N // arange_exact(self.n, stop, -1,
+                                          object if wide else np.int64)
 
     def release(self, t: int) -> UnitJobs:
         """Step ``t``'s jobs as one column block, ids continuing the stream."""
@@ -231,7 +241,8 @@ def play_game(player: OnlinePlayer, n: int, N: int | None = None,
     pending = np.zeros(0, dtype=bool)  # pending[i]: job i released, not yet run
     # The full stream's OFF holds up to the stop; after it nothing is
     # released, so OFF stays at its value there.
-    full_off = _off_series(n, state.counts()).tolist()
+    with allocating(n, "steps"):
+        full_off = _off_series(n, state.counts()).tolist()
     off = 0
     for t in range(n):
         if state.stopped_at is None:
@@ -377,39 +388,41 @@ def aggregate_game(alpha, n: int, N: int | None = None, rho=None) -> AggregateGa
     alpha = resolve_alpha(alpha)
     rho = resolve_rho(rho)
     require_int64_stream(n, N)
-    a = AdversaryState(n=n, N=N).counts()
     # OFF(t) <= N, so ceil(alpha * N) bounds every machine count.
     if alpha * N > INT64_MAX:
         raise ContractViolation(
             f"alpha={alpha}, N={N} may rent {math.ceil(alpha * N)} machines, "
             f"more than an int64 holds ({INT64_MAX})")
-    off = _off_series(n, a)
-    online, knife = ceil_times_series(alpha, off)
-    # The full stream's series hold up to the stop; after it nothing is
-    # released, so OFF and the machine count freeze.
-    stopped_at = None
-    if rho is not None:
-        reached = (off > 0) & (online.astype(object) * rho.denominator
-                               >= off.astype(object) * rho.numerator)
-        hits = np.flatnonzero(reached)
-        if len(hits):
-            stopped_at = int(hits[0])
-    played = n if stopped_at is None else stopped_at + 1
-    unsafe = np.flatnonzero(knife[:played])
-    if len(unsafe):
-        ceil_times(alpha, int(off[unsafe[0]]))  # raises the knife guard's error
-    if stopped_at is not None:
-        a[played:] = 0
-        off[played:] = off[stopped_at]
-        online[played:] = online[stopped_at]
-    # backlog[t] = max(0, backlog[t-1] + a[t] - online[t]) is the prefix
-    # sum of a - online less its running minimum (floored at 0).  The sums
-    # are Python ints unless every one of them provably fits an int64.
-    net = a - online
-    if n * int(online.max(initial=0)) > INT64_MAX - int(a.sum()):
-        net = net.astype(object)
-    level = np.cumsum(net)
-    backlog = (level - np.minimum(np.minimum.accumulate(level), 0)).astype(np.int64)
+    with allocating(n, "steps"):
+        a = AdversaryState(n=n, N=N).counts()
+        off = _off_series(n, a)
+        online, knife = ceil_times_series(alpha, off)
+        # The full stream's series hold up to the stop; after it nothing is
+        # released, so OFF and the machine count freeze.
+        stopped_at = None
+        if rho is not None:
+            reached = (off > 0) & (online.astype(object) * rho.denominator
+                                   >= off.astype(object) * rho.numerator)
+            hits = np.flatnonzero(reached)
+            if len(hits):
+                stopped_at = int(hits[0])
+        played = n if stopped_at is None else stopped_at + 1
+        unsafe = np.flatnonzero(knife[:played])
+        if len(unsafe):
+            ceil_times(alpha, int(off[unsafe[0]]))  # raises the knife guard's error
+        if stopped_at is not None:
+            a[played:] = 0
+            off[played:] = off[stopped_at]
+            online[played:] = online[stopped_at]
+        # backlog[t] = max(0, backlog[t-1] + a[t] - online[t]) is the prefix
+        # sum of a - online less its running minimum (floored at 0).  The
+        # sums are Python ints unless every one of them provably fits int64.
+        net = a - online
+        if n * int(online.max(initial=0)) > INT64_MAX - int(a.sum()):
+            net = net.astype(object)
+        level = np.cumsum(net)
+        backlog = (level - np.minimum(np.minimum.accumulate(level), 0)
+                   ).astype(np.int64)
     return AggregateGame(n=n, N=N, alpha=alpha, rho=rho, a=a, off=off,
                          online=online, backlog=backlog, stopped_at=stopped_at)
 
@@ -493,9 +506,17 @@ def crossover_n(alpha=2.5) -> int | None:
 
 
 def actual_released(n: int, N: int | None = None) -> int:
-    """Exact total the full-horizon adversary stream releases."""
-    state = AdversaryState(n=n, N=resolve_stream(n, N))
-    return sum(state.count(t) for t in range(n))
+    """Exact total the full-horizon adversary stream releases.
+
+    Every step's width ``n - t`` is built first, under :func:`allocating`,
+    so a stream of more steps than numpy holds is refused at once; the
+    counts ``N // (n - t)`` are then summed as Python ints by the chunk."""
+    N = resolve_stream(n, N)
+    with allocating(n, "steps"):
+        widths = arange_exact(n, 0, -1)
+    dtype = np.int64 if N <= INT64_MAX else object
+    return sum(int((N // widths[lo:lo + _SUM_CHUNK].astype(dtype)).sum(dtype=object))
+               for lo in range(0, n, _SUM_CHUNK))
 
 
 @dataclass
@@ -546,6 +567,7 @@ def scaling_bound_report(n: int, N: int | None = None,
     N = resolve_stream(n, N)
     if t_max is None:
         t_max = n - 1
-    counts = AdversaryState(n=n, N=N).counts(t_max)
-    return [EnvelopeRow(tstar=t, off=off, bound=_envelope(n, N, t))
-            for t, off in enumerate(_off_series(n, counts).tolist())]
+    with allocating(t_max + 1, "steps"):
+        counts = AdversaryState(n=n, N=N).counts(t_max)
+        return [EnvelopeRow(tstar=t, off=off, bound=_envelope(n, N, t))
+                for t, off in enumerate(_off_series(n, counts).tolist())]

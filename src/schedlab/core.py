@@ -60,16 +60,51 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @contextmanager
-def allocating(count: int, what: str):
-    """Refuse, as a :class:`ContractViolation`, int64 columns of ``count``
-    ``what`` that numpy will not allocate: it raises ``ValueError`` for a
-    size past the address space and ``MemoryError`` for one the host cannot
-    hold."""
+def allocating(count: int, what: str, storage: str = "int64 columns"):
+    """Refuse, as a :class:`ContractViolation`, arrays of ``count`` ``what``
+    that numpy will not allocate: it raises ``ValueError`` for a size past
+    the address space and ``MemoryError`` for one the host cannot hold.
+    ``storage`` names the arrays in the message.  The one place these two
+    become a usage error; any ``ValueError`` inside the block reads as this
+    refusal, so keep the block to array work."""
     try:
         yield
     except (ValueError, MemoryError) as exc:
         raise ContractViolation(
-            f"{count} {what} do not fit in memory as int64 columns") from exc
+            f"{count} {what} do not fit in memory as {storage}") from exc
+
+
+def arange_exact(start: int, stop: int, step: int = 1,
+                 dtype=np.int64) -> np.ndarray:
+    """``np.arange(start, stop, step)`` for a ``step`` of 1 or -1, sized
+    exactly: ``np.arange`` sizes its result in float64 and returns an empty
+    array for some sizes near ``2**63``, which ``np.empty`` refuses."""
+    np.empty(max((stop - start) * step, 0), dtype)
+    return np.arange(start, stop, step, dtype=dtype)
+
+
+def _int64_column(values, name: str) -> np.ndarray:
+    """``values`` as an int64 column, refusing, by the column ``name``, any
+    value that is not an integer (a float, ``Fraction``, string or bool)
+    and integers past int64.  An int64 array is returned as it is."""
+    column = np.asarray(values)
+    if column.dtype == np.int64:
+        return column
+    items = values
+    if column.dtype.kind != "i" and column.size:
+        # numpy makes a float column of ints on both sides of 2**63, and
+        # would wrap a uint64 one: read such values as Python ints
+        if isinstance(values, np.ndarray):
+            items = column.tolist()
+        bad = next((x for x in items if type(x) is not int), None)
+        if bad is not None:
+            raise ContractViolation(
+                f"job column {name} holds {bad!r}, not an integer")
+    try:
+        return np.asarray(items, dtype=np.int64)
+    except OverflowError:
+        raise ContractViolation(
+            f"job ids and times must fit an int64 ({INT64_MAX})") from None
 
 
 class UnitJobs(Sequence[Job]):
@@ -85,13 +120,9 @@ class UnitJobs(Sequence[Job]):
     __slots__ = ("ids", "r", "d", "_groups")
 
     def __init__(self, ids, r, d):
-        try:
-            self.ids = np.asarray(ids, dtype=np.int64)
-            self.r = np.asarray(r, dtype=np.int64)
-            self.d = np.asarray(d, dtype=np.int64)
-        except OverflowError:
-            raise ContractViolation(
-                f"job ids and times must fit an int64 ({INT64_MAX})") from None
+        self.ids = _int64_column(ids, "ids")
+        self.r = _int64_column(r, "r")
+        self.d = _int64_column(d, "d")
         if not len(self.ids) == len(self.r) == len(self.d):
             raise ContractViolation("job columns differ in length")
         self._groups: list[tuple[int, list[int]]] | None = None

@@ -41,8 +41,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import (INT64_MAX, ContractViolation, Instance, Job, MachineProfile,
-                   Schedule, UnitJobs, allocating, require_valid, time_grid,
-                   unit_columns)
+                   Schedule, UnitJobs, allocating, arange_exact, require_valid,
+                   time_grid, unit_columns)
 
 # Slots per column when the hull table is made; it doubles as columns need.
 _HULL_CAPACITY = 8
@@ -60,7 +60,7 @@ def release_blocks(jobs: UnitJobs, steps: int) -> Iterator[UnitJobs]:
         jobs = jobs[np.argsort(r, kind="stable")]
         r = jobs.r
     with allocating(steps, "steps"):
-        bounds = np.searchsorted(r, np.arange(steps + 1)).tolist()
+        bounds = np.searchsorted(r, arange_exact(0, steps + 1)).tolist()
     for lo, hi in zip(bounds, bounds[1:]):
         yield jobs[lo:hi]
 
@@ -214,10 +214,8 @@ def flow_feasible(jobs: Sequence[Job], profile: MachineProfile, d: int) -> bool:
     return result.flow_value == n_jobs
 
 
-def _edf_feasible(jobs: Sequence[Job], m: int) -> bool:
-    if not jobs:
-        return True
-    horizon = int(max(j.d for j in jobs))
+def _edf_feasible(jobs: UnitJobs, m: int) -> bool:
+    horizon = int(jobs.d.max())
     _, schedule = edf_simulate(jobs, MachineProfile.constant(m, horizon))
     return not schedule.misses
 
@@ -227,13 +225,16 @@ def off_unit(jobs: Sequence[Job]) -> int:
 
     Binary search over ``[1, len(jobs)]``; feasibility at a given count is
     monotone, so the search is sound.  Empty input costs zero machines.
+    The jobs are converted to columns once (:func:`unit_columns`), and
+    every probe runs on them.
     """
-    jobs = list(jobs)
-    if not jobs:
+    jobs = unit_columns(jobs)
+    if not len(jobs):
         return 0
-    for j in jobs:
-        if j.r + 1 > j.d:
-            raise ContractViolation(f"job {j.id} window [{j.r}, {j.d}) cannot hold a unit job")
+    empty = np.flatnonzero(jobs.r >= jobs.d)
+    if len(empty):
+        j = jobs[int(empty[0])]
+        raise ContractViolation(f"job {j.id} window [{j.r}, {j.d}) cannot hold a unit job")
     lo, hi = 1, len(jobs)
     while lo < hi:
         mid = (lo + hi) // 2
@@ -464,6 +465,10 @@ def active_steps(jobs: Iterable[Job]
     return steps, {t: tuple(cover[t]) for t in steps}
 
 
+#: Largest total weight plus job count :func:`offline_throughput_opt` solves.
+_EXACT_SPREAD = 2**50
+
+
 def offline_throughput_opt(instance: Instance) -> tuple[Fraction, Schedule]:
     """Maximum total weight schedulable on ``k`` machines, with a witness.
 
@@ -471,7 +476,22 @@ def offline_throughput_opt(instance: Instance) -> tuple[Fraction, Schedule]:
     ``k`` machine-slots of each active step inside its window or falls back
     to a private zero-weight column, so skipping a job is always allowed.
     Slot ``s * k + i`` is machine ``i`` at the ``s``-th active step, so a
-    job's slots are one contiguous column range.
+    job's slots are one contiguous column range.  The dense float64 table
+    of ``jobs x (k * steps + jobs)`` costs is refused, by
+    :func:`~schedlab.core.allocating`, when numpy will not hold it.
+
+    The solver (scipy's shortest augmenting path) works in float64 on the
+    costs ``float(w)`` (the job's slots), ``0`` (its private column) and
+    ``-1`` (every other cell), negated to minimise, so row ``i``'s costs
+    span ``w_i + 1``; let ``S`` be the sum of these spans.  Adding row ``i``
+    takes a path length in ``[-w_i, 1]``, each column potential falls by at
+    most ``w_i + 1`` on that row, and a row potential is a cost less a
+    column potential, so every value the solver forms lies within
+    ``4 S + 1``.  With integer weights those values are integers, exact in
+    float64 below ``2**53``, while ``S <= 2**50``; instances past that are
+    refused rather than solved with rounded sums.  Non-integer weights are
+    rounded to float64 as they always were; the reported total is the
+    exact sum of the placed jobs' weights.
     """
     from scipy.optimize import linear_sum_assignment
 
@@ -480,9 +500,16 @@ def offline_throughput_opt(instance: Instance) -> tuple[Fraction, Schedule]:
     require_valid(instance)
     jobs = instance.jobs
     k = instance.k
+    spread = sum(j.w for j in jobs) + len(jobs)
+    if spread > _EXACT_SPREAD:
+        raise ContractViolation(
+            f"{len(jobs)} jobs of total weight {spread - len(jobs)} leave the "
+            f"float64 solver's exact range: weights plus jobs must not exceed "
+            f"{_EXACT_SPREAD}")
     steps, _ = active_steps(jobs)
     n, m = len(jobs), k * len(steps)
-    weight = np.full((n, m + n), -1.0)
+    with allocating(n * (m + n), "cells", "a float64 assignment table"):
+        weight = np.full((n, m + n), -1.0)
     weight[np.arange(n), m + np.arange(n)] = 0.0
     for ji, j in enumerate(jobs):
         lo, hi = bisect_left(steps, j.r), bisect_left(steps, j.d)

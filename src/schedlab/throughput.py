@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (ContractViolation, Instance, MachineProfile, Schedule, _num_out,
-                   require_valid)
+                   allocating, require_valid)
 from .oracle import active_steps, edf_simulate, offline_throughput_opt
 
 
@@ -214,7 +214,7 @@ def _greedy(mi: MatchingInstance, scores: np.ndarray,
         block = flat.reshape(runs, len(rows))
         np.copyto(block, gathered.T)
         first = every * len(rows)
-        for i in range(mi.k):
+        for i in range(min(mi.k, len(rows))):  # a machine past the rows finds none
             block.argmax(axis=1, out=pick)
             cells = first + pick
             best = flat[cells]
@@ -314,12 +314,9 @@ def estimate_ratio(instance: Instance, trials: int = 2000,
     if trials < 1:
         raise ContractViolation("need trials >= 1")
     mi = reduce_to_matching(instance)
-    try:
+    with allocating(trials, f"trials of {len(mi.job_ids)} jobs",
+                    "a float64 score table"):
         np.empty((len(mi.job_ids) + 1, trials))
-    except (ValueError, MemoryError) as exc:
-        raise ContractViolation(
-            f"{trials} trials of {len(mi.job_ids)} jobs do not fit in memory "
-            "as a float64 score table") from exc
     totals = batched_greedy_weights(mi, trial_seeds(seed, trials))
     opt_weight, _ = offline_throughput_opt(instance)
     opt = float(opt_weight)

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schedlab.adversary import (
+    _SUM_CHUNK,
     AdversaryState,
     _off_series,
     actual_released,
@@ -363,6 +365,58 @@ def reference_forcing_stop(g):
         if backlog > (g.n - 1 - tau) * online:
             return tau
     return None
+
+
+def reference_released(n, N):
+    """The stream's total as the per-step loop over ``count(t)`` gave it."""
+    state = AdversaryState(n=n, N=N)
+    return sum(state.count(t) for t in range(n))
+
+
+class TestActualReleased:
+    @settings(max_examples=300)
+    @given(st.integers(1, 300),
+           st.one_of(st.integers(0, 10**6), st.integers(0, 2**64),
+                     st.integers(2**63 - 10**4, 2**63 + 10**4)))
+    @example(2 * _SUM_CHUNK + 3, 10**12)
+    @example(2 * _SUM_CHUNK + 3, 2**63 + 7)
+    @example(1, 2**63 - 1)
+    def test_matches_per_step_loop(self, n, N):
+        assert actual_released(n, N) == reference_released(n, N)
+
+    def test_wide_total_holds_no_python_int_per_step(self):
+        # N past int64: the counts are Python ints, summed by the chunk,
+        # so the peak stays below two int64 columns of n
+        n = 400_000
+        total = reference_released(n, 10**19)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractViolation, match=f"releases {total} jobs"):
+                aggregate_game("e", n, 10**19)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * n
+
+    @pytest.mark.parametrize("call", [
+        lambda n, N: aggregate_game("e", n, N),
+        lambda n, N: play_game(alpha_edf_player("e", 4), n, N),
+        lambda n, N: scaling_bound_report(n, N),
+        actual_released,
+        adversary_instance,
+    ])
+    @pytest.mark.parametrize("n, N", [(2**62, None), (2**62, 1), (2**63 - 1, 0)])
+    def test_steps_numpy_will_not_hold_are_refused(self, call, n, N):
+        # numpy refuses 2**62 steps before allocating any; near 2**63
+        # np.arange alone would return an empty array instead
+        with pytest.raises(ContractViolation,
+                           match=f"^{n} steps do not fit in memory as "):
+            call(n, N)
+
+    def test_wide_counts_are_refused_as_python_ints(self):
+        with pytest.raises(ContractViolation, match=f"^{2**62} steps do not "
+                           "fit in memory as Python ints$"):
+            AdversaryState(n=2**62, N=2**70).counts()
 
 
 class TestCountingBounds:

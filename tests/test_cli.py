@@ -8,6 +8,7 @@ import json
 import logging
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -194,10 +195,12 @@ class TestRun:
                                "--instance", "/nonexistent.json")
         assert code == 2
 
-    def test_horizon_too_large_to_allocate_is_usage_error(self, capsys, tmp_path):
-        # A valid one-job file whose 2^62 steps numpy refuses to index
-        # before allocating anything.
-        horizon = 2**62
+    @pytest.mark.parametrize("horizon", [2**62, 2**63 - 1])
+    def test_horizon_too_large_to_allocate_is_usage_error(self, capsys, tmp_path,
+                                                          horizon):
+        # A valid one-job file whose steps numpy refuses to index before
+        # allocating anything.  Near 2^63, np.arange alone returned no
+        # steps, and the run reported cost 0 with the job never placed.
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({
             "model": "unit-min", "horizon": horizon,
@@ -578,6 +581,89 @@ class TestBench:
         assert code == 2
         assert out == ""
         assert "error: " in err and message in err
+
+
+@pytest.fixture
+def watchdog():
+    """Fail a command still running after 10 s, instead of stalling the
+    suite.  ``pytest.fail`` raises past ``main``'s handlers, which catch
+    ``OSError`` and so ``TimeoutError``."""
+    def expire(signum, frame):
+        pytest.fail("command still running after 10 s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+class TestOversized:
+    """Streams and tables past what numpy holds exit 2 at once with one
+    ``error:`` line.  Every size is one numpy refuses on any host before
+    allocating: past 2**60 int64 steps or float64 cells."""
+
+    STEPS = 2**62
+
+    @pytest.mark.parametrize("argv, message", [
+        (["game", "e-edf", "--n", str(STEPS), "--aggregate"],
+         f"{STEPS} steps do not fit in memory as int64 columns"),
+        (["game", "e-edf", "--n", str(STEPS)],
+         f"{STEPS} steps do not fit in memory as int64 columns"),
+        (["game", "e-edf", "--n", str(STEPS), "--big-n", "1", "--aggregate"],
+         f"{STEPS} steps do not fit in memory as int64 columns"),
+        (["game", "e-edf", "--n", str(2**63 - 1), "--big-n", "0"],
+         f"{2**63 - 1} steps do not fit in memory as int64 columns"),
+        (["gen", "adversary", "--n", str(STEPS)],
+         f"{STEPS} steps do not fit in memory as int64 columns"),
+        (["verify", "envelope", "--n", str(10**20)],
+         f"{10**20} steps do not fit in memory as Python ints"),
+        (["verify", "envelope", "--n", str(STEPS), "--big-n", "1"],
+         f"{STEPS} steps do not fit in memory as int64 columns"),
+    ])
+    def test_stream_refused_at_once(self, capsys, watchdog, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("algo", [["greedy-baseline"],
+                                      ["perturbed-greedy", "--seed", "1"]])
+    def test_assignment_table_refused_at_once(self, capsys, watchdog,
+                                              tmp_path, algo):
+        path = tmp_path / "tp.json"
+        assert main(["gen", "throughput", "--jobs", "1", "--horizon", "2",
+                     "--k", str(2**62 + 1), "--out", str(path)]) == 0
+        code, out, err = run_cli(capsys, "run", *algo, "--instance", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.endswith(" cells do not fit in memory as a float64 "
+                            "assignment table\n")
+        assert "Traceback" not in err
+
+    def test_matching_ratio_cell_refused_at_once(self, capsys, watchdog,
+                                                 tmp_path):
+        # the matcher offers each step's jobs to at most as many machines
+        # as there are jobs, so the trials end and the OPT table is refused
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"cells": [
+            {"kind": "matching-ratio", "jobs": 1, "horizon": 2,
+             "k": 2**62 + 1, "trials": 2}]}))
+        code, out, err = run_cli(capsys, "bench", "--spec", str(spec))
+        assert code == 2
+        assert out == ""
+        assert err.endswith(" cells do not fit in memory as a float64 "
+                            "assignment table\n")
+
+    def test_weights_past_the_exact_range_refused(self, capsys, tmp_path):
+        path = tmp_path / "tp.json"
+        path.write_text(json.dumps({"model": "throughput", "k": 1, "jobs": [
+            {"id": 0, "r": 0, "d": 1, "w": 2**53 + 1},
+            {"id": 1, "r": 0, "d": 1, "w": 2**53}]}))
+        code, out, err = run_cli(capsys, "run", "greedy-baseline",
+                                 "--instance", str(path))
+        assert code == 2
+        assert out == ""
+        assert "float64 solver's exact range" in err
 
 
 def test_module_entry_point():

@@ -88,6 +88,29 @@ class TestUnitJobs:
     def test_values_past_int64_are_refused(self):
         with pytest.raises(ContractViolation, match="must fit an int64"):
             UnitJobs([0], [2**63], [2**63 + 1])
+        # numpy reads ints on both sides of 2**63 as one float column
+        with pytest.raises(ContractViolation, match="must fit an int64"):
+            UnitJobs([0, 1], [0, 2**63], [1, 2**63 + 1])
+        with pytest.raises(ContractViolation, match="must fit an int64"):
+            UnitJobs([0], np.array([2**63], dtype=np.uint64), [1])
+
+    @pytest.mark.parametrize("columns, message", [
+        (([0, 1], [0.9, 1.5], [1.2, 2.7]), "job column r holds 0.9, not"),
+        (([0], ["1"], [3]), "job column r holds '1', not"),
+        (([0], [0], [Fraction(3)]), r"job column d holds Fraction\(3, 1\), not"),
+        (([True], [0], [3]), "job column ids holds True, not"),
+        (([0], np.array([0.5]), [3]), "job column r holds 0.5, not"),
+    ])
+    def test_values_that_are_not_integers_are_refused(self, columns, message):
+        with pytest.raises(ContractViolation, match=message):
+            UnitJobs(*columns)
+
+    def test_empty_and_int64_columns_pass_as_they_are(self):
+        assert len(UnitJobs([], [], [])) == 0
+        ids = np.arange(3)
+        assert UnitJobs(ids, ids, ids + 1).ids is ids
+        assert UnitJobs(np.arange(2, dtype=np.int32), range(2),
+                        [1, 2]).ids.dtype == np.int64
 
     def test_groups_by_deadline_in_id_order(self):
         jobs = UnitJobs([4, 2, 9, 1], [1, 1, 1, 1], [5, 3, 5, 5])

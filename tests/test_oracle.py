@@ -157,6 +157,18 @@ class TestOffUnit:
     def test_empty(self):
         assert off_unit([]) == 0
 
+    def test_rows_and_columns_agree(self):
+        jobs = random_unit_instance(60, 12, seed=4).jobs
+        assert off_unit(jobs) == off_unit(list(jobs))
+
+    def test_empty_window_refused_by_first_offender(self):
+        jobs = unit_jobs((0, 2), (3, 3), (1, 0))
+        with pytest.raises(ContractViolation,
+                           match=r"job 1 window \[3, 3\) cannot hold a unit job"):
+            off_unit(jobs)
+        with pytest.raises(ContractViolation, match="job 1 window"):
+            off_unit(unit_columns(jobs))
+
     def test_is_minimum_of_feasible_constants(self):
         for seed in range(8):
             inst = random_unit_instance(9, 5, seed=seed)
@@ -521,6 +533,34 @@ class TestThroughputOpt:
     def test_fractional_window_refused(self):
         inst = Instance.of("throughput", [Job(0, Fraction(1, 2), 2, w=3)], k=1)
         with pytest.raises(ValidationError):
+            offline_throughput_opt(inst)
+
+    def test_weights_past_the_exact_range_refused(self):
+        # float64 rounds 2**53 + 1 to 2**53: the solve reported 2**53
+        inst = Instance.of("throughput", [Job(0, 0, 1, w=2**53 + 1),
+                                          Job(1, 0, 1, w=2**53)], k=1)
+        with pytest.raises(ContractViolation, match="exact range"):
+            offline_throughput_opt(inst)
+
+    def test_weights_just_inside_the_exact_range_are_exact(self):
+        # total weight plus jobs is exactly 2**50; one more is refused
+        heavy, light = 2**49 - 1, 2**49 - 3
+        jobs = [Job(0, 0, 1, w=light), Job(1, 0, 1, w=heavy), Job(2, 0, 2, w=1)]
+        inst = Instance.of("throughput", jobs, k=1)
+        assert sum(j.w for j in inst.jobs) + 3 == 2**50
+        weight, sched = offline_throughput_opt(inst)
+        assert weight == heavy + 1
+        assert sorted(a[0] for a in sched.assignments) == [1, 2]
+        jobs[0] = Job(0, 0, 1, w=light + 1)
+        with pytest.raises(ContractViolation, match="exact range"):
+            offline_throughput_opt(Instance.of("throughput", jobs, k=1))
+
+    def test_table_too_large_to_allocate_refused(self):
+        # 2 * (2**62 + 1) + 1 cells: numpy refuses them before allocating
+        inst = Instance.of("throughput", [Job(0, 0, 2, w=1)], k=2**62 + 1)
+        with pytest.raises(ContractViolation,
+                           match="cells do not fit in memory as a float64 "
+                                 "assignment table"):
             offline_throughput_opt(inst)
 
 
