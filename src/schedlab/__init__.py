@@ -14,8 +14,9 @@ from .adversary import (AdversaryState, AggregateGame, GameTranscript,
                         scaling_bound_report)
 from .core import (ContractViolation, Instance, Job, MachineProfile,
                    ParseError, Schedule, UnitJobs, ValidationError,
-                   audit_schedule, feasible_slot, read_instance, schedule_cost,
-                   unit_columns, validate_instance, write_instance)
+                   audit_schedule, dump_json, feasible_slot, read_instance,
+                   schedule_cost, unit_columns, validate_instance,
+                   write_instance)
 from .equal_deadline import (EqualDeadlineTranscript, classify, phase_bounds,
                              phase_split, run_equal_deadline)
 from .generators import (adversary_instance, equal_deadline_instance,
@@ -41,7 +42,8 @@ __all__ = [
     "alpha_edf_player", "counting_bounds", "crossover_n", "offline_witness",
     "play_game", "scaling_bound_report", "ContractViolation", "Instance",
     "Job", "MachineProfile", "ParseError", "Schedule", "UnitJobs",
-    "ValidationError", "audit_schedule", "feasible_slot", "read_instance",
+    "ValidationError", "audit_schedule", "dump_json", "feasible_slot",
+    "read_instance",
     "schedule_cost", "unit_columns", "validate_instance", "write_instance",
     "EqualDeadlineTranscript", "classify", "phase_bounds", "phase_split",
     "run_equal_deadline",

@@ -118,10 +118,11 @@ class AdversaryState:
 
     def counts(self, last: int | None = None) -> np.ndarray:
         """:meth:`count` of the full stream's steps ``0..last`` (default:
-        every step): int64 when ``N`` fits one, Python ints otherwise.
-        Steps numpy will not hold are refused by :func:`allocating`."""
+        every step): int64 when ``N`` and ``n`` fit one, Python ints
+        otherwise.  Steps numpy will not hold are refused by
+        :func:`allocating`."""
         stop = 0 if last is None else max(self.n - 1 - last, 0)
-        wide = self.N > INT64_MAX
+        wide = max(self.N, self.n) > INT64_MAX
         with allocating(self.n - stop, "steps",
                         "Python ints" if wide else "int64 columns"):
             return self.N // arange_exact(self.n, stop, -1,
@@ -161,8 +162,9 @@ def _off_series(n: int, a: np.ndarray) -> np.ndarray:
     ``s* = min(#{s : B_s <= X_t}, t)``: one ``searchsorted`` for every ``t``.
 
     ``B``'s last entry is its largest and bounds every ``X`` and ``P``, so the
-    series is int64 when that entry fits one and Python ints otherwise.  A
-    series that decreases, is negative or runs past ``n`` is refused.
+    series is int64 when that entry and the widths ``n - s`` fit one, and
+    Python ints otherwise.  A series that decreases, is negative or runs
+    past ``n`` is refused.
     """
     a = np.asarray(a)
     if not len(a):
@@ -172,13 +174,14 @@ def _off_series(n: int, a: np.ndarray) -> np.ndarray:
             f"OFF series needs at most n={n} nonnegative, nondecreasing counts")
     last = int(a[-1])
     # total + last * (n - len(a)) is B's last entry; n * last bounds it.
-    wide = (n * last > INT64_MAX
-            and sum(a.tolist()) + last * (n - len(a)) > INT64_MAX)
+    wide = n > INT64_MAX or (
+        n * last > INT64_MAX
+        and sum(a.tolist()) + last * (n - len(a)) > INT64_MAX)
     dtype = object if wide else np.int64
     a = a.astype(dtype)
     X = np.cumsum(a)
     P = X - a
-    w = (n - np.arange(len(a))).astype(dtype)
+    w = n - np.arange(len(a)).astype(dtype)
     s = np.minimum(np.searchsorted(P + a * w, X, side="right"),
                    np.arange(len(a)))
     return -((P[s] - X) // w[s])

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import adversary, equal_deadline, generators, online_min, oracle, throughput
 from .core import (ContractViolation, ParseError, ValidationError,
-                   read_instance, write_instance)
+                   dump_json, read_instance, write_instance)
 
 log = logging.getLogger("schedlab")
 
@@ -37,7 +37,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(payload, out: str | None) -> None:
-    _emit(json.dumps(payload, indent=1, sort_keys=True) + "\n", out)
+    _emit(dump_json(payload) + "\n", out)
 
 
 def _load_instance(path: str):

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import count, groupby
-from math import lcm
+from json.encoder import encode_basestring_ascii
+from math import gcd, inf, lcm
+from operator import itemgetter, methodcaller
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -88,18 +90,17 @@ def _int64_column(values, name: str) -> np.ndarray:
     value that is not an integer (a float, ``Fraction``, string or bool)
     and integers past int64.  An int64 array is returned as it is."""
     column = np.asarray(values)
-    if column.dtype == np.int64:
-        return column
-    items = values
-    if column.dtype.kind != "i" and column.size:
-        # numpy makes a float column of ints on both sides of 2**63, and
-        # would wrap a uint64 one: read such values as Python ints
-        if isinstance(values, np.ndarray):
-            items = column.tolist()
-        bad = next((x for x in items if type(x) is not int), None)
-        if bad is not None:
-            raise ContractViolation(
-                f"job column {name} holds {bad!r}, not an integer")
+    is_array = isinstance(values, np.ndarray)
+    # numpy reads a list that mixes bools with ints as an int column
+    if column.dtype.kind == "i" and (is_array or bool not in set(map(type, values))):
+        return column.astype(np.int64, copy=False)
+    # numpy makes a float column of ints on both sides of 2**63, and would
+    # wrap a uint64 one: read such values as Python ints
+    items = column.tolist() if is_array else values
+    bad = next((x for x in items if type(x) is not int), None)
+    if bad is not None:
+        raise ContractViolation(
+            f"job column {name} holds {bad!r}, not an integer")
     try:
         return np.asarray(items, dtype=np.int64)
     except OverflowError:
@@ -487,33 +488,188 @@ def audit_schedule(schedule: Schedule, instance: Instance) -> list[str]:
 # ---------------------------------------------------------------------------
 # JSON serialization.  Non-integral rationals travel as decimal strings, or
 # as "p/q" strings when no finite decimal exists, so files stay exact;
-# floats are never written.
+# floats are never written.  Every file and transcript is ``json.dumps``
+# indented by one space with sorted keys.  CPython writes indented JSON in
+# its pure-Python encoder, so :func:`dump_json` writes the same bytes from
+# joins of C-level maps, and leaves what it cannot prove identical to
+# ``json.dumps``.
+
+class _Unproven(Exception):
+    """A value :func:`dump_json` leaves to ``json.dumps``."""
+
+
+def _float_json(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == inf:
+        return "Infinity"
+    if x == -inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+#: ``json.dumps``' text of each scalar type; subclasses are not keys.
+_SCALAR_JSON = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_json,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_scalars(values: Sequence) -> Iterable[str] | None:
+    """The JSON text of each value, or ``None`` unless every value is a
+    scalar of one of the ``_SCALAR_JSON`` types."""
+    kinds = set(map(type, values))
+    if not kinds <= _SCALAR_JSON.keys():
+        return None
+    if len(kinds) == 1:
+        return map(_SCALAR_JSON[kinds.pop()], values)
+    return [_SCALAR_JSON[type(x)](x) for x in values]
+
+
+def _json_object(fields: Iterable[tuple[str, str]], depth: int) -> str:
+    """An object of ``(key, value text)`` pairs, in the order given, whose
+    opening line is indented by ``depth``."""
+    inner = "\n" + " " * (depth + 1)
+    body = ("," + inner).join(f"{encode_basestring_ascii(key)}: {text}"
+                              for key, text in fields)
+    return f"{{{inner}{body}\n{' ' * depth}}}" if body else "{}"
+
+
+def _json_array(items: Iterable[str], depth: int) -> str:
+    inner = "\n" + " " * (depth + 1)
+    body = ("," + inner).join(items)
+    return f"[{inner}{body}\n{' ' * depth}]" if body else "[]"
+
+
+def _json_rows(keys: Sequence[str], columns: Sequence[Iterable[str]],
+               depth: int) -> Iterable[str]:
+    """Objects of the sorted ``keys``, one per row of the value texts in
+    ``columns``, each filled into one template at ``depth``."""
+    template = _json_object([(key.replace("%", "%%"), "%s") for key in keys],
+                            depth)
+    return map(template.__mod__, zip(*columns))
+
+
+def _json_items(values: Sequence, depth: int) -> Iterable[str]:
+    """The texts of a list's items at ``depth``: scalars by one map, flat
+    objects that share one key set by one template, anything else one by
+    one."""
+    texts = _json_scalars(values)
+    if texts is not None:
+        return texts
+    if set(map(type, values)) == {dict} and set(map(type, values[0])) == {str}:
+        keys = sorted(values[0])
+        if set(map(len, values)) == {len(keys)}:
+            try:
+                columns = [_json_scalars(list(map(itemgetter(key), values)))
+                           for key in keys]
+            except KeyError:
+                columns = [None]
+            if None not in columns:
+                return _json_rows(keys, columns, depth)
+    return [_json(x, depth) for x in values]
+
+
+def _json(obj, depth: int) -> str:
+    """``obj`` as :func:`dump_json` writes it on a line indented by
+    ``depth``; raises :class:`_Unproven` for what it leaves to the caller."""
+    kind = type(obj)
+    if kind in _SCALAR_JSON:
+        return _SCALAR_JSON[kind](obj)
+    if kind is dict and set(map(type, obj)) <= {str}:
+        return _json_object([(key, _json(obj[key], depth + 1))
+                             for key in sorted(obj)], depth)
+    if kind is list or kind is tuple:
+        return _json_array(_json_items(obj, depth + 1), depth)
+    raise _Unproven
+
+
+def dump_json(obj) -> str:
+    """``json.dumps(obj, indent=1, sort_keys=True)``, byte for byte.
+
+    Written from exact ``dict``s with ``str`` keys, ``list``s, ``tuple``s
+    and scalars of exactly ``str``, ``int``, ``float``, ``bool`` and
+    ``None``: a list of scalars is one join, and a list of flat objects
+    that share one key set fills one row template.  Any other object
+    anywhere in ``obj`` (another key type, a subclass, a value JSON cannot
+    hold) or a reference cycle sends all of ``obj`` to ``json.dumps``, which
+    writes it or raises as it always does.
+    """
+    try:
+        return _json(obj, 0)
+    except (_Unproven, RecursionError):
+        return json.dumps(obj, indent=1, sort_keys=True)
+
+
+def _ratio_out(num: int, den: int):
+    """``num / den`` (``den > 0``) as the files write it: an ``int`` when
+    integral, else the shortest exact decimal string, else ``"p/q"`` in
+    lowest terms."""
+    g = gcd(num, den)
+    if g == den:
+        return num // den
+    num //= g
+    den //= g
+    # A finite decimal needs as many digits as the larger power of 2 or 5
+    # in the denominator; the bit length bounds both.
+    digits = den.bit_length()
+    scaled, rest = divmod(num * 10 ** digits, den)
+    if rest:
+        return f"{num}/{den}"
+    sign = "-" if scaled < 0 else ""
+    text = str(abs(scaled)).rjust(digits + 1, "0")
+    return f"{sign}{text[:-digits]}.{text[-digits:].rstrip('0')}"
+
 
 def _num_out(x: Rational):
     if type(x) is int:
         return x
     f = x if type(x) is Fraction else Fraction(x)
-    if f.denominator == 1:
-        return int(f)
-    # A finite decimal needs as many digits as the larger power of 2 or 5
-    # in the denominator; the bit length bounds both.
-    digits = f.denominator.bit_length()
-    scaled, rest = divmod(f.numerator * 10 ** digits, f.denominator)
-    if rest:
-        return str(f)
-    sign = "-" if scaled < 0 else ""
-    s = str(abs(scaled)).rjust(digits + 1, "0")
-    return f"{sign}{s[:-digits]}.{s[-digits:].rstrip('0')}"
+    return _ratio_out(f.numerator, f.denominator)
+
+
+def _nums_out(values: Sequence[Rational]) -> list:
+    """:func:`_num_out` of each value, formatted over the values' common
+    denominator."""
+    if not set(map(type, values)) <= {int, Fraction}:
+        return list(map(_num_out, values))
+    scale, (nums,) = time_grid(values)
+    return [_ratio_out(x, scale) for x in nums] if scale != 1 else list(nums)
+
+
+def _decimal_in(text: str) -> Rational | None:
+    """``Fraction(text)`` for ``text`` of the form ``[-]digits[.digits]``,
+    as an ``int`` when integral; ``None`` for any other string.  The two
+    digit runs convert apart, as ``Fraction`` converts them, so their
+    length limits are the same."""
+    sign, body = (-1, text[1:]) if text[:1] == "-" else (1, text)
+    whole, dot, decimals = body.partition(".")
+    if not (whole.isdecimal() and (not dot or decimals.isdecimal())):
+        return None
+    den = 10 ** len(decimals)
+    num = sign * (int(whole) * den + (int(decimals) if decimals else 0))
+    if num % den == 0:
+        return num // den
+    return Fraction(num, den)
 
 
 def _num_in(value, where: str) -> Rational:
+    """A file's number: a JSON int as it is, a string or float as the
+    exact rational ``Fraction`` reads from it, an ``int`` when integral.
+    Plain decimal strings take :func:`_decimal_in`'s path, every other
+    string ``Fraction(str)``, with the same values and refusals."""
     if isinstance(value, bool):
         raise ParseError(f"{where}: expected a number, got {value!r}")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
         try:
-            f = Fraction(value)
+            f = _decimal_in(value)
+            if f is None:
+                f = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"{where}: bad numeric string {value!r}") from None
     elif isinstance(value, float):
@@ -523,38 +679,79 @@ def _num_in(value, where: str) -> Rational:
     return int(f) if f.denominator == 1 else f
 
 
+def _job_columns(jobs: Sequence[Job]) -> dict[str, list]:
+    """The jobs' fields as a file holds them, one column per key, in key
+    order: unit columns as they are, every other number as
+    :func:`_num_out` writes it."""
+    if isinstance(jobs, UnitJobs):
+        ones = [1] * len(jobs)
+        return {"d": jobs.d.tolist(), "id": jobs.ids.tolist(), "p": ones,
+                "r": jobs.r.tolist(), "w": ones}
+    ids, rs, ds, ps, ws = zip(*jobs) if jobs else ((),) * 5
+    return {"d": _nums_out(ds), "id": list(ids), "p": _nums_out(ps),
+            "r": _nums_out(rs), "w": _nums_out(ws)}
+
+
 def instance_to_dict(instance: Instance) -> dict:
     doc: dict = {"model": instance.model}
     if instance.k is not None:
         doc["k"] = instance.k
     if instance.horizon is not None:
         doc["horizon"] = instance.horizon
-    jobs = instance.jobs
-    if isinstance(jobs, UnitJobs):
-        doc["jobs"] = [{"id": i, "r": r, "d": d, "p": 1, "w": 1} for i, r, d
-                       in zip(jobs.ids.tolist(), jobs.r.tolist(), jobs.d.tolist())]
-    else:
-        doc["jobs"] = [{"id": j.id, "r": _num_out(j.r), "d": _num_out(j.d),
-                        "p": _num_out(j.p), "w": _num_out(j.w)} for j in jobs]
+    columns = _job_columns(instance.jobs)
+    doc["jobs"] = [dict(zip(columns, row)) for row in zip(*columns.values())]
     return doc
 
 
 def write_instance(instance: Instance) -> str:
+    """The instance file, ``dump_json(instance_to_dict(instance))`` and a
+    newline, for a valid instance.  The job rows fill one template straight
+    from the job columns, with no object per job."""
     require_valid(instance)
-    return json.dumps(instance_to_dict(instance), indent=1, sort_keys=True) + "\n"
+    rows = _jobs_json(instance.jobs)
+    if rows is None:
+        return dump_json(instance_to_dict(instance)) + "\n"
+    # the header's values sit one level deep
+    fields = {key: dump_json(value).replace("\n", "\n ") for key, value
+              in instance_to_dict(replace(instance, jobs=())).items()}
+    fields["jobs"] = rows
+    return _json_object(sorted(fields.items()), 0) + "\n"
 
 
-def instance_from_dict(doc: dict) -> Instance:
-    if not isinstance(doc, dict):
-        raise ParseError("top level must be an object")
-    if "model" not in doc:
-        raise ParseError('missing field "model"')
-    model = doc["model"]
-    if not isinstance(model, str):
-        raise ParseError('"model" must be a string')
-    raw_jobs = doc.get("jobs")
-    if not isinstance(raw_jobs, list):
-        raise ParseError('missing or bad field "jobs"')
+def _jobs_json(jobs: Sequence[Job]) -> str | None:
+    """A file's ``jobs`` array, its rows filled from the job columns; or
+    ``None`` when a value is no plain JSON scalar, which leaves the file to
+    ``json.dumps``."""
+    columns = _job_columns(jobs)
+    texts = [_json_scalars(column) for column in columns.values()]
+    if None in texts:
+        return None
+    return _json_array(_json_rows(list(columns), texts, 2), 1)
+
+
+def _unit_jobs_in(raw_jobs: list) -> UnitJobs | None:
+    """Columns of unit-min job objects whose ``id``, ``r`` and ``d`` are
+    JSON ints that fit int64 and whose ``p`` and ``w`` are absent or 1, in
+    file order; ``None`` for any other list, which the row reader parses.
+    :class:`UnitJobs` refuses every other ``id``, ``r`` or ``d``."""
+    if set(map(type, raw_jobs)) - {dict}:
+        return None
+    try:
+        columns = [list(map(itemgetter(key), raw_jobs)) for key in ("id", "r", "d")]
+    except KeyError:
+        return None
+    for key in ("p", "w"):
+        values = list(map(methodcaller("get", key, 1), raw_jobs))
+        # a set holds True as 1, so the types are checked apart
+        if set(map(type, values)) - {int} or set(values) - {1}:
+            return None
+    try:
+        return UnitJobs(*columns)
+    except ContractViolation:
+        return None
+
+
+def _job_rows(raw_jobs: list) -> list[Job]:
     jobs = []
     for idx, entry in enumerate(raw_jobs):
         if not isinstance(entry, dict):
@@ -573,12 +770,35 @@ def instance_from_dict(doc: dict) -> Instance:
             p=_num_in(entry.get("p", 1), f"{where}.p"),
             w=_num_in(entry.get("w", 1), f"{where}.w"),
         ))
+    return jobs
+
+
+def instance_from_dict(doc: dict) -> Instance:
+    """Parse and validate an instance document.  A unit-min document whose
+    jobs are plain int columns is read into :class:`UnitJobs` straight;
+    every other one is read as ``Job`` rows, validated, and, for unit-min,
+    converted, so both paths refuse with the same messages."""
+    if not isinstance(doc, dict):
+        raise ParseError("top level must be an object")
+    if "model" not in doc:
+        raise ParseError('missing field "model"')
+    model = doc["model"]
+    if not isinstance(model, str):
+        raise ParseError('"model" must be a string')
+    raw_jobs = doc.get("jobs")
+    if not isinstance(raw_jobs, list):
+        raise ParseError('missing or bad field "jobs"')
+    columns = _unit_jobs_in(raw_jobs) if model == "unit-min" else None
+    jobs = _job_rows(raw_jobs) if columns is None else None
     k = doc.get("k")
     if k is not None and (not isinstance(k, int) or isinstance(k, bool)):
         raise ParseError('"k" must be an integer')
     horizon = doc.get("horizon")
     if horizon is not None and (not isinstance(horizon, int) or isinstance(horizon, bool)):
         raise ParseError('"horizon" must be an integer')
+    if columns is not None:
+        columns = columns[np.lexsort((columns.ids, columns.r))]
+        return require_valid(Instance(model, columns, k, horizon))
     jobs.sort(key=lambda j: (j.r, j.id))
     instance = Instance(model=model, jobs=tuple(jobs), k=k, horizon=horizon)
     require_valid(instance)

@@ -14,8 +14,10 @@ denominators (:func:`~schedlab.core.time_grid`): ``x`` is held as ``x * L``.
 Phase boundaries are integers, so they scale too, and the quarter-phase and
 midpoint tests compare ``4x`` and ``2x`` against the scaled phase length.
 Every placement decision is one integer comparison, however large ``L``
-is.  ``Fraction`` appears only at the edges: the transcript's schedule
-starts and ``lengths``, and the end times its JSON form writes.
+is.  The transcript keeps the numerators and ``L`` too: its JSON form
+formats each ``(numerator, L)`` pair with the files' number rule, and builds
+no ``Fraction``.  Its ``schedule`` and ``lengths`` give the times as
+``Fraction``s, built on first read.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from heapq import heappop, heappush
 from typing import NamedTuple
 
-from .core import (ContractViolation, Instance, Schedule, _num_out,
+from .core import (ContractViolation, Instance, Schedule, _ratio_out,
                    require_valid, time_grid)
 from .oracle import volume_lower_bound
 
@@ -92,20 +95,34 @@ class PhaseReport:
 
 @dataclass
 class EqualDeadlineTranscript:
+    """A run's placements and audit.  Times are integer numerators over the
+    common denominator ``scale``: ``placements`` holds ``(job id, machine,
+    start * scale)`` in start then machine order, and ``sizes`` each job's
+    ``p * scale``."""
+
     kappa: int
     d: int
     lb: int
-    schedule: Schedule
+    scale: int
+    placements: list[tuple[int, int, int]]
+    sizes: dict[int, int]
+    misses: list[int]
     job_class: dict[int, str]
-    lengths: dict[int, Fraction]
     phases: list[PhaseReport]
     peak_concurrent: int
     machines_used: int
     half_busy_ok: bool
 
-    @property
-    def misses(self) -> list[int]:
-        return self.schedule.misses
+    @cached_property
+    def schedule(self) -> Schedule:
+        """The placements with ``Fraction`` starts."""
+        return Schedule([(j, m, Fraction(s, self.scale))
+                         for j, m, s in self.placements], self.misses)
+
+    @cached_property
+    def lengths(self) -> dict[int, Fraction]:
+        """Each job's length as a ``Fraction``."""
+        return {j: Fraction(p, self.scale) for j, p in self.sizes.items()}
 
     def bound_rows(self) -> list[dict]:
         """Per-phase pool maxima against the volume-based machine budget."""
@@ -140,10 +157,10 @@ class EqualDeadlineTranscript:
             "phases": [rep.to_jsonable() for rep in self.phases],
             "bounds": self.bound_rows(),
             "schedule": [
-                {"id": j, "machine": m, "start": _num_out(s),
-                 "end": _num_out(s + self.lengths[j]),
+                {"id": j, "machine": m, "start": _ratio_out(s, self.scale),
+                 "end": _ratio_out(s + self.sizes[j], self.scale),
                  "class": self.job_class[j]}
-                for j, m, s in self.schedule.assignments
+                for j, m, s in self.placements
             ],
         }
 
@@ -241,8 +258,9 @@ def run_equal_deadline(instance: Instance) -> EqualDeadlineTranscript:
         raise ContractViolation("needs an equal-deadline instance")
     if not instance.jobs:
         return EqualDeadlineTranscript(
-            kappa=0, d=0, lb=0, schedule=Schedule(), job_class={}, lengths={},
-            phases=[], peak_concurrent=0, machines_used=0, half_busy_ok=True)
+            kappa=0, d=0, lb=0, scale=1, placements=[], sizes={}, misses=[],
+            job_class={}, phases=[], peak_concurrent=0, machines_used=0,
+            half_busy_ok=True)
     d = int(instance.common_deadline)
     lb = volume_lower_bound(instance.jobs, d)
     kappa = d.bit_length()
@@ -283,14 +301,11 @@ def run_equal_deadline(instance: Instance) -> EqualDeadlineTranscript:
             runner.record_pools(report)
 
     end = d * scale
-    length_at = dict(zip(ids, size))
+    sizes = dict(zip(ids, size))
     runner.assignments.sort(key=lambda a: (a[2], a[1]))
-    schedule = Schedule(assignments=[(j, m, Fraction(s, scale))
-                                     for j, m, s in runner.assignments])
-    schedule.misses = sorted(j for j, m, s in runner.assignments
-                             if s + length_at[j] > end)
     return EqualDeadlineTranscript(
-        kappa=kappa, d=d, lb=lb, schedule=schedule, job_class=job_class,
-        lengths={j: Fraction(p) for j, p in zip(ids, ps)}, phases=reports,
-        peak_concurrent=runner.peak, machines_used=runner.next_fresh,
-        half_busy_ok=runner.half_busy_ok)
+        kappa=kappa, d=d, lb=lb, scale=scale, placements=runner.assignments,
+        sizes=sizes, misses=sorted(j for j, m, s in runner.assignments
+                                   if s + sizes[j] > end),
+        job_class=job_class, phases=reports, peak_concurrent=runner.peak,
+        machines_used=runner.next_fresh, half_busy_ok=runner.half_busy_ok)

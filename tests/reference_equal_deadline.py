@@ -13,13 +13,13 @@ import random
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from schedlab.core import (
     MODELS,
     ContractViolation,
     Instance,
     Job,
-    Schedule,
     Violation,
     _is_integral,
 )
@@ -220,8 +220,9 @@ def reference_run_equal_deadline(instance: Instance) -> EqualDeadlineTranscript:
     """The phase scheduler on ``Fraction`` times.  The caller validates."""
     if not instance.jobs:
         return EqualDeadlineTranscript(
-            kappa=0, d=0, lb=0, schedule=Schedule(), job_class={}, lengths={},
-            phases=[], peak_concurrent=0, machines_used=0, half_busy_ok=True)
+            kappa=0, d=0, lb=0, scale=1, placements=[], sizes={}, misses=[],
+            job_class={}, phases=[], peak_concurrent=0, machines_used=0,
+            half_busy_ok=True)
     d = int(instance.common_deadline)
     lb = _volume_lower_bound(instance.jobs, d)
     kappa = d.bit_length()
@@ -259,11 +260,14 @@ def reference_run_equal_deadline(instance: Instance) -> EqualDeadlineTranscript:
                 report.opened += runner.place_short(job, ph, job.r)
             runner.record_pools(report)
 
-    schedule = Schedule(assignments=sorted(runner.assignments,
-                                           key=lambda a: (a[2], a[1])))
-    schedule.misses = sorted(j for j, m, s in runner.assignments
-                             if s + lengths[j] > d)
+    assignments = sorted(runner.assignments, key=lambda a: (a[2], a[1]))
+    misses = sorted(j for j, m, s in runner.assignments if s + lengths[j] > d)
+    # the transcript holds times as numerators over one common denominator
+    scale = lcm(*(Fraction(x).denominator
+                  for x in [*lengths.values(), *(s for _, _, s in assignments)]))
     return EqualDeadlineTranscript(
-        kappa=kappa, d=d, lb=lb, schedule=schedule, job_class=job_class,
-        lengths=lengths, phases=reports, peak_concurrent=runner.peak,
+        kappa=kappa, d=d, lb=lb, scale=scale,
+        placements=[(j, m, int(s * scale)) for j, m, s in assignments],
+        sizes={j: int(p * scale) for j, p in lengths.items()}, misses=misses,
+        job_class=job_class, phases=reports, peak_concurrent=runner.peak,
         machines_used=runner.next_fresh, half_busy_ok=runner.half_busy_ok)

@@ -320,6 +320,16 @@ class TestOffSeries:
         wide = bool(counts) and sum(counts) + counts[-1] * (n - len(counts)) > 2**63 - 1
         assert off.dtype == (object if wide else np.int64)
 
+    @pytest.mark.parametrize("N", [None, 0, 1, 5, 2**64 + 3])
+    def test_widths_past_int64(self, N):
+        n = 2**64
+        N = resolve_stream(n, N)
+        counts = AdversaryState(n=n, N=N).counts(5)
+        off = _off_series(n, counts)
+        assert off.tolist() == reference_off_series(n, counts.tolist())
+        assert [(row.tstar, row.off) for row in scaling_bound_report(n, N, 5)] \
+            == list(enumerate(off.tolist()))
+
     @pytest.mark.parametrize("n, counts", [
         (5, [1, 3, 2]), (3, [0, 0, 0, 0]), (4, [-1, 0]),
         (3, np.array([2**70, 2**69], dtype=object))])

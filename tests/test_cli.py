@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from schedlab import throughput
+from schedlab import adversary, throughput
 from schedlab.cli import CSV_VERSION, main
 from schedlab.core import read_instance
 
@@ -382,6 +382,18 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "error: " in err
+
+    @pytest.mark.parametrize("big_n", [[], ["--big-n", "1"]])
+    def test_envelope_past_int64_steps(self, capsys, big_n):
+        n = 2**64
+        code, out, err = run_cli(capsys, "verify", "envelope", "--n", str(n),
+                                 "--t-max", "5", *big_n)
+        assert code == 0 and "Traceback" not in err
+        payload = json.loads(out)
+        N = n * n if not big_n else 1
+        assert payload["N"] == N and payload["ok"] is True
+        assert [(row["tstar"], row["off"]) for row in payload["rows"]] == [
+            (row.tstar, row.off) for row in adversary.scaling_bound_report(n, N, 5)]
 
     def test_envelope_echoes_the_stream_size_used(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "envelope", "--n", "4",

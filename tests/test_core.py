@@ -1,8 +1,11 @@
 """Model types, validation rules, cost accounting, and JSON round-trips."""
+import enum
 import hashlib
 import json
 import re
+from collections import OrderedDict
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from schedlab.core import (
     _num_in,
     _num_out,
     audit_schedule,
+    dump_json,
     feasible_slot,
     instance_from_dict,
     instance_to_dict,
@@ -85,6 +89,16 @@ class TestUnitJobs:
         assert write_instance(rows) == write_instance(inst)
         assert read_instance(write_instance(rows)) == inst
 
+    @pytest.mark.parametrize("inst", [
+        adversary_instance(1), adversary_instance(7),
+        random_unit_instance(40, 9, 2), random_unit_instance(0, 3, 0),
+        Instance("unit-min", UnitJobs([5, 2], [0, 1], [3, 3]), k=2, horizon=3),
+        Instance("unit-min", UnitJobs([], [], [])),
+    ], ids=repr)
+    def test_column_rows_are_the_json_module_bytes(self, inst):
+        assert write_instance(inst) == json.dumps(
+            instance_to_dict(inst), indent=1, sort_keys=True) + "\n"
+
     def test_values_past_int64_are_refused(self):
         with pytest.raises(ContractViolation, match="must fit an int64"):
             UnitJobs([0], [2**63], [2**63 + 1])
@@ -100,6 +114,9 @@ class TestUnitJobs:
         (([0], [0], [Fraction(3)]), r"job column d holds Fraction\(3, 1\), not"),
         (([True], [0], [3]), "job column ids holds True, not"),
         (([0], np.array([0.5]), [3]), "job column r holds 0.5, not"),
+        # numpy reads a list mixing bools with ints as an int64 column
+        (([0, 1], [True, 2], [5, 5]), "job column r holds True, not"),
+        (([0, 1], [0, 2], [5, False]), "job column d holds False, not"),
     ])
     def test_values_that_are_not_integers_are_refused(self, columns, message):
         with pytest.raises(ContractViolation, match=message):
@@ -549,3 +566,153 @@ class TestColumnReader:
                "jobs": [{"id": 0, "r": 0, "d": 2, "w": 5}]}
         assert reference_instance_from_dict(doc).jobs[0].w == 5
         assert instance_to_dict(instance_from_dict(doc))["jobs"][0]["w"] == 1
+
+
+def _outcome(call, *args):
+    """What ``call(*args)`` returns, or the type and message it raises."""
+    try:
+        return call(*args)
+    except Exception as exc:  # every outcome is compared, errors included
+        return type(exc), str(exc)
+
+
+class _Flag(enum.IntEnum):
+    ON = 1
+
+
+_json_keys = st.one_of(st.text(max_size=4),
+                       st.sampled_from(["%", "%s", "a%%d", "id", "\n", "é"]))
+_scalar_values = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(2**63 - 2, 2**70) | st.integers(-2**70, -2**63 + 2),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(), st.sampled_from(['a"b\\c', "\t\x00\x1f", "é😀", " "]))
+
+
+@st.composite
+def _row_lists(draw, values):
+    """Lists of flat objects: one key set, or rows whose key sets, key
+    types or value types differ."""
+    keys = draw(st.lists(_json_keys, max_size=4, unique=True))
+    kinds = [draw(st.sampled_from([st.integers(), st.text(), _scalar_values]))
+             for _ in keys]
+    rows = [{key: draw(kind) for key, kind in zip(keys, kinds)}
+            for _ in range(draw(st.integers(0, 5)))]
+    if rows and draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        fault = draw(st.sampled_from(["drop", "add", "nest", "key", "type"]))
+        if fault == "drop" and keys:
+            del row[keys[0]]
+        elif fault == "add":
+            row[draw(_json_keys)] = draw(values)
+        elif fault == "nest" and keys:
+            row[keys[0]] = draw(values)
+        elif fault == "key":
+            row[7] = 1
+        elif fault == "type" and keys:
+            row[keys[0]] = draw(st.sampled_from(
+                [_Flag.ON, OrderedDict(a=1), (1, 2), Fraction(1, 2)]))
+    return rows
+
+
+_json_values = st.recursive(
+    _scalar_values,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_json_keys, inner, max_size=4), _row_lists(inner)),
+    max_leaves=25)
+
+
+class TestDumpJson:
+    """dump_json against the json module call it replaces."""
+
+    @settings(max_examples=400)
+    @given(_json_values)
+    @example({"b": [1, 2**64, -3], "a": [], "c": {}, "%": [True, 1, 0.5]})
+    @example([{"id": 1, "x": "s"}, {"id": 2, "x": None}])
+    @example([{"a": 1}, {"b": 1}])
+    @example({1: "int key", "s": 2})
+    @example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300])
+    @example([_Flag.ON, OrderedDict(b=1, a=2), Fraction(1, 3)])
+    def test_same_bytes_or_error_as_json_module(self, value):
+        expected = _outcome(
+            lambda v: json.dumps(v, indent=1, sort_keys=True), value)
+        assert _outcome(dump_json, value) == expected
+
+    @pytest.mark.parametrize("job_id", [_Flag.ON, np.int64(2)], ids=repr)
+    def test_instance_ids_that_are_not_plain_ints(self, job_id):
+        inst = Instance.of("throughput", [Job(job_id, 0, 1)], k=1)
+        assert _outcome(write_instance, inst) == _outcome(
+            lambda i: json.dumps(instance_to_dict(i), indent=1, sort_keys=True)
+            + "\n", inst)
+
+    def test_cycle_is_refused_as_json_module_refuses_it(self):
+        loop = [1]
+        loop.append({"again": loop})
+        assert _outcome(dump_json, loop) == (ValueError, "Circular reference detected")
+
+    def test_indent_one_only_in_dump_json(self):
+        """Every indented JSON writer goes through dump_json."""
+        import inspect
+
+        import schedlab
+        hits = [(path.name, line.strip())
+                for path in sorted(Path(schedlab.__file__).parent.glob("*.py"))
+                for line in path.read_text().splitlines() if "indent=1" in line]
+        body = inspect.getsource(dump_json)
+        assert hits and all(name == "core.py" and line in body
+                            for name, line in hits)
+        assert ("core.py", "return json.dumps(obj, indent=1, sort_keys=True)") in hits
+
+
+def _fraction_in(text):
+    """``_num_in``'s answer from ``Fraction(str)``, as it was computed."""
+    try:
+        f = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"x: bad numeric string {text!r}") from None
+    return int(f) if f.denominator == 1 else f
+
+
+@st.composite
+def _numeric_texts(draw):
+    """Strings near the numbers files hold: signs, whitespace, leading
+    zeros, decimals, exponents, ``p/q`` with zero denominators, ``_``
+    separators, non-ASCII digits and stray characters.  Exponents stay
+    below 100, as ``Fraction`` builds ``10**exponent``."""
+    digits = st.text("0123456789", max_size=6) | st.text("0123456789_٣²", max_size=4)
+    space = st.sampled_from(["", "", " ", "\t", "\n"])
+    parts = [draw(space), draw(st.sampled_from(["", "", "-", "+", "--"])),
+             draw(digits)]
+    shape = draw(st.sampled_from(["int", "decimal", "ratio"]))
+    if shape == "decimal":
+        parts += [".", draw(digits)]
+    elif shape == "ratio":
+        parts += ["/", draw(digits | st.just("0"))]
+    if draw(st.booleans()):
+        parts += [draw(st.sampled_from("eE")), draw(st.sampled_from(["", "-", "+"])),
+                  draw(st.text("0123456789", min_size=1, max_size=2))]
+    parts.append(draw(space))
+    text = "".join(parts)
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(list("x.-/e _"))) + text[at:]
+    return text
+
+
+class TestNumIn:
+    @settings(max_examples=500)
+    @given(_numeric_texts())
+    @example("-0.50")
+    @example("007.25")
+    @example("1.")
+    @example(".5")
+    @example("-0")
+    @example("3/6")
+    @example("1" * 5000)
+    @example("0." + "1" * 4000 + "5")
+    @example("1" * 4000 + "." + "1" * 4000)
+    def test_same_value_type_or_message_as_fraction(self, text):
+        got = _outcome(_num_in, text, "x")
+        want = _outcome(_fraction_in, text)
+        assert got == want and type(got) is type(want)
