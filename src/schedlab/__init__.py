@@ -43,8 +43,8 @@ __all__ = [
     "play_game", "scaling_bound_report", "ContractViolation", "Instance",
     "Job", "MachineProfile", "ParseError", "Schedule", "UnitJobs",
     "ValidationError", "audit_schedule", "dump_json", "feasible_slot",
-    "read_instance",
-    "schedule_cost", "unit_columns", "validate_instance", "write_instance",
+    "read_instance", "schedule_cost", "unit_columns", "validate_instance",
+    "write_instance",
     "EqualDeadlineTranscript", "classify", "phase_bounds", "phase_split",
     "run_equal_deadline",
     "adversary_instance", "equal_deadline_instance", "generate",
