@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, groupby
 from json.encoder import encode_basestring_ascii
@@ -604,7 +604,7 @@ def dump_json(obj) -> str:
         return json.dumps(obj, indent=1, sort_keys=True)
 
 
-def _ratio_out(num: int, den: int):
+def _quotient_out(num: int, den: int):
     """``num / den`` (``den > 0``) as the files write it: an ``int`` when
     integral, else the shortest exact decimal string, else ``"p/q"`` in
     lowest terms."""
@@ -628,16 +628,7 @@ def _num_out(x: Rational):
     if type(x) is int:
         return x
     f = x if type(x) is Fraction else Fraction(x)
-    return _ratio_out(f.numerator, f.denominator)
-
-
-def _nums_out(values: Sequence[Rational]) -> list:
-    """:func:`_num_out` of each value, formatted over the values' common
-    denominator."""
-    if not set(map(type, values)) <= {int, Fraction}:
-        return list(map(_num_out, values))
-    scale, (nums,) = time_grid(values)
-    return [_ratio_out(x, scale) for x in nums] if scale != 1 else list(nums)
+    return _quotient_out(f.numerator, f.denominator)
 
 
 def _decimal_in(text: str) -> Rational | None:
@@ -688,8 +679,9 @@ def _job_columns(jobs: Sequence[Job]) -> dict[str, list]:
         return {"d": jobs.d.tolist(), "id": jobs.ids.tolist(), "p": ones,
                 "r": jobs.r.tolist(), "w": ones}
     ids, rs, ds, ps, ws = zip(*jobs) if jobs else ((),) * 5
-    return {"d": _nums_out(ds), "id": list(ids), "p": _nums_out(ps),
-            "r": _nums_out(rs), "w": _nums_out(ws)}
+    return {"d": list(map(_num_out, ds)), "id": list(ids),
+            "p": list(map(_num_out, ps)), "r": list(map(_num_out, rs)),
+            "w": list(map(_num_out, ws))}
 
 
 def instance_to_dict(instance: Instance) -> dict:
@@ -706,14 +698,17 @@ def instance_to_dict(instance: Instance) -> dict:
 def write_instance(instance: Instance) -> str:
     """The instance file, ``dump_json(instance_to_dict(instance))`` and a
     newline, for a valid instance.  The job rows fill one template straight
-    from the job columns, with no object per job."""
+    from the job columns, with no object per job; the header's ``model``,
+    ``k`` and ``horizon`` are scalars, written one text each."""
     require_valid(instance)
+    header = {"model": instance.model, "k": instance.k,
+              "horizon": instance.horizon}
+    header = {key: value for key, value in header.items() if value is not None}
+    texts = _json_scalars(list(header.values()))
     rows = _jobs_json(instance.jobs)
-    if rows is None:
+    if texts is None or rows is None:
         return dump_json(instance_to_dict(instance)) + "\n"
-    # the header's values sit one level deep
-    fields = {key: dump_json(value).replace("\n", "\n ") for key, value
-              in instance_to_dict(replace(instance, jobs=())).items()}
+    fields = dict(zip(header, texts))
     fields["jobs"] = rows
     return _json_object(sorted(fields.items()), 0) + "\n"
 

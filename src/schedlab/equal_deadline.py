@@ -29,7 +29,7 @@ from functools import cached_property
 from heapq import heappop, heappush
 from typing import NamedTuple
 
-from .core import (ContractViolation, Instance, Schedule, _ratio_out,
+from .core import (ContractViolation, Instance, Schedule, _quotient_out,
                    require_valid, time_grid)
 from .oracle import volume_lower_bound
 
@@ -157,8 +157,8 @@ class EqualDeadlineTranscript:
             "phases": [rep.to_jsonable() for rep in self.phases],
             "bounds": self.bound_rows(),
             "schedule": [
-                {"id": j, "machine": m, "start": _ratio_out(s, self.scale),
-                 "end": _ratio_out(s + self.sizes[j], self.scale),
+                {"id": j, "machine": m, "start": _quotient_out(s, self.scale),
+                 "end": _quotient_out(s + self.sizes[j], self.scale),
                  "class": self.job_class[j]}
                 for j, m, s in self.placements
             ],
