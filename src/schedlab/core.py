@@ -14,6 +14,7 @@ completion-based convention; there is no "inclusive deadline slot" anywhere.
 from __future__ import annotations
 
 import json
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -337,25 +338,11 @@ def time_grid(*columns: Sequence[Rational]) -> tuple[int, list[Sequence[int]]]:
         for col, ints in zip(columns, whole)]
 
 
-def validate_instance(instance: Instance) -> list[Violation]:
-    """Check all model invariants; returns an empty list when valid.
-
-    Times are compared as integer numerators over their common denominator
-    (:func:`time_grid`); on an all-integer instance those are the times.
-    """
+def _row_violations(ids, rs, ds, ps, ws, r_at, d_at, p_at) -> list[Violation]:
+    """The per-job faults of :func:`validate_instance`, row by row: ``rs``,
+    ``ds`` and ``ps`` as the file holds them, ``r_at``, ``d_at`` and
+    ``p_at`` on their common integer grid."""
     v: list[Violation] = []
-    if instance.model not in MODELS:
-        v.append(Violation(None, "BadModel", f"unknown model {instance.model!r}"))
-        return v
-
-    jobs = instance.jobs
-    if isinstance(jobs, UnitJobs):
-        ids, rs, ds = jobs.ids.tolist(), jobs.r.tolist(), jobs.d.tolist()
-        ps = ws = [1] * len(ids)
-        scale, (r_at, d_at, p_at) = 1, (rs, ds, ps)
-    else:
-        ids, rs, ds, ps, ws = zip(*jobs) if jobs else ((),) * 5
-        scale, (r_at, d_at, p_at) = time_grid(rs, ds, ps)
     seen: set[int] = set()
     prev_key = None
     for i, jid, r, d, p, w in zip(count(), ids, r_at, d_at, p_at, ws):
@@ -378,24 +365,62 @@ def validate_instance(instance: Instance) -> list[Violation]:
         if r + p > d:
             v.append(Violation(jid, "WindowTooSmall",
                                f"r+p={rs[i] + ps[i]} exceeds d={ds[i]}"))
+    return v
 
-    # unit columns hold unit-length jobs at integer times by construction
-    if (instance.model in ("unit-min", "throughput")
-            and not isinstance(jobs, UnitJobs)):
-        for jid, p_scaled, p, r, d in zip(ids, p_at, ps, rs, ds):
-            if p_scaled != scale:
-                v.append(Violation(jid, "NonUnitLength", f"p={p}"))
-            if not (_is_integral(r) and _is_integral(d)):
-                v.append(Violation(jid, "NonIntegerTime",
-                                   f"r={r}, d={d} must be integers"))
+
+def _unit_rows_valid(jobs: UnitJobs) -> bool:
+    """Whether :func:`_row_violations` finds nothing in unit columns, by
+    whole-column comparisons: ids non-negative and distinct, rows sorted
+    by ``(r, id)``, releases non-negative and ``r + 1 <= d``."""
+    ids, r, d = jobs.ids, jobs.r, jobs.d
+    rises = (r[1:] > r[:-1]) | ((r[1:] == r[:-1]) & (ids[1:] >= ids[:-1]))
+    ordered = np.sort(ids)
+    return bool((ids >= 0).all() and (ordered[1:] != ordered[:-1]).all()
+                and rises.all() and (r >= 0).all() and (r < d).all())
+
+
+def validate_instance(instance: Instance) -> list[Violation]:
+    """Check all model invariants; returns an empty list when valid.
+
+    Times are compared as integer numerators over their common denominator
+    (:func:`time_grid`); on an all-integer instance those are the times.
+    """
+    v: list[Violation] = []
+    if instance.model not in MODELS:
+        v.append(Violation(None, "BadModel", f"unknown model {instance.model!r}"))
+        return v
+
+    jobs = instance.jobs
+    unit = isinstance(jobs, UnitJobs)
+    if unit:
+        ds = jobs.d
+        # the row loop runs only to name what the column checks found
+        if not _unit_rows_valid(jobs):
+            ids, rs, dl = jobs.ids.tolist(), jobs.r.tolist(), ds.tolist()
+            ones = [1] * len(ids)
+            v += _row_violations(ids, rs, dl, ones, ones, rs, dl, ones)
+    else:
+        ids, rs, ds, ps, ws = zip(*jobs) if jobs else ((),) * 5
+        scale, (r_at, d_at, p_at) = time_grid(rs, ds, ps)
+        v += _row_violations(ids, rs, ds, ps, ws, r_at, d_at, p_at)
+        # unit columns hold unit-length jobs at integer times by construction
+        if instance.model in ("unit-min", "throughput"):
+            for jid, p_scaled, p, r, d in zip(ids, p_at, ps, rs, ds):
+                if p_scaled != scale:
+                    v.append(Violation(jid, "NonUnitLength", f"p={p}"))
+                if not (_is_integral(r) and _is_integral(d)):
+                    v.append(Violation(jid, "NonIntegerTime",
+                                       f"r={r}, d={d} must be integers"))
 
     if instance.model == "unit-min" and jobs and instance.horizon is not None:
-        max_d = max(ds)
+        max_d = int(ds.max()) if unit else max(ds)
         if instance.horizon != max_d:
             v.append(Violation(None, "HorizonMismatch",
                                f"horizon={instance.horizon}, max deadline={max_d}"))
 
     if instance.model == "equal-deadline" and jobs:
+        if unit:
+            ds = d_at = ds.tolist()
         d0 = ds[0]
         if d_at.count(d_at[0]) != len(jobs):
             v.append(Violation(None, "UnequalDeadlines",
@@ -647,11 +672,28 @@ def _decimal_in(text: str) -> Rational | None:
     return Fraction(num, den)
 
 
+def _check_exponent(text: str) -> None:
+    """Raise ``ValueError`` for an exponent in ``text`` larger in size than
+    ``sys.get_int_max_str_digits()``: the value would have more digits than
+    Python reads or writes.  Any other text is left to ``Fraction``."""
+    _, e, exponent = text.lower().partition("e")
+    limit = sys.get_int_max_str_digits()
+    if e and limit:
+        try:
+            size = abs(int(exponent))
+        except ValueError:
+            return
+        if size > limit:
+            raise ValueError(f"exponent {size} is past {limit}")
+
+
 def _num_in(value, where: str) -> Rational:
     """A file's number: a JSON int as it is, a string or float as the
     exact rational ``Fraction`` reads from it, an ``int`` when integral.
     Plain decimal strings take :func:`_decimal_in`'s path, every other
-    string ``Fraction(str)``, with the same values and refusals."""
+    string ``Fraction(str)``, with the same values and refusals, except
+    that an exponent past Python's digit-string limit is refused before
+    ``Fraction`` builds ``10**exponent``."""
     if isinstance(value, bool):
         raise ParseError(f"{where}: expected a number, got {value!r}")
     if isinstance(value, int):
@@ -660,6 +702,7 @@ def _num_in(value, where: str) -> Rational:
         try:
             f = _decimal_in(value)
             if f is None:
+                _check_exponent(value)
                 f = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"{where}: bad numeric string {value!r}") from None

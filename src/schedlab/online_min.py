@@ -340,21 +340,33 @@ def _padded(series: list[int], length: int) -> np.ndarray:
     return out
 
 
+#: Grid points per tile of the packing pass: 512 KiB per float64 array, so a
+#: tile's densities, direct sum and closed form fit in a 4 MiB L2 together.
+_TILE_POINTS = 65536
+
+
 def check_certificate(cert: FractionalCertificate, transcript: OnlineTranscript,
                       grid_per_unit: int = 1000) -> CertificateReport:
     """Numerically audit one certificate against an online run.
 
-    Each distinct release's work is done once: its completion error, its
-    support end at `grid_per_unit` points per unit (``_support_hi_index``),
-    one add of its density slice per job into the direct sum, and its entry
-    in a difference array of open supports.
+    The grid has ``g = grid_per_unit`` points per unit on ``[0, dstar)``.
+    Each distinct release's support is found once: ``[r*g, hi)``, with
+    ``hi - 1`` its exact end (``_support_hi_index``).
 
     * completion: every member's density integrates to 1 (closed form);
     * packing: total density, by direct summation and as the open-support
-      count (one ``cumsum``) times ``1/(dstar - x)`` (the two must agree),
-      never exceeds the run's machine count, nor ``e`` times the offline
-      optimum.  The grid is read as a ``(dstar, g)`` table whose row ``s``
-      is step ``s``, so the run's ``m`` and ``OFF`` broadcast along rows.
+      count times ``1/(dstar - x)`` (the two must agree), never exceeds
+      the run's machine count, nor ``e`` times the offline optimum.
+
+    The packing pass runs over tiles of whole grid rows, a row being the
+    ``g`` points of one step, about ``_TILE_POINTS`` points per tile, so no
+    array spans the grid.  A tile takes each support it meets, clipped to
+    the tile: one add of the density slice per job into the direct sum
+    (every add at a point adds the same value, so each point's sum is the
+    same however the supports are cut), and its ends in a tile-local
+    difference array of open supports.  The worst agreement error and
+    ``e·OFF`` excess are running maxima, and the first 100 profile
+    failures are kept in grid order.
 
     Dominance needs no grid: at every integer t, the certificate jobs
     already scheduled are at least the fractional mass accrued by t.  A
@@ -367,30 +379,48 @@ def check_certificate(cert: FractionalCertificate, transcript: OnlineTranscript,
         raise ContractViolation("need at least 2 grid points per unit")
     dstar = cert.dstar
     with allocating(dstar * g, "grid points"):
-        inv = 1.0 / (dstar - np.arange(dstar * g, dtype=np.float64) / g)
-        acc = np.zeros_like(inv)
-        opened = np.zeros(dstar * g + 1, dtype=np.int64)
+        np.empty(dstar * g)  # refuse a grid numpy cannot hold as one float64 array
     report = CertificateReport(dstar=dstar, grid_per_unit=g, n_jobs=len(cert.jobs))
     releases, per_release = np.unique(cert.jobs.r, return_counts=True)
     report.completion_worst = max((abs(math.log(span / (span / math.e)) - 1.0)
                                    for span in (dstar - releases).tolist()), default=0.0)
 
-    for r, count in zip(releases.tolist(), per_release.tolist()):
-        lo, hi = r * g, _support_hi_index(r, dstar, g) + 1
-        for _ in range(count):  # repeated adds: route agreement measures them
-            acc[lo:hi] += inv[lo:hi]
-        opened[lo] += count
-        opened[hi] -= count
-    closed = np.cumsum(opened[:-1]) * inv
-    del opened
-    report.agreement_worst = float(np.abs(acc - closed).max(initial=0.0))
-
-    table = closed.reshape(dstar, g)
+    # Both support ends rise with the release, so the supports that meet a
+    # tile [a, b) are a window [first, last) of them.
+    spans = [(r * g, _support_hi_index(r, dstar, g) + 1, count)
+             for r, count in zip(releases.tolist(), per_release.tolist())]
     m = _padded(transcript.m, dstar)[:, None]
-    off = _padded(transcript.off, dstar)[:, None]
-    for k in np.flatnonzero(table > m + report.tolerance)[:100].tolist():
-        report.packing_profile_failures.append((k / g, float(closed[k]), int(m[k // g, 0])))
-    report.packing_scaled_off_excess = float((table - math.e * off).max(initial=float("-inf")))
+    e_off = math.e * _padded(transcript.off, dstar)[:, None]
+    failures = report.packing_profile_failures
+    rows = max(1, _TILE_POINTS // g)
+    first = last = 0
+    for s in range(0, dstar, rows):
+        a, b = s * g, min(s + rows, dstar) * g
+        while first < len(spans) and spans[first][1] <= a:
+            first += 1
+        while last < len(spans) and spans[last][0] < b:
+            last += 1
+        inv = 1.0 / (dstar - np.arange(a, b, dtype=np.float64) / g)
+        acc = np.zeros_like(inv)
+        opened = np.zeros(b - a + 1, dtype=np.int64)
+        for lo, hi, count in spans[first:last]:
+            lo, hi = max(lo, a) - a, min(hi, b) - a
+            into, step = acc[lo:hi], inv[lo:hi]
+            for _ in range(count):  # repeated adds: route agreement measures them
+                into += step
+            opened[lo] += count
+            opened[hi] -= count
+        closed = np.cumsum(opened[:-1]) * inv
+        report.agreement_worst = max(report.agreement_worst,
+                                     float(np.abs(acc - closed).max()))
+        table = closed.reshape(-1, g)
+        if len(failures) < 100:
+            m_tile = m[s:s + rows]
+            over = np.flatnonzero(table > m_tile + report.tolerance)
+            for k in over[:100 - len(failures)].tolist():
+                failures.append(((a + k) / g, float(closed[k]), int(m_tile[k // g, 0])))
+        report.packing_scaled_off_excess = max(report.packing_scaled_off_excess,
+                                               float((table - e_off[s:s + rows]).max()))
 
     # Support ends rise with the release, so the started (r < t) and the
     # finished (end < t) releases are prefixes: [lo, hi) is the active window.

@@ -610,9 +610,10 @@ def watchdog():
 
 
 class TestOversized:
-    """Streams and tables past what numpy holds exit 2 at once with one
-    ``error:`` line.  Every size is one numpy refuses on any host before
-    allocating: past 2**60 int64 steps or float64 cells."""
+    """Streams and tables past what numpy holds, and numbers past what
+    Python reads, exit 2 at once with one ``error:`` line.  Every size is
+    one numpy refuses on any host before allocating: past 2**60 int64
+    steps or float64 cells."""
 
     STEPS = 2**62
 
@@ -665,6 +666,19 @@ class TestOversized:
         assert out == ""
         assert err.endswith(" cells do not fit in memory as a float64 "
                             "assignment table\n")
+
+    def test_exponent_past_the_digit_limit_refused_at_once(self, capsys, watchdog,
+                                                           tmp_path):
+        # Fraction("1e-100000000") would build 10**100000000 first
+        path = tmp_path / "ed.json"
+        path.write_text(json.dumps({"model": "equal-deadline", "jobs": [
+            {"id": 0, "r": "1e-100000000", "d": 7, "p": 3}]}))
+        code, out, err = run_cli(capsys, "run", "equal-deadline",
+                                 "--instance", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "bad numeric string '1e-100000000'" in err
 
     def test_weights_past_the_exact_range_refused(self, capsys, tmp_path):
         path = tmp_path / "tp.json"

@@ -266,6 +266,36 @@ class TestValidation:
     def test_matches_row_reference(self, inst):
         assert validate_instance(inst) == reference_validate_instance(inst)
 
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(1, 4)), max_size=12),
+           st.lists(st.tuples(st.sampled_from(["negative", "duplicate", "swap",
+                                               "short", "early"]),
+                              st.integers(0, 11), st.integers(0, 11)), max_size=3),
+           st.sampled_from(["unit-min", "throughput", "equal-deadline"]))
+    def test_unit_columns_name_the_faults_rows_name(self, spans, faults, model):
+        # a valid sorted block, then planted faults; the column checks must
+        # hand every fault to the row loop, whose list the rows give too
+        rows = [[jid, r, r + span] for jid, (r, span) in
+                enumerate(sorted(spans, key=lambda rs: rs[0]))]
+        for fault, i, j in faults if rows else ():
+            i, j = i % len(rows), j % len(rows)
+            if fault == "negative":
+                rows[i][0] = -1 - rows[i][0]
+            elif fault == "duplicate":
+                rows[i][0] = rows[j][0]
+            elif fault == "swap":
+                rows[i], rows[j] = rows[j], rows[i]
+            elif fault == "short":
+                rows[i][2] = rows[i][1] - j % 2
+            else:
+                rows[i][1] = -1
+        horizon = max((d for _, _, d in rows), default=None)
+        columns = UnitJobs(*zip(*rows)) if rows else UnitJobs([], [], [])
+        got = validate_instance(Instance(model, columns, horizon=horizon))
+        want = validate_instance(Instance(model, tuple(Job(*row) for row in rows),
+                                          horizon=horizon))
+        assert got == want
+
     def test_require_valid_raises_with_rule_names(self):
         inst = Instance.of("unit-min", [Job(0, 3, 3)], horizon=3)
         with pytest.raises(ValidationError) as err:

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reference_certificate import reference_check_certificate
+from schedlab import online_min
 from schedlab.core import (ContractViolation, Instance, Job, MachineProfile,
                            UnitJobs, read_instance, write_instance)
 from schedlab.generators import adversary_instance, random_unit_instance
@@ -487,3 +489,64 @@ class TestReportBytes:
                                         for i, (r, span) in enumerate(pairs)])
         tr = run_alpha_edf(inst, alpha)
         assert_same_report(build_certificate(inst.jobs, 1 + pick), tr, grid)
+
+
+class TestTiles:
+    """The packing pass gives the whole-grid reference's report bytes
+    wherever tile boundaries fall; ``_TILE_POINTS`` is cut to 64 points so
+    that every instance here spans several tiles."""
+
+    @pytest.fixture(autouse=True)
+    def small_tiles(self, monkeypatch):
+        monkeypatch.setattr(online_min, "_TILE_POINTS", 64)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dstar_off_the_tile_rows(self, seed):
+        # grid 10: 6 rows a tile, and 13 is no multiple of 6
+        inst = random_unit_instance(60, 13, seed=seed)
+        for alpha in ("e", 1, Fraction(1, 2)):
+            tr = run_alpha_edf(inst, alpha)
+            for dstar in (5, 7, 13):
+                assert_same_report(build_certificate(inst.jobs, dstar), tr, 10)
+
+    @pytest.mark.parametrize("grid", [65, 100])
+    def test_rows_wider_than_a_tile(self, grid):
+        # one row a tile
+        inst = random_unit_instance(30, 8, seed=3)
+        for alpha in ("e", 1):
+            tr = run_alpha_edf(inst, alpha)
+            for dstar in (1, 4, 8):
+                assert_same_report(build_certificate(inst.jobs, dstar), tr, grid)
+
+    @pytest.mark.parametrize("alpha", [0, Fraction(1, 2), 1])
+    def test_first_hundred_packing_failures_across_tiles(self, alpha):
+        inst = random_unit_instance(80, 12, seed=5)
+        tr = run_alpha_edf(inst, alpha)
+        rep = assert_same_report(build_certificate(inst.jobs, 12), tr, 10)
+        # 60 points a tile; at alpha 0 no step has a machine
+        tiles = {int(t * 10) // 60 for t, _, _ in rep.packing_profile_failures}
+        assert len(tiles) > 1
+        assert len(rep.packing_profile_failures) == (100 if alpha < 1 else 85)
+
+    @pytest.mark.parametrize("grid", [7, 10, 100])
+    def test_dstar_past_the_horizon(self, grid):
+        inst = random_unit_instance(40, 9, seed=2)
+        for alpha in ("e", Fraction(1, 2)):
+            tr = run_alpha_edf(inst, alpha)
+            assert_same_report(build_certificate(inst.jobs, inst.horizon + 1),
+                               tr, grid)
+
+
+def test_packing_pass_holds_no_grid_sized_array():
+    # the size probe is one float64 array over the grid, 3.8 MiB; two
+    # such arrays at once pass 6 MiB
+    inst = random_unit_instance(2000, 500, seed=0)
+    tr = run_alpha_edf(inst, "e")
+    cert = build_certificate(inst.jobs, 500)
+    tracemalloc.start()
+    try:
+        check_certificate(cert, tr, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
