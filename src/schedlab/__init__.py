@@ -12,11 +12,11 @@ from .adversary import (AdversaryState, AggregateGame, GameTranscript,
                         aggregate_game, alpha_edf_player, counting_bounds,
                         crossover_n, offline_witness, play_game,
                         scaling_bound_report)
-from .core import (ContractViolation, Instance, Job, MachineProfile,
-                   ParseError, Schedule, UnitJobs, ValidationError,
-                   audit_schedule, dump_json, feasible_slot, read_instance,
-                   schedule_cost, unit_columns, validate_instance,
-                   write_instance)
+from .core import (ContractViolation, GridJobs, Instance, Job,
+                   MachineProfile, ParseError, Schedule, UnitJobs,
+                   ValidationError, audit_schedule, dump_json, feasible_slot,
+                   read_instance, schedule_cost, time_grid, unit_columns,
+                   validate_instance, write_instance)
 from .equal_deadline import (EqualDeadlineTranscript, classify, phase_bounds,
                              phase_split, run_equal_deadline)
 from .generators import (adversary_instance, equal_deadline_instance,
@@ -40,11 +40,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AdversaryState", "AggregateGame", "GameTranscript", "aggregate_game",
     "alpha_edf_player", "counting_bounds", "crossover_n", "offline_witness",
-    "play_game", "scaling_bound_report", "ContractViolation", "Instance",
-    "Job", "MachineProfile", "ParseError", "Schedule", "UnitJobs",
+    "play_game", "scaling_bound_report", "ContractViolation", "GridJobs",
+    "Instance", "Job", "MachineProfile", "ParseError", "Schedule", "UnitJobs",
     "ValidationError", "audit_schedule", "dump_json", "feasible_slot",
-    "read_instance", "schedule_cost", "unit_columns", "validate_instance",
-    "write_instance",
+    "read_instance", "schedule_cost", "time_grid", "unit_columns",
+    "validate_instance", "write_instance",
     "EqualDeadlineTranscript", "classify", "phase_bounds", "phase_split",
     "run_equal_deadline",
     "adversary_instance", "equal_deadline_instance", "generate",

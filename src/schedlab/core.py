@@ -18,10 +18,10 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, groupby
+from itertools import count, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
 from math import gcd, inf, lcm
-from operator import itemgetter, methodcaller
+from operator import add, itemgetter, le, methodcaller
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -188,6 +188,87 @@ def unit_columns(jobs: Iterable[Job]) -> UnitJobs:
                     [int(j.d) for j in rows])
 
 
+def _ratio(num: int, den: int) -> Rational:
+    """``num / den`` (``den > 0``): an ``int`` when integral, else a
+    ``Fraction``."""
+    whole, rest = divmod(num, den)
+    return Fraction(num, den) if rest else whole
+
+
+class GridJobs(Sequence[Job]):
+    """Jobs of unit weight as Python-int columns: ``ids``, and the ``r``,
+    ``d`` and ``p`` numerators over one ``scale`` ``L``, so job ``i`` has
+    release ``r[i] / L``.  The one form of an equal-deadline instance
+    inside the library; sums and comparisons of numerators are those of the
+    times, exact at any ``L``.
+
+    A slice gives columns; an integer index and iteration build a ``Job``
+    row per job asked for, for callers outside the library, with ``r`` and
+    ``d`` an ``int`` when integral and ``p`` a ``Fraction``.
+    """
+
+    __slots__ = ("ids", "r", "d", "p", "scale")
+
+    def __init__(self, ids, r, d, p, scale: int = 1):
+        self.ids, self.r, self.d, self.p = list(ids), list(r), list(d), list(p)
+        if not len(self.ids) == len(self.r) == len(self.d) == len(self.p):
+            raise ContractViolation("job columns differ in length")
+        if type(scale) is not int or scale < 1:
+            raise ContractViolation(f"the time scale must be an int >= 1, got {scale!r}")
+        self.scale = scale
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return GridJobs(self.ids[index], self.r[index], self.d[index],
+                            self.p[index], self.scale)
+        scale = self.scale
+        return Job(self.ids[index], _ratio(self.r[index], scale),
+                   _ratio(self.d[index], scale), Fraction(self.p[index], scale))
+
+    def __iter__(self):
+        scale = repeat(self.scale)
+        return map(Job, self.ids, map(_ratio, self.r, scale),
+                   map(_ratio, self.d, scale), map(Fraction, self.p, scale))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GridJobs):
+            return NotImplemented
+        # x / L == y / M exactly when x * M == y * L
+        return self.ids == other.ids and all(
+            [x * other.scale for x in a] == [y * self.scale for y in b]
+            for a, b in ((self.r, other.r), (self.d, other.d), (self.p, other.p)))
+
+    def __repr__(self) -> str:
+        return f"GridJobs({len(self)} jobs over {self.scale})"
+
+
+def time_grid(jobs: Iterable[Job]) -> GridJobs:
+    """The one conversion of ``Job`` rows into :class:`GridJobs`, order kept.
+
+    ``scale`` is the lcm of every ``r``, ``d`` and ``p`` denominator, and
+    stays 1 when every time is an int.  The times are ints or other
+    rationals (``Fraction``).  Weights are dropped: no engine that runs on
+    the grid reads them.
+    """
+    if isinstance(jobs, GridJobs):
+        return jobs
+    rows = tuple(jobs)
+    ids, rs, ds, ps, _ = zip(*rows) if rows else ((),) * 5
+    columns = (rs, ds, ps)
+    whole = [set(map(type, col)) <= {int} for col in columns]
+    dens = {x.denominator for col, ints in zip(columns, whole) if not ints
+            for x in col}
+    scale = lcm(*dens)
+    factor = {q: scale // q for q in dens}
+    return GridJobs(ids, *[
+        [x * scale for x in col] if ints
+        else [x.numerator * factor[x.denominator] for x in col]
+        for col, ints in zip(columns, whole)], scale)
+
+
 class Violation(NamedTuple):
     job_id: int | None
     rule: str
@@ -318,26 +399,6 @@ def _is_integral(x: Rational) -> bool:
     return isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1)
 
 
-def time_grid(*columns: Sequence[Rational]) -> tuple[int, list[Sequence[int]]]:
-    """The common denominator ``L`` of every value in ``columns``, and each
-    column as the integer numerators ``x * L``.
-
-    Sums and comparisons of the numerators are those of the values, exact at
-    any size.  The values are ints or other rationals (``Fraction``); a
-    column of ints is only multiplied by ``L``, and comes back as it is when
-    every value is an int.
-    """
-    whole = [set(map(type, col)) <= {int} for col in columns]
-    dens = {x.denominator for col, ints in zip(columns, whole) if not ints
-            for x in col}
-    scale = lcm(*dens)
-    factor = {q: scale // q for q in dens}
-    return scale, [
-        (col if scale == 1 else [x * scale for x in col]) if ints
-        else [x.numerator * factor[x.denominator] for x in col]
-        for col, ints in zip(columns, whole)]
-
-
 def _row_violations(ids, rs, ds, ps, ws, r_at, d_at, p_at) -> list[Violation]:
     """The per-job faults of :func:`validate_instance`, row by row: ``rs``,
     ``ds`` and ``ps`` as the file holds them, ``r_at``, ``d_at`` and
@@ -379,6 +440,19 @@ def _unit_rows_valid(jobs: UnitJobs) -> bool:
                 and rises.all() and (r >= 0).all() and (r < d).all())
 
 
+def _grid_rows_valid(jobs: GridJobs) -> bool:
+    """Whether :func:`_row_violations` finds nothing in grid columns, by
+    whole-column passes: ids non-negative and distinct, rows sorted by
+    ``(r, id)``, releases non-negative, lengths positive and
+    ``r + p <= d``."""
+    ids, r, d, p = jobs.ids, jobs.r, jobs.d, jobs.p
+    keys = list(zip(r, ids))
+    return (min(ids, default=0) >= 0 and len(set(ids)) == len(ids)
+            and all(map(le, keys, islice(keys, 1, None)))
+            and min(r, default=0) >= 0 and min(p, default=1) > 0
+            and all(map(le, map(add, r, p), d)))
+
+
 def validate_instance(instance: Instance) -> list[Violation]:
     """Check all model invariants; returns an empty list when valid.
 
@@ -393,41 +467,47 @@ def validate_instance(instance: Instance) -> list[Violation]:
     jobs = instance.jobs
     unit = isinstance(jobs, UnitJobs)
     if unit:
-        ds = jobs.d
+        scale = 1
         # the row loop runs only to name what the column checks found
         if not _unit_rows_valid(jobs):
-            ids, rs, dl = jobs.ids.tolist(), jobs.r.tolist(), ds.tolist()
+            ids, rs, ds = jobs.ids.tolist(), jobs.r.tolist(), jobs.d.tolist()
             ones = [1] * len(ids)
-            v += _row_violations(ids, rs, dl, ones, ones, rs, dl, ones)
+            v += _row_violations(ids, rs, ds, ones, ones, rs, ds, ones)
     else:
-        ids, rs, ds, ps, ws = zip(*jobs) if jobs else ((),) * 5
-        scale, (r_at, d_at, p_at) = time_grid(rs, ds, ps)
-        v += _row_violations(ids, rs, ds, ps, ws, r_at, d_at, p_at)
+        grid = time_grid(jobs)
+        scale, r_at, d_at, p_at = grid.scale, grid.r, grid.d, grid.p
+        # on columns, rows are built only to name what the checks found
+        if grid is not jobs or not _grid_rows_valid(grid):
+            ids, rs, ds, ps, ws = zip(*jobs) if jobs else ((),) * 5
+            v += _row_violations(ids, rs, ds, ps, ws, r_at, d_at, p_at)
         # unit columns hold unit-length jobs at integer times by construction
         if instance.model in ("unit-min", "throughput"):
-            for jid, p_scaled, p, r, d in zip(ids, p_at, ps, rs, ds):
-                if p_scaled != scale:
-                    v.append(Violation(jid, "NonUnitLength", f"p={p}"))
-                if not (_is_integral(r) and _is_integral(d)):
-                    v.append(Violation(jid, "NonIntegerTime",
-                                       f"r={r}, d={d} must be integers"))
+            for jid, r, d, p in zip(grid.ids, r_at, d_at, p_at):
+                if p != scale:
+                    v.append(Violation(jid, "NonUnitLength",
+                                       f"p={_ratio(p, scale)}"))
+                if r % scale or d % scale:
+                    v.append(Violation(
+                        jid, "NonIntegerTime", f"r={_ratio(r, scale)}, "
+                        f"d={_ratio(d, scale)} must be integers"))
 
     if instance.model == "unit-min" and jobs and instance.horizon is not None:
-        max_d = int(ds.max()) if unit else max(ds)
+        max_d = int(jobs.d.max()) if unit else _ratio(max(d_at), scale)
         if instance.horizon != max_d:
             v.append(Violation(None, "HorizonMismatch",
                                f"horizon={instance.horizon}, max deadline={max_d}"))
 
     if instance.model == "equal-deadline" and jobs:
         if unit:
-            ds = d_at = ds.tolist()
-        d0 = ds[0]
+            d_at = jobs.d.tolist()
         if d_at.count(d_at[0]) != len(jobs):
             v.append(Violation(None, "UnequalDeadlines",
                                "all deadlines must coincide"))
-        if not _is_integral(d0) or int(d0) < 1 or (int(d0) + 1) & int(d0) != 0:
+        d0, rest = divmod(d_at[0], scale)
+        if rest or d0 < 1 or (d0 + 1) & d0 != 0:
             v.append(Violation(None, "BadCommonDeadline",
-                               f"deadline {d0} is not of the form 2**k - 1"))
+                               f"deadline {_ratio(d_at[0], scale)} is not of "
+                               f"the form 2**k - 1"))
 
     if instance.model == "throughput":
         if instance.k is None or instance.k < 1:
@@ -621,12 +701,25 @@ def dump_json(obj) -> str:
     that share one key set fills one row template.  Any other object
     anywhere in ``obj`` (another key type, a subclass, a value JSON cannot
     hold) or a reference cycle sends all of ``obj`` to ``json.dumps``, which
-    writes it or raises as it always does.
+    writes it or raises as it always does.  An int past Python's digit
+    limit in an object it writes itself is refused as a
+    :class:`ContractViolation` (:func:`_past_digit_limit`).
     """
     try:
         return _json(obj, 0)
     except (_Unproven, RecursionError):
         return json.dumps(obj, indent=1, sort_keys=True)
+    except ValueError:
+        # of the exact scalar types only an int's text can raise
+        raise _past_digit_limit() from None
+
+
+def _past_digit_limit() -> ContractViolation:
+    """The refusal of an int too long to write: Python converts ints of at
+    most ``sys.get_int_max_str_digits()`` digits to text."""
+    return ContractViolation(
+        f"a number has more than {sys.get_int_max_str_digits()} digits, "
+        f"Python's limit for writing an int as text")
 
 
 def _quotient_out(num: int, den: int):
@@ -642,10 +735,13 @@ def _quotient_out(num: int, den: int):
     # in the denominator; the bit length bounds both.
     digits = den.bit_length()
     scaled, rest = divmod(num * 10 ** digits, den)
-    if rest:
-        return f"{num}/{den}"
+    try:
+        if rest:
+            return f"{num}/{den}"
+        text = str(abs(scaled)).rjust(digits + 1, "0")
+    except ValueError:
+        raise _past_digit_limit() from None
     sign = "-" if scaled < 0 else ""
-    text = str(abs(scaled)).rjust(digits + 1, "0")
     return f"{sign}{text[:-digits]}.{text[-digits:].rstrip('0')}"
 
 
@@ -656,20 +752,26 @@ def _num_out(x: Rational):
     return _quotient_out(f.numerator, f.denominator)
 
 
-def _decimal_in(text: str) -> Rational | None:
-    """``Fraction(text)`` for ``text`` of the form ``[-]digits[.digits]``,
-    as an ``int`` when integral; ``None`` for any other string.  The two
-    digit runs convert apart, as ``Fraction`` converts them, so their
-    length limits are the same."""
+def _decimal_parts(text: str) -> tuple[int, int] | None:
+    """``(num, places)`` with ``Fraction(text) == num / 10**places`` for
+    ``text`` of the form ``[-]digits[.digits]``; ``None`` for any other
+    string.  The two digit runs convert apart, as ``Fraction`` converts
+    them, so their length limits are the same."""
     sign, body = (-1, text[1:]) if text[:1] == "-" else (1, text)
     whole, dot, decimals = body.partition(".")
     if not (whole.isdecimal() and (not dot or decimals.isdecimal())):
         return None
-    den = 10 ** len(decimals)
-    num = sign * (int(whole) * den + (int(decimals) if decimals else 0))
-    if num % den == 0:
-        return num // den
-    return Fraction(num, den)
+    places = len(decimals)
+    num = int(whole) * 10 ** places + (int(decimals) if decimals else 0)
+    return sign * num, places
+
+
+def _decimal_in(text: str) -> Rational | None:
+    """``Fraction(text)`` for a plain decimal ``text``
+    (:func:`_decimal_parts`), as an ``int`` when integral; ``None`` for any
+    other string."""
+    parts = _decimal_parts(text)
+    return None if parts is None else _ratio(parts[0], 10 ** parts[1])
 
 
 def _check_exponent(text: str) -> None:
@@ -713,14 +815,26 @@ def _num_in(value, where: str) -> Rational:
     return int(f) if f.denominator == 1 else f
 
 
+def _quotients_out(nums: list[int], scale: int) -> list:
+    """Each ``num / scale`` as :func:`_quotient_out` writes it, formatted
+    once per distinct numerator."""
+    texts = {num: _quotient_out(num, scale) for num in set(nums)}
+    return list(map(texts.__getitem__, nums))
+
+
 def _job_columns(jobs: Sequence[Job]) -> dict[str, list]:
     """The jobs' fields as a file holds them, one column per key, in key
-    order: unit columns as they are, every other number as
-    :func:`_num_out` writes it."""
+    order: unit columns as they are, grid numerators over their scale and
+    every other number as :func:`_num_out` writes it."""
     if isinstance(jobs, UnitJobs):
         ones = [1] * len(jobs)
         return {"d": jobs.d.tolist(), "id": jobs.ids.tolist(), "p": ones,
                 "r": jobs.r.tolist(), "w": ones}
+    if isinstance(jobs, GridJobs):
+        scale = jobs.scale
+        return {"d": _quotients_out(jobs.d, scale), "id": jobs.ids,
+                "p": _quotients_out(jobs.p, scale),
+                "r": _quotients_out(jobs.r, scale), "w": [1] * len(jobs)}
     ids, rs, ds, ps, ws = zip(*jobs) if jobs else ((),) * 5
     return {"d": list(map(_num_out, ds)), "id": list(ids),
             "p": list(map(_num_out, ps)), "r": list(map(_num_out, rs)),
@@ -747,31 +861,27 @@ def write_instance(instance: Instance) -> str:
     header = {"model": instance.model, "k": instance.k,
               "horizon": instance.horizon}
     header = {key: value for key, value in header.items() if value is not None}
-    texts = _json_scalars(list(header.values()))
-    rows = _jobs_json(instance.jobs)
-    if texts is None or rows is None:
-        return dump_json(instance_to_dict(instance)) + "\n"
-    fields = dict(zip(header, texts))
-    fields["jobs"] = rows
-    return _json_object(sorted(fields.items()), 0) + "\n"
-
-
-def _jobs_json(jobs: Sequence[Job]) -> str | None:
-    """A file's ``jobs`` array, its rows filled from the job columns; or
-    ``None`` when a value is no plain JSON scalar, which leaves the file to
-    ``json.dumps``."""
-    columns = _job_columns(jobs)
-    texts = [_json_scalars(column) for column in columns.values()]
-    if None in texts:
-        return None
-    return _json_array(_json_rows(list(columns), texts, 2), 1)
+    columns = _job_columns(instance.jobs)
+    try:
+        texts = [_json_scalars(column)
+                 for column in (list(header.values()), *columns.values())]
+        if None in texts:
+            # a value that is no plain JSON scalar leaves the file to dump_json
+            return dump_json(instance_to_dict(instance)) + "\n"
+        fields = dict(zip(header, texts[0]))
+        fields["jobs"] = _json_array(_json_rows(list(columns), texts[1:], 2), 1)
+        return _json_object(sorted(fields.items()), 0) + "\n"
+    except ValueError:
+        # of the exact scalar types only an int's text can raise
+        raise _past_digit_limit() from None
 
 
 def _unit_jobs_in(raw_jobs: list) -> UnitJobs | None:
     """Columns of unit-min job objects whose ``id``, ``r`` and ``d`` are
-    JSON ints that fit int64 and whose ``p`` and ``w`` are absent or 1, in
-    file order; ``None`` for any other list, which the row reader parses.
-    :class:`UnitJobs` refuses every other ``id``, ``r`` or ``d``."""
+    JSON ints that fit int64 and whose ``p`` and ``w`` are absent or 1,
+    sorted by ``(r, id)`` as the row reader sorts; ``None`` for any other
+    list, which the row reader parses.  :class:`UnitJobs` refuses every
+    other ``id``, ``r`` or ``d``."""
     if set(map(type, raw_jobs)) - {dict}:
         return None
     try:
@@ -784,9 +894,65 @@ def _unit_jobs_in(raw_jobs: list) -> UnitJobs | None:
         if set(map(type, values)) - {int} or set(values) - {1}:
             return None
     try:
-        return UnitJobs(*columns)
+        jobs = UnitJobs(*columns)
     except ContractViolation:
         return None
+    return jobs[np.lexsort((jobs.ids, jobs.r))]
+
+
+def _decimal_column(values: list) -> tuple[list[int], int] | None:
+    """A column of JSON ints and plain decimal strings
+    (:func:`_decimal_parts`) as ``(nums, places)``, value ``i`` being
+    ``nums[i] / 10**places``; ``None`` for a column holding any other value
+    or a digit run past Python's int/str limit."""
+    kinds = set(map(type, values))
+    if kinds <= {int}:
+        return values, 0
+    if kinds - {int, str}:
+        return None
+    try:
+        parts = [(x, 0) if type(x) is int else _decimal_parts(x) for x in values]
+    except ValueError:
+        return None
+    if None in parts:
+        return None
+    places = max(map(itemgetter(1), parts))
+    shift = [10 ** (places - k) for k in range(places + 1)]
+    return [num * shift[k] for num, k in parts], places
+
+
+def _grid_jobs_in(raw_jobs: list) -> GridJobs | None:
+    """Columns of equal-deadline job objects whose ``id`` is a JSON int,
+    whose ``r``, ``d`` and ``p`` are JSON ints or plain decimal strings
+    and whose ``w`` is absent or 1, over the power of ten the longest
+    decimal needs, sorted by ``(r, id)`` as the row reader sorts; ``None``
+    for any other list, which the row reader parses."""
+    if set(map(type, raw_jobs)) - {dict}:
+        return None
+    try:
+        ids, *times = [list(map(itemgetter(key), raw_jobs))
+                       for key in ("id", "r", "d")]
+    except KeyError:
+        return None
+    times.append(list(map(methodcaller("get", "p", 1), raw_jobs)))
+    weights = list(map(methodcaller("get", "w", 1), raw_jobs))
+    # a set holds True as 1, so the types are checked apart
+    if set(map(type, ids)) - {int} or set(map(type, weights)) - {int} or set(weights) - {1}:
+        return None
+    columns = list(map(_decimal_column, times))
+    if None in columns:
+        return None
+    places = max(k for _, k in columns)
+    scaled = []
+    for nums, k in columns:
+        factor = 10 ** (places - k)
+        scaled.append([x * factor for x in nums] if factor > 1 else nums)
+    r, d, p = scaled
+    keys = list(zip(r, ids))
+    if not all(map(le, keys, islice(keys, 1, None))):
+        order = sorted(range(len(ids)), key=keys.__getitem__)
+        ids, r, d, p = ([col[i] for i in order] for col in (ids, r, d, p))
+    return GridJobs(ids, r, d, p, 10 ** places)
 
 
 def _job_rows(raw_jobs: list) -> list[Job]:
@@ -813,9 +979,11 @@ def _job_rows(raw_jobs: list) -> list[Job]:
 
 def instance_from_dict(doc: dict) -> Instance:
     """Parse and validate an instance document.  A unit-min document whose
-    jobs are plain int columns is read into :class:`UnitJobs` straight;
-    every other one is read as ``Job`` rows, validated, and, for unit-min,
-    converted, so both paths refuse with the same messages."""
+    jobs are plain int columns is read into :class:`UnitJobs` straight, and
+    an equal-deadline one whose times are ints and plain decimals into
+    :class:`GridJobs`; every other one is read as ``Job`` rows, validated,
+    and, for these two models, converted, so both paths refuse with the
+    same messages."""
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     if "model" not in doc:
@@ -826,7 +994,8 @@ def instance_from_dict(doc: dict) -> Instance:
     raw_jobs = doc.get("jobs")
     if not isinstance(raw_jobs, list):
         raise ParseError('missing or bad field "jobs"')
-    columns = _unit_jobs_in(raw_jobs) if model == "unit-min" else None
+    reader = {"unit-min": _unit_jobs_in, "equal-deadline": _grid_jobs_in}.get(model)
+    columns = reader(raw_jobs) if reader else None
     jobs = _job_rows(raw_jobs) if columns is None else None
     k = doc.get("k")
     if k is not None and (not isinstance(k, int) or isinstance(k, bool)):
@@ -835,23 +1004,30 @@ def instance_from_dict(doc: dict) -> Instance:
     if horizon is not None and (not isinstance(horizon, int) or isinstance(horizon, bool)):
         raise ParseError('"horizon" must be an integer')
     if columns is not None:
-        columns = columns[np.lexsort((columns.ids, columns.r))]
         return require_valid(Instance(model, columns, k, horizon))
     jobs.sort(key=lambda j: (j.r, j.id))
     instance = Instance(model=model, jobs=tuple(jobs), k=k, horizon=horizon)
     require_valid(instance)
     if model == "unit-min":
         instance = Instance(model, unit_columns(jobs), k, horizon)
+    elif model == "equal-deadline":
+        instance = Instance(model, time_grid(jobs), k, horizon)
     return instance
 
 
 def read_instance(text: str) -> Instance:
     """Parse and validate an instance file.  A unit-min file becomes
-    :class:`UnitJobs` columns, which must fit int64 and keep no weights: no
-    unit-min engine reads them, and no ``sched`` command writes a read
-    instance back."""
+    :class:`UnitJobs` columns, which must fit int64, and an equal-deadline
+    file :class:`GridJobs`; neither keeps weights: no engine of those
+    models reads them, and no ``sched`` command writes a read instance
+    back."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON at line {exc.lineno}: {exc.msg}") from None
+    except ValueError:
+        # json.loads reads every int, and refuses one past the digit limit
+        raise ParseError(
+            f"bad JSON: a number has more than {sys.get_int_max_str_digits()} "
+            f"digits, Python's limit for reading an int from text") from None
     return instance_from_dict(doc)

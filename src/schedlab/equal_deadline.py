@@ -8,16 +8,18 @@ the next phase boundary, where they are stacked greedily onto a pool of
 short machines.  Closed machines are reopened lowest id first, so the cost
 that matters is the peak number concurrently open.
 
-Times are exact.  The runner carries every time as a Python ``int`` over
-the instance's common denominator ``L``, the lcm of the ``r`` and ``p``
-denominators (:func:`~schedlab.core.time_grid`): ``x`` is held as ``x * L``.
-Phase boundaries are integers, so they scale too, and the quarter-phase and
-midpoint tests compare ``4x`` and ``2x`` against the scaled phase length.
-Every placement decision is one integer comparison, however large ``L``
-is.  The transcript keeps the numerators and ``L`` too: its JSON form
-formats each ``(numerator, L)`` pair with the files' number rule, and builds
-no ``Fraction``.  Its ``schedule`` and ``lengths`` give the times as
-``Fraction``s, built on first read.
+Times are exact.  An instance's jobs are :class:`~schedlab.core.GridJobs`:
+every time a Python ``int`` numerator over one common denominator ``L``, so
+``x`` is held as ``x * L``.  The generator and the file reader fill those
+columns; ``Job`` rows from elsewhere are converted once, by
+:func:`~schedlab.core.time_grid`.  The runner and the volume bound read the
+numerators as they are.  Phase boundaries are integers, so they scale too,
+and the quarter-phase and midpoint tests compare ``4x`` and ``2x`` against
+the scaled phase length.  Every placement decision is one integer
+comparison, however large ``L`` is.  The transcript keeps the numerators
+and ``L`` too: its JSON form formats each ``(numerator, L)`` pair with the
+files' number rule, and builds no ``Fraction``.  Its ``schedule`` and
+``lengths`` give the times as ``Fraction``s, built on first read.
 """
 
 from __future__ import annotations
@@ -261,13 +263,13 @@ def run_equal_deadline(instance: Instance) -> EqualDeadlineTranscript:
             kappa=0, d=0, lb=0, scale=1, placements=[], sizes={}, misses=[],
             job_class={}, phases=[], peak_concurrent=0, machines_used=0,
             half_busy_ok=True)
-    d = int(instance.common_deadline)
-    lb = volume_lower_bound(instance.jobs, d)
+    jobs = time_grid(instance.jobs)
+    ids, rel, size, scale = jobs.ids, jobs.r, jobs.p, jobs.scale
+    d = jobs.d[0] // scale
+    lb = volume_lower_bound(jobs, d)
     kappa = d.bit_length()
     phases = phase_split(kappa)
     reports = [PhaseReport(ph.index, ph.start, ph.end, ph.length) for ph in phases]
-    ids, rs, _, ps, _ = zip(*instance.jobs)
-    scale, (rel, size) = time_grid(rs, ps)
     scaled = [Phase(ph.index, ph.start * scale, ph.end * scale, ph.length * scale)
               for ph in phases]
     runner = _Runner()

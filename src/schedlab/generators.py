@@ -9,12 +9,11 @@ matching family) take no randomness at all.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import numpy as np
 
 from .adversary import resolve_stream, stream_jobs
-from .core import ContractViolation, Instance, Job, UnitJobs
+from .core import ContractViolation, GridJobs, Instance, Job, UnitJobs
 
 
 def adversary_instance(n: int, N: int | None = None) -> Instance:
@@ -49,8 +48,9 @@ def equal_deadline_instance(kappa: int, jobs: int, seed: int = 0) -> Instance:
     A release is a multiple of ``2^-b`` in ``(0, d]`` (``b`` drawn from 0-3)
     less 1/8, clamped at 0; a size is a multiple of ``2^-b`` in
     ``(0, d - r]`` (``b`` from 0-4), or all of ``d - r`` when no multiple
-    fits.  Releases are drawn as integer eighths and sorted on them; ``r`` is
-    an ``int`` when integral and ``p`` is always a ``Fraction``.
+    fits.  The jobs are :class:`~schedlab.core.GridJobs` columns in
+    sixteenths, drawn as integers and sorted on the release, with no
+    ``Fraction`` and no ``Job`` row built.
     """
     if kappa < 1 or jobs < 0:
         raise ContractViolation("need kappa >= 1 and jobs >= 0")
@@ -63,12 +63,12 @@ def equal_deadline_instance(kappa: int, jobs: int, seed: int = 0) -> Instance:
         room8 = 8 * d - r8
         bits = randint(0, 4)
         hi = (room8 << bits) >> 3
-        p = Fraction(randint(1, hi), 1 << bits) if hi else Fraction(room8, 8)
-        drawn.append((r8, i, p))
+        p16 = randint(1, hi) << (4 - bits) if hi else 2 * room8
+        drawn.append((r8, i, p16))
     drawn.sort()
-    return Instance("equal-deadline", tuple(
-        Job(i, r8 >> 3 if r8 & 7 == 0 else Fraction(r8, 8), d, p)
-        for r8, i, p in drawn))
+    r8s, ids, sizes = zip(*drawn) if drawn else ((),) * 3
+    return Instance("equal-deadline", GridJobs(
+        ids, [2 * r8 for r8 in r8s], [16 * d] * jobs, sizes, 16))
 
 
 def throughput_instance(jobs: int, horizon: int, k: int = 1, w_max: int = 10,

@@ -371,8 +371,8 @@ def check_certificate(cert: FractionalCertificate, transcript: OnlineTranscript,
     Dominance needs no grid: at every integer t, the certificate jobs
     already scheduled are at least the fractional mass accrued by t.  A
     sweep over the distinct releases decides it; a release is finished once
-    t passes its exact support end (``_support_hi_index`` at one point per
-    unit), and only the still-active releases add a log term.
+    t passes its exact support end (the packing pass's grid end, floored to
+    a step), and only the still-active releases add a log term.
     """
     g = grid_per_unit
     if g < 2:
@@ -424,7 +424,8 @@ def check_certificate(cert: FractionalCertificate, transcript: OnlineTranscript,
 
     # Support ends rise with the release, so the started (r < t) and the
     # finished (end < t) releases are prefixes: [lo, hi) is the active window.
-    ends = [_support_hi_index(r, dstar, 1) for r in releases.tolist()]
+    # The last point k/g <= end on the grid floors to the last integer <= end.
+    ends = [(hi - 1) // g for _, hi, _ in spans]
     log_span = np.log(dstar - releases.astype(np.float64))
     star_ids = set(cert.jobs.ids.tolist())
     chosen = transcript.trace.chosen

@@ -431,16 +431,17 @@ def volume_lower_bound(jobs: Sequence[Job], d) -> int:
     schedule needs at least ``ceil(volume / (d - r))`` machines; take the
     worst release point (Horn's window condition).  Valid for arbitrary
     (rational) job lengths.  One suffix sum over the distinct releases,
-    latest first, on integer numerators over the common denominator
-    (:func:`~schedlab.core.time_grid`), so each ratio is one integer
+    latest first, on the integer numerators of
+    :class:`~schedlab.core.GridJobs` (``Job`` rows are converted by
+    :func:`~schedlab.core.time_grid`), so each ratio is one integer
     division: O(n log n).
     """
     if not jobs:
         return 0
-    _, (rel, size, (end,)) = time_grid([j.r for j in jobs],
-                                       [j.p for j in jobs], [d])
+    grid = time_grid(jobs)
+    end = d * grid.scale
     volume_at = {0: 0}
-    for r, p in zip(rel, size):
+    for r, p in zip(grid.r, grid.p):
         volume_at[r] = volume_at.get(r, 0) + p
     best, vol = 1, 0
     for r in sorted(volume_at, reverse=True):

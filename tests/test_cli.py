@@ -680,6 +680,31 @@ class TestOversized:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "bad numeric string '1e-100000000'" in err
 
+    def test_json_int_past_the_digit_limit_refused(self, capsys, watchdog,
+                                                   tmp_path):
+        # json.loads refuses a 5000-digit int with a plain ValueError
+        path = tmp_path / "ed.json"
+        path.write_text('{"model": "equal-deadline", "jobs": [{"id": 0, '
+                        '"r": 0, "p": 1, "d": ' + "9" * 5000 + '}]}')
+        code, out, err = run_cli(capsys, "run", "equal-deadline",
+                                 "--instance", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: bad JSON: a number has more than "
+                       f"{sys.get_int_max_str_digits()} digits, Python's limit "
+                       f"for reading an int from text\n")
+
+    def test_number_past_the_digit_limit_refused_at_write(self, capsys,
+                                                          watchdog):
+        # the deadline 2**20000 - 1 has 6021 digits
+        code, out, err = run_cli(capsys, "gen", "equal-deadline", "--kappa",
+                                 "20000", "--jobs", "1")
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: a number has more than "
+                       f"{sys.get_int_max_str_digits()} digits, Python's limit "
+                       f"for writing an int as text\n")
+
     def test_weights_past_the_exact_range_refused(self, capsys, tmp_path):
         path = tmp_path / "tp.json"
         path.write_text(json.dumps({"model": "throughput", "k": 1, "jobs": [

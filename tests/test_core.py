@@ -3,6 +3,7 @@ import enum
 import hashlib
 import json
 import re
+import sys
 from collections import OrderedDict
 from fractions import Fraction
 from pathlib import Path
@@ -18,6 +19,7 @@ from schedlab.core import (
     INT64_MAX,
     MODELS,
     ContractViolation,
+    GridJobs,
     Instance,
     Job,
     MachineProfile,
@@ -180,17 +182,41 @@ def broken_instances(draw):
 
 class TestTimeGrid:
     def test_integer_columns_come_back_as_they_are(self):
-        col = (3, 0, 7)
-        scale, (out,) = time_grid(col)
-        assert scale == 1 and out is col
+        grid = time_grid([Job(4, 3, 7, p=2, w=5), Job(1, 0, 7)])
+        assert (grid.ids, grid.r, grid.d, grid.p, grid.scale) == (
+            [4, 1], [3, 0], [7, 7], [2, 1], 1)
+        assert time_grid(grid) is grid
 
     def test_common_denominator_of_all_columns(self):
-        scale, cols = time_grid([Fraction(1, 3), 2], [Fraction(22, 7)], [7])
-        assert scale == 21
-        assert cols == [[7, 42], [66], [147]]
+        grid = time_grid([Job(0, Fraction(1, 3), 7, p=Fraction(22, 7)),
+                          Job(1, 2, 7, p=1)])
+        assert grid.scale == 21
+        assert (grid.r, grid.d, grid.p) == ([7, 42], [147, 147], [66, 21])
 
     def test_integral_fractions_keep_the_grid_at_one(self):
-        assert time_grid([Fraction(7), 3], [Fraction(4, 2)]) == (1, [[7, 3], [2]])
+        grid = time_grid([Job(0, Fraction(7), 9, p=Fraction(4, 2)), Job(1, 3, 9)])
+        assert (grid.r, grid.p, grid.scale) == ([7, 3], [2, 1], 1)
+
+    def test_rows_are_rebuilt_with_their_values(self):
+        rows = (Job(0, Fraction(1, 3), 7, p=Fraction(22, 7)), Job(1, 2, 7, p=1))
+        grid = time_grid(rows)
+        assert tuple(grid) == rows and grid[1] == rows[1]
+        assert repr(grid[0]) == (
+            "Job(id=0, r=Fraction(1, 3), d=7, p=Fraction(22, 7), w=1)")
+        assert grid[1:] == time_grid(rows[1:])
+        assert grid[1:].scale == 21
+
+    def test_equality_is_by_value_over_any_scale(self):
+        coarse = GridJobs([0], [1], [14], [3], 2)
+        assert coarse == GridJobs([0], [5], [70], [15], 10)
+        assert coarse != GridJobs([0], [1], [14], [4], 2)
+        assert coarse != GridJobs([1], [1], [14], [3], 2)
+
+    def test_malformed_columns_are_refused(self):
+        with pytest.raises(ContractViolation, match="differ in length"):
+            GridJobs([0, 1], [0], [7], [1])
+        with pytest.raises(ContractViolation, match="time scale"):
+            GridJobs([0], [0], [7], [1], 0)
 
 
 class TestValidation:
@@ -425,7 +451,9 @@ class TestJson:
         doc = instance_to_dict(inst)
         assert doc["jobs"][0]["r"] == "0.5"
         assert doc["jobs"][0]["p"] == "1.25"
-        assert read_instance(write_instance(inst)) == inst
+        assert instance_to_dict(Instance(inst.model, time_grid(inst.jobs))) == doc
+        assert read_instance(write_instance(inst)) == Instance(
+            "equal-deadline", GridJobs([0], [50], [300], [125], 100))
 
     def test_non_decimal_rationals_encode_as_fraction_strings(self):
         text = json.dumps({"model": "equal-deadline", "jobs": [
@@ -598,6 +626,105 @@ class TestColumnReader:
         assert instance_to_dict(instance_from_dict(doc))["jobs"][0]["w"] == 1
 
 
+def _time_text(value: Fraction, form: str):
+    """``value`` as a file may hold it: a JSON int, a plain decimal, a
+    ``p/q`` string, an exponent string or a float; a value that is not
+    integral is written as a decimal, and one with no exact decimal as
+    ``p/q``."""
+    den = value.denominator
+    if form == "int" and den == 1:
+        return int(value)
+    places = next((k for k in range(6) if (value * 10**k).denominator == 1), None)
+    if form in ("int", "decimal") and places is not None:
+        text = f"{abs(value * 10**places).numerator:0{places + 1}d}"
+        sign = "-" if value < 0 else ""
+        return sign + (f"{text[:-places]}.{text[-places:]}" if places else text)
+    if form == "exponent" and places is not None:
+        return f"{(value * 10**places).numerator}e-{places}"
+    if form == "float":
+        return float(value)
+    return f"{value.numerator}/{den}"
+
+
+_forms = st.sampled_from(["int", "decimal"] * 3 + ["fraction", "exponent", "float"])
+_values = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(-1, 8), Fraction(-2), Fraction(1, 3)]),
+    st.builds(Fraction, st.integers(-4, 60), st.sampled_from([1, 2, 4, 5, 8, 3])))
+
+
+@st.composite
+def equal_deadline_documents(draw):
+    """equal-deadline documents, valid or not: unsorted jobs, duplicate or
+    negative ids, lengths at or below 0, windows too short, unequal or bad
+    deadlines, times as ints, decimals, ``p/q``, exponents, floats or bools,
+    and weights other than 1."""
+    d = (1 << draw(st.integers(1, 4))) - 1
+    # most documents hold only ints and plain decimals, the grid reader's own
+    forms = draw(st.sampled_from([st.sampled_from(["int", "decimal"])] * 3
+                                 + [_forms]))
+    jobs = []
+    for i in range(draw(st.integers(0, 6))):
+        r = draw(st.fractions(0, d - Fraction(1, 8), max_denominator=8))
+        p = draw(st.fractions(Fraction(1, 8), d - r, max_denominator=8))
+        entry = {"id": i, "r": _time_text(r, draw(forms)), "d": d,
+                 "p": _time_text(p, draw(forms))}
+        fault = draw(st.sampled_from(
+            [None] * 12 + ["id", "w", "bool", "missing"] + ["r", "d", "p"] * 2))
+        if fault == "id":
+            entry["id"] = draw(st.sampled_from([0, -1, 2**70, True, "3"]))
+        elif fault in ("r", "d", "p"):
+            entry[fault] = _time_text(draw(_values), draw(forms))
+        elif fault == "w":
+            entry["w"] = draw(st.sampled_from([1, 0, 5, "1", 1.0, True, -1]))
+        elif fault == "bool":
+            entry[draw(st.sampled_from(["r", "d", "p"]))] = draw(st.booleans())
+        elif fault == "missing":
+            del entry[draw(st.sampled_from(["r", "p"]))]
+        jobs.append(entry)
+    doc = {"model": "equal-deadline", "jobs": draw(st.permutations(jobs))}
+    for key in ("k", "horizon"):
+        value = draw(st.sampled_from([None] * 8 + [2, "2"]))
+        if value is not None:
+            doc[key] = value
+    return doc
+
+
+class TestGridReader:
+    """The grid reader against the row reader, which stays the reference."""
+
+    @settings(max_examples=400)
+    @given(equal_deadline_documents())
+    @example({"model": "equal-deadline", "jobs": [
+        {"id": 1, "r": "0.5", "d": 7, "p": "2.25"},
+        {"id": 0, "r": 3, "d": "7.0", "p": 4}]})
+    @example({"model": "equal-deadline", "jobs": [
+        {"id": 0, "r": "-0.125", "d": 7, "p": "0"},
+        {"id": 0, "r": "6.5", "d": 6, "p": "1.5", "w": 1}]})
+    @example({"model": "equal-deadline", "jobs": [
+        {"id": 0, "r": "1" + "0" * 5000, "d": 7, "p": 1}]})
+    @example({"model": "equal-deadline", "jobs": [
+        {"id": 0, "r": "0.5", "d": 7, "p": "0", "w": -1}]})
+    def test_matches_row_reference(self, doc):
+        expected = _read(reference_instance_from_dict, doc)
+        got = _read(instance_from_dict, doc)
+        if not isinstance(expected, Instance):
+            assert got == expected
+            return
+        assert isinstance(got.jobs, GridJobs)
+        assert (got.model, got.k, got.horizon) == (
+            expected.model, expected.k, expected.horizon)
+        assert [(j.id, j.r, j.d, j.p) for j in got.jobs] == [
+            (j.id, j.r, j.d, j.p) for j in expected.jobs]
+
+    def test_plain_decimals_skip_the_row_reader(self, monkeypatch):
+        doc = {"model": "equal-deadline", "jobs": [
+            {"id": 1, "r": "0.5", "d": 7, "p": "2.25"},
+            {"id": 0, "r": 3, "d": "7.0", "p": 4, "w": 1}]}
+        monkeypatch.setattr("schedlab.core._job_rows", None)
+        inst = instance_from_dict(doc)
+        assert (inst.jobs.ids, inst.jobs.r, inst.jobs.scale) == ([1, 0], [50, 300], 100)
+
+
 def _outcome(call, *args):
     """What ``call(*args)`` returns, or the type and message it raises."""
     try:
@@ -653,6 +780,10 @@ _json_values = st.recursive(
     max_leaves=25)
 
 
+_PAST_DIGIT_LIMIT = (f"^a number has more than {sys.get_int_max_str_digits()} "
+                     f"digits, Python's limit for writing an int as text$")
+
+
 class TestDumpJson:
     """dump_json against the json module call it replaces."""
 
@@ -680,6 +811,20 @@ class TestDumpJson:
         loop = [1]
         loop.append({"again": loop})
         assert _outcome(dump_json, loop) == (ValueError, "Circular reference detected")
+
+    def test_int_past_the_digit_limit_is_refused(self):
+        # json.dumps raises a plain ValueError here
+        with pytest.raises(ContractViolation, match=_PAST_DIGIT_LIMIT):
+            dump_json({"d": [1, 10**5000]})
+
+    @pytest.mark.parametrize("job", [Job(0, 0, 2**20000 - 1, p=3),
+                                     Job(0, 0, 7, p=Fraction(1, 2**20000))],
+                             ids=["int", "decimal"])
+    def test_write_refuses_a_number_past_the_digit_limit(self, job):
+        rows = (job,)
+        for jobs in (rows, time_grid(rows)):
+            with pytest.raises(ContractViolation, match=_PAST_DIGIT_LIMIT):
+                write_instance(Instance("equal-deadline", jobs))
 
     def test_indent_one_only_in_dump_json(self):
         """Every indented JSON writer goes through dump_json."""

@@ -1,6 +1,9 @@
 """Phase-based scheduling of mixed-length jobs against one common deadline."""
+import cProfile
+import fractions
 import hashlib
 import json
+import pstats
 from fractions import Fraction
 
 import pytest
@@ -11,7 +14,8 @@ from reference_equal_deadline import (
     reference_equal_deadline_instance,
     reference_run_equal_deadline,
 )
-from schedlab.core import ContractViolation, Instance, Job, write_instance
+from schedlab.core import (ContractViolation, GridJobs, Instance, Job,
+                           read_instance, write_instance)
 from schedlab.equal_deadline import (
     classify,
     phase_bounds,
@@ -314,6 +318,36 @@ def test_instance_bytes_are_pinned(kappa, jobs, seed):
     assert digest == GOLDEN_INSTANCES[kappa, jobs, seed]
 
 
+@pytest.fixture
+def no_grid_rows(monkeypatch):
+    """Building a ``Job`` row from grid columns fails: iterating a
+    ``GridJobs`` and indexing it by an integer raise, while slices still
+    give columns."""
+    def refuse(*_):
+        raise AssertionError("a Job row was built from grid columns")
+
+    getitem = GridJobs.__getitem__
+    monkeypatch.setattr(GridJobs, "__iter__", refuse)
+    monkeypatch.setattr(GridJobs, "__getitem__", lambda self, index: (
+        refuse() if isinstance(index, int) else getitem(self, index)))
+
+
+def test_equal_deadline_pipeline_builds_no_rows(no_grid_rows):
+    # gen -> write -> read -> run -> transcript JSON, as the benchmark op
+    profile = cProfile.Profile()
+    profile.enable()
+    inst = equal_deadline_instance(9, 1000, seed=3)
+    back = read_instance(write_instance(inst))
+    doc = run_equal_deadline(back).to_jsonable()
+    profile.disable()
+    built = sum(calls for (path, _, name), (_, calls, *_) in
+                pstats.Stats(profile).stats.items()
+                if path == fractions.__file__ and name == "__new__")
+    assert built == 0
+    assert isinstance(back.jobs, GridJobs) and back == inst
+    assert len(doc["schedule"]) == 1000
+
+
 def test_integral_fraction_deadline_runs():
     inst = Instance.of("equal-deadline", [Job(0, 0, Fraction(7), p=1),
                                           Job(1, 0, Fraction(7), p=3)])
@@ -329,10 +363,13 @@ def test_integral_fraction_deadline_runs():
 @example(1, 40, 0)
 @example(12, 60, 5)
 def test_generator_matches_fraction_reference(kappa, jobs, seed):
-    """Same rows, field types included (``r`` an int when integral)."""
+    """Grid columns whose rows are the reference's, field types included
+    (``r`` an int when integral, ``p`` a ``Fraction``)."""
     got = equal_deadline_instance(kappa, jobs, seed)
     want = reference_equal_deadline_instance(kappa, jobs, seed)
-    assert repr(got) == repr(want)
+    assert isinstance(got.jobs, GridJobs)
+    assert (got.model, got.k, got.horizon) == (want.model, want.k, want.horizon)
+    assert repr(tuple(got.jobs)) == repr(want.jobs)
 
 
 PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,

@@ -254,6 +254,12 @@ class TestBuildCertificate:
                     end = g * (dstar - (dstar - r) / EULER)
                     assert _support_hi_index(r, dstar, g) == math.floor(end)
 
+    @given(st.data(), st.integers(1, 10**6), st.integers(2, 10**4))
+    def test_support_end_floors_from_any_grid(self, data, dstar, g):
+        # the checker's dominance sweep takes each step end from the grid end
+        r = data.draw(st.integers(0, dstar - 1))
+        assert _support_hi_index(r, dstar, g) // g == _support_hi_index(r, dstar, 1)
+
     def test_later_deadlines_not_members(self):
         cert = build_certificate([Job(0, 0, 2), Job(1, 0, 5)], 2)
         assert [j.id for j in cert.jobs] == [0]
