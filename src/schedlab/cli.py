@@ -40,9 +40,18 @@ def _emit_json(payload, out: str | None) -> None:
     _emit(dump_json(payload) + "\n", out)
 
 
-def _load_instance(path: str):
+def _read_text(path: str) -> str:
+    """The text of the UTF-8 file ``path``, which ``--instance`` and
+    ``--spec`` files are read through; other bytes are a ``ParseError``."""
     with open(path, encoding="utf-8") as fh:
-        return read_instance(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+
+
+def _load_instance(path: str):
+    return read_instance(_read_text(path))
 
 
 def _summary(payload: dict, fmt: str) -> None:
@@ -314,11 +323,12 @@ def _bench_cell(cell: dict) -> dict:
 
 
 def cmd_bench(args) -> int:
-    with open(args.spec, encoding="utf-8") as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bench spec {args.spec}: {exc}") from None
+    text = _read_text(args.spec)
+    try:
+        spec = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # json.loads refuses an int past the digit limit with a plain ValueError
+        raise ParseError(f"bench spec {args.spec}: {exc}") from None
     cells = spec.get("cells", []) if isinstance(spec, dict) else None
     if not isinstance(cells, list) or not all(isinstance(c, dict) for c in cells):
         raise ParseError(f"bench spec {args.spec}: want an object with a list of cell objects")
@@ -332,7 +342,12 @@ def cmd_bench(args) -> int:
         bad = [key for key in BENCH_INTEGERS if type(cell.get(key, 0)) is not int]
         if bad:
             raise ContractViolation(f"bench cell {kind!r}: {bad[0]} must be an integer")
+        if type(cell.get("instance", "")) is not str:
+            raise ContractViolation(f"bench cell {kind!r}: instance must be a file name")
     budget = args.budget if args.budget is not None else spec.get("budget")
+    # NaN compares false, so it would turn the budget off
+    if budget is not None and (type(budget) not in (int, float) or not budget >= 0):
+        raise ContractViolation(f"bench budget must be a number >= 0, got {budget!r}")
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=BENCH_COLUMNS)
     writer.writeheader()

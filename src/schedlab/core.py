@@ -9,6 +9,11 @@ all times integral; the equal-deadline model allows exact rationals
 Time convention: a unit job placed in slot ``t`` occupies ``[t, t+1)`` and
 therefore needs ``t + 1 <= d``.  Every module in this package uses this
 completion-based convention; there is no "inclusive deadline slot" anywhere.
+
+Every instance file, whatever its model, is read on one path
+(:func:`instance_from_dict`): one column reader into :class:`GridJobs`,
+``Job`` rows only for the number forms it declines, one validation of the
+columns, and then the model's own form.
 """
 
 from __future__ import annotations
@@ -18,10 +23,10 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, groupby, islice, repeat
+from itertools import chain, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
-from math import gcd, inf, lcm
-from operator import add, itemgetter, le, methodcaller
+from math import gcd, inf, isfinite, lcm
+from operator import add, itemgetter, le
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -196,22 +201,24 @@ def _ratio(num: int, den: int) -> Rational:
 
 
 class GridJobs(Sequence[Job]):
-    """Jobs of unit weight as Python-int columns: ``ids``, and the ``r``,
-    ``d`` and ``p`` numerators over one ``scale`` ``L``, so job ``i`` has
-    release ``r[i] / L``.  The one form of an equal-deadline instance
+    """Jobs as Python-int columns: ``ids``, and the ``r``, ``d``, ``p`` and
+    ``w`` numerators over one ``scale`` ``L``, so job ``i`` has release
+    ``r[i] / L``; ``w`` defaults to unit weights.  Every instance file is
+    read into this form, and it is the form of an equal-deadline instance
     inside the library; sums and comparisons of numerators are those of the
-    times, exact at any ``L``.
+    values, exact at any ``L``.
 
     A slice gives columns; an integer index and iteration build a ``Job``
-    row per job asked for, for callers outside the library, with ``r`` and
-    ``d`` an ``int`` when integral and ``p`` a ``Fraction``.
+    row per job asked for, for callers outside the library, with ``r``,
+    ``d`` and ``w`` an ``int`` when integral and ``p`` a ``Fraction``.
     """
 
-    __slots__ = ("ids", "r", "d", "p", "scale")
+    __slots__ = ("ids", "r", "d", "p", "w", "scale")
 
-    def __init__(self, ids, r, d, p, scale: int = 1):
+    def __init__(self, ids, r, d, p, scale: int = 1, w=None):
         self.ids, self.r, self.d, self.p = list(ids), list(r), list(d), list(p)
-        if not len(self.ids) == len(self.r) == len(self.d) == len(self.p):
+        self.w = [scale] * len(self.ids) if w is None else list(w)
+        if not len(self.ids) == len(self.r) == len(self.d) == len(self.p) == len(self.w):
             raise ContractViolation("job columns differ in length")
         if type(scale) is not int or scale < 1:
             raise ContractViolation(f"the time scale must be an int >= 1, got {scale!r}")
@@ -223,15 +230,17 @@ class GridJobs(Sequence[Job]):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return GridJobs(self.ids[index], self.r[index], self.d[index],
-                            self.p[index], self.scale)
+                            self.p[index], self.scale, self.w[index])
         scale = self.scale
         return Job(self.ids[index], _ratio(self.r[index], scale),
-                   _ratio(self.d[index], scale), Fraction(self.p[index], scale))
+                   _ratio(self.d[index], scale), Fraction(self.p[index], scale),
+                   _ratio(self.w[index], scale))
 
     def __iter__(self):
         scale = repeat(self.scale)
         return map(Job, self.ids, map(_ratio, self.r, scale),
-                   map(_ratio, self.d, scale), map(Fraction, self.p, scale))
+                   map(_ratio, self.d, scale), map(Fraction, self.p, scale),
+                   map(_ratio, self.w, scale))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GridJobs):
@@ -239,34 +248,34 @@ class GridJobs(Sequence[Job]):
         # x / L == y / M exactly when x * M == y * L
         return self.ids == other.ids and all(
             [x * other.scale for x in a] == [y * self.scale for y in b]
-            for a, b in ((self.r, other.r), (self.d, other.d), (self.p, other.p)))
+            for a, b in ((self.r, other.r), (self.d, other.d), (self.p, other.p),
+                         (self.w, other.w)))
 
     def __repr__(self) -> str:
         return f"GridJobs({len(self)} jobs over {self.scale})"
 
 
 def time_grid(jobs: Iterable[Job]) -> GridJobs:
-    """The one conversion of ``Job`` rows into :class:`GridJobs`, order kept.
+    """The one conversion of ``Job`` rows into :class:`GridJobs`, order and
+    weights kept.
 
-    ``scale`` is the lcm of every ``r``, ``d`` and ``p`` denominator, and
-    stays 1 when every time is an int.  The times are ints or other
-    rationals (``Fraction``).  Weights are dropped: no engine that runs on
-    the grid reads them.
+    ``scale`` is the lcm of every ``r``, ``d``, ``p`` and ``w``
+    denominator, and stays 1 when every value is an int.  The values are
+    ints or other rationals (``Fraction``).
     """
     if isinstance(jobs, GridJobs):
         return jobs
     rows = tuple(jobs)
-    ids, rs, ds, ps, _ = zip(*rows) if rows else ((),) * 5
-    columns = (rs, ds, ps)
+    ids, *columns = zip(*rows) if rows else ((),) * 5
     whole = [set(map(type, col)) <= {int} for col in columns]
     dens = {x.denominator for col, ints in zip(columns, whole) if not ints
             for x in col}
     scale = lcm(*dens)
     factor = {q: scale // q for q in dens}
-    return GridJobs(ids, *[
-        [x * scale for x in col] if ints
-        else [x.numerator * factor[x.denominator] for x in col]
-        for col, ints in zip(columns, whole)], scale)
+    r, d, p, w = [[x * scale for x in col] if ints
+                  else [x.numerator * factor[x.denominator] for x in col]
+                  for col, ints in zip(columns, whole)]
+    return GridJobs(ids, r, d, p, scale, w)
 
 
 class Violation(NamedTuple):
@@ -399,14 +408,13 @@ def _is_integral(x: Rational) -> bool:
     return isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1)
 
 
-def _row_violations(ids, rs, ds, ps, ws, r_at, d_at, p_at) -> list[Violation]:
-    """The per-job faults of :func:`validate_instance`, row by row: ``rs``,
-    ``ds`` and ``ps`` as the file holds them, ``r_at``, ``d_at`` and
-    ``p_at`` on their common integer grid."""
+def _row_violations(jobs: Iterable[Job]) -> list[Violation]:
+    """The per-job faults of :func:`validate_instance`, row by row, each by
+    an exact comparison of the rows' values."""
     v: list[Violation] = []
     seen: set[int] = set()
     prev_key = None
-    for i, jid, r, d, p, w in zip(count(), ids, r_at, d_at, p_at, ws):
+    for jid, r, d, p, w in jobs:
         if jid < 0:
             v.append(Violation(jid, "BadId", "ids must be non-negative"))
         if jid in seen:
@@ -418,14 +426,13 @@ def _row_violations(ids, rs, ds, ps, ws, r_at, d_at, p_at) -> list[Violation]:
                                "jobs must be sorted by (release, id)"))
         prev_key = key
         if r < 0:
-            v.append(Violation(jid, "NegativeRelease", f"r={rs[i]}"))
+            v.append(Violation(jid, "NegativeRelease", f"r={r}"))
         if p <= 0:
-            v.append(Violation(jid, "NonPositiveLength", f"p={ps[i]}"))
+            v.append(Violation(jid, "NonPositiveLength", f"p={p}"))
         if w < 0:
             v.append(Violation(jid, "NegativeWeight", f"w={w}"))
         if r + p > d:
-            v.append(Violation(jid, "WindowTooSmall",
-                               f"r+p={rs[i] + ps[i]} exceeds d={ds[i]}"))
+            v.append(Violation(jid, "WindowTooSmall", f"r+p={r + p} exceeds d={d}"))
     return v
 
 
@@ -443,21 +450,23 @@ def _unit_rows_valid(jobs: UnitJobs) -> bool:
 def _grid_rows_valid(jobs: GridJobs) -> bool:
     """Whether :func:`_row_violations` finds nothing in grid columns, by
     whole-column passes: ids non-negative and distinct, rows sorted by
-    ``(r, id)``, releases non-negative, lengths positive and
-    ``r + p <= d``."""
+    ``(r, id)``, releases non-negative, lengths positive, weights
+    non-negative and ``r + p <= d``."""
     ids, r, d, p = jobs.ids, jobs.r, jobs.d, jobs.p
     keys = list(zip(r, ids))
     return (min(ids, default=0) >= 0 and len(set(ids)) == len(ids)
             and all(map(le, keys, islice(keys, 1, None)))
             and min(r, default=0) >= 0 and min(p, default=1) > 0
-            and all(map(le, map(add, r, p), d)))
+            and min(jobs.w, default=0) >= 0 and all(map(le, map(add, r, p), d)))
 
 
 def validate_instance(instance: Instance) -> list[Violation]:
     """Check all model invariants; returns an empty list when valid.
 
-    Times are compared as integer numerators over their common denominator
-    (:func:`time_grid`); on an all-integer instance those are the times.
+    Each form of jobs takes one column check: :class:`UnitJobs` its own,
+    every other form that of its :func:`time_grid`, where times are integer
+    numerators over their common denominator.  The row loops run only to
+    name what a failed check found.
     """
     v: list[Violation] = []
     if instance.model not in MODELS:
@@ -466,30 +475,21 @@ def validate_instance(instance: Instance) -> list[Violation]:
 
     jobs = instance.jobs
     unit = isinstance(jobs, UnitJobs)
-    if unit:
-        scale = 1
-        # the row loop runs only to name what the column checks found
-        if not _unit_rows_valid(jobs):
-            ids, rs, ds = jobs.ids.tolist(), jobs.r.tolist(), jobs.d.tolist()
-            ones = [1] * len(ids)
-            v += _row_violations(ids, rs, ds, ones, ones, rs, ds, ones)
-    else:
-        grid = time_grid(jobs)
-        scale, r_at, d_at, p_at = grid.scale, grid.r, grid.d, grid.p
-        # on columns, rows are built only to name what the checks found
-        if grid is not jobs or not _grid_rows_valid(grid):
-            ids, rs, ds, ps, ws = zip(*jobs) if jobs else ((),) * 5
-            v += _row_violations(ids, rs, ds, ps, ws, r_at, d_at, p_at)
-        # unit columns hold unit-length jobs at integer times by construction
-        if instance.model in ("unit-min", "throughput"):
-            for jid, r, d, p in zip(grid.ids, r_at, d_at, p_at):
-                if p != scale:
-                    v.append(Violation(jid, "NonUnitLength",
-                                       f"p={_ratio(p, scale)}"))
-                if r % scale or d % scale:
-                    v.append(Violation(
-                        jid, "NonIntegerTime", f"r={_ratio(r, scale)}, "
-                        f"d={_ratio(d, scale)} must be integers"))
+    grid = None if unit else time_grid(jobs)
+    if not (_unit_rows_valid(jobs) if unit else _grid_rows_valid(grid)):
+        v += _row_violations(jobs)
+    scale, d_at = (1, None) if unit else (grid.scale, grid.d)
+    # unit columns hold unit-length jobs at integer times by construction
+    if not unit and instance.model in ("unit-min", "throughput") and not (
+            grid.p.count(scale) == len(grid)
+            and (scale == 1 or not any(x % scale for x in chain(grid.r, d_at)))):
+        for jid, r, d, p in zip(grid.ids, grid.r, d_at, grid.p):
+            if p != scale:
+                v.append(Violation(jid, "NonUnitLength", f"p={_ratio(p, scale)}"))
+            if r % scale or d % scale:
+                v.append(Violation(
+                    jid, "NonIntegerTime", f"r={_ratio(r, scale)}, "
+                    f"d={_ratio(d, scale)} must be integers"))
 
     if instance.model == "unit-min" and jobs and instance.horizon is not None:
         max_d = int(jobs.d.max()) if unit else _ratio(max(d_at), scale)
@@ -509,9 +509,8 @@ def validate_instance(instance: Instance) -> list[Violation]:
                                f"deadline {_ratio(d_at[0], scale)} is not of "
                                f"the form 2**k - 1"))
 
-    if instance.model == "throughput":
-        if instance.k is None or instance.k < 1:
-            v.append(Violation(None, "BadMachineCount", f"k={instance.k}"))
+    if instance.model == "throughput" and (instance.k is None or instance.k < 1):
+        v.append(Violation(None, "BadMachineCount", f"k={instance.k}"))
 
     return v
 
@@ -766,14 +765,6 @@ def _decimal_parts(text: str) -> tuple[int, int] | None:
     return sign * num, places
 
 
-def _decimal_in(text: str) -> Rational | None:
-    """``Fraction(text)`` for a plain decimal ``text``
-    (:func:`_decimal_parts`), as an ``int`` when integral; ``None`` for any
-    other string."""
-    parts = _decimal_parts(text)
-    return None if parts is None else _ratio(parts[0], 10 ** parts[1])
-
-
 def _check_exponent(text: str) -> None:
     """Raise ``ValueError`` for an exponent in ``text`` larger in size than
     ``sys.get_int_max_str_digits()``: the value would have more digits than
@@ -790,25 +781,28 @@ def _check_exponent(text: str) -> None:
 
 
 def _num_in(value, where: str) -> Rational:
-    """A file's number: a JSON int as it is, a string or float as the
-    exact rational ``Fraction`` reads from it, an ``int`` when integral.
-    Plain decimal strings take :func:`_decimal_in`'s path, every other
-    string ``Fraction(str)``, with the same values and refusals, except
-    that an exponent past Python's digit-string limit is refused before
-    ``Fraction`` builds ``10**exponent``."""
+    """A file's number: a JSON int as it is, a finite float or a string as
+    the exact rational ``Fraction`` reads from it, an ``int`` when
+    integral.  Plain decimal strings (:func:`_decimal_parts`) are read
+    apart and every other string by ``Fraction(str)``, with the same values
+    and refusals, except that an exponent past Python's digit-string limit
+    is refused before ``Fraction`` builds ``10**exponent``."""
     if isinstance(value, bool):
         raise ParseError(f"{where}: expected a number, got {value!r}")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
         try:
-            f = _decimal_in(value)
-            if f is None:
-                _check_exponent(value)
-                f = Fraction(value)
+            parts = _decimal_parts(value)
+            if parts is not None:
+                return _ratio(parts[0], 10 ** parts[1])
+            _check_exponent(value)
+            f = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"{where}: bad numeric string {value!r}") from None
     elif isinstance(value, float):
+        if not isfinite(value):
+            raise ParseError(f"{where}: expected a finite number, got {value!r}")
         f = Fraction(str(value))
     else:
         raise ParseError(f"{where}: expected a number, got {type(value).__name__}")
@@ -834,7 +828,7 @@ def _job_columns(jobs: Sequence[Job]) -> dict[str, list]:
         scale = jobs.scale
         return {"d": _quotients_out(jobs.d, scale), "id": jobs.ids,
                 "p": _quotients_out(jobs.p, scale),
-                "r": _quotients_out(jobs.r, scale), "w": [1] * len(jobs)}
+                "r": _quotients_out(jobs.r, scale), "w": _quotients_out(jobs.w, scale)}
     ids, rs, ds, ps, ws = zip(*jobs) if jobs else ((),) * 5
     return {"d": list(map(_num_out, ds)), "id": list(ids),
             "p": list(map(_num_out, ps)), "r": list(map(_num_out, rs)),
@@ -876,30 +870,6 @@ def write_instance(instance: Instance) -> str:
         raise _past_digit_limit() from None
 
 
-def _unit_jobs_in(raw_jobs: list) -> UnitJobs | None:
-    """Columns of unit-min job objects whose ``id``, ``r`` and ``d`` are
-    JSON ints that fit int64 and whose ``p`` and ``w`` are absent or 1,
-    sorted by ``(r, id)`` as the row reader sorts; ``None`` for any other
-    list, which the row reader parses.  :class:`UnitJobs` refuses every
-    other ``id``, ``r`` or ``d``."""
-    if set(map(type, raw_jobs)) - {dict}:
-        return None
-    try:
-        columns = [list(map(itemgetter(key), raw_jobs)) for key in ("id", "r", "d")]
-    except KeyError:
-        return None
-    for key in ("p", "w"):
-        values = list(map(methodcaller("get", key, 1), raw_jobs))
-        # a set holds True as 1, so the types are checked apart
-        if set(map(type, values)) - {int} or set(values) - {1}:
-            return None
-    try:
-        jobs = UnitJobs(*columns)
-    except ContractViolation:
-        return None
-    return jobs[np.lexsort((jobs.ids, jobs.r))]
-
-
 def _decimal_column(values: list) -> tuple[list[int], int] | None:
     """A column of JSON ints and plain decimal strings
     (:func:`_decimal_parts`) as ``(nums, places)``, value ``i`` being
@@ -921,38 +891,33 @@ def _decimal_column(values: list) -> tuple[list[int], int] | None:
     return [num * shift[k] for num, k in parts], places
 
 
-def _grid_jobs_in(raw_jobs: list) -> GridJobs | None:
-    """Columns of equal-deadline job objects whose ``id`` is a JSON int,
-    whose ``r``, ``d`` and ``p`` are JSON ints or plain decimal strings
-    and whose ``w`` is absent or 1, over the power of ten the longest
-    decimal needs, sorted by ``(r, id)`` as the row reader sorts; ``None``
-    for any other list, which the row reader parses."""
+def _jobs_in(raw_jobs: list) -> GridJobs | None:
+    """Columns of job objects whose ``id`` is a JSON int and whose ``r``,
+    ``d``, ``p`` and ``w`` (``p`` and ``w`` 1 when absent) are JSON ints or
+    plain decimal strings, over the power of ten the longest decimal needs,
+    sorted by ``(r, id)`` as the row reader sorts; ``None`` for any other
+    list, which :func:`_job_rows` parses."""
     if set(map(type, raw_jobs)) - {dict}:
         return None
     try:
-        ids, *times = [list(map(itemgetter(key), raw_jobs))
-                       for key in ("id", "r", "d")]
+        ids, *values = [list(map(itemgetter(key), raw_jobs))
+                        for key in ("id", "r", "d")]
     except KeyError:
         return None
-    times.append(list(map(methodcaller("get", "p", 1), raw_jobs)))
-    weights = list(map(methodcaller("get", "w", 1), raw_jobs))
-    # a set holds True as 1, so the types are checked apart
-    if set(map(type, ids)) - {int} or set(map(type, weights)) - {int} or set(weights) - {1}:
+    if set(map(type, ids)) - {int}:
         return None
-    columns = list(map(_decimal_column, times))
+    values += [list(map(dict.get, raw_jobs, repeat(key), repeat(1))) for key in ("p", "w")]
+    columns = list(map(_decimal_column, values))
     if None in columns:
         return None
     places = max(k for _, k in columns)
-    scaled = []
-    for nums, k in columns:
-        factor = 10 ** (places - k)
-        scaled.append([x * factor for x in nums] if factor > 1 else nums)
-    r, d, p = scaled
+    r, d, p, w = [list(map((10 ** (places - k)).__mul__, nums)) if k < places
+                  else nums for nums, k in columns]
     keys = list(zip(r, ids))
     if not all(map(le, keys, islice(keys, 1, None))):
         order = sorted(range(len(ids)), key=keys.__getitem__)
-        ids, r, d, p = ([col[i] for i in order] for col in (ids, r, d, p))
-    return GridJobs(ids, r, d, p, 10 ** places)
+        ids, r, d, p, w = ([col[i] for i in order] for col in (ids, r, d, p, w))
+    return GridJobs(ids, r, d, p, 10 ** places, w)
 
 
 def _job_rows(raw_jobs: list) -> list[Job]:
@@ -978,12 +943,16 @@ def _job_rows(raw_jobs: list) -> list[Job]:
 
 
 def instance_from_dict(doc: dict) -> Instance:
-    """Parse and validate an instance document.  A unit-min document whose
-    jobs are plain int columns is read into :class:`UnitJobs` straight, and
-    an equal-deadline one whose times are ints and plain decimals into
-    :class:`GridJobs`; every other one is read as ``Job`` rows, validated,
-    and, for these two models, converted, so both paths refuse with the
-    same messages."""
+    """Parse and validate an instance document of any model.
+
+    The jobs are read as :class:`GridJobs` columns: by :func:`_jobs_in`
+    when every value is a JSON int or plain decimal, else from ``Job`` rows
+    (:func:`_job_rows`), which parse the other number forms and name the
+    field at fault.  Both are validated as columns, so they refuse with the
+    same messages, and are then narrowed: a unit-min instance to
+    :class:`UnitJobs`, which must fit int64, an equal-deadline one to
+    ``GridJobs`` of unit weight, and a throughput one to ``Job`` rows whose
+    values are ints when integral."""
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     if "model" not in doc:
@@ -994,37 +963,44 @@ def instance_from_dict(doc: dict) -> Instance:
     raw_jobs = doc.get("jobs")
     if not isinstance(raw_jobs, list):
         raise ParseError('missing or bad field "jobs"')
-    reader = {"unit-min": _unit_jobs_in, "equal-deadline": _grid_jobs_in}.get(model)
-    columns = reader(raw_jobs) if reader else None
-    jobs = _job_rows(raw_jobs) if columns is None else None
+    jobs = _jobs_in(raw_jobs)
+    if jobs is None:
+        rows = _job_rows(raw_jobs)
+        rows.sort(key=lambda j: (j.r, j.id))
+        jobs = time_grid(rows)
     k = doc.get("k")
     if k is not None and (not isinstance(k, int) or isinstance(k, bool)):
         raise ParseError('"k" must be an integer')
     horizon = doc.get("horizon")
     if horizon is not None and (not isinstance(horizon, int) or isinstance(horizon, bool)):
         raise ParseError('"horizon" must be an integer')
-    if columns is not None:
-        return require_valid(Instance(model, columns, k, horizon))
-    jobs.sort(key=lambda j: (j.r, j.id))
-    instance = Instance(model=model, jobs=tuple(jobs), k=k, horizon=horizon)
-    require_valid(instance)
+    require_valid(Instance(model, jobs, k, horizon))
+    ids, r, d, p, scale = jobs.ids, jobs.r, jobs.d, jobs.p, jobs.scale
     if model == "unit-min":
-        instance = Instance(model, unit_columns(jobs), k, horizon)
+        jobs = UnitJobs(ids, *([x // scale for x in col] if scale > 1 else col
+                               for col in (r, d)))
     elif model == "equal-deadline":
-        instance = Instance(model, time_grid(jobs), k, horizon)
-    return instance
+        jobs = GridJobs(ids, r, d, p, scale)
+    else:  # throughput: require_valid refused every other model
+        jobs = tuple(map(Job, ids, *(map(_ratio, col, repeat(scale))
+                                     for col in (r, d, p, jobs.w))))
+    return Instance(model, jobs, k, horizon)
 
 
 def read_instance(text: str) -> Instance:
-    """Parse and validate an instance file.  A unit-min file becomes
-    :class:`UnitJobs` columns, which must fit int64, and an equal-deadline
-    file :class:`GridJobs`; neither keeps weights: no engine of those
-    models reads them, and no ``sched`` command writes a read instance
-    back."""
+    """Parse and validate an instance file (:func:`instance_from_dict`).  A
+    unit-min file becomes :class:`UnitJobs` columns, which must fit int64,
+    an equal-deadline file :class:`GridJobs` and a throughput file ``Job``
+    rows; only the last keeps weights: no engine of the other models reads
+    them, and no ``sched`` command writes a read instance back.  Text that
+    is not JSON, or nests too deeply for the parser, is a
+    :class:`ParseError`."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON at line {exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError("bad JSON: arrays or objects nested too deeply") from None
     except ValueError:
         # json.loads reads every int, and refuses one past the digit limit
         raise ParseError(

@@ -3,7 +3,7 @@ came back as int64 columns.
 
 Every job becomes a ``Job`` row, weight included, whatever the model; the
 rows are sorted by ``(release, id)`` and validated by the row validator.
-The tests compare the column reader with it on unit-min documents.
+The tests compare the column reader with it on documents of each model.
 """
 
 from __future__ import annotations

@@ -211,6 +211,38 @@ class TestRun:
         assert (f"error: {horizon} steps do not fit in memory as "
                 "int64 columns") in err
 
+    @pytest.mark.parametrize("algo, text, message", [
+        ("e-edf", '{"model": "unit-min", "jobs": [{"id": 0, "r": NaN, "d": 1}]}',
+         "jobs[0].r: expected a finite number, got nan"),
+        ("equal-deadline", '{"model": "equal-deadline", "jobs": '
+         '[{"id": 0, "r": 0, "d": 1, "p": 1e400}]}',
+         "jobs[0].p: expected a finite number, got inf"),
+        ("greedy-baseline", '{"model": "throughput", "k": 1, "jobs": '
+         '[{"id": 0, "r": 0, "d": 1, "w": -Infinity}]}',
+         "jobs[0].w: expected a finite number, got -inf"),
+    ], ids=["unit-min", "equal-deadline", "throughput"])
+    def test_non_finite_number_is_usage_error(self, capsys, tmp_path, algo,
+                                              text, message):
+        path = tmp_path / "inst.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "run", algo, "--instance", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("data, message", [
+        (b"[" * 100000, "bad JSON: arrays or objects nested too deeply"),
+        (b'{"model": "unit-min", "jobs": [\xff]}', "not UTF-8 text at byte 31"),
+    ], ids=["deep", "not-utf8"])
+    def test_unreadable_instance_text_is_usage_error(self, capsys, tmp_path,
+                                                     data, message):
+        path = tmp_path / "inst.json"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "run", "e-edf", "--instance", str(path))
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_instance_directory_is_usage_error(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "run", "e-edf",
                                  "--instance", str(tmp_path))
@@ -566,6 +598,14 @@ class TestBench:
         assert code == 2
 
 
+    def test_spec_that_is_not_utf8_is_usage_error(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(b'{"cells": [\xff]}')
+        code, out, err = run_cli(capsys, "bench", "--spec", str(spec))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {spec}: not UTF-8 text at byte 11\n"
+
     @pytest.mark.parametrize("text, message", [
         ("{bad", "bench spec"),
         ('[{"kind": "aggregate-game", "n": 5}]', "list of cell objects"),
@@ -584,6 +624,17 @@ class TestBench:
          "trials must be an integer"),
         ('{"cells": [{"kind": "matching-ratio", "seed": null}]}',
          "seed must be an integer"),
+        ('{"budget": "x", "cells": [{"kind": "aggregate-game", "n": 3}]}',
+         "budget must be a number"),
+        ('{"budget": NaN, "cells": [{"kind": "aggregate-game", "n": 3}]}',
+         "budget must be a number"),
+        ('{"budget": -1, "cells": []}', "budget must be a number"),
+        ('{"cells": [{"kind": "run", "instance": true}]}',
+         "instance must be a file name"),
+        ('{"cells": [{"kind": "run", "instance": 2}]}',
+         "instance must be a file name"),
+        ("[" * 100000, "bench spec"),
+        ('{"budget": 1' + "0" * 5000 + "}", "bench spec"),
     ])
     def test_malformed_spec_is_usage_error(self, capsys, tmp_path, text,
                                            message):

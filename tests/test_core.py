@@ -42,8 +42,8 @@ from schedlab.core import (
     validate_instance,
     write_instance,
 )
-from schedlab.generators import (KINDS, adversary_instance, generate,
-                                 random_unit_instance)
+from schedlab.generators import (KINDS, adversary_instance, equal_deadline_instance,
+                                 generate, random_unit_instance, throughput_instance)
 
 
 def rules(instance):
@@ -215,8 +215,20 @@ class TestTimeGrid:
     def test_malformed_columns_are_refused(self):
         with pytest.raises(ContractViolation, match="differ in length"):
             GridJobs([0, 1], [0], [7], [1])
+        with pytest.raises(ContractViolation, match="differ in length"):
+            GridJobs([0], [0], [7], [1], 1, [1, 1])
         with pytest.raises(ContractViolation, match="time scale"):
             GridJobs([0], [0], [7], [1], 0)
+
+    def test_weights_are_kept_over_the_scale(self):
+        rows = (Job(0, Fraction(1, 2), 3, w=Fraction(5, 3)), Job(1, 1, 3, w=4))
+        grid = time_grid(rows)
+        assert (grid.w, grid.scale) == ([10, 24], 6)
+        assert tuple(grid) == rows and grid[0].w == Fraction(5, 3)
+        assert type(grid[1].w) is int and grid[1:] == time_grid(rows[1:])
+        assert grid != time_grid((rows[0], rows[1]._replace(w=3)))
+        assert GridJobs([0], [0], [7], [2], 2).w == [2]
+        assert GridJobs([0], [0], [7], [2], 2)[0].w == 1
 
 
 class TestValidation:
@@ -723,6 +735,69 @@ class TestGridReader:
         monkeypatch.setattr("schedlab.core._job_rows", None)
         inst = instance_from_dict(doc)
         assert (inst.jobs.ids, inst.jobs.r, inst.jobs.scale) == ([1, 0], [50, 300], 100)
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_unit_instance(2000, 500, seed=0),
+        lambda: equal_deadline_instance(9, 1000, seed=0),
+        lambda: throughput_instance(400, 100, k=4, seed=0)],
+        ids=["random-unit", "equal-deadline", "throughput"])
+    def test_generated_files_skip_the_row_reader(self, monkeypatch, make):
+        text = write_instance(make())
+        monkeypatch.setattr("schedlab.core._job_rows", None)
+        assert write_instance(read_instance(text)) == text
+
+
+@st.composite
+def throughput_documents(draw):
+    """throughput documents, valid or not: unsorted jobs, duplicate or
+    negative ids, times as ints, plain decimals or floats, some not
+    integral or past their window, lengths other than 1, weights as ints,
+    plain decimals, ``p/q``, floats or bools, negative or absent, and
+    ``k`` missing or malformed."""
+    jobs = []
+    for i in range(draw(st.integers(0, 6))):
+        r = Fraction(draw(st.integers(-1, 8)), draw(st.sampled_from([1, 1, 1, 2])))
+        d = r + draw(st.sampled_from([1, 1, 2, 3, 0, Fraction(1, 2)]))
+        forms = st.sampled_from(["int", "decimal", "float"])
+        entry = {"id": draw(st.sampled_from([i] * 4 + [0, -1])),
+                 "r": _time_text(r, draw(forms)), "d": _time_text(d, draw(forms))}
+        w = draw(st.sampled_from([None, 1, 0, 7, -2, "2.5", "0.0", "-0.5", "7/3",
+                                  "-1/2", 1.5, 4.0, -0.25, True, False]))
+        if w is not None:
+            entry["w"] = w
+        p = draw(st.sampled_from([None] * 6 + [1, 2, "1.0", "0.5", 1.0, 0.5]))
+        if p is not None:
+            entry["p"] = p
+        jobs.append(entry)
+    doc = {"model": "throughput", "jobs": draw(st.permutations(jobs))}
+    k = draw(st.sampled_from([2] * 4 + [None, 1, 0, -1, "2", 2.0, True]))
+    if k is not None:
+        doc["k"] = k
+    return doc
+
+
+class TestThroughputReader:
+    """Throughput files read by the column reader against the row reader."""
+
+    @settings(max_examples=400)
+    @given(throughput_documents())
+    @example({"model": "throughput", "k": 2, "jobs": [
+        {"id": 1, "r": "1.5", "d": 3, "w": "7/3"},
+        {"id": 0, "r": 1.0, "d": "2.0", "w": 2.5}]})
+    @example({"model": "throughput", "k": 1, "jobs": [
+        {"id": 0, "r": 0, "d": 1, "w": "-0.5"}, {"id": 2, "r": 0, "d": 1, "w": True}]})
+    def test_matches_row_reference(self, doc):
+        expected = _read(reference_instance_from_dict, doc)
+        got = _read(instance_from_dict, doc)
+        if not isinstance(expected, Instance):
+            assert got == expected
+            return
+        assert isinstance(got.jobs, tuple)
+        assert (got.model, got.k, got.horizon) == (
+            expected.model, expected.k, expected.horizon)
+        assert [tuple(j) for j in got.jobs] == [tuple(j) for j in expected.jobs]
+        assert [tuple(map(type, j)) for j in got.jobs] == [
+            tuple(map(type, j)) for j in expected.jobs]
 
 
 def _outcome(call, *args):
