@@ -38,7 +38,7 @@ import numpy as np
 from .core import (INT64_MAX, ContractViolation, MachineProfile, Schedule,
                    UnitJobs, allocating, arange_exact)
 from .online_min import (EULER, OnlineState, _ratio_out, ceil_times,
-                         ceil_times_series, resolve_alpha)
+                         ceil_times_series, ratio_of_counts, resolve_alpha)
 from .oracle import edf_simulate
 
 
@@ -210,7 +210,7 @@ class GameTranscript:
 
     @property
     def ratio(self) -> float:
-        return self.cost / self.off_final if self.off_final else 0.0
+        return ratio_of_counts(self.cost, self.off_final)
 
     def to_jsonable(self) -> dict:
         return {
@@ -333,7 +333,7 @@ class AggregateGame:
 
     @property
     def ratio(self) -> float:
-        return self.cost / self.off_final if self.off_final else 0.0
+        return ratio_of_counts(self.cost, self.off_final)
 
     def forcing_stop(self) -> int | None:
         """First step ``tau`` after which stopping releases forces a miss.

@@ -46,6 +46,25 @@ def _ratio_out(x: Fraction) -> str:
     return "e" if x == EULER else str(x)
 
 
+def _float_or_inf(x: int) -> float:
+    """A nonnegative count as a float, ``inf`` past float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
+def ratio_of_counts(cost: int, off: int) -> float:
+    """``cost / off`` as a float (0.0 when ``off`` is 0), ``inf`` past float
+    range: a huge ``alpha`` rents machine counts no float holds."""
+    if not off:
+        return 0.0
+    try:
+        return cost / off
+    except OverflowError:
+        return math.inf
+
+
 def resolve_alpha(alpha) -> Fraction:
     """Normalize a machine-scaling factor to an exact rational.
 
@@ -128,7 +147,7 @@ class OnlineTranscript:
 
     @property
     def ratio(self) -> float:
-        return self.cost / self.off_final if self.off_final else 0.0
+        return ratio_of_counts(self.cost, self.off_final)
 
     def to_jsonable(self) -> dict:
         return {
@@ -333,9 +352,9 @@ class CertificateReport:
 
 def _padded(series: list[int], length: int) -> np.ndarray:
     """``series[t]`` for ``t < length``; past its end the last value holds
-    (zeros for an empty series)."""
-    out = np.full(length, series[-1] if series else 0, dtype=np.float64)
-    head = series[:length]
+    (zeros for an empty series).  A count past float range reads as ``inf``."""
+    head = [_float_or_inf(x) for x in series[:length]]
+    out = np.full(length, _float_or_inf(series[-1]) if series else 0.0)
     out[:len(head)] = head
     return out
 

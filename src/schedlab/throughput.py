@@ -10,20 +10,31 @@ The randomized matcher draws one uniform ``x`` per job at reveal time and
 greedily matches each arriving vertex to the unmatched neighbor maximizing
 ``w * (1 - exp(x - 1))``.  One numpy kernel runs this greedy over a
 (jobs x runs) table of scores, which it consumes: a single seeded column for
-:func:`perturbed_greedy`, the plain weights for :func:`greedy_baseline`, and
-one seeded column per trial for the Monte Carlo ratio estimate.  Every
+:func:`perturbed_greedy`, each weight's exact rank for
+:func:`greedy_baseline`, and one seeded column per trial for the Monte Carlo ratio estimate.  Every
 run's draws are read from one byte string of Mersenne Twister words, bit for
 bit the values ``random.Random(seed).random()`` returns.
+
+Columns never interact, so the estimate cuts its seeds into contiguous
+parts, one per usable core as long as each part keeps ``_MIN_PART_CELLS``
+score cells (widest neighborhood x runs), the break-even of a second thread
+on a 2-core host.  The calling thread draws every table (the draws hold the
+GIL) and runs part 0; a plain thread runs each other part through the same
+kernel, whose numpy calls release the GIL.  The totals are bit for bit those
+of one kernel call.  Below the cutoff, and for single matchings, no thread
+starts.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -182,56 +193,104 @@ def _perturbed_scores(w: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
     return table
 
 
-def _greedy(mi: MatchingInstance, scores: np.ndarray,
-            w: np.ndarray) -> tuple[np.ndarray, list[tuple[int, tuple[int, int]]]]:
-    """The greedy matcher, run once per column of ``scores`` (jobs x runs).
+class _Part(NamedTuple):
+    """One block of runs for the kernel: its (jobs x runs) score table,
+    which the kernel consumes, its runs' totals, and every other array the
+    kernel writes."""
+
+    scores: np.ndarray
+    totals: np.ndarray
+    gathered: np.ndarray    # a step's neighbor rows, neighbors x runs
+    block: np.ndarray       # the same transposed, runs x neighbors
+    every: np.ndarray       # 0 .. runs - 1
+    first: np.ndarray       # each run's first cell in the block
+    picks: np.ndarray       # machines x runs: each pick's column in the block,
+    marks: np.ndarray       # its cell in the block, then in the table,
+    best: np.ndarray        # its score,
+    jobs: np.ndarray        # its row in the table,
+    matched: np.ndarray     # whether it matched a job,
+    gain: np.ndarray        # and that job's weight
+
+
+def _part(table: np.ndarray, totals: np.ndarray, width: int, k: int) -> _Part:
+    """The arrays for a kernel run over ``table``, built in the calling
+    thread, so that a worker thread running the kernel on them allocates no
+    array of its own."""
+    runs = table.shape[1]
+    per_pick = (min(k, width), runs)
+    return _Part(table, totals, np.empty(width * runs), np.empty(width * runs),
+                 np.arange(runs), np.empty(runs, dtype=np.intp),
+                 *(np.empty(per_pick, dtype=dtype) for dtype in
+                   (np.intp, np.intp, np.float64, np.intp, bool, np.float64)))
+
+
+def _step_rows(mi: MatchingInstance) -> list[np.ndarray]:
+    """Each active step's neighbors as row indices into ``mi.job_ids``."""
+    index = {u: j for j, u in enumerate(mi.job_ids)}
+    return [np.array([index[u] for u in mi.neighbors[t]], dtype=np.intp)
+            for t in mi.steps]
+
+
+def _greedy(mi: MatchingInstance, step_rows: list[np.ndarray], w: np.ndarray,
+            part: _Part) -> list[tuple[int, tuple[int, int]]]:
+    """The greedy matcher, run once per column of ``part.scores``.
 
     Online vertices arrive in (step, machine) order; each takes, in every
     run, the unmatched neighbor of highest score, the lowest id on ties.
     Scores must be nonnegative.  The C-contiguous table is consumed: a
     matched cell becomes -1.  Each step copies its neighbor rows into one
     buffer and transposes them into another (runs x neighbors), so that
-    every pick is an argmax along contiguous rows.  Returns each run's
-    matched weight, summed from ``w`` in pick order, and the pairs run 0
-    matched.
+    every pick is an argmax along contiguous rows; a pick marks its cell of
+    that block, and the step's picks mark the table together once the step
+    is done.  Each run's matched weight is summed from ``w`` in pick order
+    into ``part.totals``; returns the pairs run 0 matched.  Every array it
+    writes is one of ``part``'s.
     """
-    index = {u: j for j, u in enumerate(mi.job_ids)}
-    runs = scores.shape[1]
-    width = max(map(len, mi.neighbors.values()), default=0)
-    rows_buf, block_buf = np.empty(width * runs), np.empty(width * runs)
-    every = np.arange(runs)
-    pick = np.empty(runs, dtype=np.intp)
-    totals = np.zeros(runs)
+    (scores, totals, gathered_buf, block_buf, every, first, picks_buf, marks_buf,
+     best_buf, jobs_buf, matched_buf, gain_buf) = part
+    runs = len(every)
+    cell_of = scores.reshape(-1)
     pairs = []
-    for t in mi.steps:
-        rows = np.array([index[u] for u in mi.neighbors[t]], dtype=np.intp)
+    for t, rows in zip(mi.steps, step_rows):
         size = len(rows) * runs
-        # "clip" writes straight into the buffer ("raise" stages a copy);
-        # every row index is in range
+        # "clip" writes straight into ``out`` ("raise" stages a copy); every
+        # index is in range
         gathered = np.take(scores, rows, axis=0, mode="clip",
-                           out=rows_buf[:size].reshape(len(rows), runs))
+                           out=gathered_buf[:size].reshape(len(rows), runs))
         flat = block_buf[:size]
         block = flat.reshape(runs, len(rows))
         np.copyto(block, gathered.T)
-        first = every * len(rows)
-        for i in range(min(mi.k, len(rows))):  # a machine past the rows finds none
-            block.argmax(axis=1, out=pick)
-            cells = first + pick
-            best = flat[cells]
-            jobs = rows[pick]
-            flat[cells] = -1.0
-            scores[jobs, every] = -1.0
-            # a run with no unmatched neighbor left re-marks a -1 cell, adds 0
-            totals += np.where(best >= 0.0, w[jobs], 0.0)
-            if runs and best[0] >= 0.0:
-                pairs.append((mi.job_ids[jobs[0]], (t, i)))
-    return totals, pairs
+        np.multiply(every, len(rows), out=first)
+        machines = min(mi.k, len(rows))  # a machine past the rows finds none
+        picks, marks = picks_buf[:machines], marks_buf[:machines]
+        best, jobs = best_buf[:machines], jobs_buf[:machines]
+        matched, gain = matched_buf[:machines], gain_buf[:machines]
+        for i in range(machines):
+            block.argmax(axis=1, out=picks[i])
+            np.add(first, picks[i], out=marks[i])
+            np.take(flat, marks[i], mode="clip", out=best[i])
+            flat[marks[i]] = -1.0
+        np.take(rows, picks, mode="clip", out=jobs)
+        np.multiply(jobs, runs, out=marks)
+        marks += every
+        cell_of[marks] = -1.0
+        # a run with no unmatched neighbor left re-marks a -1 cell, adds 0
+        np.greater_equal(best, 0.0, out=matched)
+        np.take(w, jobs, mode="clip", out=gain)
+        for i in range(machines):
+            np.add(totals, gain[i], out=totals, where=matched[i])
+            if runs and matched[i, 0]:
+                pairs.append((mi.job_ids[jobs[i, 0]], (t, i)))
+    return pairs
 
 
 def _matching(mi: MatchingInstance, scores: np.ndarray) -> Matching:
     """One kernel run on a one-column copy of ``scores``; the exact weight
     is summed from the pairs."""
-    _, pairs = _greedy(mi, scores[:, np.newaxis].copy(), scores)
+    step_rows = _step_rows(mi)
+    part = _part(scores[:, np.newaxis].copy(), np.zeros(1),
+                 max(map(len, mi.neighbors.values()), default=0), mi.k)
+    pairs = _greedy(mi, step_rows, scores, part)
     weight = sum((mi.weights[u] for u, _ in pairs), Fraction(0))
     return Matching(pairs=pairs, weight=weight)
 
@@ -241,14 +300,36 @@ def perturbed_greedy(mi: MatchingInstance, seed: int) -> Matching:
 
     Ties break toward the lowest job id; equal-weight jobs therefore resolve
     toward the smaller perturbation, since the score is strictly decreasing
-    in x.  The same seed always yields the same matching.
+    in x.  The same seed always yields the same matching.  Scores stay
+    float64: the rule is defined on the float draw, ``w * (1 - exp(x - 1))``
+    rounded as the batched estimate computes it.
     """
     return _matching(mi, _perturbed_scores(_float_weights(mi), [seed])[:, 0])
 
 
 def greedy_baseline(mi: MatchingInstance) -> Matching:
-    """Deterministic comparator: always take the heaviest unmatched neighbor."""
-    return _matching(mi, _float_weights(mi))
+    """Deterministic comparator: always take the heaviest unmatched neighbor.
+
+    Each job scores the dense rank of its exact weight among the distinct
+    weights, so no two weights that differ tie in float64.
+    """
+    rank = {w: r for r, w in enumerate(sorted(set(mi.weights.values())))}
+    return _matching(mi, np.array([float(rank[mi.weights[u]]) for u in mi.job_ids]))
+
+
+def _usable_cores() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+#: Fewest score cells (widest neighborhood x runs) that a part of the
+#: batched matcher gets.  On a 2-core x86-64 host two threaded parts of the
+#: kernel broke even with one at about 49k cells a part (0.67x at 33k,
+#: 1.29x at 65k, 1.63x at 131k), as the GIL hand-offs of the per-step numpy
+#: calls stop outweighing the second core.
+_MIN_PART_CELLS = 2**16
 
 
 def batched_greedy_weights(mi: MatchingInstance,
@@ -256,10 +337,46 @@ def batched_greedy_weights(mi: MatchingInstance,
     """Matched weight of :func:`perturbed_greedy` for every seed at once.
 
     One score column per seed, run through the same kernel as the single
-    matcher, so each column equals that seed's run exactly.
+    matcher, so each column equals that seed's run exactly.  Columns are
+    independent, so the seeds are cut into ``P`` contiguous parts, at most
+    one per usable core and each of at least ``_MIN_PART_CELLS`` cells
+    (widest neighborhood x runs).  This thread draws every part's table and
+    allocates every array the kernel writes, runs part 0 itself and each
+    other part in a thread of its own, joins them all and re-raises the
+    first error a part raised.  The totals come back in seed order.
     """
     w = _float_weights(mi)
-    totals, _ = _greedy(mi, _perturbed_scores(w, seeds), w)
+    width = max(map(len, mi.neighbors.values()), default=0)
+    count = max(1, min(_usable_cores(), len(seeds),
+                       width * len(seeds) // _MIN_PART_CELLS))
+    totals = np.zeros(len(seeds))
+    cuts = [len(seeds) * p // count for p in range(count + 1)]
+    tables = [_perturbed_scores(w, seeds[a:b]) for a, b in zip(cuts, cuts[1:])]
+    # after the draw: step rows allocated before the tables and freed with
+    # them let the benchmark process's peak RSS creep up by 2 MiB
+    step_rows = _step_rows(mi)
+    parts = [_part(table, totals[a:b], width, mi.k)
+             for table, a, b in zip(tables, cuts, cuts[1:])]
+    errors: list[BaseException] = []
+
+    def run(part: _Part) -> None:
+        try:
+            _greedy(mi, step_rows, w, part)
+        except BaseException as exc:  # re-raised below, in the calling thread
+            errors.append(exc)
+
+    threads = []
+    try:
+        for part in parts[1:]:
+            thread = threading.Thread(target=run, args=(part,))
+            thread.start()
+            threads.append(thread)
+        _greedy(mi, step_rows, w, parts[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return totals
 
 

@@ -6,6 +6,7 @@ import importlib
 import io
 import json
 import logging
+import math
 import os
 import shutil
 import signal
@@ -498,6 +499,40 @@ CERTIFICATE_DIGESTS = {
     ('random-small', 'e', 7): (0, '738143709bb374a8b64ddd85ec63b2eb1e3d547b575f3c38a502e79d59166e29'),
     ('random-small', 'e', 1000): (0, '87a06d6f9a5bc6d3a5e035931827d8b1cb0775be43011aec534a86d078e014b2'),
 }
+
+
+class TestHugeAlpha:
+    """An alpha past float range rents machine counts that no float holds:
+    the ratio reads inf and the certificate audit still runs."""
+
+    @pytest.fixture
+    def unit_file(self, tmp_path):
+        path = tmp_path / "unit.json"
+        assert main(["gen", "random-unit", "--jobs", "20", "--horizon", "10",
+                     "--out", str(path)]) == 0
+        return str(path)
+
+    def test_run(self, capsys, unit_file):
+        code, out, err = run_cli(capsys, "run", "alpha-edf", "--instance",
+                                 unit_file, "--alpha", "1e400", "--format", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["cost"] == payload["off"] * 10**400
+        assert payload["ratio"] == math.inf
+
+    def test_game(self, capsys):
+        code, out, err = run_cli(capsys, "game", "alpha-edf", "--n", "5",
+                                 "--alpha", "1e400", "--format", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["cost"] == payload["off_final"] * 10**400
+        assert payload["ratio"] == math.inf
+
+    def test_verify_certificate(self, capsys, unit_file):
+        code, out, err = run_cli(capsys, "verify", "certificate", "--instance",
+                                 unit_file, "--alpha", "1e400", "--grid", "7")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["ok"] is True
 
 
 class TestCertificateBytes:

@@ -847,12 +847,14 @@ def _row_lists(draw, values):
     return rows
 
 
-_json_values = st.recursive(
-    _scalar_values,
-    lambda inner: st.one_of(
+def _json_containers(inner):
+    # a named function: hypothesis reads its source to check that it recurses
+    return st.one_of(
         st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
-        st.dictionaries(_json_keys, inner, max_size=4), _row_lists(inner)),
-    max_leaves=25)
+        st.dictionaries(_json_keys, inner, max_size=4), _row_lists(inner))
+
+
+_json_values = st.recursive(_scalar_values, _json_containers, max_leaves=25)
 
 
 _PAST_DIGIT_LIMIT = (f"^a number has more than {sys.get_int_max_str_digits()} "

@@ -3,22 +3,29 @@ import hashlib
 import heapq
 import json
 import math
+import os
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from schedlab.core import ContractViolation, Instance, Job
 from schedlab.generators import throughput_instance, upper_triangular_instance
 from schedlab.oracle import offline_throughput_opt
+from schedlab import throughput
 from schedlab.throughput import (
     _DRAW_CHUNK,
     Matching,
     _float_weights,
+    _greedy,
+    _part,
     _perturbed_scores,
+    _step_rows,
     batched_greedy_weights,
     check_matching,
     edf_throughput_unweighted,
@@ -173,6 +180,21 @@ class TestGreedyBaseline:
         mi = reduce_to_matching(tp((0, 1, 10), (0, 1, 1)))
         m = greedy_baseline(mi)
         assert m.pairs == [(0, (0, 0))]
+
+    @pytest.mark.parametrize("heavy_first", [False, True])
+    @pytest.mark.parametrize("light, heavy", [(1, 1 + Fraction(1, 10**20)),
+                                              (2**53, 2**53 + 1)])
+    def test_weights_equal_as_floats_rank_exactly(self, light, heavy, heavy_first):
+        weights = [heavy, light] if heavy_first else [light, heavy]
+        mi = reduce_to_matching(tp(*[(0, 1, w) for w in weights]))
+        m = greedy_baseline(mi)
+        assert m.pairs == [(weights.index(heavy), (0, 0))]
+        assert m.weight == heavy
+
+    def test_equal_weights_take_the_lowest_id(self):
+        mi = reduce_to_matching(tp((0, 1, Fraction(1, 3)), (0, 1, Fraction(1, 3)),
+                                   (0, 2, Fraction(1, 4))))
+        assert greedy_baseline(mi).pairs == [(0, (0, 0)), (2, (1, 0))]
 
     def test_two_step_trap(self):
         delta = Fraction(1, 10)
@@ -400,9 +422,137 @@ WORKLOAD_TOTALS_DIGESTS = {
 }
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("seed", sorted(WORKLOAD_TOTALS_DIGESTS))
-def test_workload_size_totals_match_pinned_digests(seed):
+def test_workload_size_totals_match_pinned_digests(seed, cpus, monkeypatch):
+    # about 300k cells: one part on one CPU, one part per CPU past that
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     mi = reduce_to_matching(throughput_instance(400, 100, 4, seed=seed))
     totals = batched_greedy_weights(mi, trial_seeds(seed, 2000))
     assert hashlib.sha256(totals.tobytes()).hexdigest() == \
         WORKLOAD_TOTALS_DIGESTS[seed]
+
+
+def cpus(count):
+    """A stand-in for ``os.sched_getaffinity`` that reports ``count`` CPUs."""
+    return lambda pid: set(range(count))
+
+
+def whole_table_run(mi, seeds, fill):
+    """One ``_greedy`` call over the whole (jobs x seeds) table, in this
+    thread: each run's total and the pairs of run 0."""
+    w = _float_weights(mi)
+    step_rows = _step_rows(mi)
+    totals = np.zeros(len(seeds))
+    part = _part(fill(w, seeds), totals, max(map(len, step_rows), default=0), mi.k)
+    return totals, _greedy(mi, step_rows, w, part)
+
+
+def all_ties(w, seeds):
+    """A score table in which every score ties."""
+    return np.ones((len(w), len(seeds)))
+
+
+class TestSplitMatcher:
+    """The batched matcher cut into parts, one thread each, against one
+    kernel call over the whole table."""
+
+    @given(st.one_of(
+               st.builds(throughput_instance, st.integers(0, 30), st.integers(1, 9),
+                         k=st.integers(1, 4), seed=st.integers(0, 2**16)),
+               st.builds(upper_triangular_instance, st.integers(1, 4),
+                         st.integers(1, 6))),
+           st.integers(1, 3), st.integers(0, 41), st.sampled_from([1, 16, 100]),
+           st.booleans(), st.integers(0, 2**64))
+    @example(upper_triangular_instance(2, 5), 3, 41, 16, True, 0)
+    @example(upper_triangular_instance(3, 4), 2, 7, 1, False, 5)
+    def test_split_equals_one_kernel_call(self, inst, cores, runs, min_cells,
+                                          tie, seed):
+        mi = reduce_to_matching(inst)
+        seeds = trial_seeds(seed, runs)
+        fill = all_ties if tie else _perturbed_scores
+        totals, pairs = whole_table_run(mi, seeds, fill)
+        width = max(map(len, mi.neighbors.values()), default=0)
+        count = max(1, min(cores, runs, width * runs // min_cells))
+        starts = [runs * p // count for p in range(count)]
+        calls = {}
+
+        def recording(mi, step_rows, w, part):
+            # a part's totals are a view of the result: its offset is its start
+            offset = (part.totals.ctypes.data
+                      - part.totals.base.ctypes.data) // part.totals.itemsize
+            calls[offset] = _greedy(mi, step_rows, w, part)
+            return calls[offset]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", cpus(cores))
+            patch.setattr(throughput, "_MIN_PART_CELLS", min_cells)
+            patch.setattr(throughput, "_perturbed_scores", fill)
+            patch.setattr(throughput, "_greedy", recording)
+            split = batched_greedy_weights(mi, seeds)
+        assert split.tobytes() == totals.tobytes()
+        assert sorted(calls) == starts
+        assert calls[0] == pairs
+        for start in starts[1:]:
+            assert calls[start] == whole_table_run(mi, seeds[start:], fill)[1]
+
+    def test_more_parts_than_cores_under_fast_switching(self, monkeypatch):
+        # three parts on two cores, the interpreter switching threads every
+        # microsecond: every run's total still comes out as one call makes it
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(3))
+        monkeypatch.setattr(throughput, "_MIN_PART_CELLS", 1)
+        mi = reduce_to_matching(throughput_instance(60, 12, k=3, seed=8))
+        seeds = trial_seeds(2, 301)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            split = batched_greedy_weights(mi, seeds)
+        finally:
+            sys.setswitchinterval(interval)
+        totals, _ = whole_table_run(mi, seeds, _perturbed_scores)
+        assert split.tobytes() == totals.tobytes()
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(3))
+        monkeypatch.setattr(throughput, "_MIN_PART_CELLS", 1)
+        mi = reduce_to_matching(throughput_instance(12, 5, k=2, seed=4))
+        before = threading.active_count()
+        batched_greedy_weights(mi, trial_seeds(1, 30))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_a_part_error_reaches_the_caller(self, monkeypatch, failing):
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(2))
+        monkeypatch.setattr(throughput, "_MIN_PART_CELLS", 1)
+        mi = reduce_to_matching(throughput_instance(12, 5, k=2, seed=4))
+        seen = []
+
+        def failing_part(mi, step_rows, w, part):
+            part_index = int(part.totals.ctypes.data != part.totals.base.ctypes.data)
+            seen.append(part_index)
+            if part_index == failing:
+                raise ZeroDivisionError(f"part {part_index}")
+            return _greedy(mi, step_rows, w, part)
+
+        monkeypatch.setattr(throughput, "_greedy", failing_part)
+        before = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match=f"part {failing}"):
+            batched_greedy_weights(mi, trial_seeds(1, 30))
+        assert sorted(seen) == [0, 1]
+        assert threading.active_count() == before
+
+    def test_small_tables_start_no_thread(self, monkeypatch):
+        """Below the cutoff the matcher runs in the calling thread: the
+        benchmark checker's 64-trial replay, and every instance of the
+        matching-ratio acceptance test (at most 24 neighbors x 2000 trials)."""
+        class NoThread:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("started a thread")
+
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(3))
+        monkeypatch.setattr(threading, "Thread", NoThread)
+        replay = reduce_to_matching(throughput_instance(400, 100, 4, seed=0))
+        batched_greedy_weights(replay, trial_seeds(0, 64))
+        widest = reduce_to_matching(throughput_instance(30, 10, k=4, seed=7))
+        assert max(map(len, widest.neighbors.values())) * 2000 < 2**16
+        batched_greedy_weights(widest, trial_seeds(0, 2000))
