@@ -28,7 +28,7 @@ inst = throughput_instance(jobs=12, horizon=5, k=2, seed=3)
 mi = reduce_to_matching(inst)
 print(f"instance: {len(inst.jobs)} weighted jobs, k = {inst.k} machines")
 print(f"matching view: {len(mi.job_ids)} offline vertices,"
-      f" {len(mi.online_vertices())} online vertices over steps {mi.steps}")
+      f" {len(mi.online_vertices())} online vertices over steps {tuple(mi.steps.tolist())}")
 print()
 
 opt, _ = offline_throughput_opt(inst)

@@ -38,7 +38,8 @@ import numpy as np
 from .core import (INT64_MAX, ContractViolation, MachineProfile, Schedule,
                    UnitJobs, allocating, arange_exact)
 from .online_min import (EULER, OnlineState, _ratio_out, ceil_times,
-                         ceil_times_series, ratio_of_counts, resolve_alpha)
+                         ceil_times_series, json_ratio, ratio_of_counts,
+                         resolve_alpha)
 from .oracle import edf_simulate
 
 
@@ -223,7 +224,7 @@ class GameTranscript:
             "missed": self.missed,
             "cost": self.cost,
             "off_final": self.off_final,
-            "ratio": self.ratio,
+            "ratio": json_ratio(self.ratio),
             "steps": self.steps,
         }
 
@@ -367,7 +368,7 @@ class AggregateGame:
             "missed": self.missed,
             "cost": self.cost,
             "off_final": self.off_final,
-            "ratio": self.ratio,
+            "ratio": json_ratio(self.ratio),
         }
 
 

@@ -99,7 +99,8 @@ def _run_unit(args, instance) -> int:
         "algo": args.algo, "instance": args.instance,
         "alpha": alpha,
         "jobs": len(instance.jobs), "cost": transcript.cost,
-        "off": transcript.off_final, "ratio": round(transcript.ratio, 6),
+        "off": transcript.off_final,
+        "ratio": online_min.json_ratio(round(transcript.ratio, 6)),
         "misses": misses,
     }, args.format)
     return 1 if misses else 0
@@ -140,7 +141,8 @@ def _run_throughput(args, instance) -> int:
                 for j, m, t in schedule.assignments],
             "unscheduled": schedule.misses,
         }, args.out)
-    ratio = float(matching.weight) / float(opt_weight) if opt_weight else 1.0
+    # exact, then rounded once: both weights may round to 0.0 as floats
+    ratio = float(matching.weight / opt_weight) if opt_weight else 1.0
     _summary({
         "algo": args.algo, "instance": args.instance,
         "seed": args.seed if args.seed is not None else "",

@@ -13,7 +13,9 @@ completion-based convention; there is no "inclusive deadline slot" anywhere.
 Every instance file, whatever its model, is read on one path
 (:func:`instance_from_dict`): one column reader into :class:`GridJobs`,
 ``Job`` rows only for the number forms it declines, one validation of the
-columns, and then the model's own form.
+columns, and then the model's own form: :class:`UnitJobs` for unit-min,
+``GridJobs`` for the other two.  Inside the library ``Job`` rows are
+built only for callers outside it and to name a fault.
 """
 
 from __future__ import annotations
@@ -174,14 +176,20 @@ class UnitJobs(Sequence[Job]):
 
 
 def unit_columns(jobs: Iterable[Job]) -> UnitJobs:
-    """The one conversion of ``Job`` rows into columns, order kept.
+    """The one narrowing of :class:`GridJobs` or ``Job`` rows to unit
+    columns, order kept.
 
     Refuses jobs that are not unit length, windows that are not integral
     and values beyond int64.  Weights are dropped: every engine that runs
-    on columns ignores them.
+    on columns ignores them.  Grid columns are checked whole; rows are
+    built only to name a fault.
     """
     if isinstance(jobs, UnitJobs):
         return jobs
+    if isinstance(jobs, GridJobs) and jobs.is_unit():
+        scale = jobs.scale
+        return UnitJobs(jobs.ids, *([x // scale for x in col] if scale > 1 else col
+                                    for col in (jobs.r, jobs.d)))
     rows = tuple(jobs)
     for j in rows:
         if j.p != 1:
@@ -254,6 +262,12 @@ class GridJobs(Sequence[Job]):
     def __repr__(self) -> str:
         return f"GridJobs({len(self)} jobs over {self.scale})"
 
+    def is_unit(self) -> bool:
+        """Whether every job has unit length and an integer window."""
+        scale = self.scale
+        return self.p.count(scale) == len(self) and (
+            scale == 1 or not any(x % scale for x in chain(self.r, self.d)))
+
 
 def time_grid(jobs: Iterable[Job]) -> GridJobs:
     """The one conversion of ``Job`` rows into :class:`GridJobs`, order and
@@ -293,8 +307,9 @@ class Instance:
     """An immutable problem instance.
 
     ``jobs`` are kept sorted by (release, id); use :meth:`of` to build an
-    instance from unordered ``Job`` rows.  Generated and read unit-min
-    instances hold :class:`UnitJobs` columns instead.  ``k`` is the machine
+    instance from unordered ``Job`` rows.  Generated and read instances
+    hold columns instead: :class:`UnitJobs` for unit-min, :class:`GridJobs`
+    for the other models.  ``k`` is the machine
     count for the throughput model.  ``horizon`` is the maximum deadline of
     a unit-job instance, carried so files round-trip byte for byte.
     """
@@ -480,9 +495,7 @@ def validate_instance(instance: Instance) -> list[Violation]:
         v += _row_violations(jobs)
     scale, d_at = (1, None) if unit else (grid.scale, grid.d)
     # unit columns hold unit-length jobs at integer times by construction
-    if not unit and instance.model in ("unit-min", "throughput") and not (
-            grid.p.count(scale) == len(grid)
-            and (scale == 1 or not any(x % scale for x in chain(grid.r, d_at)))):
+    if not unit and instance.model in ("unit-min", "throughput") and not grid.is_unit():
         for jid, r, d, p in zip(grid.ids, grid.r, d_at, grid.p):
             if p != scale:
                 v.append(Violation(jid, "NonUnitLength", f"p={_ratio(p, scale)}"))
@@ -949,10 +962,10 @@ def instance_from_dict(doc: dict) -> Instance:
     when every value is a JSON int or plain decimal, else from ``Job`` rows
     (:func:`_job_rows`), which parse the other number forms and name the
     field at fault.  Both are validated as columns, so they refuse with the
-    same messages, and are then narrowed: a unit-min instance to
-    :class:`UnitJobs`, which must fit int64, an equal-deadline one to
-    ``GridJobs`` of unit weight, and a throughput one to ``Job`` rows whose
-    values are ints when integral."""
+    same messages.  A unit-min instance is then narrowed to
+    :class:`UnitJobs` (:func:`unit_columns`), which must fit int64, and an
+    equal-deadline one to ``GridJobs`` of unit weight; a throughput one
+    keeps its ``GridJobs``, weights included."""
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     if "model" not in doc:
@@ -975,26 +988,20 @@ def instance_from_dict(doc: dict) -> Instance:
     if horizon is not None and (not isinstance(horizon, int) or isinstance(horizon, bool)):
         raise ParseError('"horizon" must be an integer')
     require_valid(Instance(model, jobs, k, horizon))
-    ids, r, d, p, scale = jobs.ids, jobs.r, jobs.d, jobs.p, jobs.scale
     if model == "unit-min":
-        jobs = UnitJobs(ids, *([x // scale for x in col] if scale > 1 else col
-                               for col in (r, d)))
+        jobs = unit_columns(jobs)
     elif model == "equal-deadline":
-        jobs = GridJobs(ids, r, d, p, scale)
-    else:  # throughput: require_valid refused every other model
-        jobs = tuple(map(Job, ids, *(map(_ratio, col, repeat(scale))
-                                     for col in (r, d, p, jobs.w))))
+        jobs = GridJobs(jobs.ids, jobs.r, jobs.d, jobs.p, jobs.scale)
     return Instance(model, jobs, k, horizon)
 
 
 def read_instance(text: str) -> Instance:
     """Parse and validate an instance file (:func:`instance_from_dict`).  A
     unit-min file becomes :class:`UnitJobs` columns, which must fit int64,
-    an equal-deadline file :class:`GridJobs` and a throughput file ``Job``
-    rows; only the last keeps weights: no engine of the other models reads
-    them, and no ``sched`` command writes a read instance back.  Text that
-    is not JSON, or nests too deeply for the parser, is a
-    :class:`ParseError`."""
+    and an equal-deadline or throughput file :class:`GridJobs`; only the
+    last keeps weights: no engine of the other models reads them, and no
+    ``sched`` command writes a read instance back.  Text that is not JSON,
+    or nests too deeply for the parser, is a :class:`ParseError`."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -13,7 +13,7 @@ import random
 import numpy as np
 
 from .adversary import resolve_stream, stream_jobs
-from .core import ContractViolation, GridJobs, Instance, Job, UnitJobs
+from .core import ContractViolation, GridJobs, Instance, UnitJobs
 
 
 def adversary_instance(n: int, N: int | None = None) -> Instance:
@@ -73,16 +73,21 @@ def equal_deadline_instance(kappa: int, jobs: int, seed: int = 0) -> Instance:
 
 def throughput_instance(jobs: int, horizon: int, k: int = 1, w_max: int = 10,
                         seed: int = 0, unweighted: bool = False) -> Instance:
+    """Job ``i`` draws ``r`` in ``[0, horizon)``, then ``d`` in ``(r, horizon]``
+    and, unless ``unweighted``, ``w`` in ``[1, w_max]``.  The jobs are
+    :class:`~schedlab.core.GridJobs` columns sorted by ``(r, id)``, with no
+    ``Job`` row built."""
     if jobs < 0 or horizon < 1 or k < 1 or w_max < 1:
         raise ContractViolation("bad throughput generator parameters")
     rng = random.Random(seed)
-    out = []
+    drawn = []
     for i in range(jobs):
         r = rng.randrange(horizon)
         d = rng.randint(r + 1, horizon)
-        w = 1 if unweighted else rng.randint(1, w_max)
-        out.append(Job(i, r, d, w=w))
-    return Instance.of("throughput", out, k=k)
+        drawn.append((r, i, d, 1 if unweighted else rng.randint(1, w_max)))
+    drawn.sort()
+    rs, ids, ds, ws = zip(*drawn) if drawn else ((),) * 4
+    return Instance("throughput", GridJobs(ids, rs, ds, [1] * jobs, w=ws), k=k)
 
 
 def upper_triangular_instance(k: int, levels: int) -> Instance:
@@ -94,9 +99,9 @@ def upper_triangular_instance(k: int, levels: int) -> Instance:
     """
     if k < 1 or levels < 1:
         raise ContractViolation("need k >= 1 and levels >= 1")
-    jobs = [Job(lvl * k + i, 0, lvl + 1) for lvl in range(levels)
-            for i in range(k)]
-    return Instance.of("throughput", jobs, k=k)
+    ids = range(k * levels)
+    return Instance("throughput", GridJobs(ids, [0] * len(ids), [u // k + 1 for u in ids],
+                                           [1] * len(ids)), k=k)
 
 
 KINDS = ("adversary", "random-unit", "equal-deadline", "throughput",

@@ -65,6 +65,12 @@ def ratio_of_counts(cost: int, off: int) -> float:
         return math.inf
 
 
+def json_ratio(ratio: float) -> float | None:
+    """A ratio as JSON outputs write it: ``None`` (``null``) when it is not
+    finite, for which JSON has no number."""
+    return ratio if math.isfinite(ratio) else None
+
+
 def resolve_alpha(alpha) -> Fraction:
     """Normalize a machine-scaling factor to an exact rational.
 

@@ -26,23 +26,25 @@ column blocks, one per release step, found by ``release_blocks``.  Their
 per-step methods take column blocks only; the instance-level entries
 (``edf_simulate``, ``off_prefix_series``) also take ``Job`` rows, which
 ``core.unit_columns`` converts once.
+
+``active_steps`` is the one window index: the sorted active steps and each
+job's contiguous run of them, which the throughput OPT and the matching
+graph of :mod:`~schedlab.throughput` both read.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import repeat
-from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .core import (INT64_MAX, ContractViolation, Instance, Job, MachineProfile,
-                   Schedule, UnitJobs, allocating, arange_exact, require_valid,
-                   time_grid, unit_columns)
+                   Schedule, UnitJobs, _int64_column, _ratio, allocating,
+                   arange_exact, require_valid, time_grid, unit_columns)
 
 # Slots per column when the hull table is made; it doubles as columns need.
 _HULL_CAPACITY = 8
@@ -451,19 +453,27 @@ def volume_lower_bound(jobs: Sequence[Job], d) -> int:
     return best
 
 
-def active_steps(jobs: Iterable[Job]
-                 ) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
-    """Steps some unit job can run in, each with the ids that can run there.
+def active_steps(jobs: Iterable[Job]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one window index of unit jobs: the steps some job can run in,
+    ascending, and each job's run ``steps[lo:hi]`` of them, in input order.
 
-    A job with integer window ``[r, d)`` can run in steps ``r .. d-1``.  One
-    pass over the windows; each step's ids come out ascending.
+    A job with integer window ``[r, d)`` can run in steps ``r .. d-1``.  In
+    release order each window adds the steps past the latest deadline
+    before it, so no array is as long as the horizon; all three are int64,
+    and steps numpy will not hold are refused before any is written.
     """
-    cover: dict[int, list[int]] = {}
-    for j in sorted(jobs, key=attrgetter("id")):
-        for t in range(int(j.r), int(j.d)):
-            cover.setdefault(t, []).append(j.id)
-    steps = tuple(sorted(cover))
-    return steps, {t: tuple(cover[t]) for t in steps}
+    grid = time_grid(jobs)
+    r, d = (_int64_column([x // grid.scale for x in col], name)
+            for col, name in ((grid.r, "r"), (grid.d, "d")))
+    order = np.argsort(r, kind="stable")
+    reach = np.maximum.accumulate(d[order])
+    first = np.maximum(r[order], np.r_[r[order[:1]], reach[:-1]])
+    sizes = np.maximum(reach - first, 0)
+    count = sum(sizes.tolist())
+    with allocating(count, "steps"):
+        steps = arange_exact(0, count)
+        steps += np.repeat(first - (np.cumsum(sizes) - sizes), sizes)
+    return steps, np.searchsorted(steps, r), np.searchsorted(steps, d)
 
 
 #: Largest total weight plus job count :func:`offline_throughput_opt` solves.
@@ -477,9 +487,9 @@ def offline_throughput_opt(instance: Instance) -> tuple[Fraction, Schedule]:
     ``k`` machine-slots of each active step inside its window or falls back
     to a private zero-weight column, so skipping a job is always allowed.
     Slot ``s * k + i`` is machine ``i`` at the ``s``-th active step, so a
-    job's slots are one contiguous column range.  The dense float64 table
-    of ``jobs x (k * steps + jobs)`` costs is refused, by
-    :func:`~schedlab.core.allocating`, when numpy will not hold it.
+    job's slots are the columns ``k * lo .. k * hi`` of :func:`active_steps`.
+    The dense float64 table of ``jobs x (k * steps + jobs)`` costs is
+    refused, by :func:`~schedlab.core.allocating`, when numpy will not hold it.
 
     The solver (scipy's shortest augmenting path) works in float64 on the
     costs ``float(w)`` (the job's slots), ``0`` (its private column) and
@@ -492,43 +502,36 @@ def offline_throughput_opt(instance: Instance) -> tuple[Fraction, Schedule]:
     float64 below ``2**53``, while ``S <= 2**50``; instances past that are
     refused rather than solved with rounded sums.  Non-integer weights are
     rounded to float64 as they always were; the reported total is the
-    exact sum of the placed jobs' weights.
+    exact sum of the placed jobs' weight numerators over their scale.
     """
     from scipy.optimize import linear_sum_assignment
 
     if instance.model != "throughput":
         raise ContractViolation(f"expected a throughput instance, got {instance.model}")
     require_valid(instance)
-    jobs = instance.jobs
-    k = instance.k
-    spread = sum(j.w for j in jobs) + len(jobs)
-    if spread > _EXACT_SPREAD:
+    jobs = time_grid(instance.jobs)
+    k, n, scale = instance.k, len(jobs), jobs.scale
+    if sum(jobs.w) + n * scale > _EXACT_SPREAD * scale:
         raise ContractViolation(
-            f"{len(jobs)} jobs of total weight {spread - len(jobs)} leave the "
+            f"{n} jobs of total weight {_ratio(sum(jobs.w), scale)} leave the "
             f"float64 solver's exact range: weights plus jobs must not exceed "
             f"{_EXACT_SPREAD}")
-    steps, _ = active_steps(jobs)
-    n, m = len(jobs), k * len(steps)
+    steps, lo, hi = active_steps(jobs)
+    m = k * len(steps)
     with allocating(n * (m + n), "cells", "a float64 assignment table"):
         weight = np.full((n, m + n), -1.0)
     weight[np.arange(n), m + np.arange(n)] = 0.0
-    for ji, j in enumerate(jobs):
-        lo, hi = bisect_left(steps, j.r), bisect_left(steps, j.d)
-        weight[ji, k * lo:k * hi] = float(j.w)
+    for row, a, b, w in zip(weight, lo.tolist(), hi.tolist(), jobs.w):
+        row[k * a:k * b] = w / scale
     rows, cols = linear_sum_assignment(weight, maximize=True)
-    total = Fraction(0)
-    schedule = Schedule()
-    placed: set[int] = set()
-    for ji, ci in zip(rows, cols):
-        if ci < m:
-            step, machine = divmod(int(ci), k)
-            job = jobs[ji]
-            schedule.assignments.append((job.id, machine, steps[step]))
-            total += Fraction(job.w)
-            placed.add(job.id)
-    schedule.assignments.sort(key=lambda a: (a[2], a[1]))
-    schedule.misses = sorted(j.id for j in jobs if j.id not in placed)
-    return total, schedule
+    steps = steps.tolist()
+    placed = [(int(ji), *divmod(int(ci), k)) for ji, ci in zip(rows, cols) if ci < m]
+    schedule = Schedule(
+        sorted(((jobs.ids[ji], machine, steps[step]) for ji, step, machine in placed),
+               key=lambda a: (a[2], a[1])))
+    done = {ji for ji, _, _ in placed}
+    schedule.misses = sorted(u for ji, u in enumerate(jobs.ids) if ji not in done)
+    return Fraction(sum(jobs.w[ji] for ji in done), scale), schedule
 
 
 def brute_force_feasible(jobs: Sequence[Job], profile: MachineProfile) -> bool:

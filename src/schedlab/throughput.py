@@ -3,17 +3,20 @@
 A throughput instance (unit jobs, ``k`` machines, weights) becomes a
 bipartite graph: one offline vertex per job carrying its weight, and ``k``
 online vertices per active step, adjacent to every job whose window covers
-the step.  Schedules and matchings are then two views of the same object,
-and any online matching algorithm becomes an online scheduler.
+the step: one contiguous run of the sorted active steps, so the graph is
+convex (Glover, 1967) and is held as each job's run (``active_steps``).
+Schedules and matchings are then two views of the same object, and any
+online matching algorithm becomes an online scheduler.
 
 The randomized matcher draws one uniform ``x`` per job at reveal time and
 greedily matches each arriving vertex to the unmatched neighbor maximizing
 ``w * (1 - exp(x - 1))``.  One numpy kernel runs this greedy over a
-(jobs x runs) table of scores, which it consumes: a single seeded column for
-:func:`perturbed_greedy`, each weight's exact rank for
-:func:`greedy_baseline`, and one seeded column per trial for the Monte Carlo ratio estimate.  Every
-run's draws are read from one byte string of Mersenne Twister words, bit for
-bit the values ``random.Random(seed).random()`` returns.
+(jobs x runs) table of scores, which it consumes: a single seeded column
+for :func:`perturbed_greedy`, each weight's exact rank for
+:func:`greedy_baseline`, and one seeded column per trial for the Monte
+Carlo ratio estimate.  Every run's draws are read from one byte string of
+Mersenne Twister words, bit for bit the values
+``random.Random(seed).random()`` returns.
 
 Columns never interact, so the estimate cuts its seeds into contiguous
 parts, one per usable core as long as each part keeps ``_MIN_PART_CELLS``
@@ -38,52 +41,51 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import (ContractViolation, Instance, MachineProfile, Schedule, _num_out,
-                   allocating, require_valid)
-from .oracle import active_steps, edf_simulate, offline_throughput_opt
+from .core import (ContractViolation, Instance, Schedule, _quotients_out, allocating,
+                   require_valid, time_grid, unit_columns)
+from .oracle import EdfQueue, active_steps, offline_throughput_opt, release_blocks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchingInstance:
-    """Bipartite view of a throughput instance.
+    """Bipartite view of a throughput instance, as columns.
 
     ``steps`` lists the active steps in increasing order; each contributes
     ``k`` online vertices ``(t, 0) .. (t, k-1)`` with identical
-    neighborhoods.  Offline vertices are job ids, revealed at their release.
+    neighborhoods.  Offline vertex ``j``, in instance order, is job
+    ``job_ids[j]`` of weight ``w[j] / scale``, adjacent to, and revealed at
+    the first of, ``steps[lo[j]:hi[j]]`` (:func:`active_steps`).
     """
 
     k: int
-    steps: tuple[int, ...]
+    steps: np.ndarray
     job_ids: tuple[int, ...]
-    weights: dict[int, Fraction]
-    reveal: dict[int, int]
-    windows: dict[int, tuple[int, int]]
-    neighbors: dict[int, tuple[int, ...]]
+    lo: np.ndarray
+    hi: np.ndarray
+    w: tuple[int, ...]
+    scale: int
+
+    @property
+    def neighbors(self) -> dict[int, tuple[int, ...]]:
+        """Each active step's job ids, ascending, built on each read."""
+        return {t: tuple(self.job_ids[j] for j in rows.tolist())
+                for t, rows in zip(self.steps.tolist(), _step_rows(self))}
 
     def online_vertices(self) -> list[tuple[int, int]]:
-        return [(t, i) for t in self.steps for i in range(self.k)]
+        return [(t, i) for t in self.steps.tolist() for i in range(self.k)]
 
     def is_edge(self, u: int, v: tuple[int, int]) -> bool:
-        t, i = v
-        if not 0 <= i < self.k or u not in self.windows:
-            return False
-        r, d = self.windows[u]
-        return r <= t and t + 1 <= d
-
-    def _window_steps(self, u: int) -> list[int]:
-        """The active steps inside job ``u``'s window ``[r, d)``."""
-        r, d = self.windows[u]
-        return list(self.steps[bisect_left(self.steps, r):bisect_left(self.steps, d)])
+        return _edge_rows(self, [(u, v)])[0] >= 0
 
     def to_jsonable(self) -> dict:
+        steps = self.steps.tolist()
         return {
             "k": self.k,
-            "steps": list(self.steps),
+            "steps": steps,
             "offline": [
-                {"id": u, "w": _num_out(self.weights[u]),
-                 "reveal": self.reveal[u],
-                 "steps": self._window_steps(u)}
-                for u in self.job_ids
+                {"id": u, "w": w, "reveal": steps[a], "steps": steps[a:b]}
+                for u, w, a, b in zip(self.job_ids, _quotients_out(self.w, self.scale),
+                                      self.lo.tolist(), self.hi.tolist())
             ],
         }
 
@@ -102,26 +104,35 @@ def reduce_to_matching(instance: Instance) -> MatchingInstance:
     require_valid(instance)
     if instance.model != "throughput":
         raise ContractViolation("needs a throughput instance")
-    jobs = instance.jobs
-    steps, neighbors = active_steps(jobs)
-    return MatchingInstance(
-        k=instance.k,
-        steps=steps,
-        job_ids=tuple(j.id for j in jobs),
-        weights={j.id: Fraction(j.w) for j in jobs},
-        reveal={j.id: int(j.r) for j in jobs},
-        windows={j.id: (int(j.r), int(j.d)) for j in jobs},
-        neighbors=neighbors,
-    )
+    jobs = time_grid(instance.jobs)
+    steps, lo, hi = active_steps(jobs)
+    return MatchingInstance(k=instance.k, steps=steps, job_ids=tuple(jobs.ids),
+                            lo=lo, hi=hi, w=tuple(jobs.w), scale=jobs.scale)
 
 
-def check_matching(mi: MatchingInstance, matching: Matching) -> None:
-    """Raise unless every pair is an edge and both sides are used at most once."""
+def _edge_rows(mi: MatchingInstance, pairs) -> list[int]:
+    """Each pair ``(u, (t, i))``'s job row if it is an edge, else -1: ``u``
+    is found by bisection, and ``t`` must lie in its window ``[r, d)``."""
+    order = np.argsort(mi.job_ids).tolist()
+    ids = [mi.job_ids[j] for j in order]
+    steps, lo, hi = mi.steps.tolist(), mi.lo.tolist(), mi.hi.tolist()
+    rows = []
+    for u, (t, i) in pairs:
+        at = bisect_left(ids, u)
+        j = order[at] if at < len(ids) and ids[at] == u else -1
+        edge = j >= 0 and 0 <= i < mi.k and steps[lo[j]] <= t <= steps[hi[j] - 1]
+        rows.append(j if edge else -1)
+    return rows
+
+
+def _checked_weight(mi: MatchingInstance, pairs) -> Fraction:
+    """The exact weight of ``pairs``; raises unless every pair is an edge
+    and both sides are used at most once."""
     seen_u: set[int] = set()
     seen_v: set[tuple[int, int]] = set()
-    total = Fraction(0)
-    for u, v in matching.pairs:
-        if not mi.is_edge(u, v):
+    total = 0
+    for (u, v), j in zip(pairs, _edge_rows(mi, pairs)):
+        if j < 0:
             raise ContractViolation(f"pair ({u}, {v}) is not an edge")
         if u in seen_u:
             raise ContractViolation(f"offline vertex {u} matched twice")
@@ -129,7 +140,13 @@ def check_matching(mi: MatchingInstance, matching: Matching) -> None:
             raise ContractViolation(f"online vertex {v} matched twice")
         seen_u.add(u)
         seen_v.add(v)
-        total += mi.weights[u]
+        total += mi.w[j]
+    return Fraction(total, mi.scale)
+
+
+def check_matching(mi: MatchingInstance, matching: Matching) -> None:
+    """Raise unless every pair is an edge and both sides are used at most once."""
+    total = _checked_weight(mi, matching.pairs)
     if total != matching.weight:
         raise ContractViolation(
             f"stored weight {matching.weight} != recomputed {total}")
@@ -146,17 +163,17 @@ def matching_to_schedule(mi: MatchingInstance, matching: Matching) -> Schedule:
 
 
 def schedule_to_matching(mi: MatchingInstance, schedule: Schedule) -> Matching:
+    """The matching of a schedule's assignments; raises, naming the pair,
+    unless it is one."""
     pairs = sorted(((job, (start, machine))
                     for job, machine, start in schedule.assignments),
                    key=lambda p: (p[1], p[0]))
-    weight = sum((mi.weights[u] for u, _ in pairs), Fraction(0))
-    matching = Matching(pairs=pairs, weight=weight)
-    check_matching(mi, matching)
-    return matching
+    return Matching(pairs=pairs, weight=_checked_weight(mi, pairs))
 
 
 def _float_weights(mi: MatchingInstance) -> np.ndarray:
-    return np.array([float(mi.weights[u]) for u in mi.job_ids])
+    """Each job's weight rounded to float64 (int division rounds exactly)."""
+    return np.array([w / mi.scale for w in mi.w])
 
 
 #: Seeds whose draws are read from one byte string: 2 KiB per job, and few
@@ -225,10 +242,21 @@ def _part(table: np.ndarray, totals: np.ndarray, width: int, k: int) -> _Part:
 
 
 def _step_rows(mi: MatchingInstance) -> list[np.ndarray]:
-    """Each active step's neighbors as row indices into ``mi.job_ids``."""
-    index = {u: j for j, u in enumerate(mi.job_ids)}
-    return [np.array([index[u] for u in mi.neighbors[t]], dtype=np.intp)
-            for t in mi.steps]
+    """Each active step's neighbors as rows of ``mi.job_ids``, ascending by
+    id, which is the kernel's lowest-id tie-break: every row, taken in id
+    order, is repeated once per step of its run and stably sorted by step."""
+    by_id = np.argsort(mi.job_ids)
+    lo, sizes = mi.lo[by_id], (mi.hi - mi.lo)[by_id]
+    at = np.arange(sizes.sum()) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
+    rows = np.repeat(by_id, sizes)[np.argsort(at, kind="stable")]
+    return np.split(rows, np.cumsum(np.bincount(at, minlength=len(mi.steps))))[:-1]
+
+
+def _width(mi: MatchingInstance) -> int:
+    """The most neighbors any active step has, from the runs' ends."""
+    ends = len(mi.steps) + 1
+    cover = np.bincount(mi.lo, minlength=ends) - np.bincount(mi.hi, minlength=ends)
+    return int(cover.cumsum().max(initial=0))
 
 
 def _greedy(mi: MatchingInstance, step_rows: list[np.ndarray], w: np.ndarray,
@@ -243,15 +271,15 @@ def _greedy(mi: MatchingInstance, step_rows: list[np.ndarray], w: np.ndarray,
     every pick is an argmax along contiguous rows; a pick marks its cell of
     that block, and the step's picks mark the table together once the step
     is done.  Each run's matched weight is summed from ``w`` in pick order
-    into ``part.totals``; returns the pairs run 0 matched.  Every array it
-    writes is one of ``part``'s.
+    into ``part.totals``; returns the pairs run 0 matched, each job as its
+    row.  Every array it writes is one of ``part``'s.
     """
     (scores, totals, gathered_buf, block_buf, every, first, picks_buf, marks_buf,
      best_buf, jobs_buf, matched_buf, gain_buf) = part
     runs = len(every)
     cell_of = scores.reshape(-1)
     pairs = []
-    for t, rows in zip(mi.steps, step_rows):
+    for t, rows in zip(mi.steps.tolist(), step_rows):
         size = len(rows) * runs
         # "clip" writes straight into ``out`` ("raise" stages a copy); every
         # index is in range
@@ -280,19 +308,18 @@ def _greedy(mi: MatchingInstance, step_rows: list[np.ndarray], w: np.ndarray,
         for i in range(machines):
             np.add(totals, gain[i], out=totals, where=matched[i])
             if runs and matched[i, 0]:
-                pairs.append((mi.job_ids[jobs[i, 0]], (t, i)))
+                pairs.append((int(jobs[i, 0]), (t, i)))
     return pairs
 
 
 def _matching(mi: MatchingInstance, scores: np.ndarray) -> Matching:
     """One kernel run on a one-column copy of ``scores``; the exact weight
-    is summed from the pairs."""
+    is summed from the matched rows' numerators."""
     step_rows = _step_rows(mi)
-    part = _part(scores[:, np.newaxis].copy(), np.zeros(1),
-                 max(map(len, mi.neighbors.values()), default=0), mi.k)
-    pairs = _greedy(mi, step_rows, scores, part)
-    weight = sum((mi.weights[u] for u, _ in pairs), Fraction(0))
-    return Matching(pairs=pairs, weight=weight)
+    part = _part(scores[:, np.newaxis].copy(), np.zeros(1), _width(mi), mi.k)
+    rows = _greedy(mi, step_rows, scores, part)
+    return Matching(pairs=[(mi.job_ids[j], v) for j, v in rows],
+                    weight=Fraction(sum(mi.w[j] for j, _ in rows), mi.scale))
 
 
 def perturbed_greedy(mi: MatchingInstance, seed: int) -> Matching:
@@ -311,10 +338,11 @@ def greedy_baseline(mi: MatchingInstance) -> Matching:
     """Deterministic comparator: always take the heaviest unmatched neighbor.
 
     Each job scores the dense rank of its exact weight among the distinct
-    weights, so no two weights that differ tie in float64.
+    weights, so no two weights that differ tie in float64; over one scale,
+    the weight numerators rank as the weights do.
     """
-    rank = {w: r for r, w in enumerate(sorted(set(mi.weights.values())))}
-    return _matching(mi, np.array([float(rank[mi.weights[u]]) for u in mi.job_ids]))
+    rank = {w: r for r, w in enumerate(sorted(set(mi.w)))}
+    return _matching(mi, np.array([float(rank[w]) for w in mi.w]))
 
 
 def _usable_cores() -> int:
@@ -346,7 +374,7 @@ def batched_greedy_weights(mi: MatchingInstance,
     first error a part raised.  The totals come back in seed order.
     """
     w = _float_weights(mi)
-    width = max(map(len, mi.neighbors.values()), default=0)
+    width = _width(mi)
     count = max(1, min(_usable_cores(), len(seeds),
                        width * len(seeds) // _MIN_PART_CELLS))
     totals = np.zeros(len(seeds))
@@ -383,18 +411,23 @@ def batched_greedy_weights(mi: MatchingInstance,
 def edf_throughput_unweighted(instance: Instance) -> Schedule:
     """Earliest-deadline-first for equal weights; exact on such instances.
 
-    Each step runs the up-to-k pending jobs with the nearest deadlines.
-    Weighted instances are refused: with unequal weights this rule has no
-    optimality property and the randomized matcher should be used instead.
+    Each step runs the up-to-k pending jobs with the nearest deadlines: one
+    :class:`~schedlab.oracle.EdfQueue` with quota ``k`` over the jobs'
+    release blocks.  Weighted instances are refused: with unequal weights
+    this rule has no optimality property and the randomized matcher should
+    be used instead.
     """
     require_valid(instance)
     if instance.model != "throughput":
         raise ContractViolation("needs a throughput instance")
-    if len({Fraction(j.w) for j in instance.jobs}) > 1:
+    jobs = time_grid(instance.jobs)
+    if len(set(jobs.w)) > 1:
         raise ContractViolation("weights differ; use the matching algorithms")
-    horizon = max((int(j.d) for j in instance.jobs), default=0)
-    _, schedule = edf_simulate(instance.jobs,
-                               MachineProfile.constant(instance.k, horizon))
+    jobs = unit_columns(jobs)
+    edf = EdfQueue()
+    for t, released in enumerate(release_blocks(jobs, int(jobs.d.max(initial=0)))):
+        edf.step(t, released, instance.k)
+    _, schedule = edf.finish()
     schedule.misses.sort()
     return schedule
 

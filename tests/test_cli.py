@@ -6,7 +6,6 @@ import importlib
 import io
 import json
 import logging
-import math
 import os
 import shutil
 import signal
@@ -270,6 +269,19 @@ class TestRun:
         assert code == 0
         assert json.loads(out)["ratio"] <= 1.0
 
+    @pytest.mark.parametrize("algo", [["perturbed-greedy", "--seed", "1"],
+                                      ["greedy-baseline"], ["edf-throughput"]])
+    def test_weights_below_float_range_ratio_exactly(self, capsys, tmp_path, algo):
+        # the weight and OPT both read 0.0 as floats; their exact ratio is 1
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"model": "throughput", "k": 1, "jobs": [
+            {"id": 0, "r": 0, "d": 1, "w": "1e-400"}]}))
+        code, out, err = run_cli(capsys, "run", *algo, "--instance", str(path),
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        payload = strict_json(out)
+        assert (payload["weight"], payload["opt"], payload["ratio"]) == (0.0, 0.0, 1.0)
+
     def test_edf_throughput_matches_opt(self, capsys, tmp_path):
         path = tmp_path / "tpu.json"
         assert main(["gen", "throughput", "--jobs", "10", "--horizon", "5",
@@ -463,9 +475,7 @@ class TestVerify:
 
         def rotated(instance):
             mi = reduce(instance)
-            ids = list(mi.job_ids)
-            moved = dict(zip(ids, [mi.weights[u] for u in ids[1:] + ids[:1]]))
-            return dataclasses.replace(mi, weights=moved)
+            return dataclasses.replace(mi, w=mi.w[1:] + mi.w[:1])
 
         monkeypatch.setattr(throughput, "reduce_to_matching", rotated)
         code, out, _ = run_cli(capsys, "verify", "reduction", "--count", "20",
@@ -501,9 +511,17 @@ CERTIFICATE_DIGESTS = {
 }
 
 
+def strict_json(text):
+    """``json.loads`` refusing ``NaN`` and ``Infinity``, as ``JSON.parse`` does."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestHugeAlpha:
     """An alpha past float range rents machine counts that no float holds:
-    the ratio reads inf and the certificate audit still runs."""
+    the ratio is infinite, written as JSON ``null``, and the certificate
+    audit still runs."""
 
     @pytest.fixture
     def unit_file(self, tmp_path):
@@ -516,17 +534,19 @@ class TestHugeAlpha:
         code, out, err = run_cli(capsys, "run", "alpha-edf", "--instance",
                                  unit_file, "--alpha", "1e400", "--format", "json")
         assert (code, err) == (0, "")
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["cost"] == payload["off"] * 10**400
-        assert payload["ratio"] == math.inf
+        assert payload["ratio"] is None
 
-    def test_game(self, capsys):
+    def test_game(self, capsys, tmp_path):
+        path = tmp_path / "game.json"
         code, out, err = run_cli(capsys, "game", "alpha-edf", "--n", "5",
-                                 "--alpha", "1e400", "--format", "json")
+                                 "--alpha", "1e400", "--format", "json",
+                                 "--out", str(path))
         assert (code, err) == (0, "")
-        payload = json.loads(out)
-        assert payload["cost"] == payload["off_final"] * 10**400
-        assert payload["ratio"] == math.inf
+        for payload in (strict_json(out), strict_json(path.read_text())):
+            assert payload["cost"] == payload["off_final"] * 10**400
+            assert payload["ratio"] is None
 
     def test_verify_certificate(self, capsys, unit_file):
         code, out, err = run_cli(capsys, "verify", "certificate", "--instance",
@@ -724,6 +744,17 @@ class TestOversized:
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("algo", [["perturbed-greedy", "--seed", "1"],
+                                      ["greedy-baseline"], ["edf-throughput"]])
+    def test_window_refused_at_once(self, capsys, watchdog, tmp_path, algo):
+        path = tmp_path / "tp.json"
+        path.write_text(json.dumps({"model": "throughput", "k": 1, "jobs": [
+            {"id": 0, "r": 0, "d": self.STEPS}]}))
+        code, out, err = run_cli(capsys, "run", *algo, "--instance", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {self.STEPS} steps do not fit in memory as int64 columns\n"
 
     @pytest.mark.parametrize("algo", [["greedy-baseline"],
                                       ["perturbed-greedy", "--seed", "1"]])

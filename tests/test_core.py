@@ -148,6 +148,19 @@ class TestUnitJobs:
         with pytest.raises(ContractViolation, match="int64"):
             unit_columns([Job(2**63, 0, 4)])
 
+    def test_grid_columns_narrow_whole_and_name_a_fault(self):
+        # over scale 4 the windows are whole and job 3 weighs 1/4
+        jobs = unit_columns(GridJobs([3, 1], [4, 0], [16, 8], [4, 4], 4, [1, 6]))
+        assert (jobs.ids.tolist(), jobs.r.tolist(), jobs.d.tolist()) == (
+            [3, 1], [1, 0], [4, 2])
+        with pytest.raises(ContractViolation, match=r"job 7 is not a unit job: p=1/2"):
+            unit_columns(GridJobs([0, 7], [0, 0], [8, 8], [2, 1], 2))
+        with pytest.raises(ContractViolation,
+                           match=r"job 5 has a non-integer window \[1/2, 2\)"):
+            unit_columns(GridJobs([5], [1], [4], [2], 2))
+        with pytest.raises(ContractViolation, match="int64"):
+            unit_columns(GridJobs([0], [2**63], [2**63 + 1], [1]))
+
 
 _times = st.one_of(st.integers(-3, 12),
                    st.fractions(-2, 12, max_denominator=12),
@@ -792,12 +805,14 @@ class TestThroughputReader:
         if not isinstance(expected, Instance):
             assert got == expected
             return
-        assert isinstance(got.jobs, tuple)
+        assert isinstance(got.jobs, GridJobs)
         assert (got.model, got.k, got.horizon) == (
             expected.model, expected.k, expected.horizon)
         assert [tuple(j) for j in got.jobs] == [tuple(j) for j in expected.jobs]
-        assert [tuple(map(type, j)) for j in got.jobs] == [
-            tuple(map(type, j)) for j in expected.jobs]
+        # a GridJobs row's p is a Fraction; validation pins it to 1
+        assert all(j.p == 1 and type(j.p) is Fraction for j in got.jobs)
+        assert [(type(j.id), type(j.r), type(j.d), type(j.w)) for j in got.jobs] == [
+            (type(j.id), type(j.r), type(j.d), type(j.w)) for j in expected.jobs]
 
 
 def _outcome(call, *args):

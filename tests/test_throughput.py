@@ -14,7 +14,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from schedlab.core import ContractViolation, Instance, Job
+from reference_matching import reference_active_steps, reference_reduce_to_matching
+from schedlab.core import ContractViolation, Instance, Job, Schedule, dump_json
 from schedlab.generators import throughput_instance, upper_triangular_instance
 from schedlab.oracle import offline_throughput_opt
 from schedlab import throughput
@@ -26,6 +27,7 @@ from schedlab.throughput import (
     _part,
     _perturbed_scores,
     _step_rows,
+    _width,
     batched_greedy_weights,
     check_matching,
     edf_throughput_unweighted,
@@ -45,43 +47,96 @@ def tp(*jobs, k=1):
         [Job(i, r, d, w=w) for i, (r, d, w) in enumerate(jobs)], k=k)
 
 
+def window_steps(mi, row):
+    """The active steps of job row ``row``'s run."""
+    return mi.steps[mi.lo[row]:mi.hi[row]].tolist()
+
+
 class TestReduction:
     def test_one_job_two_machines(self):
         mi = reduce_to_matching(tp((0, 2, 7), k=2))
         assert mi.k == 2
         assert mi.online_vertices() == [(0, 0), (0, 1), (1, 0), (1, 1)]
         assert all(mi.is_edge(0, v) for v in mi.online_vertices())
-        assert mi.weights[0] == 7
+        assert Fraction(mi.w[0], mi.scale) == 7
 
     def test_completion_convention_trims_last_step(self):
         mi = reduce_to_matching(tp((0, 1, 1)))
         assert mi.online_vertices() == [(0, 0)]
-        assert mi.neighbors == {0: (0,)}
+        assert (mi.steps.tolist(), mi.lo.tolist(), mi.hi.tolist()) == ([0], [0], [1])
 
     def test_weights_carried_over(self):
         inst = throughput_instance(10, 5, k=2, seed=7)
         mi = reduce_to_matching(inst)
-        for j in inst.jobs:
-            assert mi.weights[j.id] == j.w
+        assert [(u, Fraction(w, mi.scale)) for u, w in zip(mi.job_ids, mi.w)] == [
+            (j.id, j.w) for j in inst.jobs]
 
     def test_reveal_is_first_neighbor_step(self):
         for seed in range(10):
             inst = throughput_instance(14, 6, k=2, seed=seed)
             mi = reduce_to_matching(inst)
-            for j in inst.jobs:
-                with_j = [t for t in mi.steps if j.id in mi.neighbors[t]]
-                assert mi.reveal[j.id] == min(with_j) == j.r
+            for row, j in enumerate(inst.jobs):
+                assert window_steps(mi, row) == list(range(j.r, j.d))
 
     def test_same_step_vertices_share_neighborhood(self):
         mi = reduce_to_matching(throughput_instance(12, 5, k=3, seed=1))
-        for t in mi.steps:
+        for t in mi.steps.tolist():
             hood = {u for u in mi.job_ids if mi.is_edge(u, (t, 0))}
             for i in range(1, mi.k):
                 assert {u for u in mi.job_ids if mi.is_edge(u, (t, i))} == hood
 
     def test_empty_steps_skipped(self):
         mi = reduce_to_matching(tp((0, 1, 1), (4, 6, 1)))
-        assert mi.steps == (0, 4, 5)
+        assert mi.steps.tolist() == [0, 4, 5]
+        assert (mi.lo.tolist(), mi.hi.tolist()) == ([0, 1], [1, 3])
+
+    def test_window_past_memory_refused_at_once(self):
+        # the [0, 2**62) window: the dict form walked it step by step
+        inst = tp((0, 2**62, 1))
+        for call in (reduce_to_matching, offline_throughput_opt,
+                     edf_throughput_unweighted):
+            with pytest.raises(ContractViolation, match=f"^{2**62} steps do not "
+                               "fit in memory as int64 columns$"):
+                call(inst)
+
+
+weights = st.one_of(st.integers(0, 9), st.fractions(0, 5, max_denominator=7))
+
+
+@st.composite
+def matching_instances(draw):
+    """Throughput instances: generated, upper-triangular, or ``Instance.of``
+    rows with int or ``Fraction`` weights, ids shuffled and windows apart."""
+    kind = draw(st.sampled_from(["generated", "triangular", "rows"]))
+    if kind == "generated":
+        return throughput_instance(draw(st.integers(0, 30)), draw(st.integers(1, 12)),
+                                   k=draw(st.integers(1, 4)), seed=draw(st.integers(0, 99)),
+                                   unweighted=draw(st.booleans()))
+    if kind == "triangular":
+        return upper_triangular_instance(draw(st.integers(1, 4)), draw(st.integers(1, 6)))
+    spec = draw(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 6), weights),
+                         max_size=16))
+    ids = draw(st.permutations(range(len(spec))))
+    return Instance.of("throughput", [Job(u, r, r + span, w=w)
+                                      for u, (r, span, w) in zip(ids, spec)],
+                       k=draw(st.integers(1, 3)))
+
+
+@given(matching_instances())
+def test_columns_equal_the_dict_reduction(inst):
+    mi = reduce_to_matching(inst)
+    ref = reference_reduce_to_matching(inst)
+    steps, neighbors = reference_active_steps(inst.jobs)
+    assert (mi.k, mi.job_ids) == (ref.k, ref.job_ids)
+    assert mi.steps.dtype == mi.lo.dtype == mi.hi.dtype == np.int64
+    assert tuple(mi.steps.tolist()) == ref.steps == steps
+    assert mi.neighbors == ref.neighbors == neighbors
+    rows = _step_rows(mi)
+    assert [[mi.job_ids[j] for j in r.tolist()] for r in rows] == [
+        list(neighbors[t]) for t in steps]
+    assert _width(mi) == max(map(len, neighbors.values()), default=0)
+    assert [Fraction(w, mi.scale) for w in mi.w] == [ref.weights[u] for u in ref.job_ids]
+    assert dump_json(mi.to_jsonable()) == dump_json(ref.to_jsonable())
 
 
 class TestSolutionMapping:
@@ -117,6 +172,23 @@ class TestSolutionMapping:
         bad = Matching(pairs=[(0, (3, 0))], weight=Fraction(1))
         with pytest.raises(ContractViolation):
             check_matching(mi, bad)
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([(0, (0, 1))], r"^pair \(0, \(0, 1\)\) is not an edge$"),
+        ([(0, (0, -1))], r"^pair \(0, \(0, -1\)\) is not an edge$"),
+        ([(0, (0, 0)), (0, (1, 0))], "^offline vertex 0 matched twice$"),
+        ([(0, (0, 0))], "^stored weight 2 != recomputed 1$"),
+    ])
+    def test_each_rule_refuses(self, pairs, message):
+        mi = reduce_to_matching(tp((0, 2, 1), (0, 2, 1)))
+        with pytest.raises(ContractViolation, match=message):
+            check_matching(mi, Matching(pairs=pairs, weight=Fraction(2)))
+
+    def test_unknown_job_named(self):
+        mi = reduce_to_matching(tp((0, 2, 1), (0, 2, 1)))
+        schedule = Schedule(assignments=[(0, 0, 0), (9, 0, 1)])
+        with pytest.raises(ContractViolation, match=r"^pair \(9, \(1, 0\)\) is not an edge$"):
+            schedule_to_matching(mi, schedule)
 
     def test_reused_vertex_rejected(self):
         mi = reduce_to_matching(tp((0, 2, 1), (0, 2, 1)))
@@ -168,7 +240,7 @@ class TestPerturbedGreedy:
         for seed in (0, 7, 123):
             m = perturbed_greedy(mi, seed=seed)
             permuted = [(u, (t, (i + 1) % mi.k)) for u, (t, i) in m.pairs]
-            assert sum(mi.weights[u] for u, _ in permuted) == m.weight
+            check_matching(mi, Matching(pairs=permuted, weight=m.weight))
 
 
 class TestGreedyBaseline:
@@ -305,35 +377,38 @@ class TestEstimateRatio:
             estimate_ratio(tp((0, 1, 1)), trials=0)
 
 
-def reference_scores(mi, seed):
-    """Perturbed scores w*(1-exp(x-1)) as the sequential matcher drew them."""
+def reference_scores(ref, seed):
+    """Perturbed scores w*(1-exp(x-1)) as the sequential matcher drew them,
+    on the dict form ``ref``."""
     rng = random.Random(seed)
-    x = np.array([rng.random() for _ in mi.job_ids])
-    w = np.array([float(mi.weights[u]) for u in mi.job_ids])
-    return dict(zip(mi.job_ids, (w * (1.0 - np.exp(x - 1.0))).tolist()))
+    x = np.array([rng.random() for _ in ref.job_ids])
+    w = np.array([float(ref.weights[u]) for u in ref.job_ids])
+    return dict(zip(ref.job_ids, (w * (1.0 - np.exp(x - 1.0))).tolist()))
 
 
 @pytest.mark.parametrize("jobs", [0, 1, 7, 400])
 def test_draws_equal_reference_loop_bit_for_bit(jobs):
-    mi = reduce_to_matching(throughput_instance(jobs, 9, k=2, seed=jobs))
+    inst = throughput_instance(jobs, 9, k=2, seed=jobs)
+    mi, ref = reduce_to_matching(inst), reference_reduce_to_matching(inst)
     # two full draw chunks, then a third that holds the edge seeds
     seeds = trial_seeds(1, 2 * _DRAW_CHUNK) + [0, 1, -5, 2**63 - 1, 2**64 + 5,
                                                2**200]
     table = _perturbed_scores(_float_weights(mi), seeds)
     assert table.shape == (jobs, len(seeds))
     for column, seed in zip(table.T, seeds):
-        expected = np.array(list(reference_scores(mi, seed).values()))
+        expected = np.array(list(reference_scores(ref, seed).values()))
         assert column.tobytes() == expected.tobytes()
 
 
-def reference_greedy_pairs(mi, score_of):
-    """The Python greedy loop the matcher ran before its numpy kernel."""
-    available = set(mi.job_ids)
+def reference_greedy_pairs(ref, score_of):
+    """The Python greedy loop the matcher ran before its numpy kernel, on
+    the dict form ``ref``."""
+    available = set(ref.job_ids)
     pairs = []
-    for t in mi.steps:
-        for i in range(mi.k):
+    for t in ref.steps:
+        for i in range(ref.k):
             best = None
-            for u in mi.neighbors[t]:
+            for u in ref.neighbors[t]:
                 if u in available and (best is None or score_of[u] > score_of[best]):
                     best = u
             if best is not None:
@@ -350,19 +425,20 @@ WEIGHTS = [0, 1, 3, Fraction(1, 3), Fraction(2, 3), Fraction(5, 7),
                           st.sampled_from(WEIGHTS)), max_size=24),
        st.integers(1, 4), st.integers(-2**72, 2**72))
 def test_one_matcher_equals_reference_loop(spec, k, seed):
-    mi = reduce_to_matching(tp(*[(r, r + span, w) for r, span, w in spec], k=k))
+    inst = tp(*[(r, r + span, w) for r, span, w in spec], k=k)
+    mi, ref = reduce_to_matching(inst), reference_reduce_to_matching(inst)
     seeds = [seed, seed ^ 1, 7]
     totals = batched_greedy_weights(mi, seeds)
     for s, total in zip(seeds, totals.tolist()):
-        pairs = reference_greedy_pairs(mi, reference_scores(mi, s))
+        pairs = reference_greedy_pairs(ref, reference_scores(ref, s))
         assert perturbed_greedy(mi, s).pairs == pairs
         # the batched rows add float weights in pick order
         expected = 0.0
         for u, _ in pairs:
-            expected += float(mi.weights[u])
+            expected += float(ref.weights[u])
         assert total == expected
     baseline = reference_greedy_pairs(
-        mi, {u: float(w) for u, w in mi.weights.items()})
+        ref, {u: float(w) for u, w in ref.weights.items()})
     assert greedy_baseline(mi).pairs == baseline
 
 
@@ -472,7 +548,7 @@ class TestSplitMatcher:
         seeds = trial_seeds(seed, runs)
         fill = all_ties if tie else _perturbed_scores
         totals, pairs = whole_table_run(mi, seeds, fill)
-        width = max(map(len, mi.neighbors.values()), default=0)
+        width = _width(mi)
         count = max(1, min(cores, runs, width * runs // min_cells))
         starts = [runs * p // count for p in range(count)]
         calls = {}
@@ -554,5 +630,5 @@ class TestSplitMatcher:
         replay = reduce_to_matching(throughput_instance(400, 100, 4, seed=0))
         batched_greedy_weights(replay, trial_seeds(0, 64))
         widest = reduce_to_matching(throughput_instance(30, 10, k=4, seed=7))
-        assert max(map(len, widest.neighbors.values())) * 2000 < 2**16
+        assert _width(widest) * 2000 < 2**16
         batched_greedy_weights(widest, trial_seeds(0, 2000))
