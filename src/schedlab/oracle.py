@@ -125,6 +125,11 @@ class EdfQueue:
             self.trace.miss_events.extend(zip(missed, repeat(t)))
             self.misses.extend(missed)
 
+    @property
+    def pending(self) -> bool:
+        """Whether a job waits: admitted, and neither run nor expired."""
+        return bool(self._due)
+
     def step(self, t: int, released: UnitJobs, quota: int) -> list[int]:
         """Admit step ``t``'s releases, expire overdue jobs, then run up to
         ``quota`` jobs on machines ``0..quota-1``; return their ids."""

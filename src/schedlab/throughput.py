@@ -11,18 +11,20 @@ online matching algorithm becomes an online scheduler.
 The randomized matcher draws one uniform ``x`` per job at reveal time and
 greedily matches each arriving vertex to the unmatched neighbor maximizing
 ``w * (1 - exp(x - 1))``.  One numpy kernel runs this greedy over a
-(jobs x runs) table of scores, which it consumes: a single seeded column
-for :func:`perturbed_greedy`, each weight's exact rank for
-:func:`greedy_baseline`, and one seeded column per trial for the Monte
-Carlo ratio estimate.  Every run's draws are read from one byte string of
-Mersenne Twister words, bit for bit the values
+(runs x jobs) table of scores, which it consumes: a single seeded row for
+:func:`perturbed_greedy`, each weight's exact rank for
+:func:`greedy_baseline`, and one seeded row per trial for the Monte Carlo
+ratio estimate.  The neighborhood changes only where some run starts or
+ends, so the kernel walks the active steps once per segment between those
+cuts, not once per step.  Every run's draws are read from one byte string
+of Mersenne Twister words, bit for bit the values
 ``random.Random(seed).random()`` returns.
 
-Columns never interact, so the estimate cuts its seeds into contiguous
-parts, one per usable core as long as each part keeps ``_MIN_PART_CELLS``
-score cells (widest neighborhood x runs), the break-even of a second thread
-on a 2-core host.  The calling thread draws every table (the draws hold the
-GIL) and runs part 0; a plain thread runs each other part through the same
+Runs never interact, so the estimate cuts its seeds into contiguous parts,
+one per usable core as long as each part keeps ``_MIN_PART_CELLS`` score
+cells (widest neighborhood x runs), the break-even of a second thread on a
+2-core host.  The calling thread draws every table (the draws hold the GIL)
+and runs part 0; a pool thread runs each other part through the same
 kernel, whose numpy calls release the GIL.  The totals are bit for bit those
 of one kernel call.  Below the cutoff, and for single matchings, no thread
 starts.
@@ -33,17 +35,17 @@ from __future__ import annotations
 import math
 import os
 import random
-import threading
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import (ContractViolation, Instance, Schedule, _quotients_out, allocating,
                    require_valid, time_grid, unit_columns)
-from .oracle import EdfQueue, active_steps, offline_throughput_opt, release_blocks
+from .oracle import EdfQueue, active_steps, offline_throughput_opt
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,8 +70,11 @@ class MatchingInstance:
     @property
     def neighbors(self) -> dict[int, tuple[int, ...]]:
         """Each active step's job ids, ascending, built on each read."""
-        return {t: tuple(self.job_ids[j] for j in rows.tolist())
-                for t, rows in zip(self.steps.tolist(), _step_rows(self))}
+        out = {}
+        for start, length, rows in _segments(self):
+            ids = tuple(self.job_ids[j] for j in rows.tolist())
+            out.update((t, ids) for t in range(start, start + length))
+        return out
 
     def online_vertices(self) -> list[tuple[int, int]]:
         return [(t, i) for t in self.steps.tolist() for i in range(self.k)]
@@ -182,9 +187,9 @@ _DRAW_CHUNK = 256
 
 
 def _perturbed_scores(w: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
-    """Scores ``w * (1 - exp(x - 1))`` as a (jobs x seeds) table.
+    """Scores ``w * (1 - exp(x - 1))`` as a C-contiguous (seeds x jobs) table.
 
-    Column ``c`` holds the ``x`` that ``random.Random(seeds[c]).random()``
+    Row ``c`` holds the ``x`` that ``random.Random(seeds[c]).random()``
     returns, drawn once per job in reveal order.  ``random()`` combines two
     32-bit Mersenne Twister words ``a, b`` into ``((a >> 5) * 2^26 + (b >> 6))
     * 2^-53``, and ``getrandbits(64 * n)`` yields the same ``2n`` words, the
@@ -192,64 +197,41 @@ def _perturbed_scores(w: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
     byte string, and every ``x`` is bit-identical to the loop's.
     """
     n = len(w)
-    table = np.empty((n, len(seeds)))
+    table = np.empty((len(seeds), n))
     for start in range(0, len(seeds), _DRAW_CHUNK):
         chunk = seeds[start:start + _DRAW_CHUNK]
         raw = b"".join(random.Random(s).getrandbits(64 * n).to_bytes(8 * n, "little")
                        for s in chunk)
         words = np.frombuffer(raw, dtype="<u4").reshape(len(chunk), n, 2)
-        # in place, to keep chunk-sized temporaries few
-        score = (words[..., 0] >> 5) * 67108864.0
+        # in place in the chunk's rows of the table
+        score = table[start:start + len(chunk)]
+        np.multiply(words[..., 0] >> 5, 67108864.0, out=score)
         score += words[..., 1] >> 6
         score *= 1.0 / 9007199254740992.0  # x, exact in float64
         score -= 1.0
         np.exp(score, out=score)
         np.subtract(1.0, score, out=score)
         score *= w
-        table[:, start:start + len(chunk)] = score.T
     return table
 
 
-class _Part(NamedTuple):
-    """One block of runs for the kernel: its (jobs x runs) score table,
-    which the kernel consumes, its runs' totals, and every other array the
-    kernel writes."""
-
-    scores: np.ndarray
-    totals: np.ndarray
-    gathered: np.ndarray    # a step's neighbor rows, neighbors x runs
-    block: np.ndarray       # the same transposed, runs x neighbors
-    every: np.ndarray       # 0 .. runs - 1
-    first: np.ndarray       # each run's first cell in the block
-    picks: np.ndarray       # machines x runs: each pick's column in the block,
-    marks: np.ndarray       # its cell in the block, then in the table,
-    best: np.ndarray        # its score,
-    jobs: np.ndarray        # its row in the table,
-    matched: np.ndarray     # whether it matched a job,
-    gain: np.ndarray        # and that job's weight
-
-
-def _part(table: np.ndarray, totals: np.ndarray, width: int, k: int) -> _Part:
-    """The arrays for a kernel run over ``table``, built in the calling
-    thread, so that a worker thread running the kernel on them allocates no
-    array of its own."""
-    runs = table.shape[1]
-    per_pick = (min(k, width), runs)
-    return _Part(table, totals, np.empty(width * runs), np.empty(width * runs),
-                 np.arange(runs), np.empty(runs, dtype=np.intp),
-                 *(np.empty(per_pick, dtype=dtype) for dtype in
-                   (np.intp, np.intp, np.float64, np.intp, bool, np.float64)))
-
-
-def _step_rows(mi: MatchingInstance) -> list[np.ndarray]:
-    """Each active step's neighbors as rows of ``mi.job_ids``, ascending by
-    id, which is the kernel's lowest-id tie-break: every row, taken in id
-    order, is repeated once per step of its run and stably sorted by step."""
+def _segments(mi: MatchingInstance) -> list[tuple[int, int, np.ndarray]]:
+    """The active steps cut at every distinct run end ``lo``, ``hi``: each
+    segment's first step, its length and its neighbors as rows of
+    ``mi.job_ids``, ascending by id, which is the kernel's lowest-id
+    tie-break.  Every step of a segment has the same neighbors, and its
+    steps are consecutive (a gap in the active steps ends every run before
+    it).  Every row, taken in id order, is repeated once per segment of its
+    run and stably sorted by segment; there are at most ``2 * jobs``."""
+    cuts = np.unique(np.r_[mi.lo, mi.hi])
     by_id = np.argsort(mi.job_ids)
-    lo, sizes = mi.lo[by_id], (mi.hi - mi.lo)[by_id]
+    lo, hi = np.searchsorted(cuts, mi.lo[by_id]), np.searchsorted(cuts, mi.hi[by_id])
+    sizes = hi - lo
     at = np.arange(sizes.sum()) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
     rows = np.repeat(by_id, sizes)[np.argsort(at, kind="stable")]
-    return np.split(rows, np.cumsum(np.bincount(at, minlength=len(mi.steps))))[:-1]
+    count = max(len(cuts) - 1, 0)
+    split = np.split(rows, np.cumsum(np.bincount(at, minlength=count)))[:-1]
+    return list(zip(mi.steps[cuts[:-1]].tolist(), np.diff(cuts).tolist(), split))
 
 
 def _width(mi: MatchingInstance) -> int:
@@ -259,65 +241,68 @@ def _width(mi: MatchingInstance) -> int:
     return int(cover.cumsum().max(initial=0))
 
 
-def _greedy(mi: MatchingInstance, step_rows: list[np.ndarray], w: np.ndarray,
-            part: _Part) -> list[tuple[int, tuple[int, int]]]:
-    """The greedy matcher, run once per column of ``part.scores``.
+def _greedy(mi: MatchingInstance, segments: list[tuple[int, int, np.ndarray]],
+            w: np.ndarray, scores: np.ndarray,
+            totals: np.ndarray) -> list[tuple[int, tuple[int, int]]]:
+    """The greedy matcher, run once per row of ``scores`` (runs x jobs).
 
     Online vertices arrive in (step, machine) order; each takes, in every
     run, the unmatched neighbor of highest score, the lowest id on ties.
     Scores must be nonnegative.  The C-contiguous table is consumed: a
-    matched cell becomes -1.  Each step copies its neighbor rows into one
-    buffer and transposes them into another (runs x neighbors), so that
-    every pick is an argmax along contiguous rows; a pick marks its cell of
-    that block, and the step's picks mark the table together once the step
-    is done.  Each run's matched weight is summed from ``w`` in pick order
-    into ``part.totals``; returns the pairs run 0 matched, each job as its
-    row.  Every array it writes is one of ``part``'s.
+    matched cell becomes -1.  A segment of ``L`` steps offers its one
+    neighborhood to ``k * L`` vertices, so it gathers its neighbor columns
+    into one block (runs x neighbors) and makes ``min(k * L, neighbors)``
+    picks there, pick ``i`` at step ``i // k`` on machine ``i % k`` (later
+    ones find no neighbor left), each an argmax along contiguous rows that
+    marks its cell of the block; the segment's picks mark the table
+    together once it is done.  Each run's matched weight is summed from
+    ``w`` in pick order into ``totals``; returns the pairs run 0 matched,
+    each job as its row.  The scratch arrays are allocated once.
     """
-    (scores, totals, gathered_buf, block_buf, every, first, picks_buf, marks_buf,
-     best_buf, jobs_buf, matched_buf, gain_buf) = part
-    runs = len(every)
+    runs, n = scores.shape
+    k = mi.k
+    picks_most = max((min(k * length, len(rows)) for _, length, rows in segments),
+                     default=0)
+    block_buf = np.empty(runs * max((len(rows) for *_, rows in segments), default=0))
+    every = np.arange(runs)
+    run_cell = every * n                       # each run's first cell in the table
+    first = np.empty(runs, dtype=np.intp)      # and in the block
+    per_pick = (picks_most, runs)
+    picks, marks, jobs = (np.empty(per_pick, dtype=np.intp) for _ in range(3))
+    best, gain = np.empty(per_pick), np.empty(per_pick)
+    matched = np.empty(per_pick, dtype=bool)
     cell_of = scores.reshape(-1)
     pairs = []
-    for t, rows in zip(mi.steps.tolist(), step_rows):
-        size = len(rows) * runs
+    for start, length, rows in segments:
+        flat = block_buf[:len(rows) * runs]
         # "clip" writes straight into ``out`` ("raise" stages a copy); every
         # index is in range
-        gathered = np.take(scores, rows, axis=0, mode="clip",
-                           out=gathered_buf[:size].reshape(len(rows), runs))
-        flat = block_buf[:size]
-        block = flat.reshape(runs, len(rows))
-        np.copyto(block, gathered.T)
+        block = np.take(scores, rows, axis=1, mode="clip",
+                        out=flat.reshape(runs, len(rows)))
         np.multiply(every, len(rows), out=first)
-        machines = min(mi.k, len(rows))  # a machine past the rows finds none
-        picks, marks = picks_buf[:machines], marks_buf[:machines]
-        best, jobs = best_buf[:machines], jobs_buf[:machines]
-        matched, gain = matched_buf[:machines], gain_buf[:machines]
-        for i in range(machines):
+        count = min(k * length, len(rows))
+        for i in range(count):
             block.argmax(axis=1, out=picks[i])
             np.add(first, picks[i], out=marks[i])
             np.take(flat, marks[i], mode="clip", out=best[i])
             flat[marks[i]] = -1.0
-        np.take(rows, picks, mode="clip", out=jobs)
-        np.multiply(jobs, runs, out=marks)
-        marks += every
-        cell_of[marks] = -1.0
+        np.take(rows, picks[:count], mode="clip", out=jobs[:count])
+        np.add(jobs[:count], run_cell, out=marks[:count])
+        cell_of[marks[:count]] = -1.0
         # a run with no unmatched neighbor left re-marks a -1 cell, adds 0
-        np.greater_equal(best, 0.0, out=matched)
-        np.take(w, jobs, mode="clip", out=gain)
-        for i in range(machines):
+        np.greater_equal(best[:count], 0.0, out=matched[:count])
+        np.take(w, jobs[:count], mode="clip", out=gain[:count])
+        for i in range(count):
             np.add(totals, gain[i], out=totals, where=matched[i])
             if runs and matched[i, 0]:
-                pairs.append((int(jobs[i, 0]), (t, i)))
+                pairs.append((int(jobs[i, 0]), (start + i // k, i % k)))
     return pairs
 
 
 def _matching(mi: MatchingInstance, scores: np.ndarray) -> Matching:
-    """One kernel run on a one-column copy of ``scores``; the exact weight
-    is summed from the matched rows' numerators."""
-    step_rows = _step_rows(mi)
-    part = _part(scores[:, np.newaxis].copy(), np.zeros(1), _width(mi), mi.k)
-    rows = _greedy(mi, step_rows, scores, part)
+    """One kernel run on a one-row copy of ``scores``; the exact weight is
+    summed from the matched rows' numerators."""
+    rows = _greedy(mi, _segments(mi), scores, scores[np.newaxis].copy(), np.zeros(1))
     return Matching(pairs=[(mi.job_ids[j], v) for j, v in rows],
                     weight=Fraction(sum(mi.w[j] for j, _ in rows), mi.scale))
 
@@ -331,7 +316,7 @@ def perturbed_greedy(mi: MatchingInstance, seed: int) -> Matching:
     float64: the rule is defined on the float draw, ``w * (1 - exp(x - 1))``
     rounded as the batched estimate computes it.
     """
-    return _matching(mi, _perturbed_scores(_float_weights(mi), [seed])[:, 0])
+    return _matching(mi, _perturbed_scores(_float_weights(mi), [seed])[0])
 
 
 def greedy_baseline(mi: MatchingInstance) -> Matching:
@@ -355,8 +340,8 @@ def _usable_cores() -> int:
 #: Fewest score cells (widest neighborhood x runs) that a part of the
 #: batched matcher gets.  On a 2-core x86-64 host two threaded parts of the
 #: kernel broke even with one at about 49k cells a part (0.67x at 33k,
-#: 1.29x at 65k, 1.63x at 131k), as the GIL hand-offs of the per-step numpy
-#: calls stop outweighing the second core.
+#: 1.29x at 65k, 1.63x at 131k), as the GIL hand-offs of the per-segment
+#: numpy calls stop outweighing the second core.
 _MIN_PART_CELLS = 2**16
 
 
@@ -364,47 +349,30 @@ def batched_greedy_weights(mi: MatchingInstance,
                            seeds: Sequence[int]) -> np.ndarray:
     """Matched weight of :func:`perturbed_greedy` for every seed at once.
 
-    One score column per seed, run through the same kernel as the single
-    matcher, so each column equals that seed's run exactly.  Columns are
+    One score row per seed, run through the same kernel as the single
+    matcher, so each row equals that seed's run exactly.  Runs are
     independent, so the seeds are cut into ``P`` contiguous parts, at most
     one per usable core and each of at least ``_MIN_PART_CELLS`` cells
-    (widest neighborhood x runs).  This thread draws every part's table and
-    allocates every array the kernel writes, runs part 0 itself and each
-    other part in a thread of its own, joins them all and re-raises the
-    first error a part raised.  The totals come back in seed order.
+    (widest neighborhood x runs).  This thread draws every part's table,
+    runs part 0 itself and each other part in a pool thread, and re-raises
+    the first error a part raised once every part is done.  The totals come
+    back in seed order.
     """
     w = _float_weights(mi)
-    width = _width(mi)
     count = max(1, min(_usable_cores(), len(seeds),
-                       width * len(seeds) // _MIN_PART_CELLS))
+                       _width(mi) * len(seeds) // _MIN_PART_CELLS))
     totals = np.zeros(len(seeds))
     cuts = [len(seeds) * p // count for p in range(count + 1)]
     tables = [_perturbed_scores(w, seeds[a:b]) for a, b in zip(cuts, cuts[1:])]
-    # after the draw: step rows allocated before the tables and freed with
-    # them let the benchmark process's peak RSS creep up by 2 MiB
-    step_rows = _step_rows(mi)
-    parts = [_part(table, totals[a:b], width, mi.k)
-             for table, a, b in zip(tables, cuts, cuts[1:])]
-    errors: list[BaseException] = []
-
-    def run(part: _Part) -> None:
-        try:
-            _greedy(mi, step_rows, w, part)
-        except BaseException as exc:  # re-raised below, in the calling thread
-            errors.append(exc)
-
-    threads = []
-    try:
-        for part in parts[1:]:
-            thread = threading.Thread(target=run, args=(part,))
-            thread.start()
-            threads.append(thread)
-        _greedy(mi, step_rows, w, parts[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    # after the draw: segment rows allocated before the tables and freed
+    # with them let the benchmark process's peak RSS creep up by 2 MiB
+    segments = _segments(mi)
+    parts = [(table, totals[a:b]) for table, a, b in zip(tables, cuts, cuts[1:])]
+    with ThreadPoolExecutor(max(1, count - 1)) as pool:
+        others = [pool.submit(_greedy, mi, segments, w, *part) for part in parts[1:]]
+        _greedy(mi, segments, w, *parts[0])
+        for other in others:
+            other.result()
     return totals
 
 
@@ -412,10 +380,11 @@ def edf_throughput_unweighted(instance: Instance) -> Schedule:
     """Earliest-deadline-first for equal weights; exact on such instances.
 
     Each step runs the up-to-k pending jobs with the nearest deadlines: one
-    :class:`~schedlab.oracle.EdfQueue` with quota ``k`` over the jobs'
-    release blocks.  Weighted instances are refused: with unequal weights
-    this rule has no optimality property and the randomized matcher should
-    be used instead.
+    :class:`~schedlab.oracle.EdfQueue` with quota ``k``, stepped only at the
+    steps that release a job or find one pending, so an idle stretch costs
+    nothing.  Weighted instances are refused: with unequal weights this rule
+    has no optimality property and the randomized matcher should be used
+    instead.
     """
     require_valid(instance)
     if instance.model != "throughput":
@@ -424,12 +393,19 @@ def edf_throughput_unweighted(instance: Instance) -> Schedule:
     if len(set(jobs.w)) > 1:
         raise ContractViolation("weights differ; use the matching algorithms")
     jobs = unit_columns(jobs)
-    edf = EdfQueue()
-    for t, released in enumerate(release_blocks(jobs, int(jobs.d.max(initial=0)))):
-        edf.step(t, released, instance.k)
-    _, schedule = edf.finish()
-    schedule.misses.sort()
-    return schedule
+    jobs = jobs[np.argsort(jobs.r, kind="stable")]
+    releases = jobs.r.tolist()
+    edf, assignments = EdfQueue(), []
+    at = t = 0
+    while at < len(releases) or edf.pending:
+        if not edf.pending:
+            t = releases[at]
+        end = bisect_right(releases, t, at)
+        slot = edf.step(t, jobs[at:end], instance.k)
+        assignments += ((job, machine, t) for machine, job in enumerate(slot))
+        at, t = end, t + 1
+    edf.finish()
+    return Schedule(assignments=assignments, misses=sorted(edf.misses))
 
 
 @dataclass
@@ -458,15 +434,16 @@ def estimate_ratio(instance: Instance, trials: int = 2000,
     offline optimum.
 
     Trials use seeds derived deterministically from ``seed``, so the whole
-    estimate is reproducible.  A score table (jobs x trials, plus a row of
-    totals) that numpy will not allocate is refused before any seed is drawn.
+    estimate is reproducible.  A score table (trials x jobs, plus a column
+    of totals) that numpy will not allocate is refused before any seed is
+    drawn.
     """
     if trials < 1:
         raise ContractViolation("need trials >= 1")
     mi = reduce_to_matching(instance)
     with allocating(trials, f"trials of {len(mi.job_ids)} jobs",
                     "a float64 score table"):
-        np.empty((len(mi.job_ids) + 1, trials))
+        np.empty((trials, len(mi.job_ids) + 1))
     totals = batched_greedy_weights(mi, trial_seeds(seed, trials))
     opt_weight, _ = offline_throughput_opt(instance)
     opt = float(opt_weight)

@@ -8,7 +8,6 @@ import json
 import logging
 import os
 import shutil
-import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -701,20 +700,6 @@ class TestBench:
         assert "error: " in err and message in err
 
 
-@pytest.fixture
-def watchdog():
-    """Fail a command still running after 10 s, instead of stalling the
-    suite.  ``pytest.fail`` raises past ``main``'s handlers, which catch
-    ``OSError`` and so ``TimeoutError``."""
-    def expire(signum, frame):
-        pytest.fail("command still running after 10 s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(10)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
 class TestOversized:
     """Streams and tables past what numpy holds, and numbers past what
     Python reads, exit 2 at once with one ``error:`` line.  Every size is
@@ -755,6 +740,19 @@ class TestOversized:
         assert code == 2
         assert out == ""
         assert err == f"error: {self.STEPS} steps do not fit in memory as int64 columns\n"
+
+    @pytest.mark.parametrize("algo", [["perturbed-greedy", "--seed", "1"],
+                                      ["greedy-baseline"]])
+    def test_long_window_matched_at_once(self, capsys, watchdog, tmp_path, algo):
+        # a million active steps, one segment: the matcher makes one pick
+        path = tmp_path / "tp.json"
+        path.write_text(json.dumps({"model": "throughput", "k": 1, "jobs": [
+            {"id": 0, "r": 0, "d": 10**6}]}))
+        code, out, err = run_cli(capsys, "run", *algo, "--instance", str(path),
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        summary = json.loads(out)
+        assert (summary["weight"], summary["opt"], summary["ratio"]) == (1.0, 1.0, 1.0)
 
     @pytest.mark.parametrize("algo", [["greedy-baseline"],
                                       ["perturbed-greedy", "--seed", "1"]])

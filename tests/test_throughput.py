@@ -7,6 +7,7 @@ import os
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -24,9 +25,8 @@ from schedlab.throughput import (
     Matching,
     _float_weights,
     _greedy,
-    _part,
     _perturbed_scores,
-    _step_rows,
+    _segments,
     _width,
     batched_greedy_weights,
     check_matching,
@@ -93,11 +93,13 @@ class TestReduction:
     def test_window_past_memory_refused_at_once(self):
         # the [0, 2**62) window: the dict form walked it step by step
         inst = tp((0, 2**62, 1))
-        for call in (reduce_to_matching, offline_throughput_opt,
-                     edf_throughput_unweighted):
+        for call in (reduce_to_matching, offline_throughput_opt):
             with pytest.raises(ContractViolation, match=f"^{2**62} steps do not "
                                "fit in memory as int64 columns$"):
                 call(inst)
+        # EDF steps only where a job is released or pending
+        sched = edf_throughput_unweighted(inst)
+        assert (sched.assignments, sched.misses) == ([(0, 0, 0)], [])
 
 
 weights = st.one_of(st.integers(0, 9), st.fractions(0, 5, max_denominator=7))
@@ -131,9 +133,14 @@ def test_columns_equal_the_dict_reduction(inst):
     assert mi.steps.dtype == mi.lo.dtype == mi.hi.dtype == np.int64
     assert tuple(mi.steps.tolist()) == ref.steps == steps
     assert mi.neighbors == ref.neighbors == neighbors
-    rows = _step_rows(mi)
-    assert [[mi.job_ids[j] for j in r.tolist()] for r in rows] == [
-        list(neighbors[t]) for t in steps]
+    segments = _segments(mi)
+    assert len(segments) <= min(len(steps), 2 * len(mi.job_ids))
+    assert [(t, [mi.job_ids[j] for j in rows.tolist()])
+            for start, length, rows in segments
+            for t in range(start, start + length)] == [
+        (t, list(neighbors[t])) for t in steps]
+    # a segment ends only where some run starts or ends
+    assert all(not np.array_equal(a[2], b[2]) for a, b in zip(segments, segments[1:]))
     assert _width(mi) == max(map(len, neighbors.values()), default=0)
     assert [Fraction(w, mi.scale) for w in mi.w] == [ref.weights[u] for u in ref.job_ids]
     assert dump_json(mi.to_jsonable()) == dump_json(ref.to_jsonable())
@@ -328,7 +335,10 @@ def reference_edf_throughput(instance):
     return assignments, misses
 
 
-@given(st.lists(st.tuples(st.integers(0, 8), st.integers(1, 5)), max_size=30),
+@given(st.one_of(st.lists(st.tuples(st.integers(0, 8), st.integers(1, 5)), max_size=30),
+                 # sparse releases: idle stretches between busy ones
+                 st.lists(st.tuples(st.integers(0, 300), st.integers(1, 100)),
+                          max_size=8)),
        st.integers(1, 3), st.booleans())
 def test_edf_throughput_matches_reference_loop(pairs, k, shuffle):
     jobs = [Job(i, r, r + span, w=1) for i, (r, span) in enumerate(pairs)]
@@ -348,6 +358,28 @@ def test_edf_throughput_digest():
         h.update(json.dumps([sched.assignments, sched.misses]).encode())
     assert h.hexdigest() == (
         "b29a2888deab71c7c5e51d9d35b6fd284ccc27eaf1fef6f8f6a27f977854fcdd")
+
+
+LONG_WINDOW_CALLS = {
+    "greedy_baseline": lambda inst: greedy_baseline(reduce_to_matching(inst)).pairs,
+    "perturbed_greedy": lambda inst: perturbed_greedy(reduce_to_matching(inst), 5).pairs,
+    "batched_greedy_weights": lambda inst: batched_greedy_weights(
+        reduce_to_matching(inst), trial_seeds(0, 2000)).tolist(),
+    "edf_throughput_unweighted": lambda inst: edf_throughput_unweighted(inst).assignments,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_WINDOW_CALLS))
+def test_long_window_costs_no_step_walk(name, watchdog):
+    # one job, one match, a million active steps: the matcher walks its
+    # one segment and EDF its one busy step
+    inst = tp((0, 10**6, 1))
+    start = time.perf_counter()
+    result = LONG_WINDOW_CALLS[name](inst)
+    assert time.perf_counter() - start < 1.0
+    expected = {"batched_greedy_weights": [1.0] * 2000,
+                "edf_throughput_unweighted": [(0, 0, 0)]}
+    assert result == expected.get(name, [(0, (0, 0))])
 
 
 class TestEstimateRatio:
@@ -394,10 +426,11 @@ def test_draws_equal_reference_loop_bit_for_bit(jobs):
     seeds = trial_seeds(1, 2 * _DRAW_CHUNK) + [0, 1, -5, 2**63 - 1, 2**64 + 5,
                                                2**200]
     table = _perturbed_scores(_float_weights(mi), seeds)
-    assert table.shape == (jobs, len(seeds))
-    for column, seed in zip(table.T, seeds):
+    assert table.shape == (len(seeds), jobs)
+    assert table.flags.c_contiguous
+    for row, seed in zip(table, seeds):
         expected = np.array(list(reference_scores(ref, seed).values()))
-        assert column.tobytes() == expected.tobytes()
+        assert row.tobytes() == expected.tobytes()
 
 
 def reference_greedy_pairs(ref, score_of):
@@ -421,10 +454,15 @@ WEIGHTS = [0, 1, 3, Fraction(1, 3), Fraction(2, 3), Fraction(5, 7),
            Fraction(7, 2), Fraction(22, 9)]
 
 
-@given(st.lists(st.tuples(st.integers(0, 6), st.integers(1, 4),
-                          st.sampled_from(WEIGHTS)), max_size=24),
-       st.integers(1, 4), st.integers(-2**72, 2**72))
-def test_one_matcher_equals_reference_loop(spec, k, seed):
+@given(st.one_of(st.lists(st.tuples(st.integers(0, 6), st.integers(1, 4),
+                                    st.sampled_from(WEIGHTS)), max_size=24),
+                 # few jobs on long windows: segments of many steps
+                 st.lists(st.tuples(st.integers(0, 200), st.integers(1, 200),
+                                    st.sampled_from(WEIGHTS)), max_size=5)),
+       st.integers(1, 4), st.integers(-2**72, 2**72), st.booleans())
+def test_one_matcher_equals_reference_loop(spec, k, seed, weightless):
+    if weightless:
+        spec = [(r, span, 0) for r, span, _ in spec]
     inst = tp(*[(r, r + span, w) for r, span, w in spec], k=k)
     mi, ref = reduce_to_matching(inst), reference_reduce_to_matching(inst)
     seeds = [seed, seed ^ 1, 7]
@@ -440,6 +478,10 @@ def test_one_matcher_equals_reference_loop(spec, k, seed):
     baseline = reference_greedy_pairs(
         ref, {u: float(w) for u, w in ref.weights.items()})
     assert greedy_baseline(mi).pairs == baseline
+    # every score tied: each pick takes the lowest unmatched id
+    _, rows = whole_table_run(mi, seeds, all_ties)
+    assert [(mi.job_ids[j], v) for j, v in rows] == reference_greedy_pairs(
+        ref, dict.fromkeys(ref.job_ids, 1.0))
 
 
 def matcher_corpus():
@@ -515,18 +557,16 @@ def cpus(count):
 
 
 def whole_table_run(mi, seeds, fill):
-    """One ``_greedy`` call over the whole (jobs x seeds) table, in this
+    """One ``_greedy`` call over the whole (seeds x jobs) table, in this
     thread: each run's total and the pairs of run 0."""
     w = _float_weights(mi)
-    step_rows = _step_rows(mi)
     totals = np.zeros(len(seeds))
-    part = _part(fill(w, seeds), totals, max(map(len, step_rows), default=0), mi.k)
-    return totals, _greedy(mi, step_rows, w, part)
+    return totals, _greedy(mi, _segments(mi), w, fill(w, seeds), totals)
 
 
 def all_ties(w, seeds):
     """A score table in which every score ties."""
-    return np.ones((len(w), len(seeds)))
+    return np.ones((len(seeds), len(w)))
 
 
 class TestSplitMatcher:
@@ -553,11 +593,10 @@ class TestSplitMatcher:
         starts = [runs * p // count for p in range(count)]
         calls = {}
 
-        def recording(mi, step_rows, w, part):
+        def recording(mi, segments, w, scores, totals):
             # a part's totals are a view of the result: its offset is its start
-            offset = (part.totals.ctypes.data
-                      - part.totals.base.ctypes.data) // part.totals.itemsize
-            calls[offset] = _greedy(mi, step_rows, w, part)
+            offset = (totals.ctypes.data - totals.base.ctypes.data) // totals.itemsize
+            calls[offset] = _greedy(mi, segments, w, scores, totals)
             return calls[offset]
 
         with pytest.MonkeyPatch.context() as patch:
@@ -603,12 +642,12 @@ class TestSplitMatcher:
         mi = reduce_to_matching(throughput_instance(12, 5, k=2, seed=4))
         seen = []
 
-        def failing_part(mi, step_rows, w, part):
-            part_index = int(part.totals.ctypes.data != part.totals.base.ctypes.data)
+        def failing_part(mi, segments, w, scores, totals):
+            part_index = int(totals.ctypes.data != totals.base.ctypes.data)
             seen.append(part_index)
             if part_index == failing:
                 raise ZeroDivisionError(f"part {part_index}")
-            return _greedy(mi, step_rows, w, part)
+            return _greedy(mi, segments, w, scores, totals)
 
         monkeypatch.setattr(throughput, "_greedy", failing_part)
         before = threading.active_count()
