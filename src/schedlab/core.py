@@ -25,7 +25,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, groupby, islice, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from math import gcd, inf, isfinite, lcm
 from operator import add, itemgetter, le
@@ -126,7 +126,7 @@ class UnitJobs(Sequence[Job]):
     asked for, for callers outside the library.
     """
 
-    __slots__ = ("ids", "r", "d", "_groups")
+    __slots__ = ("ids", "r", "d", "_id_list", "_groups")
 
     def __init__(self, ids, r, d):
         self.ids = _int64_column(ids, "ids")
@@ -134,6 +134,7 @@ class UnitJobs(Sequence[Job]):
         self.d = _int64_column(d, "d")
         if not len(self.ids) == len(self.r) == len(self.d):
             raise ContractViolation("job columns differ in length")
+        self._id_list: list[int] | None = None
         self._groups: list[tuple[int, list[int]]] | None = None
 
     def __len__(self) -> int:
@@ -157,21 +158,32 @@ class UnitJobs(Sequence[Job]):
     def __repr__(self) -> str:
         return f"UnitJobs({len(self)} jobs)"
 
+    def id_list(self) -> list[int]:
+        """``ids`` as a Python list, in block order, converted once per
+        block; callers read it and must not change it."""
+        if self._id_list is None:
+            self._id_list = self.ids.tolist()
+        return self._id_list
+
     def by_deadline(self) -> list[tuple[int, list[int]]]:
         """``(deadline, ids)`` for each distinct deadline, both ascending.
 
         Computed once per block: the ``OFF`` engine counts these groups and
-        the EDF queue files them, at the same step.
+        the EDF queue files them, at the same step.  A block due at one
+        deadline, as every block of the adversary stream is, is one group
+        holding :meth:`id_list` itself, sorted into a copy only if its ids
+        are out of order.
         """
         if self._groups is None:
-            order = np.lexsort((self.ids, self.d))
-            ids = self.ids[order].tolist()
-            self._groups = []
-            lo = 0
-            for d, run in groupby(self.d[order].tolist()):
-                hi = lo + len(list(run))
-                self._groups.append((d, ids[lo:hi]))
-                lo = hi
+            ids, d = self.id_list(), self.d.tolist()
+            if d and d.count(d[0]) == len(d):
+                in_order = len(ids) < 2 or (self.ids[1:] >= self.ids[:-1]).all()
+                self._groups = [(d[0], ids if in_order else sorted(ids))]
+            else:
+                groups: dict[int, list[int]] = {}
+                for i in np.lexsort((self.ids, self.d)).tolist():
+                    groups.setdefault(d[i], []).append(ids[i])
+                self._groups = list(groups.items())
         return self._groups
 
 

@@ -194,7 +194,7 @@ class OnlineState:
         self.t += 1
         off = self._off_engine.add(released, t)
         m = ceil_times(self.alpha, off)
-        self.released.append(released.ids.tolist())
+        self.released.append(released.id_list())
         slot = self._edf.step(t, released, m)
         self.off.append(off)
         self.m.append(m)

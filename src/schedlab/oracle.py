@@ -11,9 +11,12 @@ routes compute or cross-check it:
 These three are the independent cross-checks.  The production engine is
 ``IncrementalOff``: it keeps the same value over a growing released prefix
 with one monotone convex hull per deadline column (Horn's window condition),
-all held in one numpy table and updated together, in amortized constant
-time per column a step touches.  Online players and ``off_prefix_series``
-track the optimum of everything released so far through it.  The adversary
+all held in one numpy table, in amortized constant time per column a step
+touches.  A step over many columns updates them together in numpy passes;
+one over a few, such as every step of the adversary stream, walks them in
+Python ints, since a step's numpy passes cost as much as some 30 columns
+done one by one.  Online players and ``off_prefix_series`` track the
+optimum of everything released so far through it.  The adversary
 stream, whose counts never decrease, has its own closed form in
 ``adversary._off_series``, which the tests check against the hull.
 
@@ -48,6 +51,14 @@ from .core import (INT64_MAX, ContractViolation, Instance, Job, MachineProfile,
 
 # Slots per column when the hull table is made; it doubles as columns need.
 _HULL_CAPACITY = 8
+
+# Widest step, in deadline columns, that runs column by column in Python
+# ints rather than as numpy passes over the table.  A column costs about
+# 2 µs that way, and a step's passes 60-75 µs at any width: an interleaved
+# sweep over the acceptance-1 corpus and the benchmark's random and
+# adversary streams put the crossover at 31-32 columns (2-core x86-64,
+# Python 3.11, numpy 2.4).
+_SCALAR_COLUMNS = 30
 
 
 def release_blocks(jobs: UnitJobs, steps: int) -> Iterator[UnitJobs]:
@@ -283,12 +294,16 @@ class IncrementalOff:
     column, and per column a length, a pointer to the leading line and the
     running count ``C``.  A step opens its row on the columns from the
     smallest deadline it releases to the last; elsewhere that row would tie
-    a later row's count and lose to it, or stay at zero.  It pops, appends
-    and advances pointers on all those columns at once, each loop running
-    as many passes as the worst column needs.  Lines behind a pointer never
-    lead again; they are shifted out of every column before any column can
-    fill its last slot, and the capacity doubles only if a column is still
-    more than half full after that.
+    a later row's count and lose to it, or stay at zero.  On more than
+    ``_SCALAR_COLUMNS`` columns it pops, appends and advances pointers on
+    all of them at once, each loop running as many passes as the worst
+    column needs.  On at most that many, where the passes' fixed cost
+    would dominate, it does the same column by column in Python ints on
+    the same table: one slice read of each column's lines from its pointer
+    on, then the new slot, length, pointer and count written back.  Lines
+    behind a pointer never lead again; they are shifted out of every column
+    before any column can fill its last slot, and the capacity doubles only
+    if a column is still more than half full after that.
 
     Both tests multiply a width by a count difference, so with ``C_total``
     the jobs released so far and ``H`` the widest window every value they
@@ -299,6 +314,7 @@ class IncrementalOff:
 
     def __init__(self, deadline_values: Iterable[int]):
         deadlines = sorted(set(int(v) for v in deadline_values))
+        self._deadlines = deadlines
         self._column = {d: i for i, d in enumerate(deadlines)}
         try:
             self._E = np.array(deadlines, dtype=np.int64)
@@ -345,6 +361,65 @@ class IncrementalOff:
             self._compact()
         self._room -= 1
         first = column[groups[0][0]]
+        if len(self._len) - first <= _SCALAR_COLUMNS:
+            best = self._step_columns(groups, first, t)
+        else:
+            best = self._step_table(groups, first, t)
+        if best > self._value:
+            self._value = best
+        return self._value
+
+    def _step_columns(self, groups, first: int, t: int) -> int:
+        """Open row ``t`` on columns ``first..`` one column at a time, in
+        Python ints; return the largest ceiling among them.
+
+        The same pops, append and pointer advance as :meth:`_step_table`,
+        reading only the lines from the pointer on, since no line at or
+        behind the pointer pops.  A row adds at least one job to every
+        column it opens on, so ``P`` strictly increases down a column.  A
+        line at or behind the pointer overtook the line before it at some
+        count ``y`` no greater than the current count ``x`` and above both
+        lines' ``P``.  There the line before is above 0 and the new line,
+        0 at ``x``, is not, so the new line overtakes the line before later
+        than that line did.
+        """
+        W, P, size = self._W, self._P, self._capacity
+        lens = self._len[first:].tolist()
+        ptrs = self._ptr[first:].tolist()
+        counts = self._C[first:].tolist()
+        due = {self._column[d] - first: len(ids) for d, ids in groups}
+        added = best = 0
+        for i, e in enumerate(self._deadlines[first:]):
+            added += due.get(i, 0)
+            n, p, x = lens[i], ptrs[i], counts[i]
+            lo = (first + i) * size + p
+            ws, ps = W[lo:lo + n - p].tolist(), P[lo:lo + n - p].tolist()
+            w = e - t
+            while len(ws) >= 2 and (ws[-2] * (x - ps[-1]) - ws[-1] * (x - ps[-2])
+                                    + w * (ps[-1] - ps[-2]) <= 0):
+                ws.pop()
+                ps.pop()
+            W[lo + len(ws)] = w
+            P[lo + len(ws)] = x
+            ws.append(w)
+            ps.append(x)
+            x += added
+            j, last = 0, len(ws) - 1
+            while j < last and (x - ps[j + 1]) * ws[j] >= (x - ps[j]) * ws[j + 1]:
+                j += 1
+            lens[i], ptrs[i], counts[i] = p + last + 1, p + j, x
+            ceiling = -((ps[j] - x) // ws[j])
+            if ceiling > best:
+                best = ceiling
+        self._len[first:] = lens
+        self._ptr[first:] = ptrs
+        self._C[first:] = counts
+        return best
+
+    def _step_table(self, groups, first: int, t: int) -> int:
+        """Open row ``t`` on columns ``first..`` all at once; return the
+        largest ceiling among them."""
+        column = self._column
         # jobs released now that count towards each column from `first` on
         added = np.empty(len(self._len) - first, dtype=np.int64)
         bounds = [column[d] - first for d, _ in groups] + [len(added)]
@@ -367,10 +442,8 @@ class IncrementalOff:
             if not pop.any():
                 break
             lens -= pop
-        # Every pointer stays on a line.  The new line is 0 at the current
-        # count and no line is below 0 there, so of the lines up to the
-        # pointer it can pop only the pointer's own, by a tie at that
-        # count, and then takes its slot.
+        # No line at or behind a pointer pops (see _step_columns), so every
+        # pointer stays on a line.
         W[top] = w
         P[top] = count
         lens += 1
@@ -385,10 +458,7 @@ class IncrementalOff:
             if not move.any():
                 break
             ptr += move
-        best = -int(((pa - count) // wa).min())  # the largest ceiling
-        if best > self._value:
-            self._value = best
-        return self._value
+        return -int(((pa - count) // wa).min())  # the largest ceiling
 
     def _widen(self) -> None:
         """Hold the table in Python ints from now on."""
@@ -481,7 +551,8 @@ def active_steps(jobs: Iterable[Job]) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return steps, np.searchsorted(steps, r), np.searchsorted(steps, d)
 
 
-#: Largest total weight plus job count :func:`offline_throughput_opt` solves.
+#: Largest sum of weight numerators plus job count that
+#: :func:`offline_throughput_opt` solves.
 _EXACT_SPREAD = 2**50
 
 
@@ -497,17 +568,17 @@ def offline_throughput_opt(instance: Instance) -> tuple[Fraction, Schedule]:
     refused, by :func:`~schedlab.core.allocating`, when numpy will not hold it.
 
     The solver (scipy's shortest augmenting path) works in float64 on the
-    costs ``float(w)`` (the job's slots), ``0`` (its private column) and
-    ``-1`` (every other cell), negated to minimise, so row ``i``'s costs
-    span ``w_i + 1``; let ``S`` be the sum of these spans.  Adding row ``i``
-    takes a path length in ``[-w_i, 1]``, each column potential falls by at
-    most ``w_i + 1`` on that row, and a row potential is a cost less a
-    column potential, so every value the solver forms lies within
-    ``4 S + 1``.  With integer weights those values are integers, exact in
-    float64 below ``2**53``, while ``S <= 2**50``; instances past that are
-    refused rather than solved with rounded sums.  Non-integer weights are
-    rounded to float64 as they always were; the reported total is the
-    exact sum of the placed jobs' weight numerators over their scale.
+    weight numerators ``w_i`` over the jobs' common ``scale``, which rank
+    the jobs as their weights do: the costs are ``w_i`` (the job's slots),
+    ``0`` (its private column) and ``-1`` (every other cell), negated to
+    minimise, so row ``i``'s costs span ``w_i + 1``; let ``S`` be the sum
+    of these spans.  Adding row ``i`` takes a path length in ``[-w_i, 1]``,
+    each column potential falls by at most ``w_i + 1`` on that row, and a
+    row potential is a cost less a column potential, so every value the
+    solver forms is an integer within ``4 S + 1``, exact in float64 below
+    ``2**53``, while ``S <= 2**50``; instances past that are refused rather
+    than solved with rounded sums.  The reported total is the exact sum of
+    the placed jobs' numerators over their scale.
     """
     from scipy.optimize import linear_sum_assignment
 
@@ -516,10 +587,11 @@ def offline_throughput_opt(instance: Instance) -> tuple[Fraction, Schedule]:
     require_valid(instance)
     jobs = time_grid(instance.jobs)
     k, n, scale = instance.k, len(jobs), jobs.scale
-    if sum(jobs.w) + n * scale > _EXACT_SPREAD * scale:
+    if sum(jobs.w) + n > _EXACT_SPREAD:
         raise ContractViolation(
             f"{n} jobs of total weight {_ratio(sum(jobs.w), scale)} leave the "
-            f"float64 solver's exact range: weights plus jobs must not exceed "
+            f"float64 solver's exact range: their weight numerators over the "
+            f"common denominator {scale}, plus the job count, must not exceed "
             f"{_EXACT_SPREAD}")
     steps, lo, hi = active_steps(jobs)
     m = k * len(steps)
@@ -527,7 +599,7 @@ def offline_throughput_opt(instance: Instance) -> tuple[Fraction, Schedule]:
         weight = np.full((n, m + n), -1.0)
     weight[np.arange(n), m + np.arange(n)] = 0.0
     for row, a, b, w in zip(weight, lo.tolist(), hi.tolist(), jobs.w):
-        row[k * a:k * b] = w / scale
+        row[k * a:k * b] = w
     rows, cols = linear_sum_assignment(weight, maximize=True)
     steps = steps.tolist()
     placed = [(int(ji), *divmod(int(ci), k)) for ji, ci in zip(rows, cols) if ci < m]

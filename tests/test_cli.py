@@ -831,6 +831,19 @@ class TestOversized:
         assert out == ""
         assert "float64 solver's exact range" in err
 
+    def test_fractional_weights_past_the_exact_range_refused(self, capsys,
+                                                            tmp_path):
+        # 1 + 10**-20 and 1 are both 1.0 as floats: this exited 0 with OPT 1
+        path = tmp_path / "tp.json"
+        path.write_text(json.dumps({"model": "throughput", "k": 1, "jobs": [
+            {"id": 0, "r": 0, "d": 1, "w": "1.00000000000000000001"},
+            {"id": 1, "r": 0, "d": 1, "w": 1}]}))
+        code, out, err = run_cli(capsys, "run", "greedy-baseline",
+                                 "--instance", str(path))
+        assert code == 2
+        assert out == ""
+        assert "float64 solver's exact range" in err
+
 
 def test_module_entry_point():
     proc = subprocess.run(

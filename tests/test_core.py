@@ -6,6 +6,7 @@ import re
 import sys
 from collections import OrderedDict
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,26 @@ class TestUnitJobs:
         jobs = UnitJobs([4, 2, 9, 1], [1, 1, 1, 1], [5, 3, 5, 5])
         assert jobs.by_deadline() == [(3, [2]), (5, [1, 4, 9])]
         assert UnitJobs([], [], []).by_deadline() == []
+
+    @given(st.data())
+    def test_groups_match_sorted_groupby(self, data):
+        # One deadline with ids in or out of order, from 0 to 600 jobs (an
+        # adversary block holds about 840 at n = 150), and mixed deadlines.
+        ids = data.draw(st.lists(st.integers(0, 10**6), unique=True,
+                                 max_size=600), "ids")
+        if data.draw(st.booleans(), "sorted"):
+            ids.sort()
+        pool = data.draw(st.lists(st.integers(1, 10**6), min_size=1,
+                                  max_size=3), "deadlines")
+        d = [data.draw(st.sampled_from(pool)) for _ in ids]
+        jobs = UnitJobs(ids, [0] * len(ids), d)
+        expected = [(deadline, [i for _, i in run]) for deadline, run
+                    in groupby(sorted(zip(d, ids)), key=lambda pair: pair[0])]
+        assert jobs.by_deadline() == expected
+        assert jobs.id_list() == ids
+        if len(set(d)) == 1 and ids == sorted(ids):
+            # the one group is the block's id list, not a copy
+            assert jobs.by_deadline()[0][1] is jobs.id_list()
 
     def test_conversion_keeps_order_and_refuses_other_jobs(self):
         jobs = unit_columns([Job(3, 1, 4), Job(1, 0, 2, w=5)])

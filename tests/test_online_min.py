@@ -19,6 +19,7 @@ from schedlab.core import (ContractViolation, Instance, Job, MachineProfile,
 from schedlab.generators import adversary_instance, random_unit_instance
 from schedlab.online_min import (
     EULER,
+    OnlineState,
     _support_hi_index,
     build_certificate,
     ceil_times,
@@ -113,6 +114,20 @@ class TestRunAlphaEdf:
         tr = run_alpha_edf(adversary_instance(4, 16), 1)
         assert sum(tr.m) == 25
         assert len(tr.schedule.misses) == 33 - 25
+
+    def test_released_lists_stay_as_released(self):
+        # Steps 0-2 admit jobs due at 6 into one EDF bucket, and step 2 a
+        # smaller id than the bucket holds; each step's transcript list is
+        # its block's id list, which the bucket must copy, not extend.
+        inst = Instance.of("unit-min", [Job(0, 0, 6), Job(3, 0, 6), Job(4, 1, 6),
+                                        Job(5, 1, 6), Job(1, 2, 6)], horizon=6)
+        tr = run_alpha_edf(inst, 1)
+        assert tr.released == [[0, 3], [4, 5], [1], [], [], []]
+        # A block out of id order keeps its order in the transcript.
+        state = OnlineState(1, [4])
+        state.step(0, UnitJobs([7, 2, 5], [0, 0, 0], [4, 4, 4]))
+        state.step(1, UnitJobs([9, 1], [1, 1], [4, 4]))
+        assert state.finish().released == [[7, 2, 5], [9, 1]]
 
     def test_m_is_exact_scaled_ceiling_and_nondecreasing(self):
         for seed in range(10):

@@ -6,9 +6,10 @@ from collections import Counter
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from schedlab import oracle
 from schedlab.core import (ContractViolation, Instance, Job, MachineProfile,
                            Schedule, UnitJobs, ValidationError, unit_columns)
 from schedlab.generators import (
@@ -363,7 +364,8 @@ def off_streams(draw):
     return [e], [(t, {e: a}) for t, a in enumerate(counts) if a]
 
 
-@settings(max_examples=200)
+@settings(max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(off_streams())
 @example(([1, 2, 3], [(0, {1: 2, 3: 1}), (2, {3: 4})]))
 @example(([2**60], [(t, {2**60: 1}) for t in range(8)]))
@@ -371,7 +373,7 @@ def off_streams(draw):
 # pointer test then reads the free slot the table keeps after it.
 @example(([13], [(t, {13: a}) for t, a in enumerate(
     [1, 0, 2, 0, 3, 0, 34, 74, 116, 144, 589, 783, 863]) if a]))
-def test_table_matches_per_column_hulls(stream):
+def test_table_matches_per_column_hulls(hull_path, stream):
     deadlines, steps = stream
     inc, ref = IncrementalOff(deadlines), ReferenceOff(deadlines)
     ids = 0
@@ -389,6 +391,49 @@ def test_table_matches_per_column_hulls(stream):
         assert inc._W.dtype == (object if wide else np.int64)
 
 
+def test_paths_leave_the_same_table():
+    # Two engines over one stream: one always on the numpy passes, one on
+    # the default cut, so that its steps switch between the two paths.
+    # Step t releases t // 2 + 1 jobs, due at a deadline that cycles over 41
+    # columns, so a step touches 1 to 41 of them.  Equal counts on two
+    # steps make ties, which pop.  The last column, due at 2^54, keeps
+    # about every other row: the table compacts and doubles.  Its width
+    # puts the int64 bound at 256 jobs, so the table widens at step 30 and
+    # compacts again, with pointers past 0, in Python ints.
+    deadlines = [130 + 3 * i for i in range(40)] + [2**54]
+    table, mixed = IncrementalOff(deadlines), IncrementalOff(deadlines)
+    compactions = []
+
+    def compact():
+        compactions.append(mixed._W.dtype)
+        IncrementalOff._compact(mixed)
+    mixed._compact = compact
+    paths, ids = set(), 0
+    for t in range(120):
+        column = (7 * t) % len(deadlines)
+        block = unit_block(range(ids, ids + t // 2 + 1), t, deadlines[column])
+        ids += t // 2 + 1
+        paths.add(len(deadlines) - column <= oracle._SCALAR_COLUMNS)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_SCALAR_COLUMNS", 0)
+            table.add(block, t)
+        mixed.add(block, t)
+        assert mixed.value == table.value
+        for name in ("_len", "_ptr", "_C"):
+            assert getattr(mixed, name).tolist() == getattr(table, name).tolist()
+        assert mixed._capacity == table._capacity
+        for base, lo, hi in zip(mixed._base.tolist(), mixed._ptr.tolist(),
+                                mixed._len.tolist()):
+            for name in ("_W", "_P"):
+                live = slice(base + lo, base + hi)
+                assert (getattr(mixed, name)[live].tolist()
+                        == getattr(table, name)[live].tolist())
+    assert paths == {True, False}
+    assert mixed._capacity > _HULL_CAPACITY
+    assert mixed._W.dtype == table._W.dtype == object
+    assert set(compactions) == {np.dtype(np.int64), np.dtype(object)}
+
+
 # Windows ``[r, r + span)`` with releases up to 8, so some steps release
 # nothing, spans of 1 (``d = r + 1``) and repeated deadlines are common, and
 # the list is in whatever order hypothesis draws it.
@@ -396,8 +441,9 @@ unit_windows = st.lists(st.tuples(st.integers(0, 8), st.integers(1, 5)),
                         min_size=1, max_size=30)
 
 
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(unit_windows)
-def test_engine_matches_off_unit_of_every_prefix(pairs):
+def test_engine_matches_off_unit_of_every_prefix(hull_path, pairs):
     jobs = [Job(i, r, r + span) for i, (r, span) in enumerate(pairs)]
     series = off_prefix_series(jobs)
     assert sorted(series) == list(range(max(r for r, _ in pairs) + 1))
@@ -539,6 +585,24 @@ class TestThroughputOpt:
         # float64 rounds 2**53 + 1 to 2**53: the solve reported 2**53
         inst = Instance.of("throughput", [Job(0, 0, 1, w=2**53 + 1),
                                           Job(1, 0, 1, w=2**53)], k=1)
+        with pytest.raises(ContractViolation, match="exact range"):
+            offline_throughput_opt(inst)
+
+    def test_weights_below_float_range_are_exact(self):
+        # As floats both weights are 0.0: the solve placed job 0 and
+        # reported 1e-400.  Over their common scale they are 1 and 2.
+        tiny = Fraction(1, 10**400)
+        inst = Instance.of("throughput", [Job(0, 0, 1, w=tiny),
+                                          Job(1, 0, 1, w=2 * tiny)], k=1)
+        weight, sched = offline_throughput_opt(inst)
+        assert weight == 2 * tiny
+        assert [a[0] for a in sched.assignments] == [1]
+
+    def test_fractional_weights_past_the_exact_range_refused(self):
+        # Both weights are 1.0 as floats, so the solve reported 1 as exact;
+        # their numerators over 10**20 sum past 2**50.
+        inst = Instance.of("throughput", [Job(0, 0, 1, w=1 + Fraction(1, 10**20)),
+                                          Job(1, 0, 1, w=1)], k=1)
         with pytest.raises(ContractViolation, match="exact range"):
             offline_throughput_opt(inst)
 
