@@ -834,9 +834,29 @@ def _num_in(value, where: str) -> Rational:
     return int(f) if f.denominator == 1 else f
 
 
-def _quotients_out(nums: list[int], scale: int) -> list:
-    """Each ``num / scale`` as :func:`_quotient_out` writes it, formatted
-    once per distinct numerator."""
+def _quotients_out(nums: Sequence[int], scale: int) -> list:
+    """Each ``num / scale`` as :func:`_quotient_out` writes it.
+
+    A column of non-negative numerators is written by remainder class: one
+    ``divmod`` per value, and one tail per distinct remainder ``r``, which
+    ``_quotient_out(r, scale)`` writes.  ``num / scale`` is
+    ``q + r / scale``, and ``r / scale`` in lowest terms has the
+    denominator of the whole, so when every tail is a decimal
+    (``"0.0625"``) each value is ``q``'s digits and the tail's
+    (``".0625"``).  Any other column (a ``"p/q"`` tail, a negative
+    numerator, which ``divmod`` floors, or a text that could reach
+    Python's int/str digit limit) is written once per distinct numerator
+    by ``_quotient_out`` itself, refusals included."""
+    limit = sys.get_int_max_str_digits()
+    # _quotient_out scales num by at most 10**scale.bit_length(), and num
+    # has at most 0.31 digits a bit, plus one
+    if nums and min(nums) >= 0 and (not limit or max(nums).bit_length() * 31 // 100
+                                    + scale.bit_length() + 2 <= limit):
+        qrs = list(map(divmod, nums, repeat(scale)))
+        tails = {r: _quotient_out(r, scale) for r in set(map(itemgetter(1), qrs)) if r}
+        if not any("/" in tail for tail in tails.values()):
+            cut = {r: tail[1:] for r, tail in tails.items()}
+            return [f"{q}{cut[r]}" if r else q for q, r in qrs]
     texts = {num: _quotient_out(num, scale) for num in set(nums)}
     return list(map(texts.__getitem__, nums))
 
@@ -899,12 +919,38 @@ def _decimal_column(values: list) -> tuple[list[int], int] | None:
     """A column of JSON ints and plain decimal strings
     (:func:`_decimal_parts`) as ``(nums, places)``, value ``i`` being
     ``nums[i] / 10**places``; ``None`` for a column holding any other value
-    or a digit run past Python's int/str limit."""
+    or a digit run past Python's int/str limit.
+
+    Each value's text splits at its first ``.``: every whole part must be
+    digits after at most one ``-``, and every distinct fractional tail is
+    checked, and padded to ``places`` digits, once.  A value is then one
+    ``int`` of its whole part and padded tail, sign included.  Those digits
+    pass the limit whenever either run does; when they pass it, the column
+    is read value by value by ``_decimal_parts``, so the values and
+    refusals are its own."""
     kinds = set(map(type, values))
     if kinds <= {int}:
         return values, 0
     if kinds - {int, str}:
         return None
+    try:
+        wholes, dots, tails = zip(*map(str.partition, map(str, values), repeat(".")))
+        if not all(map(str.isdecimal, map(str.removeprefix, wholes, repeat("-")))):
+            return None
+        distinct = set(tails)
+        # a dot needs digits after it
+        if (dots.count(".") != len(tails) - tails.count("")
+                or not all(tail.isdecimal() for tail in distinct if tail)):
+            return None
+        places = max(map(len, distinct))
+        padded = {tail: tail.ljust(places, "0") for tail in distinct}
+        return list(map(int, map(add, wholes, map(padded.__getitem__, tails)))), places
+    except ValueError:
+        return _decimal_rows(values)
+
+
+def _decimal_rows(values: list) -> tuple[list[int], int] | None:
+    """:func:`_decimal_column` value by value, by :func:`_decimal_parts`."""
     try:
         parts = [(x, 0) if type(x) is int else _decimal_parts(x) for x in values]
     except ValueError:

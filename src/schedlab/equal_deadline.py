@@ -15,23 +15,35 @@ columns; ``Job`` rows from elsewhere are converted once, by
 :func:`~schedlab.core.time_grid`.  The runner and the volume bound read the
 numerators as they are.  Phase boundaries are integers, so they scale too,
 and the quarter-phase and midpoint tests compare ``4x`` and ``2x`` against
-the scaled phase length.  Every placement decision is one integer
-comparison, however large ``L`` is.  The transcript keeps the numerators
-and ``L`` too: its JSON form formats each ``(numerator, L)`` pair with the
-files' number rule, and builds no ``Fraction``.  Its ``schedule`` and
+the scaled phase length (or, the same on integers, ``x`` against
+``length // 4``).  Every placement decision is one integer comparison,
+however large ``L`` is.  The transcript keeps the numerators and ``L``
+too, and builds no ``Fraction`` for its JSON form.  Its ``schedule`` and
 ``lengths`` give the times as ``Fraction``s, built on first read.
+
+Numbers cross the file and transcript edges as whole columns.  The writer
+and the transcript write ``num / L`` by remainder class
+(:func:`~schedlab.core._quotients_out`): one ``divmod`` per value, and one
+tail per distinct remainder, which ``_quotient_out``, the one rule for
+writing a number, writes.  There are at most ``L`` remainders, and 16 on
+a generated instance, in sixteenths or read back over ``10**4``.  The
+reader (:func:`~schedlab.core._decimal_column`) checks and pads each
+distinct fractional tail once and reads each value as one ``int``.  The
+generator draws from one bound ``getrandbits``, and the runner records
+its pools once per phase.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from heapq import heappop, heappush
+from itertools import compress, repeat
+from operator import add, itemgetter, le, not_
 from typing import NamedTuple
 
-from .core import (ContractViolation, Instance, Schedule, _quotient_out,
+from .core import (ContractViolation, Instance, Schedule, _quotients_out,
                    require_valid, time_grid)
 from .oracle import volume_lower_bound
 
@@ -64,12 +76,6 @@ def classify(p, length) -> str:
     The test is the same on times scaled by any common factor.
     """
     return "short" if 4 * p <= length else "long"
-
-
-@dataclass(slots=True)
-class _Machine:
-    id: int
-    busy_until: int
 
 
 @dataclass
@@ -149,6 +155,10 @@ class EqualDeadlineTranscript:
                 and all(row["ok"] for row in self.bound_rows()))
 
     def to_jsonable(self) -> dict:
+        """The transcript as JSON values; the schedule's start and end
+        columns are written by :func:`~schedlab.core._quotients_out`."""
+        ids, machines, starts = zip(*self.placements) if self.placements else ((),) * 3
+        ends = list(map(add, starts, map(self.sizes.__getitem__, ids)))
         return {
             "kappa": self.kappa, "d": self.d, "lb": self.lb,
             "peak_concurrent": self.peak_concurrent,
@@ -159,10 +169,11 @@ class EqualDeadlineTranscript:
             "phases": [rep.to_jsonable() for rep in self.phases],
             "bounds": self.bound_rows(),
             "schedule": [
-                {"id": j, "machine": m, "start": _quotient_out(s, self.scale),
-                 "end": _quotient_out(s + self.sizes[j], self.scale),
-                 "class": self.job_class[j]}
-                for j, m, s in self.placements
+                {"id": j, "machine": m, "start": start, "end": end, "class": cls}
+                for j, m, start, end, cls in zip(
+                    ids, machines, _quotients_out(starts, self.scale),
+                    _quotients_out(ends, self.scale),
+                    map(self.job_class.__getitem__, ids))
             ],
         }
 
@@ -171,38 +182,42 @@ class _Runner:
     """Open machines and the short pool in id order; the rest are long.
 
     Times are ints over the instance's common denominator ``L``: a job's
-    length and floor, each machine's ``busy_until``, and the start, end and
+    length and floor, each machine's booked end, and the start, end and
     length of the :class:`Phase` passed to each call.  Pools change only
-    when a machine opens or at a phase start.
+    when a machine opens or at a phase start, and machines close only at a
+    phase start, so within a phase the pools only grow: a phase's maxima,
+    and its share of the peak, are its pools at its end.
     """
 
     def __init__(self):
-        self.open: dict[int, _Machine] = {}
-        self.short: list[_Machine] = []
-        self.closed: list[int] = []  # heap of closed ids
+        self.busy: dict[int, int] = {}  # open machine id -> booked until
+        self.short: list[int] = []      # ids of the short pool, ascending
+        self.closed: list[int] = []     # closed ids, ascending
         self.next_fresh = 0
         self.assignments: list[tuple[int, int, int]] = []
         self.peak = 0
         self.half_busy_ok = True
 
     def record_pools(self, report: PhaseReport) -> None:
-        report.m_short = max(report.m_short, len(self.short))
-        report.m_long = max(report.m_long, len(self.open) - len(self.short))
+        """Record the pools at the end of the phase of ``report``."""
+        report.m_short = len(self.short)
+        report.m_long = len(self.busy) - len(self.short)
+        self.peak = max(self.peak, len(self.busy))
 
-    def acquire(self, pool: str, job_id: int, p: int, start: int) -> None:
-        """Open a machine for a job of length ``p`` from ``start``, reusing
-        the lowest closed id before a fresh one."""
-        if self.closed:
-            mid = heappop(self.closed)
-        else:
-            mid = self.next_fresh
-            self.next_fresh += 1
-        machine = _Machine(mid, start + p)
-        self.open[mid] = machine
-        if pool == "short":
-            insort(self.short, machine, key=lambda m: m.id)
-        self.assignments.append((job_id, mid, start))
-        self.peak = max(self.peak, len(self.open))
+    def acquire(self, job_ids: list[int], sizes: list[int],
+                starts: list[int]) -> list[int]:
+        """Open a machine for each job in turn, from its start for its
+        length: the lowest closed ids first, then fresh ones.  Returns the
+        machine ids."""
+        count = len(job_ids)
+        reused = self.closed[:count]
+        del self.closed[:count]
+        fresh = range(self.next_fresh, self.next_fresh + count - len(reused))
+        self.next_fresh = fresh.stop
+        mids = reused + list(fresh)
+        self.busy.update(zip(mids, map(add, starts, sizes)))
+        self.assignments += zip(job_ids, mids, starts)
+        return mids
 
     def start_phase(self, phase: Phase) -> int:
         """Close idle machines and re-pool the rest; returns how many closed.
@@ -210,12 +225,13 @@ class _Runner:
         A running machine joins the long pool when at least a quarter phase
         of its booked work remains, the short pool otherwise.
         """
-        gone = [mid for mid, m in self.open.items() if m.busy_until <= phase.start]
+        gone = [mid for mid, until in self.busy.items() if until <= phase.start]
         for mid in gone:
-            del self.open[mid]
-            heappush(self.closed, mid)
-        self.short = [m for _, m in sorted(self.open.items())
-                      if 4 * (m.busy_until - phase.start) < phase.length]
+            del self.busy[mid]
+        self.closed += gone
+        self.closed.sort()
+        self.short = sorted(mid for mid, until in self.busy.items()
+                            if 4 * (until - phase.start) < phase.length)
         return len(gone)
 
     def place_short(self, job_id: int, p: int, phase: Phase, floor: int) -> bool:
@@ -229,22 +245,26 @@ class _Runner:
         machine was opened.
         """
         end = phase.end
-        for machine in self.short:
-            start = machine.busy_until
+        busy = self.busy
+        for mid in self.short:
+            start = busy[mid]
             if start < floor:
                 start = floor
             if start + p <= end:
-                machine.busy_until = start + p
-                self.assignments.append((job_id, machine.id, start))
+                busy[mid] = start + p
+                self.assignments.append((job_id, mid, start))
                 return False
         midpoint2 = 2 * end - phase.length
-        if any(2 * machine.busy_until < midpoint2 for machine in self.short):
+        if any(2 * busy[mid] < midpoint2 for mid in self.short):
             self.half_busy_ok = False
         if floor + p > end:
             raise ContractViolation(f"job {job_id} cannot finish by the end "
                                     f"of phase {phase.index} even alone")
-        self.acquire("short", job_id, p, floor)
+        insort(self.short, self.acquire([job_id], [p], [floor])[0])
         return True
+
+
+_CLASSES = ("long", "short")
 
 
 def run_equal_deadline(instance: Instance) -> EqualDeadlineTranscript:
@@ -254,6 +274,12 @@ def run_equal_deadline(instance: Instance) -> EqualDeadlineTranscript:
     volume lower bound on any schedule's machine count, and the peak number
     of concurrently open machines.  On a valid instance every job completes
     by the common deadline; ``misses`` stays empty.
+
+    A phase's releases are one slice of the release-sorted columns, each
+    job short when ``p <= length // 4`` (:func:`classify`).  Before the
+    final phase no short job is placed at release, so the phase's long
+    jobs open their machines in one :meth:`_Runner.acquire`, in release
+    order; the final phase places its jobs one by one.
     """
     require_valid(instance)
     if instance.model != "equal-deadline":
@@ -275,36 +301,40 @@ def run_equal_deadline(instance: Instance) -> EqualDeadlineTranscript:
     runner = _Runner()
     job_class: dict[int, str] = {}
 
-    n = len(ids)
     pos = 0
     postponed: list[int] = []
     for ph, report in zip(scaled, reports):
         if ph.index > 1:
             report.closed_at_start = runner.start_phase(ph)
-            postponed.sort(key=lambda i: (-size[i], ids[i]))
+            # longest first, ties by id
+            postponed.sort(key=ids.__getitem__)
+            postponed.sort(key=size.__getitem__, reverse=True)
             for i in postponed:
                 report.opened += runner.place_short(ids[i], size[i], ph, ph.start)
-            postponed = []
-        runner.record_pools(report)
-        while pos < n and rel[pos] < ph.end:
-            i = pos
-            pos += 1
-            cls = job_class[ids[i]] = classify(size[i], ph.length)
-            if cls == "long":
-                report.released_long += 1
-                runner.acquire("long", ids[i], size[i], rel[i])
-                report.opened += 1
-            else:
-                report.released_short += 1
-                if ph.index < kappa:
-                    postponed.append(i)
-                else:
+        stop = bisect_left(rel, ph.end, pos)
+        released = range(pos, stop)
+        short = list(map(le, size[pos:stop], repeat(ph.length >> 2)))
+        job_class.update(zip(ids[pos:stop], map(_CLASSES.__getitem__, short)))
+        report.released_short = short.count(True)
+        report.released_long = len(short) - report.released_short
+        if ph.index < kappa:
+            postponed = list(compress(released, short))
+            longs = list(compress(released, map(not_, short)))
+            runner.acquire(*([col[i] for i in longs] for col in (ids, size, rel)))
+            report.opened += len(longs)
+        else:
+            for i, is_short in zip(released, short):
+                if is_short:
                     report.opened += runner.place_short(ids[i], size[i], ph, rel[i])
-            runner.record_pools(report)
+                else:
+                    runner.acquire([ids[i]], [size[i]], [rel[i]])
+                    report.opened += 1
+        pos = stop
+        runner.record_pools(report)
 
     end = d * scale
     sizes = dict(zip(ids, size))
-    runner.assignments.sort(key=lambda a: (a[2], a[1]))
+    runner.assignments.sort(key=itemgetter(2, 1))
     return EqualDeadlineTranscript(
         kappa=kappa, d=d, lb=lb, scale=scale, placements=runner.assignments,
         sizes=sizes, misses=sorted(j for j, m, s in runner.assignments

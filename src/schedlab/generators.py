@@ -2,8 +2,8 @@
 
 Each generator is a pure function of its parameters and seed, so emitted
 files are byte-identical across runs.  Randomized kinds draw from one
-`random.Random(seed)`; structured kinds (adversary stream, upper-triangular
-matching family) take no randomness at all.
+`random.Random(seed)`, through :func:`_draws`; structured kinds (adversary
+stream, upper-triangular matching family) take no randomness at all.
 """
 
 from __future__ import annotations
@@ -14,6 +14,24 @@ import numpy as np
 
 from .adversary import resolve_stream, stream_jobs
 from .core import ContractViolation, GridJobs, Instance, UnitJobs
+
+
+def _draws(rng: random.Random):
+    """``rng.randrange`` with one bound ``getrandbits``: ``below(n)`` for
+    ``n >= 1`` runs the rejection loop ``randrange(n)`` runs, on
+    ``n.bit_length()``-bit words, so it reads the same words, returns the
+    same value and leaves ``rng`` in the same state.  ``randint(a, b)`` is
+    ``a + below(b + 1 - a)``."""
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below
 
 
 def adversary_instance(n: int, N: int | None = None) -> Instance:
@@ -32,11 +50,12 @@ def random_unit_instance(jobs: int, horizon: int, seed: int = 0) -> Instance:
     a stable sort on ``r`` orders the columns by ``(r, id)``."""
     if jobs < 0 or horizon < 1:
         raise ContractViolation("need jobs >= 0 and horizon >= 1")
-    rng = random.Random(seed)
+    below = _draws(random.Random(seed))
     rs, ds = [], []
     for _ in range(jobs):
-        rs.append(rng.randrange(horizon))
-        ds.append(rng.randint(rs[-1] + 1, horizon))
+        r = below(horizon)
+        rs.append(r)
+        ds.append(r + 1 + below(horizon - r))
     drawn = UnitJobs(range(jobs), rs, ds)
     return Instance("unit-min", drawn[np.argsort(drawn.r, kind="stable")],
                     horizon=max(ds, default=horizon))
@@ -46,7 +65,7 @@ def equal_deadline_instance(kappa: int, jobs: int, seed: int = 0) -> Instance:
     """Random dyadic releases and sizes against the deadline 2^kappa - 1.
 
     A release is a multiple of ``2^-b`` in ``(0, d]`` (``b`` drawn from 0-3)
-    less 1/8, clamped at 0; a size is a multiple of ``2^-b`` in
+    less 1/8, so at least 0; a size is a multiple of ``2^-b`` in
     ``(0, d - r]`` (``b`` from 0-4), or all of ``d - r`` when no multiple
     fits.  The jobs are :class:`~schedlab.core.GridJobs` columns in
     sixteenths, drawn as integers and sorted on the release, with no
@@ -54,16 +73,16 @@ def equal_deadline_instance(kappa: int, jobs: int, seed: int = 0) -> Instance:
     """
     if kappa < 1 or jobs < 0:
         raise ContractViolation("need kappa >= 1 and jobs >= 0")
-    randint = random.Random(seed).randint
+    below = _draws(random.Random(seed))
     d = (1 << kappa) - 1
     drawn = []
     for i in range(jobs):
-        bits = randint(0, 3)
-        r8 = max((randint(1, d << bits) << (3 - bits)) - 1, 0)
+        bits = below(4)
+        r8 = ((1 + below(d << bits)) << (3 - bits)) - 1
         room8 = 8 * d - r8
-        bits = randint(0, 4)
+        bits = below(5)
         hi = (room8 << bits) >> 3
-        p16 = randint(1, hi) << (4 - bits) if hi else 2 * room8
+        p16 = (1 + below(hi)) << (4 - bits) if hi else 2 * room8
         drawn.append((r8, i, p16))
     drawn.sort()
     r8s, ids, sizes = zip(*drawn) if drawn else ((),) * 3
@@ -79,12 +98,12 @@ def throughput_instance(jobs: int, horizon: int, k: int = 1, w_max: int = 10,
     ``Job`` row built."""
     if jobs < 0 or horizon < 1 or k < 1 or w_max < 1:
         raise ContractViolation("bad throughput generator parameters")
-    rng = random.Random(seed)
+    below = _draws(random.Random(seed))
     drawn = []
     for i in range(jobs):
-        r = rng.randrange(horizon)
-        d = rng.randint(r + 1, horizon)
-        drawn.append((r, i, d, 1 if unweighted else rng.randint(1, w_max)))
+        r = below(horizon)
+        d = r + 1 + below(horizon - r)
+        drawn.append((r, i, d, 1 if unweighted else 1 + below(w_max)))
     drawn.sort()
     rs, ids, ds, ws = zip(*drawn) if drawn else ((),) * 4
     return Instance("throughput", GridJobs(ids, rs, ds, [1] * jobs, w=ws), k=k)

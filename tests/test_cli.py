@@ -17,7 +17,7 @@ import pytest
 
 from schedlab import adversary, throughput
 from schedlab.cli import CSV_VERSION, main
-from schedlab.core import read_instance
+from schedlab.core import _jobs_in, read_instance
 
 
 def run_cli(capsys, *argv):
@@ -508,6 +508,63 @@ CERTIFICATE_DIGESTS = {
     ('random-small', 'e', 7): (0, '738143709bb374a8b64ddd85ec63b2eb1e3d547b575f3c38a502e79d59166e29'),
     ('random-small', 'e', 1000): (0, '87a06d6f9a5bc6d3a5e035931827d8b1cb0775be43011aec534a86d078e014b2'),
 }
+
+
+#: equal-deadline files by the reader branch their number strings take:
+#: the column reader (``columns``), or ``Job`` rows for the forms it
+#: declines (``rows``).  Each maps to what ``run equal-deadline --format
+#: json`` and ``verify equal-deadline`` give: the exit code, stderr, and the
+#: sha256 of stdout with the file's path written as ``FILE``.
+_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+READER_BRANCH_OUTPUTS = {
+    "decimals": ("columns", [
+        {"id": 0, "r": "0.875", "d": 7, "p": "2.5"},
+        {"id": 1, "r": 2, "d": "7.0", "p": "0.0625"},
+        {"id": 2, "r": "-0", "d": 7, "p": 3},
+        {"id": 3, "r": "5.25", "d": 7, "p": "1.75"}], {
+        "run": (0, "", "dfebaf971ed27a171327a9d5e266967225eadf6f0704bb2ec4efb835f36b52cb"),
+        "verify": (0, "", "8288d373b3fcdbc68c7774a77be6f056db5be79316ca4a921c7588af3eea0e4e")}),
+    "ratios": ("rows", [
+        {"id": 0, "r": 0, "d": 7, "p": "1/3"},
+        {"id": 1, "r": "1/3", "d": 7, "p": "2.5"},
+        {"id": 2, "r": "6.5", "d": 7, "p": "1/6"}], {
+        "run": (0, "", "a016464d4941106e446e5e86a49e5ddb653b67c3a7c51a04b3a8135d3b701f72"),
+        "verify": (0, "", "6c452bbe971c94df2c39a67670bb42dbc72df1b959ba5a7f9e770114d385d0a2")}),
+    "exponents": ("rows", [
+        {"id": 0, "r": "5e-1", "d": 7, "p": "25e-1"},
+        {"id": 1, "r": "1E0", "d": "7e0", "p": "0.75"}], {
+        "run": (0, "", "af0e37879724cc4af9239cd8760e79230bc03362d0013b13d2c6e9d0182912e5"),
+        "verify": (0, "", "0c2e711aabbd7b2069c7965deb4137e3ccd1b14c35b5110b8069738e9c31b24a")}),
+    "dot-without-digits": ("rows", [{"id": 0, "r": "1.", "d": 7, "p": 2}], {
+        "run": (0, "", "cb150dfb65a8d500afa5efb19f53568ada16f827b1c971e73cf976308f278700"),
+        "verify": (0, "", "63d3b5581eed3afaa0ac5c8d3024586b5d11be2ce183ea39d50522adb7339de5")}),
+    "underscore": ("rows", [{"id": 0, "r": 0, "d": 7, "p": "1_0"}], dict.fromkeys(
+        ("run", "verify"), (2, "error: invalid instance: WindowTooSmall[job 0]: "
+                               "r+p=10 exceeds d=7\n", _EMPTY))),
+    "stray-character": ("rows", [{"id": 0, "r": 0, "d": 7, "p": "2.5x"}], dict.fromkeys(
+        ("run", "verify"), (2, "error: jobs[0].p: bad numeric string '2.5x'\n", _EMPTY))),
+    "zero-denominator": ("rows", [{"id": 0, "r": "1/0", "d": 7, "p": 1}], dict.fromkeys(
+        ("run", "verify"), (2, "error: jobs[0].r: bad numeric string '1/0'\n", _EMPTY))),
+    "past-the-deadline": ("columns", [{"id": 0, "r": "6.5", "d": 7, "p": "0.75"}],
+                          dict.fromkeys(("run", "verify"), (
+                              2, "error: invalid instance: WindowTooSmall[job 0]: "
+                                 "r+p=29/4 exceeds d=7\n", _EMPTY))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READER_BRANCH_OUTPUTS))
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_equal_deadline_reader_branches(capsys, tmp_path, case, command):
+    branch, jobs, outputs = READER_BRANCH_OUTPUTS[case]
+    assert (_jobs_in(jobs) is None) == (branch == "rows")
+    path = tmp_path / "ed.json"
+    path.write_text(json.dumps({"model": "equal-deadline", "jobs": jobs}))
+    argv = [command, "equal-deadline", "--instance", str(path)]
+    code, out, err = run_cli(capsys, *argv, *(["--format", "json"]
+                                              if command == "run" else []))
+    assert "Traceback" not in err
+    digest = hashlib.sha256(out.replace(str(path), "FILE").encode()).hexdigest()
+    assert (code, err, digest) == outputs[command]
 
 
 def strict_json(text):

@@ -2,6 +2,7 @@
 import enum
 import hashlib
 import json
+import random
 import re
 import sys
 from collections import OrderedDict
@@ -28,8 +29,12 @@ from schedlab.core import (
     Schedule,
     UnitJobs,
     ValidationError,
+    _decimal_column,
+    _decimal_parts,
     _num_in,
     _num_out,
+    _quotient_out,
+    _quotients_out,
     audit_schedule,
     dump_json,
     feasible_slot,
@@ -43,7 +48,7 @@ from schedlab.core import (
     validate_instance,
     write_instance,
 )
-from schedlab.generators import (KINDS, adversary_instance, equal_deadline_instance,
+from schedlab.generators import (KINDS, _draws, adversary_instance, equal_deadline_instance,
                                  generate, random_unit_instance, throughput_instance)
 
 
@@ -1004,3 +1009,104 @@ class TestNumIn:
         got = _outcome(_num_in, text, "x")
         want = _outcome(_fraction_in, text)
         assert got == want and type(got) is type(want)
+
+
+@given(st.integers(0, 2**32), st.lists(st.integers(1, 2**70) | st.integers(1, 9),
+                                       min_size=1, max_size=8))
+@example(0, [1, 2, 3, 4, 5, 2**70])
+def test_draws_are_randrange_on_this_interpreter(seed, bounds):
+    """The generators' one draw helper gives ``randrange``'s values and
+    leaves the generator where ``randrange`` leaves it."""
+    rng, want = random.Random(seed), random.Random(seed)
+    below = _draws(rng)
+    assert [below(n) for n in bounds] == [want.randrange(n) for n in bounds]
+    assert rng.getstate() == want.getstate()
+
+
+#: int/str digit limit the codec tests approach; 4300, CPython's default,
+#: when the interpreter runs without one.
+_LIMIT = sys.get_int_max_str_digits() or 4300
+
+_scales = st.one_of(
+    st.sampled_from([1, 16, 10**4, 3, 12]),
+    st.builds(lambda a, b: 2**a * 5**b, st.integers(0, 40), st.integers(0, 40)),
+    st.sampled_from([2**61 - 1, 10**9 + 7, 2**127 - 1]))
+
+
+@st.composite
+def _numerators(draw):
+    """Numerators of every sign: mostly small, some with about as many
+    digits as Python writes."""
+    if draw(st.integers(0, 5)):
+        return draw(st.integers(-10**6, 10**6))
+    digits = draw(st.integers(_LIMIT - 130, _LIMIT + 2))
+    return draw(st.sampled_from([1, -1])) * (
+        draw(st.integers(1, 9)) * 10**digits + draw(st.integers(-10**4, 10**4)))
+
+
+def _quotients_by_value(nums, scale):
+    return [_quotient_out(num, scale) for num in nums]
+
+
+class TestNumberCodec:
+    """The column codec of numbers against the one-value rules it batches."""
+
+    @settings(max_examples=300)
+    @given(st.lists(_numerators(), max_size=12), _scales)
+    @example([0, -1, 1, -16, 17, -17, 31, 10**30 + 1], 16)
+    @example([-5, 5, 10, -7, 2**40 + 1], 12)
+    @example([10**(_LIMIT - 5) + 1], 16)
+    def test_same_texts_or_refusal_as_quotient_out(self, nums, scale):
+        got = _outcome(_quotients_out, nums, scale)
+        want = _outcome(_quotients_by_value, nums, scale)
+        assert got == want
+        if isinstance(want, list):
+            assert list(map(type, got)) == list(map(type, want))
+
+    @pytest.mark.parametrize("scale", [16, 10**4, 3, 12, 2**7 * 5**3, 2**61 - 1])
+    def test_refusal_starts_where_quotient_out_refuses(self, scale):
+        """Around the digit limit, value by value and as one column."""
+        nums = [sign * (10**digits + 1) for digits in range(_LIMIT - 25, _LIMIT + 2)
+                for sign in (1, -1)]
+        for num in nums:
+            assert _outcome(_quotients_out, [num], scale) == _outcome(
+                _quotients_by_value, [num], scale)
+        assert _outcome(_quotients_out, [1, *nums], scale) == _outcome(
+            _quotients_by_value, [1, *nums], scale)
+
+    def test_columns_written_as_files_write_them(self):
+        assert _quotients_out([0, 8, -8, 24, -24, 32, 1, -40], 16) == [
+            0, "0.5", "-0.5", "1.5", "-1.5", 2, "0.0625", "-2.5"]
+        assert _quotients_out([1, -1, 7, -7, 9], 3) == ["1/3", "-1/3", "7/3", "-7/3", 3]
+
+
+def _column_by_parts(values):
+    """A column as ``_decimal_parts`` reads it, value by value."""
+    try:
+        parts = [(x, 0) if type(x) is int else _decimal_parts(x) for x in values]
+    except ValueError:
+        return None
+    if None in parts:
+        return None
+    places = max(k for _, k in parts)
+    return [num * 10 ** (places - k) for num, k in parts], places
+
+
+_COLUMN_TEXTS = ["1.", ".5", "+1", "1_0", " 1", "-0", "-0.50", "007.25", "--1",
+                 "-.5", "1.2.3", "١٢.٥", "-٣", "²", "1" * 5000, "0." + "1" * 5000,
+                 "1" * 4000 + "." + "1" * 4000]
+
+
+class TestDecimalColumn:
+    """The column reader against ``_decimal_parts``, value by value."""
+
+    @pytest.mark.parametrize("text", _COLUMN_TEXTS, ids=lambda t: repr(t[:12]))
+    def test_each_form_reads_as_decimal_parts(self, text):
+        for column in ([text], [text, 2, "0.25"], ["-1.5", 7, text]):
+            assert _decimal_column(column) == _column_by_parts(column)
+
+    @settings(max_examples=300)
+    @given(st.lists(_numeric_texts() | st.integers(-10**6, 10**6), min_size=1,
+                    max_size=6))
+    def test_columns_read_as_decimal_parts(self, values):
+        assert _decimal_column(values) == _column_by_parts(values)

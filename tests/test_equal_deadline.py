@@ -318,6 +318,26 @@ def test_instance_bytes_are_pinned(kappa, jobs, seed):
     assert digest == GOLDEN_INSTANCES[kappa, jobs, seed]
 
 
+#: sha256 of ``json.dumps(run_equal_deadline(read_instance(write_instance(inst)))
+#: .to_jsonable(), sort_keys=True)`` for ``inst = equal_deadline_instance(9,
+#: 1000, seed)``, keyed by seed: the benchmark's own path.  A file read back
+#: holds its times over ``10**4``, not the generator's sixteenths.
+READ_BACK_TRANSCRIPTS = {
+    0: "c55814894fdac2de950022ff149e2b55350729ced715b845968073a72ad0e0c0",
+    7: "77654a27015d6b580c5aed6e709439ceeac5a36aec1d2033ef7e84d8fba92cb1",
+    1_000_003: "bf8590741a09a43b1494b7b46815b31efa7f18f18e7d0beef2ec08469ac676eb",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(READ_BACK_TRANSCRIPTS))
+def test_read_back_transcript_bytes_are_pinned(seed):
+    back = read_instance(write_instance(equal_deadline_instance(9, 1000, seed)))
+    assert back.jobs.scale == 10**4
+    doc = run_equal_deadline(back).to_jsonable()
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == READ_BACK_TRANSCRIPTS[seed]
+
+
 @pytest.fixture
 def no_grid_rows(monkeypatch):
     """Building a ``Job`` row from grid columns fails: iterating a
