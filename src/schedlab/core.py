@@ -25,11 +25,11 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from math import gcd, inf, isfinite, lcm
-from operator import add, itemgetter, le
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from operator import add, itemgetter
+from typing import ClassVar, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -116,29 +116,45 @@ def _int64_column(values, name: str) -> np.ndarray:
             f"job ids and times must fit an int64 ({INT64_MAX})") from None
 
 
-class UnitJobs(Sequence[Job]):
+class _Columns:
+    """Jobs as columns, one per entry of ``ids``; ``__init__`` sets each attribute once."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class UnitJobs(_Columns, Sequence[Job]):
     """Unit jobs of unit weight as int64 columns ``ids``, ``r`` and ``d``,
     the one form of a unit-min instance inside the library.
 
-    An instance's columns are sorted by ``(r, id)``; a block handed to one
-    step keeps the order its caller gave.  A slice or an index array gives
-    columns; an integer index and iteration build a ``Job`` row per job
-    asked for, for callers outside the library.
+    The columns are read-only: an int64 array handed in is frozen in place
+    (``writeable=False``, no copy) for its caller too, unless it views
+    memory that stays writeable, which is copied.  An instance's columns
+    are sorted by ``(r, id)``; a block handed to one step keeps the order
+    its caller gave.  A slice or an index array gives columns; an integer
+    index and iteration build a ``Job`` row per job for outside callers.
     """
 
     __slots__ = ("ids", "r", "d", "_id_list", "_groups")
 
     def __init__(self, ids, r, d):
-        self.ids = _int64_column(ids, "ids")
-        self.r = _int64_column(r, "r")
-        self.d = _int64_column(d, "d")
-        if not len(self.ids) == len(self.r) == len(self.d):
+        columns = (_int64_column(ids, "ids"), _int64_column(r, "r"), _int64_column(d, "d"))
+        if len(set(map(len, columns))) > 1:
             raise ContractViolation("job columns differ in length")
-        self._id_list: list[int] | None = None
-        self._groups: list[tuple[int, list[int]]] | None = None
-
-    def __len__(self) -> int:
-        return len(self.ids)
+        for name, column in zip(self.__slots__, columns):
+            if column.base is not None and getattr(column.base, "flags", column.flags).writeable:
+                column = column.copy()  # a view of memory still writeable elsewhere
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "_id_list", None)
+        object.__setattr__(self, "_groups", None)
 
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
@@ -162,7 +178,7 @@ class UnitJobs(Sequence[Job]):
         """``ids`` as a Python list, in block order, converted once per
         block; callers read it and must not change it."""
         if self._id_list is None:
-            self._id_list = self.ids.tolist()
+            object.__setattr__(self, "_id_list", self.ids.tolist())
         return self._id_list
 
     def by_deadline(self) -> list[tuple[int, list[int]]]:
@@ -178,18 +194,18 @@ class UnitJobs(Sequence[Job]):
             ids, d = self.id_list(), self.d.tolist()
             if d and d.count(d[0]) == len(d):
                 in_order = len(ids) < 2 or (self.ids[1:] >= self.ids[:-1]).all()
-                self._groups = [(d[0], ids if in_order else sorted(ids))]
+                groups = {d[0]: ids if in_order else sorted(ids)}
             else:
-                groups: dict[int, list[int]] = {}
+                groups = {}
                 for i in np.lexsort((self.ids, self.d)).tolist():
                     groups.setdefault(d[i], []).append(ids[i])
-                self._groups = list(groups.items())
+            object.__setattr__(self, "_groups", list(groups.items()))
         return self._groups
 
 
 def unit_columns(jobs: Iterable[Job]) -> UnitJobs:
-    """The one narrowing of :class:`GridJobs` or ``Job`` rows to unit
-    columns, order kept.
+    """The one narrowing of :class:`GridJobs`, or of ``Job`` rows by their
+    :func:`time_grid`, to unit columns, order kept.
 
     Refuses jobs that are not unit length, windows that are not integral
     and values beyond int64.  Weights are dropped: every engine that runs
@@ -198,19 +214,17 @@ def unit_columns(jobs: Iterable[Job]) -> UnitJobs:
     """
     if isinstance(jobs, UnitJobs):
         return jobs
-    if isinstance(jobs, GridJobs) and jobs.is_unit():
-        scale = jobs.scale
-        return UnitJobs(jobs.ids, *([x // scale for x in col] if scale > 1 else col
-                                    for col in (jobs.r, jobs.d)))
-    rows = tuple(jobs)
-    for j in rows:
+    grid = time_grid(jobs)
+    scale = grid.scale
+    unit = grid.p.count(scale) == len(grid) and (
+        scale == 1 or not any(x % scale for x in chain(grid.r, grid.d)))
+    for j in () if unit else grid:
         if j.p != 1:
             raise ContractViolation(f"job {j.id} is not a unit job: p={j.p}")
         if not (_is_integral(j.r) and _is_integral(j.d)):
-            raise ContractViolation(
-                f"job {j.id} has a non-integer window [{j.r}, {j.d})")
-    return UnitJobs([j.id for j in rows], [int(j.r) for j in rows],
-                    [int(j.d) for j in rows])
+            raise ContractViolation(f"job {j.id} has a non-integer window [{j.r}, {j.d})")
+    return UnitJobs(grid.ids, *([x // scale for x in col] if scale > 1 else col
+                                for col in (grid.r, grid.d)))
 
 
 def _ratio(num: int, den: int) -> Rational:
@@ -220,13 +234,13 @@ def _ratio(num: int, den: int) -> Rational:
     return Fraction(num, den) if rest else whole
 
 
-class GridJobs(Sequence[Job]):
-    """Jobs as Python-int columns: ``ids``, and the ``r``, ``d``, ``p`` and
-    ``w`` numerators over one ``scale`` ``L``, so job ``i`` has release
+class GridJobs(_Columns, Sequence[Job]):
+    """Jobs as tuples of Python ints: ``ids``, and the ``r``, ``d``, ``p``
+    and ``w`` numerators over one ``scale`` ``L``, so job ``i`` has release
     ``r[i] / L``; ``w`` defaults to unit weights.  Every instance file is
     read into this form, and it is the form of an equal-deadline instance
     inside the library; sums and comparisons of numerators are those of the
-    values, exact at any ``L``.
+    values, exact at any ``L``.  No attribute can be rebound.
 
     A slice gives columns; an integer index and iteration build a ``Job``
     row per job asked for, for callers outside the library, with ``r``,
@@ -236,16 +250,14 @@ class GridJobs(Sequence[Job]):
     __slots__ = ("ids", "r", "d", "p", "w", "scale")
 
     def __init__(self, ids, r, d, p, scale: int = 1, w=None):
-        self.ids, self.r, self.d, self.p = list(ids), list(r), list(d), list(p)
-        self.w = [scale] * len(self.ids) if w is None else list(w)
-        if not len(self.ids) == len(self.r) == len(self.d) == len(self.p) == len(self.w):
+        ids, r, d, p = tuple(ids), tuple(r), tuple(d), tuple(p)
+        w = (scale,) * len(ids) if w is None else tuple(w)
+        if not len(ids) == len(r) == len(d) == len(p) == len(w):
             raise ContractViolation("job columns differ in length")
         if type(scale) is not int or scale < 1:
             raise ContractViolation(f"the time scale must be an int >= 1, got {scale!r}")
-        self.scale = scale
-
-    def __len__(self) -> int:
-        return len(self.ids)
+        for name, value in zip(self.__slots__, (ids, r, d, p, w, scale)):
+            object.__setattr__(self, name, value)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -274,12 +286,6 @@ class GridJobs(Sequence[Job]):
     def __repr__(self) -> str:
         return f"GridJobs({len(self)} jobs over {self.scale})"
 
-    def is_unit(self) -> bool:
-        """Whether every job has unit length and an integer window."""
-        scale = self.scale
-        return self.p.count(scale) == len(self) and (
-            scale == 1 or not any(x % scale for x in chain(self.r, self.d)))
-
 
 def time_grid(jobs: Iterable[Job]) -> GridJobs:
     """The one conversion of ``Job`` rows into :class:`GridJobs`, order and
@@ -294,8 +300,11 @@ def time_grid(jobs: Iterable[Job]) -> GridJobs:
     rows = tuple(jobs)
     ids, *columns = zip(*rows) if rows else ((),) * 5
     whole = [set(map(type, col)) <= {int} for col in columns]
-    dens = {x.denominator for col, ints in zip(columns, whole) if not ints
-            for x in col}
+    try:
+        dens = {x.denominator for col, ints in zip(columns, whole) if not ints
+                for x in col}
+    except AttributeError as exc:
+        raise ContractViolation(f"job values must be ints or Fractions: {exc}") from None
     scale = lcm(*dens)
     factor = {q: scale // q for q in dens}
     r, d, p, w = [[x * scale for x in col] if ints
@@ -321,15 +330,22 @@ class Instance:
     ``jobs`` are kept sorted by (release, id); use :meth:`of` to build an
     instance from unordered ``Job`` rows.  Generated and read instances
     hold columns instead: :class:`UnitJobs` for unit-min, :class:`GridJobs`
-    for the other models.  ``k`` is the machine
-    count for the throughput model.  ``horizon`` is the maximum deadline of
-    a unit-job instance, carried so files round-trip byte for byte.
+    for the other models.  ``k`` is the machine count for the throughput
+    model.  ``horizon`` is the maximum deadline of a unit-job instance,
+    carried so files round-trip byte for byte.
+
+    A new instance starts unchecked, however it is built.
+    :func:`require_valid` records a pass on an instance whose jobs cannot
+    change (:class:`UnitJobs`, :class:`GridJobs`, a tuple of ``Job`` rows)
+    and then returns at once; ``==`` and ``repr`` ignore the record.
     """
 
     model: str
     jobs: Sequence[Job]
     k: int | None = None
     horizon: int | None = None
+
+    _checked: ClassVar[bool] = False
 
     @classmethod
     def of(cls, model: str, jobs: Iterable[Job], k: int | None = None,
@@ -463,37 +479,30 @@ def _row_violations(jobs: Iterable[Job]) -> list[Violation]:
     return v
 
 
-def _unit_rows_valid(jobs: UnitJobs) -> bool:
-    """Whether :func:`_row_violations` finds nothing in unit columns, by
-    whole-column comparisons: ids non-negative and distinct, rows sorted
-    by ``(r, id)``, releases non-negative and ``r + 1 <= d``."""
-    ids, r, d = jobs.ids, jobs.r, jobs.d
-    rises = (r[1:] > r[:-1]) | ((r[1:] == r[:-1]) & (ids[1:] >= ids[:-1]))
-    ordered = np.sort(ids)
-    return bool((ids >= 0).all() and (ordered[1:] != ordered[:-1]).all()
-                and rises.all() and (r >= 0).all() and (r < d).all())
+def _exact_column(values, wide: bool = False) -> np.ndarray:
+    """``values`` as int64 when numpy reads them as integers that fit (an
+    int64 array as it is) and not ``wide``, else as an object array of the
+    values."""
+    column = np.asarray(values, object if wide else None)
+    if column.dtype.kind in "ib":
+        return column.astype(np.int64, copy=False)
+    return column if column.dtype == object else np.array(values, dtype=object)
 
 
-def _grid_rows_valid(jobs: GridJobs) -> bool:
-    """Whether :func:`_row_violations` finds nothing in grid columns, by
-    whole-column passes: ids non-negative and distinct, rows sorted by
-    ``(r, id)``, releases non-negative, lengths positive, weights
-    non-negative and ``r + p <= d``."""
-    ids, r, d, p = jobs.ids, jobs.r, jobs.d, jobs.p
-    keys = list(zip(r, ids))
-    return (min(ids, default=0) >= 0 and len(set(ids)) == len(ids)
-            and all(map(le, keys, islice(keys, 1, None)))
-            and min(r, default=0) >= 0 and min(p, default=1) > 0
-            and min(jobs.w, default=0) >= 0 and all(map(le, map(add, r, p), d)))
+def _release_ordered(ids: np.ndarray, r: np.ndarray) -> bool:
+    """Whether the rows of exact columns are sorted by ``(r, id)``."""
+    later, tied = r[1:] > r[:-1], r[1:] == r[:-1]
+    return bool((later | (tied & (ids[1:] >= ids[:-1]))).all())
 
 
 def validate_instance(instance: Instance) -> list[Violation]:
     """Check all model invariants; returns an empty list when valid.
 
-    Each form of jobs takes one column check: :class:`UnitJobs` its own,
-    every other form that of its :func:`time_grid`, where times are integer
-    numerators over their common denominator.  The row loops run only to
-    name what a failed check found.
+    Every form of jobs is checked by the same whole-column passes over
+    ``(ids, r, d, p, w)``: unit columns as they are, with ``p = w = 1``,
+    and any other jobs as their :func:`time_grid` numerators, by
+    :func:`_exact_column` (object arrays past an int64 scale).  The row
+    loops run only to name what a failed check found.
     """
     v: list[Violation] = []
     if instance.model not in MODELS:
@@ -501,37 +510,43 @@ def validate_instance(instance: Instance) -> list[Violation]:
         return v
 
     jobs = instance.jobs
-    unit = isinstance(jobs, UnitJobs)
-    grid = None if unit else time_grid(jobs)
-    if not (_unit_rows_valid(jobs) if unit else _grid_rows_valid(grid)):
+    if isinstance(jobs, UnitJobs):
+        ids, r, d, p, w, scale = jobs.ids, jobs.r, jobs.d, 1, 1, 1
+    else:
+        grid = time_grid(jobs)
+        scale = grid.scale
+        ids, r, d, p, w = (_exact_column(col, scale > INT64_MAX)
+                           for col in (grid.ids, grid.r, grid.d, grid.p, grid.w))
+    # the rules of _row_violations; d - r is formed once 0 <= r < d holds,
+    # so no int64 pass wraps, and the sort for distinct ids comes last
+    if not ((ids >= 0).all() and (r >= 0).all() and (r < d).all() and np.all(p > 0)
+            and np.all(w >= 0) and np.all(p <= d - r) and _release_ordered(ids, r)
+            and ((ordered := np.sort(ids))[1:] != ordered[:-1]).all()):
         v += _row_violations(jobs)
-    scale, d_at = (1, None) if unit else (grid.scale, grid.d)
-    # unit columns hold unit-length jobs at integer times by construction
-    if not unit and instance.model in ("unit-min", "throughput") and not grid.is_unit():
-        for jid, r, d, p in zip(grid.ids, grid.r, d_at, grid.p):
-            if p != scale:
-                v.append(Violation(jid, "NonUnitLength", f"p={_ratio(p, scale)}"))
-            if r % scale or d % scale:
-                v.append(Violation(
-                    jid, "NonIntegerTime", f"r={_ratio(r, scale)}, "
-                    f"d={_ratio(d, scale)} must be integers"))
+    if instance.model in ("unit-min", "throughput") and not (
+            np.all(p == scale)
+            and (scale == 1 or not ((r % scale).any() or (d % scale).any()))):
+        for j in jobs:
+            if j.p != 1:
+                v.append(Violation(j.id, "NonUnitLength", f"p={j.p}"))
+            if not (_is_integral(j.r) and _is_integral(j.d)):
+                v.append(Violation(j.id, "NonIntegerTime",
+                                   f"r={j.r}, d={j.d} must be integers"))
 
-    if instance.model == "unit-min" and jobs and instance.horizon is not None:
-        max_d = int(jobs.d.max()) if unit else _ratio(max(d_at), scale)
+    if instance.model == "unit-min" and len(ids) and instance.horizon is not None:
+        max_d = _ratio(int(d.max()), scale)
         if instance.horizon != max_d:
             v.append(Violation(None, "HorizonMismatch",
                                f"horizon={instance.horizon}, max deadline={max_d}"))
 
-    if instance.model == "equal-deadline" and jobs:
-        if unit:
-            d_at = jobs.d.tolist()
-        if d_at.count(d_at[0]) != len(jobs):
+    if instance.model == "equal-deadline" and len(ids):
+        if not (d == d[0]).all():
             v.append(Violation(None, "UnequalDeadlines",
                                "all deadlines must coincide"))
-        d0, rest = divmod(d_at[0], scale)
+        d0, rest = divmod(int(d[0]), scale)
         if rest or d0 < 1 or (d0 + 1) & d0 != 0:
             v.append(Violation(None, "BadCommonDeadline",
-                               f"deadline {_ratio(d_at[0], scale)} is not of "
+                               f"deadline {_ratio(int(d[0]), scale)} is not of "
                                f"the form 2**k - 1"))
 
     if instance.model == "throughput" and (instance.k is None or instance.k < 1):
@@ -541,9 +556,17 @@ def validate_instance(instance: Instance) -> list[Violation]:
 
 
 def require_valid(instance: Instance) -> Instance:
+    """``instance`` itself when it is valid, else a :class:`ValidationError`
+    naming every fault; a pass is kept on an instance whose jobs cannot
+    change, which is then not checked again."""
+    if instance._checked:
+        return instance
     violations = validate_instance(instance)
     if violations:
         raise ValidationError(violations)
+    if type(instance.jobs) in (UnitJobs, GridJobs) or (
+            type(instance.jobs) is tuple and all(type(j) is Job for j in instance.jobs)):
+        object.__setattr__(instance, "_checked", True)
     return instance
 
 
@@ -861,23 +884,17 @@ def _quotients_out(nums: Sequence[int], scale: int) -> list:
     return list(map(texts.__getitem__, nums))
 
 
-def _job_columns(jobs: Sequence[Job]) -> dict[str, list]:
+def _job_columns(jobs: Sequence[Job]) -> dict[str, Sequence]:
     """The jobs' fields as a file holds them, one column per key, in key
-    order: unit columns as they are, grid numerators over their scale and
-    every other number as :func:`_num_out` writes it."""
+    order: unit columns as they are, and the numerators of any other jobs'
+    :func:`time_grid` over its scale."""
     if isinstance(jobs, UnitJobs):
         ones = [1] * len(jobs)
         return {"d": jobs.d.tolist(), "id": jobs.ids.tolist(), "p": ones,
                 "r": jobs.r.tolist(), "w": ones}
-    if isinstance(jobs, GridJobs):
-        scale = jobs.scale
-        return {"d": _quotients_out(jobs.d, scale), "id": jobs.ids,
-                "p": _quotients_out(jobs.p, scale),
-                "r": _quotients_out(jobs.r, scale), "w": _quotients_out(jobs.w, scale)}
-    ids, rs, ds, ps, ws = zip(*jobs) if jobs else ((),) * 5
-    return {"d": list(map(_num_out, ds)), "id": list(ids),
-            "p": list(map(_num_out, ps)), "r": list(map(_num_out, rs)),
-            "w": list(map(_num_out, ws))}
+    grid = time_grid(jobs)
+    d, p, r, w = (_quotients_out(col, grid.scale) for col in (grid.d, grid.p, grid.r, grid.w))
+    return {"d": d, "id": grid.ids, "p": p, "r": r, "w": w}
 
 
 def instance_to_dict(instance: Instance) -> dict:
@@ -984,9 +1001,9 @@ def _jobs_in(raw_jobs: list) -> GridJobs | None:
     places = max(k for _, k in columns)
     r, d, p, w = [list(map((10 ** (places - k)).__mul__, nums)) if k < places
                   else nums for nums, k in columns]
-    keys = list(zip(r, ids))
-    if not all(map(le, keys, islice(keys, 1, None))):
-        order = sorted(range(len(ids)), key=keys.__getitem__)
+    exact_ids, exact_r = _exact_column(ids), _exact_column(r)
+    if not _release_ordered(exact_ids, exact_r):
+        order = np.lexsort((exact_ids, exact_r)).tolist()
         ids, r, d, p, w = ([col[i] for i in order] for col in (ids, r, d, p, w))
     return GridJobs(ids, r, d, p, 10 ** places, w)
 
@@ -1019,11 +1036,10 @@ def instance_from_dict(doc: dict) -> Instance:
     The jobs are read as :class:`GridJobs` columns: by :func:`_jobs_in`
     when every value is a JSON int or plain decimal, else from ``Job`` rows
     (:func:`_job_rows`), which parse the other number forms and name the
-    field at fault.  Both are validated as columns, so they refuse with the
-    same messages.  A unit-min instance is then narrowed to
-    :class:`UnitJobs` (:func:`unit_columns`), which must fit int64, and an
-    equal-deadline one to ``GridJobs`` of unit weight; a throughput one
-    keeps its ``GridJobs``, weights included."""
+    field at fault.  The grid is validated once, and the instance returned
+    is checked: a unit-min one as :class:`UnitJobs` (:func:`unit_columns`),
+    which must fit int64, an equal-deadline one as ``GridJobs`` of unit
+    weight; only a throughput one, whose engines read them, keeps weights."""
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     if "model" not in doc:
@@ -1039,27 +1055,24 @@ def instance_from_dict(doc: dict) -> Instance:
         rows = _job_rows(raw_jobs)
         rows.sort(key=lambda j: (j.r, j.id))
         jobs = time_grid(rows)
-    k = doc.get("k")
-    if k is not None and (not isinstance(k, int) or isinstance(k, bool)):
-        raise ParseError('"k" must be an integer')
-    horizon = doc.get("horizon")
-    if horizon is not None and (not isinstance(horizon, int) or isinstance(horizon, bool)):
-        raise ParseError('"horizon" must be an integer')
-    require_valid(Instance(model, jobs, k, horizon))
-    if model == "unit-min":
-        jobs = unit_columns(jobs)
-    elif model == "equal-deadline":
-        jobs = GridJobs(jobs.ids, jobs.r, jobs.d, jobs.p, jobs.scale)
-    return Instance(model, jobs, k, horizon)
+    k, horizon = doc.get("k"), doc.get("horizon")
+    for key, value in (("k", k), ("horizon", horizon)):
+        if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+            raise ParseError(f'"{key}" must be an integer')
+    instance = require_valid(Instance(model, jobs, k, horizon))
+    if model == "throughput":
+        return instance
+    narrowed = Instance(model, unit_columns(jobs) if model == "unit-min" else
+                        GridJobs(jobs.ids, jobs.r, jobs.d, jobs.p, jobs.scale), k, horizon)
+    # the checked jobs, less their weights: the pass holds for them too
+    object.__setattr__(narrowed, "_checked", True)
+    return narrowed
 
 
 def read_instance(text: str) -> Instance:
-    """Parse and validate an instance file (:func:`instance_from_dict`).  A
-    unit-min file becomes :class:`UnitJobs` columns, which must fit int64,
-    and an equal-deadline or throughput file :class:`GridJobs`; only the
-    last keeps weights: no engine of the other models reads them, and no
-    ``sched`` command writes a read instance back.  Text that is not JSON,
-    or nests too deeply for the parser, is a :class:`ParseError`."""
+    """Parse and validate an instance file (:func:`instance_from_dict`).
+    Text that is not JSON, or nests too deeply for the parser, is a
+    :class:`ParseError`."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -1,7 +1,8 @@
 """Deterministic instance generators for every model in the library.
 
 Each generator is a pure function of its parameters and seed, so emitted
-files are byte-identical across runs.  Randomized kinds draw from one
+files are byte-identical across runs, and returns a checked instance
+(:func:`~schedlab.core.require_valid`).  Randomized kinds draw from one
 `random.Random(seed)`, through :func:`_draws`; structured kinds (adversary
 stream, upper-triangular matching family) take no randomness at all.
 """
@@ -13,7 +14,7 @@ import random
 import numpy as np
 
 from .adversary import resolve_stream, stream_jobs
-from .core import ContractViolation, GridJobs, Instance, UnitJobs
+from .core import ContractViolation, GridJobs, Instance, UnitJobs, require_valid
 
 
 def _draws(rng: random.Random):
@@ -42,7 +43,7 @@ def adversary_instance(n: int, N: int | None = None) -> Instance:
     refused.
     """
     jobs = stream_jobs(n, resolve_stream(n, N))
-    return Instance("unit-min", jobs, horizon=n if len(jobs) else None)
+    return require_valid(Instance("unit-min", jobs, horizon=n if len(jobs) else None))
 
 
 def random_unit_instance(jobs: int, horizon: int, seed: int = 0) -> Instance:
@@ -57,8 +58,8 @@ def random_unit_instance(jobs: int, horizon: int, seed: int = 0) -> Instance:
         rs.append(r)
         ds.append(r + 1 + below(horizon - r))
     drawn = UnitJobs(range(jobs), rs, ds)
-    return Instance("unit-min", drawn[np.argsort(drawn.r, kind="stable")],
-                    horizon=max(ds, default=horizon))
+    return require_valid(Instance("unit-min", drawn[np.argsort(drawn.r, kind="stable")],
+                                  horizon=max(ds, default=horizon)))
 
 
 def equal_deadline_instance(kappa: int, jobs: int, seed: int = 0) -> Instance:
@@ -86,8 +87,8 @@ def equal_deadline_instance(kappa: int, jobs: int, seed: int = 0) -> Instance:
         drawn.append((r8, i, p16))
     drawn.sort()
     r8s, ids, sizes = zip(*drawn) if drawn else ((),) * 3
-    return Instance("equal-deadline", GridJobs(
-        ids, [2 * r8 for r8 in r8s], [16 * d] * jobs, sizes, 16))
+    return require_valid(Instance("equal-deadline", GridJobs(
+        ids, [2 * r8 for r8 in r8s], [16 * d] * jobs, sizes, 16)))
 
 
 def throughput_instance(jobs: int, horizon: int, k: int = 1, w_max: int = 10,
@@ -106,7 +107,7 @@ def throughput_instance(jobs: int, horizon: int, k: int = 1, w_max: int = 10,
         drawn.append((r, i, d, 1 if unweighted else 1 + below(w_max)))
     drawn.sort()
     rs, ids, ds, ws = zip(*drawn) if drawn else ((),) * 4
-    return Instance("throughput", GridJobs(ids, rs, ds, [1] * jobs, w=ws), k=k)
+    return require_valid(Instance("throughput", GridJobs(ids, rs, ds, [1] * jobs, w=ws), k=k))
 
 
 def upper_triangular_instance(k: int, levels: int) -> Instance:
@@ -119,8 +120,8 @@ def upper_triangular_instance(k: int, levels: int) -> Instance:
     if k < 1 or levels < 1:
         raise ContractViolation("need k >= 1 and levels >= 1")
     ids = range(k * levels)
-    return Instance("throughput", GridJobs(ids, [0] * len(ids), [u // k + 1 for u in ids],
-                                           [1] * len(ids)), k=k)
+    return require_valid(Instance("throughput", GridJobs(
+        ids, [0] * len(ids), [u // k + 1 for u in ids], [1] * len(ids)), k=k))
 
 
 KINDS = ("adversary", "random-unit", "equal-deadline", "throughput",

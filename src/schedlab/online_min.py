@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (INT64_MAX, ContractViolation, Instance, Job, Schedule, UnitJobs,
-                   allocating, unit_columns)
+                   allocating, require_valid, unit_columns)
 from .oracle import EdfQueue, EdfTrace, IncrementalOff, release_blocks
 
 
@@ -211,19 +211,13 @@ class OnlineState:
 def run_alpha_edf(instance: Instance, alpha="e") -> OnlineTranscript:
     """Drive the online algorithm over a full unit-job instance.
 
-    The caller is responsible for instance validity (see
-    ``core.require_valid``); this loop does not re-validate so that very
-    large generated instances run at full speed.  It refuses only a horizon
-    below the largest deadline, whose later jobs it would drop unreported.
+    An invalid instance is refused (``core.require_valid``); a generated
+    or read one was checked when it was built, so this costs nothing.
     """
     if instance.model != "unit-min":
         raise ContractViolation(f"expected a unit-min instance, got {instance.model}")
-    jobs = unit_columns(instance.jobs)
-    last = int(jobs.d.max(initial=0))
-    horizon = instance.horizon or last
-    if horizon < last:
-        raise ContractViolation(
-            f"horizon {horizon} is below the largest deadline {last}")
+    jobs = unit_columns(require_valid(instance).jobs)
+    horizon = instance.horizon or int(jobs.d.max(initial=0))
     state = OnlineState(alpha, np.unique(jobs.d).tolist())
     for t, released in enumerate(release_blocks(jobs, horizon)):
         state.step(t, released)

@@ -507,24 +507,19 @@ def volume_lower_bound(jobs: Sequence[Job], d) -> int:
     Every job released at or after ``r`` must run inside ``[r, d)``, so any
     schedule needs at least ``ceil(volume / (d - r))`` machines; take the
     worst release point (Horn's window condition).  Valid for arbitrary
-    (rational) job lengths.  One suffix sum over the distinct releases,
-    latest first, on the integer numerators of
-    :class:`~schedlab.core.GridJobs` (``Job`` rows are converted by
-    :func:`~schedlab.core.time_grid`), so each ratio is one integer
-    division: O(n log n).
+    (rational) job lengths.  One suffix sum over the jobs, latest release
+    first, on the :func:`~schedlab.core.time_grid` numerators, so each
+    ratio is one integer division; part of one release's jobs gives no more
+    than all of them.  The sort is linear on a checked instance's columns.
     """
     if not jobs:
         return 0
     grid = time_grid(jobs)
     end = d * grid.scale
-    volume_at = {0: 0}
-    for r, p in zip(grid.r, grid.p):
-        volume_at[r] = volume_at.get(r, 0) + p
     best, vol = 1, 0
-    for r in sorted(volume_at, reverse=True):
-        vol += volume_at[r]
-        if vol:
-            best = max(best, -(-vol // (end - r)))
+    for r, p in reversed(sorted(zip(grid.r, grid.p))):
+        vol += p
+        best = max(best, -(-vol // (end - r)))
     return best
 
 
@@ -584,8 +579,7 @@ def offline_throughput_opt(instance: Instance) -> tuple[Fraction, Schedule]:
 
     if instance.model != "throughput":
         raise ContractViolation(f"expected a throughput instance, got {instance.model}")
-    require_valid(instance)
-    jobs = time_grid(instance.jobs)
+    jobs = time_grid(require_valid(instance).jobs)
     k, n, scale = instance.k, len(jobs), jobs.scale
     if sum(jobs.w) + n > _EXACT_SPREAD:
         raise ContractViolation(

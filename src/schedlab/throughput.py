@@ -106,10 +106,9 @@ class Matching:
 
 def reduce_to_matching(instance: Instance) -> MatchingInstance:
     """Build the bipartite graph; online vertices ordered (step, machine)."""
-    require_valid(instance)
     if instance.model != "throughput":
         raise ContractViolation("needs a throughput instance")
-    jobs = time_grid(instance.jobs)
+    jobs = time_grid(require_valid(instance).jobs)
     steps, lo, hi = active_steps(jobs)
     return MatchingInstance(k=instance.k, steps=steps, job_ids=tuple(jobs.ids),
                             lo=lo, hi=hi, w=tuple(jobs.w), scale=jobs.scale)
@@ -386,14 +385,12 @@ def edf_throughput_unweighted(instance: Instance) -> Schedule:
     has no optimality property and the randomized matcher should be used
     instead.
     """
-    require_valid(instance)
     if instance.model != "throughput":
         raise ContractViolation("needs a throughput instance")
-    jobs = time_grid(instance.jobs)
+    jobs = time_grid(require_valid(instance).jobs)
     if len(set(jobs.w)) > 1:
         raise ContractViolation("weights differ; use the matching algorithms")
     jobs = unit_columns(jobs)
-    jobs = jobs[np.argsort(jobs.r, kind="stable")]
     releases = jobs.r.tolist()
     edf, assignments = EdfQueue(), []
     at = t = 0

@@ -1,4 +1,5 @@
 """Model types, validation rules, cost accounting, and JSON round-trips."""
+import dataclasses
 import enum
 import hashlib
 import json
@@ -173,6 +174,8 @@ class TestUnitJobs:
             unit_columns([Job(0, Fraction(1, 2), 4)])
         with pytest.raises(ContractViolation, match="int64"):
             unit_columns([Job(2**63, 0, 4)])
+        with pytest.raises(ContractViolation, match="must be ints or Fractions"):
+            unit_columns([Job(0, 0.5, 4)])
 
     def test_grid_columns_narrow_whole_and_name_a_fault(self):
         # over scale 4 the windows are whole and job 3 weighs 1/4
@@ -223,18 +226,18 @@ class TestTimeGrid:
     def test_integer_columns_come_back_as_they_are(self):
         grid = time_grid([Job(4, 3, 7, p=2, w=5), Job(1, 0, 7)])
         assert (grid.ids, grid.r, grid.d, grid.p, grid.scale) == (
-            [4, 1], [3, 0], [7, 7], [2, 1], 1)
+            (4, 1), (3, 0), (7, 7), (2, 1), 1)
         assert time_grid(grid) is grid
 
     def test_common_denominator_of_all_columns(self):
         grid = time_grid([Job(0, Fraction(1, 3), 7, p=Fraction(22, 7)),
                           Job(1, 2, 7, p=1)])
         assert grid.scale == 21
-        assert (grid.r, grid.d, grid.p) == ([7, 42], [147, 147], [66, 21])
+        assert (grid.r, grid.d, grid.p) == ((7, 42), (147, 147), (66, 21))
 
     def test_integral_fractions_keep_the_grid_at_one(self):
         grid = time_grid([Job(0, Fraction(7), 9, p=Fraction(4, 2)), Job(1, 3, 9)])
-        assert (grid.r, grid.p, grid.scale) == ([7, 3], [2, 1], 1)
+        assert (grid.r, grid.p, grid.scale) == ((7, 3), (2, 1), 1)
 
     def test_rows_are_rebuilt_with_their_values(self):
         rows = (Job(0, Fraction(1, 3), 7, p=Fraction(22, 7)), Job(1, 2, 7, p=1))
@@ -262,11 +265,11 @@ class TestTimeGrid:
     def test_weights_are_kept_over_the_scale(self):
         rows = (Job(0, Fraction(1, 2), 3, w=Fraction(5, 3)), Job(1, 1, 3, w=4))
         grid = time_grid(rows)
-        assert (grid.w, grid.scale) == ([10, 24], 6)
+        assert (grid.w, grid.scale) == ((10, 24), 6)
         assert tuple(grid) == rows and grid[0].w == Fraction(5, 3)
         assert type(grid[1].w) is int and grid[1:] == time_grid(rows[1:])
         assert grid != time_grid((rows[0], rows[1]._replace(w=3)))
-        assert GridJobs([0], [0], [7], [2], 2).w == [2]
+        assert GridJobs([0], [0], [7], [2], 2).w == (2,)
         assert GridJobs([0], [0], [7], [2], 2)[0].w == 1
 
 
@@ -340,6 +343,15 @@ class TestValidation:
                                          Job(2, Fraction(1, 3), 7, p=Fraction(22, 7)))))
     @example(Instance("unit-min", UnitJobs([2, 2, 0], [3, -1, 0], [3, 0, 9]),
                       horizon=4))
+    # int64's edge, where r + p would wrap, and values past it
+    @example(Instance("equal-deadline", GridJobs(
+        [0, 5, 2**63 - 1], [0, 1, 2**63 - 2], [2**63 - 1] * 3,
+        [2**63 - 1, 2**63 - 1, 1])))
+    @example(Instance("throughput", GridJobs(
+        [2**64, 2**63 - 1, 3], [2**63 - 1, 2**63 - 1, 2**64], [2**64, 2**63 - 1, 2**64 + 1],
+        [1, 1, 2], 1, [2**64, -1, 0]), k=2**64))
+    @example(Instance("unit-min", GridJobs([0], [2**64], [3 * 2**64], [2**64], 2**64),
+                      horizon=2))
     def test_matches_row_reference(self, inst):
         assert validate_instance(inst) == reference_validate_instance(inst)
 
@@ -378,6 +390,145 @@ class TestValidation:
         with pytest.raises(ValidationError) as err:
             require_valid(inst)
         assert "WindowTooSmall" in str(err.value)
+
+    @pytest.mark.parametrize("inst, message", [
+        (Instance("nonsense", ()), "BadModel[instance]: unknown model 'nonsense'"),
+        (Instance("unit-min", UnitJobs([-1], [0], [1]), horizon=1),
+         "BadId[job -1]: ids must be non-negative"),
+        (Instance.of("unit-min", [Job(7, 0, 2), Job(7, 0, 2)], horizon=2),
+         "DuplicateId[job 7]: job id reused"),
+        (Instance("unit-min", (Job(0, 1, 3), Job(1, 0, 2)), horizon=3),
+         "UnsortedJobs[job 1]: jobs must be sorted by (release, id)"),
+        (Instance.of("unit-min", [Job(0, -1, 2)], horizon=2),
+         "NegativeRelease[job 0]: r=-1"),
+        (Instance("equal-deadline", GridJobs([0], [0], [6], [0], 2)),
+         "NonPositiveLength[job 0]: p=0"),
+        (Instance.of("throughput", [Job(0, 0, 1, w=Fraction(-1, 2))], k=1),
+         "NegativeWeight[job 0]: w=-1/2"),
+        (Instance("unit-min", UnitJobs([0], [3], [3]), horizon=3),
+         "WindowTooSmall[job 0]: r+p=4 exceeds d=3"),
+        (Instance.of("unit-min", [Job(0, 0, 4, p=2)], horizon=4),
+         "NonUnitLength[job 0]: p=2"),
+        (Instance("throughput", GridJobs([0], [1], [4], [2], 2), k=1),
+         "NonIntegerTime[job 0]: r=1/2, d=2 must be integers"),
+        (Instance.of("unit-min", [Job(0, 0, 2)], horizon=5),
+         "HorizonMismatch[instance]: horizon=5, max deadline=2"),
+        (Instance.of("equal-deadline", [Job(0, 0, 3), Job(1, 0, 7)]),
+         "UnequalDeadlines[instance]: all deadlines must coincide"),
+        (Instance.of("equal-deadline", [Job(0, 0, Fraction(13, 2), p=2)]),
+         "BadCommonDeadline[instance]: deadline 13/2 is not of the form 2**k - 1"),
+        (Instance.of("throughput", [Job(0, 0, 1)]), "BadMachineCount[instance]: k=None"),
+    ], ids=lambda x: x.split("[")[0] if isinstance(x, str) else "")
+    def test_each_rule_has_one_message(self, inst, message):
+        with pytest.raises(ValidationError) as err:
+            require_valid(inst)
+        assert str(err.value) == f"invalid instance: {message}"
+
+
+def _frozen_jobs():
+    """Job columns of every origin: generated, read, sliced and narrowed."""
+    unit = random_unit_instance(6, 4, seed=1)
+    grid = throughput_instance(6, 4, k=2, seed=1)
+    phased = equal_deadline_instance(3, 4, seed=1)
+    return {
+        "generated-unit": unit.jobs,
+        "read-unit": read_instance(write_instance(unit)).jobs,
+        "unit-slice": unit.jobs[1:],
+        "unit-index-array": unit.jobs[np.array([2, 0])],
+        "narrowed-grid": unit_columns(grid.jobs),
+        "generated-grid": grid.jobs,
+        "read-grid": read_instance(write_instance(grid)).jobs,
+        "read-equal-deadline": read_instance(write_instance(phased)).jobs,
+        "grid-slice": grid.jobs[1:],
+    }
+
+
+class TestCheckedInstances:
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        """The instances ``core.validate_instance`` is called on."""
+        seen = []
+
+        def counted(instance):
+            seen.append(instance)
+            return validate_instance(instance)
+
+        monkeypatch.setattr("schedlab.core.validate_instance", counted)
+        return seen
+
+    @pytest.mark.parametrize("origin", list(_frozen_jobs()))
+    def test_columns_can_be_neither_written_nor_rebound(self, origin):
+        jobs = _frozen_jobs()[origin]
+        unit = isinstance(jobs, UnitJobs)
+        names = ("ids", "r", "d") if unit else ("ids", "r", "d", "p", "w")
+        for name in names:
+            column = getattr(jobs, name)
+            with pytest.raises(ValueError if unit else TypeError):
+                column[0] = column[0]
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(jobs, name, column)
+            with pytest.raises(AttributeError, match="read-only"):
+                delattr(jobs, name)
+            assert getattr(jobs, name) is column
+        if not unit:
+            with pytest.raises(AttributeError, match="read-only"):
+                jobs.scale = 2
+
+    def test_unit_columns_freeze_the_arrays_they_are_given(self):
+        ids, r, d = np.arange(3), np.zeros(3, dtype=np.int64), np.full(3, 2)
+        jobs = UnitJobs(ids, r, d)
+        assert jobs.ids is ids and jobs.r is r and jobs.d is d
+        assert not (ids.flags.writeable or r.flags.writeable or d.flags.writeable)
+        # a slice of frozen columns shares their memory
+        assert np.shares_memory(jobs[1:].ids, ids)
+
+    def test_views_of_writeable_memory_are_copied(self):
+        base = np.arange(6)
+        jobs = UnitJobs(base[:3], base[:3], base[1:4])
+        base[0] = 5
+        assert jobs.ids.tolist() == [0, 1, 2] and base.flags.writeable
+
+    def test_equal_deadline_pipeline_validates_twice(self, validations):
+        from schedlab.equal_deadline import run_equal_deadline
+        inst = read_instance(write_instance(equal_deadline_instance(4, 12, seed=3)))
+        run_equal_deadline(inst)
+        assert len(validations) == 2
+
+    def test_throughput_pipeline_validates_twice(self, validations):
+        from schedlab.oracle import offline_throughput_opt
+        from schedlab.throughput import estimate_ratio, reduce_to_matching
+        inst = read_instance(write_instance(throughput_instance(12, 6, k=2, seed=3)))
+        reduce_to_matching(inst)
+        estimate_ratio(inst, trials=4, seed=3)
+        offline_throughput_opt(inst)
+        assert len(validations) == 2
+
+    def test_a_new_instance_starts_unchecked(self, validations):
+        checked = random_unit_instance(5, 4, seed=2)
+        assert require_valid(checked) is checked and len(validations) == 1
+        with pytest.raises(ValidationError, match=r"^invalid instance: BadModel"):
+            require_valid(Instance("nonsense", checked.jobs))
+        with pytest.raises(ValidationError, match="HorizonMismatch"):
+            require_valid(dataclasses.replace(checked, horizon=checked.horizon + 1))
+        again = Instance(checked.model, checked.jobs, checked.k, checked.horizon)
+        assert again == checked and repr(again) == repr(checked)
+        require_valid(again)
+        assert len(validations) == 4
+
+    def test_only_unchangeable_jobs_keep_the_pass(self, validations):
+        rows = [Job(0, 0, 2), Job(1, 1, 2)]
+        as_list = Instance("unit-min", rows, horizon=2)
+        as_tuple = Instance("unit-min", tuple(rows), horizon=2)
+        for inst in (as_list, as_list, as_tuple, as_tuple):
+            require_valid(inst)
+        assert validations == [as_list, as_list, as_tuple]
+
+    def test_a_failed_check_is_not_kept(self, validations):
+        inst = Instance("unit-min", UnitJobs([0], [3], [3]), horizon=3)
+        for _ in range(2):
+            with pytest.raises(ValidationError):
+                require_valid(inst)
+        assert len(validations) == 2
 
 
 class TestFeasibleSlot:
@@ -773,7 +924,7 @@ class TestGridReader:
             {"id": 0, "r": 3, "d": "7.0", "p": 4, "w": 1}]}
         monkeypatch.setattr("schedlab.core._job_rows", None)
         inst = instance_from_dict(doc)
-        assert (inst.jobs.ids, inst.jobs.r, inst.jobs.scale) == ([1, 0], [50, 300], 100)
+        assert (inst.jobs.ids, inst.jobs.r, inst.jobs.scale) == ((1, 0), (50, 300), 100)
 
     @pytest.mark.parametrize("make", [
         lambda: random_unit_instance(2000, 500, seed=0),

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from reference_certificate import reference_check_certificate
 from schedlab import online_min
 from schedlab.core import (ContractViolation, Instance, Job, MachineProfile,
-                           UnitJobs, read_instance, write_instance)
+                           UnitJobs, ValidationError, read_instance, write_instance)
 from schedlab.generators import adversary_instance, random_unit_instance
 from schedlab.online_min import (
     EULER,
@@ -176,8 +176,17 @@ class TestRunAlphaEdf:
     def test_horizon_below_largest_deadline_is_refused(self):
         # Steps stop at the horizon, so job 1 would be neither run nor missed.
         inst = Instance.of("unit-min", [Job(0, 0, 2), Job(1, 5, 6)], horizon=3)
-        with pytest.raises(ContractViolation, match="below the largest deadline 6"):
+        with pytest.raises(ValidationError, match="HorizonMismatch"):
             run_alpha_edf(inst, "e")
+
+    def test_invalid_columns_are_refused(self):
+        # a duplicate id and the window [3, 1) ran to cost 3 with no miss
+        inst = Instance("unit-min", UnitJobs([0, 0, 1], [0, 0, 3], [2, 2, 1]), horizon=2)
+        with pytest.raises(ValidationError) as err:
+            run_alpha_edf(inst, "e")
+        assert [str(v) for v in err.value.violations] == [
+            "DuplicateId[job 0]: job id reused",
+            "WindowTooSmall[job 1]: r+p=4 exceeds d=1"]
 
     def test_adversary_run_builds_no_job_rows(self, no_job_rows):
         inst = adversary_instance(500)
