@@ -175,31 +175,31 @@ class UnitJobs(_Columns, Sequence[Job]):
         return f"UnitJobs({len(self)} jobs)"
 
     def id_list(self) -> list[int]:
-        """``ids`` as a Python list, in block order, converted once per
-        block; callers read it and must not change it."""
+        """``ids`` as a new Python list, in block order: a copy of the one
+        conversion kept per block, so no caller can change what others read."""
         if self._id_list is None:
-            object.__setattr__(self, "_id_list", self.ids.tolist())
-        return self._id_list
+            object.__setattr__(self, "_id_list", tuple(self.ids.tolist()))
+        return list(self._id_list)
 
-    def by_deadline(self) -> list[tuple[int, list[int]]]:
+    def by_deadline(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """``(deadline, ids)`` for each distinct deadline, both ascending.
 
-        Computed once per block: the ``OFF`` engine counts these groups and
-        the EDF queue files them, at the same step.  A block due at one
-        deadline, as every block of the adversary stream is, is one group
-        holding :meth:`id_list` itself, sorted into a copy only if its ids
-        are out of order.
+        Computed once per block, as tuples, so no caller can change it: the
+        ``OFF`` engine counts these groups and the EDF queue files them, at
+        the same step.  A block due at one deadline, as every block of the
+        adversary stream is, is sorted only if its ids are out of order.
         """
         if self._groups is None:
-            ids, d = self.id_list(), self.d.tolist()
-            if d and d.count(d[0]) == len(d):
-                in_order = len(ids) < 2 or (self.ids[1:] >= self.ids[:-1]).all()
-                groups = {d[0]: ids if in_order else sorted(ids)}
+            ids = self.id_list()
+            if ids and (self.d == self.d[0]).all():
+                groups = {int(self.d[0]): ids if (self.ids[1:] >= self.ids[:-1]).all()
+                          else sorted(ids)}
             else:
-                groups = {}
+                groups, d = {}, self.d.tolist()
                 for i in np.lexsort((self.ids, self.d)).tolist():
                     groups.setdefault(d[i], []).append(ids[i])
-            object.__setattr__(self, "_groups", list(groups.items()))
+            object.__setattr__(self, "_groups",
+                               tuple((e, tuple(run)) for e, run in groups.items()))
         return self._groups
 
 
@@ -247,7 +247,7 @@ class GridJobs(_Columns, Sequence[Job]):
     ``d`` and ``w`` an ``int`` when integral and ``p`` a ``Fraction``.
     """
 
-    __slots__ = ("ids", "r", "d", "p", "w", "scale")
+    __slots__ = ("ids", "r", "d", "p", "w", "scale", "_arrays")
 
     def __init__(self, ids, r, d, p, scale: int = 1, w=None):
         ids, r, d, p = tuple(ids), tuple(r), tuple(d), tuple(p)
@@ -256,8 +256,20 @@ class GridJobs(_Columns, Sequence[Job]):
             raise ContractViolation("job columns differ in length")
         if type(scale) is not int or scale < 1:
             raise ContractViolation(f"the time scale must be an int >= 1, got {scale!r}")
-        for name, value in zip(self.__slots__, (ids, r, d, p, w, scale)):
+        for name, value in zip(self.__slots__, (ids, r, d, p, w, scale, None)):
             object.__setattr__(self, name, value)
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """``(ids, r, d, p, w)`` as read-only :func:`_exact_column` arrays,
+        object arrays past an int64 scale; converted once, for the reader's
+        order check and the validation both."""
+        if self._arrays is None:
+            arrays = tuple(_exact_column(col, self.scale > INT64_MAX)
+                           for col in (self.ids, self.r, self.d, self.p, self.w))
+            for column in arrays:
+                column.flags.writeable = False
+            object.__setattr__(self, "_arrays", arrays)
+        return self._arrays
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -515,8 +527,7 @@ def validate_instance(instance: Instance) -> list[Violation]:
     else:
         grid = time_grid(jobs)
         scale = grid.scale
-        ids, r, d, p, w = (_exact_column(col, scale > INT64_MAX)
-                           for col in (grid.ids, grid.r, grid.d, grid.p, grid.w))
+        ids, r, d, p, w = grid.arrays()
     # the rules of _row_violations; d - r is formed once 0 <= r < d holds,
     # so no int64 pass wraps, and the sort for distinct ids comes last
     if not ((ids >= 0).all() and (r >= 0).all() and (r < d).all() and np.all(p > 0)
@@ -1001,11 +1012,13 @@ def _jobs_in(raw_jobs: list) -> GridJobs | None:
     places = max(k for _, k in columns)
     r, d, p, w = [list(map((10 ** (places - k)).__mul__, nums)) if k < places
                   else nums for nums, k in columns]
-    exact_ids, exact_r = _exact_column(ids), _exact_column(r)
+    jobs = GridJobs(ids, r, d, p, 10 ** places, w)
+    exact_ids, exact_r = jobs.arrays()[:2]
     if not _release_ordered(exact_ids, exact_r):
         order = np.lexsort((exact_ids, exact_r)).tolist()
-        ids, r, d, p, w = ([col[i] for i in order] for col in (ids, r, d, p, w))
-    return GridJobs(ids, r, d, p, 10 ** places, w)
+        jobs = GridJobs(*([col[i] for i in order] for col in (ids, r, d, p)), 10 ** places,
+                        [w[i] for i in order])
+    return jobs
 
 
 def _job_rows(raw_jobs: list) -> list[Job]:

@@ -8,17 +8,14 @@ routes compute or cross-check it:
 * bipartite transportation feasibility on compressed slots (``flow_feasible``),
 * exhaustive assignment search for tiny instances (``brute_force_feasible``).
 
-These three are the independent cross-checks.  The production engine is
-``IncrementalOff``: it keeps the same value over a growing released prefix
-with one monotone convex hull per deadline column (Horn's window condition),
-all held in one numpy table, in amortized constant time per column a step
-touches.  A step over many columns updates them together in numpy passes;
-one over a few, such as every step of the adversary stream, walks them in
-Python ints, since a step's numpy passes cost as much as some 30 columns
-done one by one.  Online players and ``off_prefix_series`` track the
-optimum of everything released so far through it.  The adversary
-stream, whose counts never decrease, has its own closed form in
-``adversary._off_series``, which the tests check against the hull.
+These three are the independent cross-checks.  The production engine,
+``IncrementalOff``, tracks the optimum ``v`` of a growing released prefix
+as EDF's backlog per deadline column at rate ``v`` (Horn's condition is
+that none exceeds what ``v`` machines drain by its deadline).  A step that
+keeps ``v`` reads no history; an increase reads only the rows from each
+column's busy start on, O(rows × live columns); between steps the engine
+holds O(columns) and the groups released since the earliest busy start.
+The adversary stream has its own closed form, ``adversary._off_series``.
 
 ``EdfQueue`` is the one earliest-deadline-first dispatch loop: ``edf_simulate``,
 the online player, unweighted throughput and the offline witness differ only
@@ -37,10 +34,14 @@ graph of :mod:`~schedlab.throughput` both read.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from heapq import heappop, heappush
-from itertools import repeat
+from itertools import chain, repeat
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -49,16 +50,16 @@ from .core import (INT64_MAX, ContractViolation, Instance, Job, MachineProfile,
                    Schedule, UnitJobs, _int64_column, _ratio, allocating,
                    arange_exact, require_valid, time_grid, unit_columns)
 
-# Slots per column when the hull table is made; it doubles as columns need.
-_HULL_CAPACITY = 8
+# Most deadline columns live at an engine's first releasing step for which
+# ``IncrementalOff`` holds its state in Python ints rather than numpy columns.
+# An interleaved sweep (2-core x86-64, Python 3.11, numpy 2.4) read 19.7, 15.0,
+# 14.1 and 14.4 µs a releasing step on the acceptance-1 corpus at cuts 30, 50,
+# 100 and 200, and 13-14 ms for each 2000-job, 500-step random stream.
+_SCALAR_COLUMNS = 50
 
-# Widest step, in deadline columns, that runs column by column in Python
-# ints rather than as numpy passes over the table.  A column costs about
-# 2 µs that way, and a step's passes 60-75 µs at any width: an interleaved
-# sweep over the acceptance-1 corpus and the benchmark's random and
-# adversary streams put the crossover at 31-32 columns (2-core x86-64,
-# Python 3.11, numpy 2.4).
-_SCALAR_COLUMNS = 30
+# Most cells of one window table an ``OFF`` increase holds at a time: on the
+# 4000-step scaling probe, 2**14 to 2**18 gave 0.33, 0.24, 0.21 and 0.25 s.
+_WINDOW_CELLS = 2**16
 
 
 def release_blocks(jobs: UnitJobs, steps: int) -> Iterator[UnitJobs]:
@@ -115,17 +116,12 @@ class EdfQueue:
         for d, fresh in released.by_deadline():
             bucket = buckets.get(d)
             if bucket is None:
-                buckets[d] = (fresh[:], 0)  # the block keeps its own lists
+                buckets[d] = (list(fresh), 0)
                 heappush(self._due, d)
-                continue
-            ids, head = bucket
-            if ids[-1] < fresh[0]:
-                ids += fresh
-            else:
-                # a smaller id arrived late: merge it into id order
-                ids = ids[head:] + fresh
-                ids.sort()
-                buckets[d] = (ids, 0)
+            elif bucket[0][-1] < fresh[0]:
+                bucket[0].extend(fresh)
+            else:  # a smaller id arrived late: merge it into id order
+                buckets[d] = (sorted([*bucket[0][bucket[1]:], *fresh]), 0)
 
     def _expire(self, t: int) -> None:
         """Record every job due by ``t`` as missed at ``t``."""
@@ -204,38 +200,17 @@ def flow_feasible(jobs: Sequence[Job], profile: MachineProfile, d: int) -> bool:
     if not subset:
         return True
     points = sorted({int(j.r) for j in subset} | {int(j.d) for j in subset})
-    segments = [(lo, hi) for lo, hi in zip(points, points[1:])]
-    caps = [profile.capacity_between(lo, hi) for lo, hi in segments]
-
-    n_jobs = len(subset)
-    n_seg = len(segments)
-    source = 0
-    sink = 1 + n_jobs + n_seg
-    rows, cols, data = [], [], []
-    for ji, j in enumerate(subset):
-        rows.append(source)
-        cols.append(1 + ji)
-        data.append(1)
-        for si, (lo, hi) in enumerate(segments):
-            if j.r <= lo and hi <= j.d:
-                rows.append(1 + ji)
-                cols.append(1 + n_jobs + si)
-                data.append(1)
-    for si, cap in enumerate(caps):
-        if cap > 0:
-            rows.append(1 + n_jobs + si)
-            cols.append(sink)
-            data.append(min(cap, 2**31 - 1))
-    graph = csr_matrix((data, (rows, cols)),
-                       shape=(sink + 1, sink + 1), dtype=np.int32)
-    result = maximum_flow(graph, source, sink)
-    return result.flow_value == n_jobs
-
-
-def _edf_feasible(jobs: UnitJobs, m: int) -> bool:
-    horizon = int(jobs.d.max())
-    _, schedule = edf_simulate(jobs, MachineProfile.constant(m, horizon))
-    return not schedule.misses
+    segments = list(zip(points, points[1:]))
+    # node 0 is the source, 1 + i job i, 1 + n + s segment s, the last the sink
+    n, sink = len(subset), len(subset) + len(segments) + 1
+    arcs = [(0, 1 + i, 1) for i in range(n)]
+    arcs += [(1 + i, 1 + n + s, 1) for i, j in enumerate(subset)
+             for s, (lo, hi) in enumerate(segments) if j.r <= lo and hi <= j.d]
+    arcs += [(1 + n + s, sink, min(cap, 2**31 - 1)) for s, (lo, hi) in enumerate(segments)
+             if (cap := profile.capacity_between(lo, hi)) > 0]
+    rows, cols, caps = zip(*arcs)
+    graph = csr_matrix((caps, (rows, cols)), shape=(sink + 1, sink + 1), dtype=np.int32)
+    return maximum_flow(graph, 0, sink).flow_value == n
 
 
 def off_unit(jobs: Sequence[Job]) -> int:
@@ -253,10 +228,10 @@ def off_unit(jobs: Sequence[Job]) -> int:
     if len(empty):
         j = jobs[int(empty[0])]
         raise ContractViolation(f"job {j.id} window [{j.r}, {j.d}) cannot hold a unit job")
-    lo, hi = 1, len(jobs)
+    lo, hi, horizon = 1, len(jobs), int(jobs.d.max())
     while lo < hi:
         mid = (lo + hi) // 2
-        if _edf_feasible(jobs, mid):
+        if not edf_simulate(jobs, MachineProfile.constant(mid, horizon))[1].misses:
             hi = mid
         else:
             lo = mid + 1
@@ -281,55 +256,45 @@ def off_prefix_series(jobs: Sequence[Job]) -> dict[int, int]:
 class IncrementalOff:
     """Exact optimum machine count over a growing released-job set.
 
-    ``m`` constant machines suffice iff every window ``[s, e)`` holds at most
-    ``m * (e - s)`` of the jobs confined to it (Horn, 1974).  Jobs arrive in
-    release order, so with ``C_e`` the released jobs due by ``e``, the window
-    holds ``C_e - P_e(s)`` with ``P_e(s)`` fixed when step ``s`` began, and
-    ``OFF`` is the largest ``ceil((C_e - P_e(s)) / (e - s))``.  For each
-    deadline column ``e`` the rows ``s`` are lines in ``C_e`` of increasing
-    slope, queried at nondecreasing ``C_e``: the monotone convex-hull case.
+    ``v`` machines suffice iff every window ``[s, e)`` holds at most
+    ``v (e - s)`` of the jobs confined to it (Horn, 1974).  With ``A_e(s)``
+    the jobs released from step ``s`` on that are due by ``e``, that is
+    EDF's test: column ``e``'s backlog, the largest ``A_e(s) - v (t - s)``,
+    which follows Lindley's recursion ``B <- max(B - v (t - t'), 0) + a``
+    (Lindley, 1952), fits in ``v (e - t)``.  Per column the engine keeps
+    that slack, the least ``v (e - s) - A_e(s)`` over the rows that released
+    jobs due by ``e``, and the busy start ``b_e``, the latest row at it.  A
+    step moves the slack of each column it reaches to ``min(slack,
+    v (e - t)) - a_e(t)``, and ``b_e`` to ``t`` where its row is the least.
 
-    One table holds every column's hull: flat arrays ``W`` (the widths
-    ``e - s``) and ``P`` (the counts ``P_e(s)``) with ``capacity`` slots per
-    column, and per column a length, a pointer to the leading line and the
-    running count ``C``.  A step opens its row on the columns from the
-    smallest deadline it releases to the last; elsewhere that row would tie
-    a later row's count and lose to it, or stay at zero.  On more than
-    ``_SCALAR_COLUMNS`` columns it pops, appends and advances pointers on
-    all of them at once, each loop running as many passes as the worst
-    column needs.  On at most that many, where the passes' fixed cost
-    would dominate, it does the same column by column in Python ints on
-    the same table: one slice read of each column's lines from its pointer
-    on, then the new slot, length, pointer and count written back.  Lines
-    behind a pointer never lead again; they are shifted out of every column
-    before any column can fill its last slot, and the capacity doubles only
-    if a column is still more than half full after that.
+    ``OFF = v`` stands while no slack is negative.  When one is, the new
+    ``OFF`` is the largest ``ceil(A_e(s) / (e - s))`` over those columns and
+    their rows from ``b_e`` on: a row ``s < b_e`` has ``A_e(s) - A_e(b_e) <=
+    v (b_e - s)``, so its ratio is a mediant of one at most ``v`` and the
+    ratio at ``b_e``.  The same bound keeps it off the minimum at any higher
+    rate, so the live slacks and busy starts are recomputed over the same
+    windows, and no row before the earliest live busy start is read again.
 
-    Both tests multiply a width by a count difference, so with ``C_total``
-    the jobs released so far and ``H`` the widest window every value they
-    form stays within ``2 * C_total * H``.  The table runs in int64 while
-    that fits and switches once, for good, to object arrays of Python ints
-    when it would not.
+    Past ``_SCALAR_COLUMNS`` columns live at the first releasing step, these
+    are numpy columns, with a log of the groups released since the earliest
+    live busy start, trimmed at each increase and whenever it doubles.  A
+    step that keeps ``OFF`` is a handful of numpy passes; an increase
+    rebuilds ``A_e(s)`` as suffix sums over the window, O(rows × live
+    columns), in tables of ``_WINDOW_CELLS`` cells or one column, none kept.
+    Fewer columns run in Python ints (:class:`_Column`), at amortized O(1)
+    a column.  The numpy columns count steps from the first releasing step,
+    so every value stays within ``2 * C_total * H``, ``C_total`` the jobs so
+    far and ``H`` the widest window then: int64 while that fits, then Python
+    ints for good.
     """
 
     def __init__(self, deadline_values: Iterable[int]):
-        deadlines = sorted(set(int(v) for v in deadline_values))
-        self._deadlines = deadlines
+        self._deadlines = deadlines = sorted(set(int(v) for v in deadline_values))
         self._column = {d: i for i, d in enumerate(deadlines)}
-        try:
-            self._E = np.array(deadlines, dtype=np.int64)
-        except OverflowError:
-            self._E = np.array(deadlines, dtype=object)
-        columns = len(deadlines)
-        self._len = np.zeros(columns, dtype=np.int64)
-        self._ptr = np.zeros(columns, dtype=np.int64)
-        self._C = np.zeros(columns, dtype=np.int64)
-        self._resize(np.zeros((columns, _HULL_CAPACITY), dtype=np.int64),
-                     np.zeros((columns, _HULL_CAPACITY), dtype=np.int64))
-        self._total = 0
-        self._int64_total: int | None = None  # largest total int64 holds
         self._t: int | None = None
-        self._value = 0
+        self._value = self._total = 0
+        self._origin: int | None = None  # the first releasing step
+        self._columns: list[_Column] | None = None  # the narrow path's live ones
 
     @property
     def value(self) -> int:
@@ -346,159 +311,189 @@ class IncrementalOff:
             self._t = t
             return self._value
         groups = released.by_deadline()
-        column = self._column
-        if ((released.r != t).any()
-                or any(d not in column or d <= t for d, _ in groups)):
+        if (released.r != t).any() or any(d not in self._column or d <= t for d, _ in groups):
             self._refuse(released, t)
         self._t = t
         self._total += len(released)
-        if self._int64_total is None:
-            widest = int(self._E[-1]) - t
-            self._int64_total = INT64_MAX // (2 * widest)
-        if self._total > self._int64_total and self._W.dtype != object:
-            self._widen()
-        if not self._room:
-            self._compact()
-        self._room -= 1
-        first = column[groups[0][0]]
-        if len(self._len) - first <= _SCALAR_COLUMNS:
-            best = self._step_columns(groups, first, t)
-        else:
-            best = self._step_table(groups, first, t)
-        if best > self._value:
-            self._value = best
+        if self._origin is None:
+            self._open(t)
+        if self._columns is not None:
+            self._step_columns(groups, t)
+            return self._value
+        if self._total > self._int64_total and self._none < math.inf:
+            # from now on the numpy columns hold Python ints
+            for name in ("_E", "_vE", "_slack", "_start"):
+                setattr(self, name, getattr(self, name).astype(object))
+            self._none = math.inf
+            self._slack[self._start < 0] = math.inf
+        if self._step_table(groups, t):
+            self._raise_table(bisect_right(self._deadlines, t))
+        elif len(self._log) > self._log_limit:
+            self._trim(bisect_right(self._deadlines, t))
         return self._value
 
-    def _step_columns(self, groups, first: int, t: int) -> int:
-        """Open row ``t`` on columns ``first..`` one column at a time, in
-        Python ints; return the largest ceiling among them.
+    def _open(self, t: int) -> None:
+        """Set up the path for the columns live at the first releasing step."""
+        self._origin = t
+        lo = bisect_right(self._deadlines, t)
+        if len(self._deadlines) - lo <= _SCALAR_COLUMNS:
+            self._columns = [_Column(e) for e in self._deadlines[lo:]]
+            return
+        widest = self._deadlines[-1] - t
+        self._int64_total = INT64_MAX // (2 * widest)  # largest total int64 holds
+        dtype = np.int64 if widest <= INT64_MAX else object
+        # a column already due is never read
+        self._E = np.array([max(d - t, 0) for d in self._deadlines], dtype=dtype)
+        self._vE = self._E * 0
+        self._none = INT64_MAX  # the slack of a column no row has reached
+        self._slack, self._start = (np.full(len(self._E), x, dtype) for x in (INT64_MAX, -1))
+        self._log, self._log_limit = [], 0  # (step, columns, counts) per releasing step
 
-        The same pops, append and pointer advance as :meth:`_step_table`,
-        reading only the lines from the pointer on, since no line at or
-        behind the pointer pops.  A row adds at least one job to every
-        column it opens on, so ``P`` strictly increases down a column.  A
-        line at or behind the pointer overtook the line before it at some
-        count ``y`` no greater than the current count ``x`` and above both
-        lines' ``P``.  There the line before is above 0 and the new line,
-        0 at ``x``, is not, so the new line overtakes the line before later
-        than that line did.
-        """
-        W, P, size = self._W, self._P, self._capacity
-        lens = self._len[first:].tolist()
-        ptrs = self._ptr[first:].tolist()
-        counts = self._C[first:].tolist()
-        due = {self._column[d] - first: len(ids) for d, ids in groups}
-        added = best = 0
-        for i, e in enumerate(self._deadlines[first:]):
-            added += due.get(i, 0)
-            n, p, x = lens[i], ptrs[i], counts[i]
-            lo = (first + i) * size + p
-            ws, ps = W[lo:lo + n - p].tolist(), P[lo:lo + n - p].tolist()
-            w = e - t
-            while len(ws) >= 2 and (ws[-2] * (x - ps[-1]) - ws[-1] * (x - ps[-2])
-                                    + w * (ps[-1] - ps[-2]) <= 0):
-                ws.pop()
-                ps.pop()
-            W[lo + len(ws)] = w
-            P[lo + len(ws)] = x
-            ws.append(w)
-            ps.append(x)
-            x += added
-            j, last = 0, len(ws) - 1
-            while j < last and (x - ps[j + 1]) * ws[j] >= (x - ps[j]) * ws[j + 1]:
-                j += 1
-            lens[i], ptrs[i], counts[i] = p + last + 1, p + j, x
-            ceiling = -((ps[j] - x) // ws[j])
-            if ceiling > best:
-                best = ceiling
-        self._len[first:] = lens
-        self._ptr[first:] = ptrs
-        self._C[first:] = counts
-        return best
+    def _step_table(self, groups, t: int) -> bool:
+        """Add row ``t`` to the columns it reaches, as numpy passes; return
+        whether a slack went negative."""
+        rel = t - self._origin
+        cols = [self._column[d] for d, _ in groups]
+        counts = [len(ids) for _, ids in groups]
+        self._log.append((rel, cols, counts))
+        first = cols[0]
+        cap = self._vE[first:] - self._value * rel
+        slack = self._slack[first:]
+        self._start[first:][slack >= cap] = rel
+        np.minimum(slack, cap, out=slack)
+        for c, n in zip(cols, counts):  # jobs due at c count towards every later column
+            slack[c - first:] -= n
+        return slack.min() < 0
 
-    def _step_table(self, groups, first: int, t: int) -> int:
-        """Open row ``t`` on columns ``first..`` all at once; return the
-        largest ceiling among them."""
-        column = self._column
-        # jobs released now that count towards each column from `first` on
-        added = np.empty(len(self._len) - first, dtype=np.int64)
-        bounds = [column[d] - first for d, _ in groups] + [len(added)]
-        due = 0
-        for (_, ids), lo, hi in zip(groups, bounds, bounds[1:]):
-            due += len(ids)
-            added[lo:hi] = due
-        W, P, base = self._W, self._P, self._base[first:]
-        lens, ptr, count = self._len[first:], self._ptr[first:], self._C[first:]
-        w = self._E[first:] - t
-        # Pop the last line wherever the new one overtakes the line before
-        # it no later than the last line does: the last never leads again.
-        # Columns with fewer than two lines read stale slots, masked out.
-        while True:
-            top = base + lens
-            w1, p1, w2, p2 = W[top - 2], P[top - 2], W[top - 1], P[top - 1]
-            # (count*w1 - p1*w)(w1 - w2) <= (p2*w1 - p1*w2)(w1 - w), divided by w1
-            pop = w1 * (count - p2) - w2 * (count - p1) + w * (p2 - p1) <= 0
-            pop &= lens >= 2
-            if not pop.any():
-                break
-            lens -= pop
-        # No line at or behind a pointer pops (see _step_columns), so every
-        # pointer stays on a line.
-        W[top] = w
-        P[top] = count
-        lens += 1
-        count += added
-        # Advance each pointer while the next line leads at the new count.
-        # A column's last line reads the free slot after it, masked out.
-        while True:
-            at = base + ptr
-            wa, pa, wb, pb = W[at], P[at], W[at + 1], P[at + 1]
-            move = (count - pb) * wa >= (count - pa) * wb
-            move &= ptr + 1 < lens
-            if not move.any():
-                break
-            ptr += move
-        return -int(((pa - count) // wa).min())  # the largest ceiling
+    def _windows(self, cols: np.ndarray) -> Iterator[tuple]:
+        """Chunks of the column indices ``cols`` (ascending): each with its
+        logged rows from its earliest busy start on, ``A_e(s)`` of every row
+        and column, the widths ``e - s``, and the cells that count (from the
+        column's busy start on, with jobs), of ``_WINDOW_CELLS`` or one column."""
+        dtype, log = self._E.dtype, self._log
+        logged = np.array([row for row, _, _ in log], dtype=dtype)
+        of = np.repeat(np.arange(len(log)), [len(at) for _, at, _ in log])
+        at = np.fromiter(chain.from_iterable(at for _, at, _ in log), np.int64, len(of))
+        sizes = np.fromiter(chain.from_iterable(n for _, _, n in log), np.int64, len(of))
+        starts = self._start[cols]
+        size = max(_WINDOW_CELLS // (len(log) - np.searchsorted(logged, starts.min())), 1)
+        for lo in range(0, len(cols), size):
+            chunk, start = cols[lo:lo + size], starts[lo:lo + size]
+            first = np.searchsorted(logged, start.min())
+            k = np.searchsorted(of, first)
+            bucket = np.searchsorted(chunk, at[k:])  # the first column due no earlier
+            keep = bucket < len(chunk)
+            rows = logged[first:]
+            A = np.zeros((len(rows), len(chunk)), dtype=dtype)
+            np.add.at(A, (of[k:][keep] - first, bucket[keep]), sizes[k:][keep])
+            np.cumsum(A, axis=1, out=A)
+            np.cumsum(A[::-1], axis=0, out=A[::-1])
+            width = self._E[chunk] - rows[:, None]
+            valid = (rows[:, None] >= start) & (A > 0)
+            yield chunk, rows, A, width, valid
 
-    def _widen(self) -> None:
-        """Hold the table in Python ints from now on."""
-        for name in ("_E", "_W", "_P", "_C"):
-            setattr(self, name, getattr(self, name).astype(object))
+    def _raise_table(self, lo: int) -> None:
+        """Raise ``OFF`` to the largest ceiling over the windows of the
+        columns short of slack, then recompute the slack and busy start of
+        every live column (``lo`` on) at it."""
+        start, slack, v = self._start, self._slack, self._value
+        short, reached = (np.flatnonzero(m) + lo for m in (slack[lo:] < 0, start[lo:] >= 0))
+        with allocating(len(self._log) * (len(slack) - lo), "cells", "window tables"):
+            for _, _, A, width, valid in self._windows(short):
+                v = max(v, int(np.where(valid, -(-A // width), 0).max()))
+            for cols, rows, A, width, valid in self._windows(reached):
+                gap = np.where(valid, v * width - A, self._none)
+                last = len(rows) - 1 - gap[::-1].argmin(axis=0)  # the latest minimum
+                slack[cols] = gap[last, np.arange(len(cols))]
+                start[cols] = rows[last]
+        self._value = v
+        self._vE = v * self._E
+        self._trim(lo)
 
-    def _resize(self, W: np.ndarray, P: np.ndarray) -> None:
-        """Take ``(columns, capacity)`` tables as the new ``W`` and ``P``."""
-        columns, self._capacity = W.shape
-        self._W, self._P = W.ravel(), P.ravel()
-        self._base = np.arange(0, columns * self._capacity, self._capacity)
-        # A step appends at most one line per column, so this many steps
-        # fit before some column fills all but its last slot, which stays
-        # free for the pointer test to read.
-        self._room = self._capacity - 1 - int(self._len.max(initial=0))
+    def _trim(self, lo: int) -> None:
+        """Drop the logged rows before the earliest live busy start."""
+        start = self._start[lo:]
+        since = start[start >= 0].min(initial=self._none)  # `_none` is past every step
+        del self._log[:bisect_left(self._log, (since,))]
+        self._log_limit = 2 * len(self._log) + 64
 
-    def _compact(self) -> None:
-        """Shift every column left by its pointer; double the capacity if
-        a column is still more than half full."""
-        size = self._capacity
-        src = self._base[:, None] + np.minimum(self._ptr[:, None] + np.arange(size),
-                                               size - 1)
-        W, P = self._W[src], self._P[src]
-        self._len -= self._ptr
-        self._ptr[:] = 0
-        if 2 * self._len.max() > size:
-            W = np.hstack((W, np.zeros_like(W)))
-            P = np.hstack((P, np.zeros_like(P)))
-        self._resize(W, P)
+    def _step_columns(self, groups, t: int) -> None:
+        """Add row ``t`` to the columns it reaches, one at a time in Python
+        ints, and raise ``OFF`` if a slack went negative."""
+        columns = self._columns
+        del columns[:bisect_right(columns, t, key=attrgetter("e"))]
+        due = {d: len(ids) for d, ids in groups}
+        v, added, short = self._value, 0, False
+        for col in columns[bisect_left(columns, groups[0][0], key=attrgetter("e")):]:
+            added += due.get(col.e, 0)
+            cap = v * (col.e - t)
+            if col.slack >= cap:  # the backlog had drained: a busy period starts
+                col.slack, col.s, col.p, col.lead = cap - added, [t], [col.count], 0
+            else:
+                col.slack -= added
+                col.push(t, col.count)
+            col.count += added
+            short |= col.slack < 0
+        if short:
+            self._value = v = max(col.ceiling() for col in columns if col.slack < 0)
+            for col in columns:
+                if col.s:
+                    col.restart(v)
 
     def _refuse(self, released: UnitJobs, t: int) -> None:
         """Name the first job, in input order, released off step ``t`` or
         due at no registered deadline after it."""
-        for job_id, r, d in zip(released.ids.tolist(), released.r.tolist(),
-                                released.d.tolist()):
-            if r != t:
-                raise ContractViolation(f"job {job_id} released at {r}, not {t}")
-            if d not in self._column or d <= t:
+        for job in released:
+            if job.r != t:
+                raise ContractViolation(f"job {job.id} released at {job.r}, not {t}")
+            if job.d not in self._column or job.d <= t:
                 raise ContractViolation(
-                    f"job {job_id} due at {d}: not a registered deadline after {t}")
+                    f"job {job.id} due at {job.d}: not a registered deadline after {t}")
+
+
+class _Column:
+    """A deadline column ``e`` in Python ints: its slack, its count of jobs
+    due by ``e``, and the rows ``(s, P)`` of its busy window, ``P`` that
+    count before ``s``, on their lower convex hull.  A row off the hull
+    never leads; along it the ceiling and the slack's terms are unimodal,
+    and their peaks only move later, so ``lead`` (the last ceiling's row)
+    and the busy start (the first row) only move forward."""
+
+    __slots__ = ("e", "slack", "count", "s", "p", "lead")
+
+    def __init__(self, e: int):
+        self.e, self.slack, self.count, self.s, self.p, self.lead = e, math.inf, 0, [], [], 0
+
+    def push(self, s: int, p: int) -> None:
+        """Append row ``(s, p)``, popping the rows on or above the segment to
+        it; ``lead`` led at a count of at most ``p``, so it pops only for one as good."""
+        rs, rp = self.s, self.p
+        while len(rs) >= 2 and ((rp[-1] - rp[-2]) * (s - rs[-2])
+                                >= (p - rp[-2]) * (rs[-1] - rs[-2])):
+            rs.pop()
+            rp.pop()
+        rs.append(s)
+        rp.append(p)
+
+    def ceiling(self) -> int:
+        """The largest ``ceil((count - P) / (e - s))`` over the rows."""
+        s, p, x, e = self.s, self.p, self.count, self.e
+        i, last = self.lead, len(s) - 1
+        while i < last and (x - p[i + 1]) * (e - s[i]) >= (x - p[i]) * (e - s[i + 1]):
+            i += 1
+        self.lead = i
+        return -((p[i] - x) // (e - s[i]))
+
+    def restart(self, v: int) -> None:
+        """Restart at the latest row of least slack at rate ``v``."""
+        s, p = self.s, self.p
+        j, last = 0, len(s) - 1
+        while j < last and p[j + 1] - p[j] <= v * (s[j + 1] - s[j]):
+            j += 1
+        if j:
+            del s[:j], p[:j]
+            self.lead = max(self.lead - j, 0)
+        self.slack = v * (self.e - s[0]) - (self.count - p[0])
 
 
 def volume_lower_bound(jobs: Sequence[Job], d) -> int:
@@ -614,25 +609,16 @@ def brute_force_feasible(jobs: Sequence[Job], profile: MachineProfile) -> bool:
     if len(jobs) > 8 or horizon > 6:
         raise ContractViolation(
             f"brute force capped at 8 jobs / 6 slots, got {len(jobs)} jobs, {horizon} slots")
-    caps = [profile.at(t) for t in range(horizon)]
     # search jobs in deadline order so dead ends surface early
     order = sorted(jobs, key=lambda j: (j.d, j.r, j.id))
-    seen: set[tuple[int, tuple[int, ...]]] = set()
 
+    @cache
     def place(idx: int, caps: tuple[int, ...]) -> bool:
+        """Whether jobs ``idx..`` fit in the free slots ``caps``."""
         if idx == len(order):
             return True
-        key = (idx, caps)
-        if key in seen:
-            return False
         job = order[idx]
-        for t in range(int(job.r), int(job.d)):
-            if caps[t] > 0:
-                nxt = list(caps)
-                nxt[t] -= 1
-                if place(idx + 1, tuple(nxt)):
-                    return True
-        seen.add(key)
-        return False
+        return any(place(idx + 1, caps[:t] + (caps[t] - 1,) + caps[t + 1:])
+                   for t in range(int(job.r), int(job.d)) if caps[t] > 0)
 
-    return place(0, tuple(caps))
+    return place(0, tuple(profile.at(t) for t in range(horizon)))

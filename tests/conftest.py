@@ -32,10 +32,10 @@ def watchdog():
 
 @pytest.fixture(params=[0, 2**62], ids=["table", "columns"])
 def hull_path(request, monkeypatch):
-    """Run every ``IncrementalOff`` step on one path: the table's numpy
-    passes (``_SCALAR_COLUMNS`` 0), or column by column in Python ints
-    (``_SCALAR_COLUMNS`` above any column count).  The setting holds for
-    every example of a hypothesis test, so such a test may take it with
-    the ``function_scoped_fixture`` health check suppressed."""
+    """Run every ``IncrementalOff`` on one path: numpy columns
+    (``_SCALAR_COLUMNS`` 0), or columns in Python ints (``_SCALAR_COLUMNS``
+    above any column count).  The setting holds for every example of a
+    hypothesis test, so such a test may take it with the
+    ``function_scoped_fixture`` health check suppressed."""
     monkeypatch.setattr(oracle, "_SCALAR_COLUMNS", request.param)
     return request.param

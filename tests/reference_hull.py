@@ -1,9 +1,8 @@
-"""The per-column hull that ``IncrementalOff`` kept before its hull table.
+"""The per-column hull that ``IncrementalOff`` once kept, as its reference.
 
 One :class:`DeadlineHull` per deadline column, driven one Python call per
-column per step.  It is the reference the table is compared with, column by
-column, and the hull loop behind ``reference_off_series`` in
-``test_adversary.py``.
+column per step: an engine independent of the backlog engine it checks,
+and the hull loop behind ``reference_off_series`` in ``test_adversary.py``.
 """
 
 

@@ -140,8 +140,22 @@ class TestUnitJobs:
 
     def test_groups_by_deadline_in_id_order(self):
         jobs = UnitJobs([4, 2, 9, 1], [1, 1, 1, 1], [5, 3, 5, 5])
-        assert jobs.by_deadline() == [(3, [2]), (5, [1, 4, 9])]
-        assert UnitJobs([], [], []).by_deadline() == []
+        assert jobs.by_deadline() == ((3, (2,)), (5, (1, 4, 9)))
+        assert UnitJobs([], [], []).by_deadline() == ()
+
+    def test_returned_ids_cannot_change_the_block(self):
+        # Ids and groups are converted once per block, so a change to what
+        # one caller got would reach every engine that reads the block after.
+        jobs = random_unit_instance(5, 4, 1).jobs
+        ids, groups = jobs.id_list(), jobs.by_deadline()
+        ids.append(99)
+        assert jobs.id_list() == jobs.ids.tolist() == ids[:-1]
+        with pytest.raises(AttributeError):
+            groups[0][1].append(99)
+        with pytest.raises(TypeError):
+            groups[0] = (0, ())
+        assert jobs.by_deadline() == groups
+        assert sorted(i for _, run in groups for i in run) == sorted(ids[:-1])
 
     @given(st.data())
     def test_groups_match_sorted_groupby(self, data):
@@ -155,13 +169,10 @@ class TestUnitJobs:
                                   max_size=3), "deadlines")
         d = [data.draw(st.sampled_from(pool)) for _ in ids]
         jobs = UnitJobs(ids, [0] * len(ids), d)
-        expected = [(deadline, [i for _, i in run]) for deadline, run
-                    in groupby(sorted(zip(d, ids)), key=lambda pair: pair[0])]
+        expected = tuple((deadline, tuple(i for _, i in run)) for deadline, run
+                         in groupby(sorted(zip(d, ids)), key=lambda pair: pair[0]))
         assert jobs.by_deadline() == expected
         assert jobs.id_list() == ids
-        if len(set(d)) == 1 and ids == sorted(ids):
-            # the one group is the block's id list, not a copy
-            assert jobs.by_deadline()[0][1] is jobs.id_list()
 
     def test_conversion_keeps_order_and_refuses_other_jobs(self):
         jobs = unit_columns([Job(3, 1, 4), Job(1, 0, 2, w=5)])
@@ -493,6 +504,31 @@ class TestCheckedInstances:
         inst = read_instance(write_instance(equal_deadline_instance(4, 12, seed=3)))
         run_equal_deadline(inst)
         assert len(validations) == 2
+
+    @pytest.mark.parametrize("instance", [
+        equal_deadline_instance(4, 12, seed=3), random_unit_instance(12, 6, seed=3),
+        throughput_instance(12, 6, k=2, seed=3)], ids=["equal-deadline", "unit", "throughput"])
+    def test_reader_converts_each_grid_column_once(self, instance, monkeypatch):
+        # The reader's (r, id) order check and the validation share one
+        # conversion of the five columns.
+        from schedlab import core
+        converted = []
+
+        def counted(values, wide=False):
+            converted.append(len(values))
+            return exact_column(values, wide)
+
+        exact_column = core._exact_column
+        monkeypatch.setattr(core, "_exact_column", counted)
+        read_instance(write_instance(instance))
+        assert converted == [len(instance.jobs)] * 5
+
+    def test_grid_arrays_are_read_only(self):
+        jobs = read_instance(write_instance(equal_deadline_instance(4, 12, seed=3))).jobs
+        for column in jobs.arrays():
+            with pytest.raises(ValueError):
+                column[0] = column[0]
+        assert jobs.arrays() is jobs.arrays()
 
     def test_throughput_pipeline_validates_twice(self, validations):
         from schedlab.oracle import offline_throughput_opt

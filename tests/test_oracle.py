@@ -21,7 +21,6 @@ from schedlab.oracle import (
     EdfQueue,
     EdfTrace,
     IncrementalOff,
-    _HULL_CAPACITY,
     brute_force_feasible,
     edf_simulate,
     flow_feasible,
@@ -250,66 +249,79 @@ class TestIncrementalOff:
             inc.add(unit_columns([Job(1, 2, 2)]), 2)
 
 
-    def test_refused_block_leaves_engine_unchanged(self):
+    def test_refused_block_leaves_engine_unchanged(self, hull_path):
         first = unit_columns([Job(0, 1, 5), Job(1, 1, 8)])
         later = unit_columns([Job(2, 3, 8), Job(3, 3, 5), Job(4, 3, 5)])
         last = unit_columns([Job(8, 4, 5)])
         inc = IncrementalOff([5, 8])
+        with pytest.raises(ContractViolation, match="job 9 due at 2"):
+            inc.add(unit_columns([Job(9, 1, 2)]), 1)
         inc.add(first, 1)
+        state = column_state(inc, 1)
         with pytest.raises(ContractViolation, match="job 6 due at 6"):
             inc.add(unit_columns([Job(5, 3, 8), Job(6, 3, 6)]), 3)
         with pytest.raises(ContractViolation, match="job 7 released at 2"):
             inc.add(unit_columns([Job(7, 2, 8)]), 3)
+        assert column_state(inc, 1) == state
         fresh = IncrementalOff([5, 8])
         fresh.add(first, 1)
         assert inc.add(later, 3) == fresh.add(later, 3) == 1
+        assert column_state(inc, 3) == column_state(fresh, 3)
         assert inc.add(last, 4) == fresh.add(last, 4) == 2
+        assert column_state(inc, 4) == column_state(fresh, 4)
 
     def test_adversary_stream_leaves_constant_lines(self):
-        # The final burst leads from the newest row, so every older row ends
-        # up behind the pointer and must not stay live.
+        # The final burst starts a busy period of its own, so every older
+        # row of the one column must be dropped.
         n = 300
         jobs = adversary_instance(n).jobs
         inc = IncrementalOff([n])
         for t, released in enumerate(release_blocks(jobs, n)):
             inc.add(released, t)
-        assert inc._len[0] - inc._ptr[0] <= 2
+        (column,) = inc._columns
+        assert column.s == [n - 1]
         # the last step alone releases N = n * n jobs into one slot
         assert inc.value == n * n
 
-    def test_int64_until_the_bound_then_python_ints(self):
+    def test_int64_until_the_bound_then_python_ints(self, monkeypatch):
         # Values stay within 2 * total * H, H the widest window: with
-        # H = 2^60 the table holds 3 jobs in int64, and the 4th switches it
-        # to Python ints for good.
+        # H = 2^60 the table path holds 3 jobs in int64, and the 4th
+        # switches it to Python ints for good.
+        monkeypatch.setattr(oracle, "_SCALAR_COLUMNS", 0)
         e = 2**60
         inc = IncrementalOff([e])
         ref = ReferenceOff([e])
         assert inc.add(unit_block(range(3), 0, e), 0) == ref.add({e: 3}, 0)
-        assert inc._W.dtype == inc._P.dtype == inc._C.dtype == np.int64
+        assert inc._E.dtype == inc._slack.dtype == inc._start.dtype == np.int64
         assert inc.add(unit_block(range(3, 4), 1, e), 1) == ref.add({e: 1}, 1)
-        assert inc._W.dtype == inc._P.dtype == inc._C.dtype == object
+        assert inc._E.dtype == inc._slack.dtype == inc._start.dtype == object
         assert inc.add(unit_block(range(4, 5), 2, e), 2) == ref.add({e: 1}, 2)
-        assert inc._W.dtype == object
+        assert inc._slack.dtype == object
         # Past 2^62 even one job exceeds the bound; a registered deadline
-        # past int64 starts the deadline column in Python ints too.
+        # past int64 starts the columns in Python ints too.
         d = 2**62 + 5
         inc = IncrementalOff([d, 2**70])
-        assert inc._E.dtype == object
         assert inc.add(unit_block([0], 0, d), 0) == 1
-        assert inc._W.dtype == object
+        assert inc._E.dtype == inc._slack.dtype == object
         assert inc.add(unit_block([1, 2, 3], d - 1, d), d - 1) == 3
 
-    def test_long_live_hull_compacts_and_doubles(self):
-        # Releases growing by one a step, due far away, keep nearly every
-        # row on the hull ahead of the pointer.
-        e, steps = 1000, 40
-        inc, ref = IncrementalOff([e]), ReferenceOff([e])
+    def test_long_busy_period_over_many_columns(self, hull_path, monkeypatch):
+        # Five jobs a step, spread over 60 deadlines from 200 on, outrun
+        # every rate OFF reaches (3), so the last column's backlog never
+        # drains: each increase reads its whole history, in window tables
+        # of at most 64 cells.
+        monkeypatch.setattr(oracle, "_WINDOW_CELLS", 64)
+        deadlines = list(range(200, 260))
+        inc, ref = IncrementalOff(deadlines), ReferenceOff(deadlines)
         ids = 0
-        for t in range(steps):
-            block = unit_block(range(ids, ids + t + 1), t, e)
-            ids += t + 1
-            assert inc.add(block, t) == ref.add({e: t + 1}, t)
-        assert inc._capacity >= 4 * _HULL_CAPACITY
+        for t in range(150):
+            due = Counter(deadlines[(7 * t + 11 * i) % 60] for i in range(5))
+            d = np.repeat(list(due), list(due.values()))
+            block = UnitJobs(np.arange(ids, ids + len(d)), np.full(len(d), t), d)
+            ids += len(d)
+            assert inc.add(block, t) == ref.add(dict(due), t)
+        assert inc.value == 3
+        assert column_state(inc, 149)[-1] == (259, 3 * 259 - 750, 0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_series_matches_reference_at_scale(self, seed):
@@ -319,6 +331,17 @@ class TestIncrementalOff:
         expected = {t: ref.add(dict(Counter(block.d.tolist())), t)
                     for t, block in enumerate(release_blocks(jobs, steps))}
         assert off_prefix_series(jobs) == expected
+
+
+def column_state(inc, t):
+    """``(deadline, slack, busy start)`` of each column of ``inc`` due
+    after step ``t`` that a row has reached, read from either path."""
+    if inc._columns is not None:
+        return [(c.e, c.slack, c.s[0]) for c in inc._columns if c.e > t and c.s]
+    return [(e, slack, start + inc._origin)
+            for e, slack, start in zip(inc._deadlines, inc._slack.tolist(),
+                                       inc._start.tolist())
+            if e > t and start >= 0]
 
 
 def unit_block(ids, t, d):
@@ -333,10 +356,10 @@ def off_streams(draw):
     columns and, per releasing step ``t``, the count due at each deadline.
 
     Four shapes: up to about 50 columns over 30 steps, with skipped steps,
-    ``d = r + 1`` and unused columns; one column; one column whose live
-    hull outgrows the table's first capacity; and windows from ``2^58`` to
-    past ``2^62``, whose totals cross the int64 bound mid-stream or start
-    past it.
+    ``d = r + 1`` and unused columns; one column; one column whose busy
+    window keeps many rows on its hull; and windows from ``2^58`` to past
+    ``2^62``, whose totals cross the int64 bound mid-stream or start past
+    it.
     """
     shape = draw(st.sampled_from(("columns", "one", "deep", "wide")))
     steps = []
@@ -369,11 +392,11 @@ def off_streams(draw):
 @given(off_streams())
 @example(([1, 2, 3], [(0, {1: 2, 3: 1}), (2, {3: 4})]))
 @example(([2**60], [(t, {2**60: 1}) for t in range(8)]))
-# Fills a column's last slot with the pointer on its last line: the
-# pointer test then reads the free slot the table keeps after it.
+# Bursts that grow late on one column, so that its ceiling's pointer
+# reaches the column's last row.
 @example(([13], [(t, {13: a}) for t, a in enumerate(
     [1, 0, 2, 0, 3, 0, 34, 74, 116, 144, 589, 783, 863]) if a]))
-def test_table_matches_per_column_hulls(hull_path, stream):
+def test_engine_matches_per_column_hulls(hull_path, stream):
     deadlines, steps = stream
     inc, ref = IncrementalOff(deadlines), ReferenceOff(deadlines)
     ids = 0
@@ -383,55 +406,39 @@ def test_table_matches_per_column_hulls(hull_path, stream):
         ids += len(d)
         assert inc.add(block, t) == ref.add(due, t)
     assert inc.value == ref.value
-    # Python ints exactly once 2 * total * H passes int64, H the widest
-    # window from the first releasing step.
-    if steps:
-        widest = max(deadlines) - steps[0][0]
-        wide = 2 * ids * widest > 2**63 - 1
-        assert inc._W.dtype == (object if wide else np.int64)
+    if not steps:
+        return
+    if hull_path:
+        assert inc._columns is not None
+        return
+    # The table path's columns turn to Python ints exactly once
+    # 2 * total * H passes int64, H the widest window from the first
+    # releasing step.
+    widest = max(deadlines) - steps[0][0]
+    wide = 2 * ids * widest > 2**63 - 1
+    assert inc._slack.dtype == (object if wide else np.int64)
 
 
-def test_paths_leave_the_same_table():
-    # Two engines over one stream: one always on the numpy passes, one on
-    # the default cut, so that its steps switch between the two paths.
-    # Step t releases t // 2 + 1 jobs, due at a deadline that cycles over 41
-    # columns, so a step touches 1 to 41 of them.  Equal counts on two
-    # steps make ties, which pop.  The last column, due at 2^54, keeps
-    # about every other row: the table compacts and doubles.  Its width
-    # puts the int64 bound at 256 jobs, so the table widens at step 30 and
-    # compacts again, with pointers past 0, in Python ints.
+def test_paths_leave_the_same_slack_and_busy_starts(monkeypatch):
+    # One stream on both paths.  Step t releases t // 2 + 1 jobs due at a
+    # live deadline that cycles over the columns, so a step reaches from one
+    # column to all of them, and the columns fall due from step 130 on.
+    # The last column, due at 2^54, puts the int64 bound at 256 jobs: the
+    # table path turns to Python ints at step 30.
     deadlines = [130 + 3 * i for i in range(40)] + [2**54]
-    table, mixed = IncrementalOff(deadlines), IncrementalOff(deadlines)
-    compactions = []
-
-    def compact():
-        compactions.append(mixed._W.dtype)
-        IncrementalOff._compact(mixed)
-    mixed._compact = compact
-    paths, ids = set(), 0
-    for t in range(120):
-        column = (7 * t) % len(deadlines)
-        block = unit_block(range(ids, ids + t // 2 + 1), t, deadlines[column])
+    table, narrow = IncrementalOff(deadlines), IncrementalOff(deadlines)
+    ids = 0
+    for t in range(230):
+        live = [d for d in deadlines if d > t]
+        block = unit_block(range(ids, ids + t // 2 + 1), t, live[(7 * t) % len(live)])
         ids += t // 2 + 1
-        paths.add(len(deadlines) - column <= oracle._SCALAR_COLUMNS)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(oracle, "_SCALAR_COLUMNS", 0)
-            table.add(block, t)
-        mixed.add(block, t)
-        assert mixed.value == table.value
-        for name in ("_len", "_ptr", "_C"):
-            assert getattr(mixed, name).tolist() == getattr(table, name).tolist()
-        assert mixed._capacity == table._capacity
-        for base, lo, hi in zip(mixed._base.tolist(), mixed._ptr.tolist(),
-                                mixed._len.tolist()):
-            for name in ("_W", "_P"):
-                live = slice(base + lo, base + hi)
-                assert (getattr(mixed, name)[live].tolist()
-                        == getattr(table, name)[live].tolist())
-    assert paths == {True, False}
-    assert mixed._capacity > _HULL_CAPACITY
-    assert mixed._W.dtype == table._W.dtype == object
-    assert set(compactions) == {np.dtype(np.int64), np.dtype(object)}
+        for cut, inc in ((0, table), (2**62, narrow)):
+            monkeypatch.setattr(oracle, "_SCALAR_COLUMNS", cut)
+            inc.add(block, t)
+        assert table.value == narrow.value
+        assert column_state(table, t) == column_state(narrow, t)
+    assert table._columns is None and narrow._columns is not None
+    assert table._slack.dtype == object
 
 
 # Windows ``[r, r + span)`` with releases up to 8, so some steps release
