@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 
@@ -242,7 +242,7 @@ def play_game(player: OnlinePlayer, n: int, N: int | None = None,
     require_int64_stream(n, N)
     state = AdversaryState(n=n, N=N, rho=resolve_rho(rho))
     transcript = GameTranscript(n=n, N=N, rho=state.rho)
-    pending = np.zeros(0, dtype=bool)  # pending[i]: job i released, not yet run
+    pending: set[int] = set()  # ids released and not yet run
     # The full stream's OFF holds up to the stop; after it nothing is
     # released, so OFF stays at its value there.
     with allocating(n, "steps"):
@@ -259,12 +259,17 @@ def play_game(player: OnlinePlayer, n: int, N: int | None = None,
         if len(chosen) > online:
             raise ContractViolation(
                 f"step {t}: scheduled {len(chosen)} jobs on {online} machines")
-        if state.next_id > len(pending):
-            grown = np.zeros(max(state.next_id, 2 * len(pending)), dtype=bool)
-            grown[:len(pending)] = pending
-            pending = grown
-        pending[released.ids] = True
-        _run_pending(pending, t, chosen)
+        pending.update(released.id_list())
+        before, known = len(pending), pending.issuperset(chosen)
+        if known:
+            pending.difference_update(chosen)
+        if len(pending) + len(chosen) != before:
+            seen = set()
+            for job_id in chosen:  # refuse the first unknown, early, run or repeated id
+                if job_id in seen or not known and job_id not in pending:
+                    raise ContractViolation(f"step {t}: job {job_id} not pending "
+                                            "(unknown, early, or repeated)")
+                seen.add(job_id)
         transcript.scheduled_total += len(chosen)
         state.observe(t, online, off)
         transcript.steps.append({
@@ -273,29 +278,6 @@ def play_game(player: OnlinePlayer, n: int, N: int | None = None,
         transcript.off_final = off
     transcript.stopped_at = state.stopped_at
     return transcript
-
-
-def _run_pending(pending: np.ndarray, t: int, chosen: Sequence[int]) -> None:
-    """Clear the ``chosen`` ids from ``pending``, refusing, by the first in
-    order, an id that is unknown, not yet released or already run (also
-    earlier in ``chosen``)."""
-    if not len(chosen):
-        return
-    try:
-        picked = np.asarray(chosen, dtype=np.int64)
-    except OverflowError:  # an id beyond int64 was never released: map it to -1
-        picked = np.array([j if 0 <= j <= INT64_MAX else -1 for j in chosen],
-                          dtype=np.int64)
-    known = (picked >= 0) & (picked < len(pending))
-    first = np.zeros(len(picked), dtype=bool)
-    first[np.unique(picked, return_index=True)[1]] = True
-    ok = first & known
-    ok[known] &= pending[picked[known]]
-    if not ok.all():
-        job_id = chosen[int(np.argmin(ok))]
-        raise ContractViolation(
-            f"step {t}: job {job_id} not pending (unknown, early, or repeated)")
-    pending[picked] = False
 
 
 @dataclass

@@ -17,8 +17,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import adversary, equal_deadline, generators, online_min, oracle, throughput
 from .core import (ContractViolation, ParseError, ValidationError,
                    dump_json, read_instance, write_instance)
@@ -198,7 +196,7 @@ def _verify_certificate(args) -> int:
     instance = _load_instance(args.instance)
     transcript = online_min.run_alpha_edf(instance, args.alpha)
     reports = []
-    deadlines = np.unique(instance.jobs.d).tolist()
+    deadlines = oracle.distinct_deadlines(instance.jobs.d)
     targets = [args.dstar] if args.dstar is not None else deadlines
     all_ok = True
     for dstar in targets:

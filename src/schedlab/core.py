@@ -946,16 +946,15 @@ def write_instance(instance: Instance) -> str:
 def _decimal_column(values: list) -> tuple[list[int], int] | None:
     """A column of JSON ints and plain decimal strings
     (:func:`_decimal_parts`) as ``(nums, places)``, value ``i`` being
-    ``nums[i] / 10**places``; ``None`` for a column holding any other value
-    or a digit run past Python's int/str limit.
+    ``nums[i] / 10**places``; ``None`` for a column holding any other value.
 
     Each value's text splits at its first ``.``: every whole part must be
     digits after at most one ``-``, and every distinct fractional tail is
     checked, and padded to ``places`` digits, once.  A value is then one
     ``int`` of its whole part and padded tail, sign included.  Those digits
-    pass the limit whenever either run does; when they pass it, the column
-    is read value by value by ``_decimal_parts``, so the values and
-    refusals are its own."""
+    pass Python's int/str limit whenever either run does; where they pass
+    it the column is ``None`` too, and the row reader (:func:`_job_rows`)
+    reads the file by ``_decimal_parts``, with the same values and refusals."""
     kinds = set(map(type, values))
     if kinds <= {int}:
         return values, 0
@@ -974,20 +973,7 @@ def _decimal_column(values: list) -> tuple[list[int], int] | None:
         padded = {tail: tail.ljust(places, "0") for tail in distinct}
         return list(map(int, map(add, wholes, map(padded.__getitem__, tails)))), places
     except ValueError:
-        return _decimal_rows(values)
-
-
-def _decimal_rows(values: list) -> tuple[list[int], int] | None:
-    """:func:`_decimal_column` value by value, by :func:`_decimal_parts`."""
-    try:
-        parts = [(x, 0) if type(x) is int else _decimal_parts(x) for x in values]
-    except ValueError:
         return None
-    if None in parts:
-        return None
-    places = max(map(itemgetter(1), parts))
-    shift = [10 ** (places - k) for k in range(places + 1)]
-    return [num * shift[k] for num, k in parts], places
 
 
 def _jobs_in(raw_jobs: list) -> GridJobs | None:

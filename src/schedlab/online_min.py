@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import (INT64_MAX, ContractViolation, Instance, Job, Schedule, UnitJobs,
                    allocating, require_valid, unit_columns)
-from .oracle import EdfQueue, EdfTrace, IncrementalOff, release_blocks
+from .oracle import EdfQueue, EdfTrace, IncrementalOff, distinct_deadlines, release_blocks
 
 
 def _euler_fraction(digits: int = 60) -> Fraction:
@@ -218,7 +218,7 @@ def run_alpha_edf(instance: Instance, alpha="e") -> OnlineTranscript:
         raise ContractViolation(f"expected a unit-min instance, got {instance.model}")
     jobs = unit_columns(require_valid(instance).jobs)
     horizon = instance.horizon or int(jobs.d.max(initial=0))
-    state = OnlineState(alpha, np.unique(jobs.d).tolist())
+    state = OnlineState(alpha, distinct_deadlines(jobs.d))
     for t, released in enumerate(release_blocks(jobs, horizon)):
         state.step(t, released)
     return state.finish()
@@ -236,10 +236,10 @@ class FractionalCertificate:
     integrates to exactly one over the support, total density at any instant
     stays below ``e`` times the offline optimum, and the integer schedule
     keeps ahead of the accumulated fractional mass.  Where a support ends is
-    decided exactly, against the rational ``EULER``, by ``_support_hi_index``:
-    :func:`check_certificate` sweeps dominance over those exact ends and
-    samples packing on a grid.  ``jobs`` is one column block, sorted by
-    ``(release, id)``.
+    decided exactly, against the rational ``EULER``, by one floor division
+    (``_support_end``): :func:`check_certificate` sweeps dominance over
+    those exact ends and samples packing on a grid.  ``jobs`` is one column
+    block, sorted by ``(release, id)``.
     """
 
     dstar: int
@@ -264,21 +264,11 @@ def build_certificate(jobs: Sequence[Job], dstar: int) -> FractionalCertificate:
     return FractionalCertificate(dstar=dstar, jobs=members)
 
 
-def _support_hi_index(r: int, dstar: int, g: int) -> int:
-    """Largest grid index k with k/g inside job's support, decided exactly.
-
-    The support ends where ``e * (dstar - x)`` meets ``dstar - r``; the float
-    estimate is corrected with exact rational comparisons against the stored
-    Euler constant.
-    """
-    target = (dstar - r) * g * _E_DEN
-    k = int(math.floor(g * (dstar - (dstar - r) / math.e)))
-    k = min(k, dstar * g - 1)
-    while _E_NUM * (dstar * g - (k + 1)) >= target:
-        k += 1
-    while k >= 0 and _E_NUM * (dstar * g - k) < target:
-        k -= 1
-    return k
+def _support_end(r: int, dstar: int, g: int) -> int:
+    """The last grid point ``k/g`` of the support ``[r, dstar - (dstar - r)/e]``:
+    the largest ``k`` with ``e * (dstar*g - k) >= (dstar - r) * g``, decided
+    exactly against the rational ``EULER``."""
+    return dstar * g + (r - dstar) * g * _E_DEN // _E_NUM
 
 
 @dataclass
@@ -370,7 +360,7 @@ def check_certificate(cert: FractionalCertificate, transcript: OnlineTranscript,
 
     The grid has ``g = grid_per_unit`` points per unit on ``[0, dstar)``.
     Each distinct release's support is found once: ``[r*g, hi)``, with
-    ``hi - 1`` its exact end (``_support_hi_index``).
+    ``hi - 1`` its exact end (``_support_end``).
 
     * completion: every member's density integrates to 1 (closed form);
     * packing: total density, by direct summation and as the open-support
@@ -390,14 +380,14 @@ def check_certificate(cert: FractionalCertificate, transcript: OnlineTranscript,
     Dominance needs no grid: at every integer t, the certificate jobs
     already scheduled are at least the fractional mass accrued by t.  A
     sweep over the distinct releases decides it; a release is finished once
-    t passes its exact support end (the packing pass's grid end, floored to
-    a step), and only the still-active releases add a log term.
+    t passes its exact support end (the same rule on a grid of one point
+    per unit), and only the still-active releases add a log term.
     """
     g = grid_per_unit
     if g < 2:
         raise ContractViolation("need at least 2 grid points per unit")
     dstar = cert.dstar
-    with allocating(dstar * g, "grid points"):
+    with allocating(dstar * g, "grid points", "a float64 array"):
         np.empty(dstar * g)  # refuse a grid numpy cannot hold as one float64 array
     report = CertificateReport(dstar=dstar, grid_per_unit=g, n_jobs=len(cert.jobs))
     releases, per_release = np.unique(cert.jobs.r, return_counts=True)
@@ -406,7 +396,7 @@ def check_certificate(cert: FractionalCertificate, transcript: OnlineTranscript,
 
     # Both support ends rise with the release, so the supports that meet a
     # tile [a, b) are a window [first, last) of them.
-    spans = [(r * g, _support_hi_index(r, dstar, g) + 1, count)
+    spans = [(r * g, _support_end(r, dstar, g) + 1, count)
              for r, count in zip(releases.tolist(), per_release.tolist())]
     m = _padded(transcript.m, dstar)[:, None]
     e_off = math.e * _padded(transcript.off, dstar)[:, None]
@@ -443,8 +433,7 @@ def check_certificate(cert: FractionalCertificate, transcript: OnlineTranscript,
 
     # Support ends rise with the release, so the started (r < t) and the
     # finished (end < t) releases are prefixes: [lo, hi) is the active window.
-    # The last point k/g <= end on the grid floors to the last integer <= end.
-    ends = [(hi - 1) // g for _, hi, _ in spans]
+    ends = [_support_end(r, dstar, 1) for r in releases.tolist()]
     log_span = np.log(dstar - releases.astype(np.float64))
     star_ids = set(cert.jobs.ids.tolist())
     chosen = transcript.trace.chosen

@@ -103,13 +103,12 @@ class EdfQueue:
     deadline it touches, however many jobs it runs.
     """
 
-    __slots__ = ("_due", "_buckets", "trace", "misses")
+    __slots__ = ("_due", "_buckets", "trace")
 
     def __init__(self):
         self._due: list[int] = []                          # heap of deadlines
         self._buckets: dict[int, tuple[list[int], int]] = {}  # d -> (ids, head)
         self.trace = EdfTrace()
-        self.misses: list[int] = []
 
     def _admit(self, released: UnitJobs) -> None:
         buckets = self._buckets
@@ -128,9 +127,7 @@ class EdfQueue:
         due, buckets = self._due, self._buckets
         while due and due[0] <= t:
             ids, head = buckets.pop(heappop(due))
-            missed = ids[head:]
-            self.trace.miss_events.extend(zip(missed, repeat(t)))
-            self.misses.extend(missed)
+            self.trace.miss_events.extend(zip(ids[head:], repeat(t)))
 
     @property
     def pending(self) -> bool:
@@ -162,10 +159,11 @@ class EdfQueue:
 
     def finish(self) -> tuple[EdfTrace, Schedule]:
         """Record every never-run job as missed at its deadline; the
-        schedule's assignments are read from the trace's slots."""
+        schedule's assignments and misses are read from the trace."""
         while self._due:
             self._expire(self._due[0])
-        return self.trace, Schedule.from_slots(self.trace.chosen, self.misses)
+        misses = [job_id for job_id, _ in self.trace.miss_events]
+        return self.trace, Schedule.from_slots(self.trace.chosen, misses)
 
 
 def edf_simulate(jobs: Sequence[Job], profile: MachineProfile) -> tuple[EdfTrace, Schedule]:
@@ -238,6 +236,14 @@ def off_unit(jobs: Sequence[Job]) -> int:
     return lo
 
 
+def distinct_deadlines(d: np.ndarray) -> list[int]:
+    """The distinct values of a deadline column, ascending.  Equal neighbours
+    go first, so jobs that share a deadline in runs cost one pass, not a sort."""
+    keep = np.ones(len(d), dtype=bool)
+    keep[1:] = d[1:] != d[:-1]
+    return np.unique(d[keep]).tolist()
+
+
 def off_prefix_series(jobs: Sequence[Job]) -> dict[int, int]:
     """``off_unit`` of everything released by time t, for each integer t.
 
@@ -247,7 +253,7 @@ def off_prefix_series(jobs: Sequence[Job]) -> dict[int, int]:
     jobs = unit_columns(jobs)
     if not len(jobs):
         return {}
-    engine = IncrementalOff(np.unique(jobs.d).tolist())
+    engine = IncrementalOff(distinct_deadlines(jobs.d))
     steps = int(jobs.r.max()) + 1
     return {t: engine.add(released, t)
             for t, released in enumerate(release_blocks(jobs, steps))}

@@ -401,8 +401,7 @@ def edf_throughput_unweighted(instance: Instance) -> Schedule:
         slot = edf.step(t, jobs[at:end], instance.k)
         assignments += ((job, machine, t) for machine, job in enumerate(slot))
         at, t = end, t + 1
-    edf.finish()
-    return Schedule(assignments=assignments, misses=sorted(edf.misses))
+    return Schedule(assignments=assignments, misses=sorted(edf.finish()[1].misses))
 
 
 @dataclass

@@ -1,5 +1,9 @@
 """The grid checker that ``check_certificate`` kept before its per-release pass.
 
+Each support's end comes from ``_support_hi_index``, the float estimate
+with exact corrections that ``online_min._support_end``'s one floor
+division replaced.
+
 It builds every grid point's time, index, step, machine count and ``OFF``
 as arrays of ``dstar * g`` entries, adds each job's density slice into the
 direct sum, and counts the open supports with two ``searchsorted`` calls.
@@ -11,7 +15,24 @@ import math
 import numpy as np
 
 from schedlab.core import ContractViolation
-from schedlab.online_min import CertificateReport, _padded, _support_hi_index
+from schedlab.online_min import _E_DEN, _E_NUM, CertificateReport, _padded
+
+
+def _support_hi_index(r: int, dstar: int, g: int) -> int:
+    """Largest grid index k with k/g inside job's support, decided exactly.
+
+    The support ends where ``e * (dstar - x)`` meets ``dstar - r``; the float
+    estimate is corrected with exact rational comparisons against the stored
+    Euler constant.
+    """
+    target = (dstar - r) * g * _E_DEN
+    k = int(math.floor(g * (dstar - (dstar - r) / math.e)))
+    k = min(k, dstar * g - 1)
+    while _E_NUM * (dstar * g - (k + 1)) >= target:
+        k += 1
+    while k >= 0 and _E_NUM * (dstar * g - k) < target:
+        k -= 1
+    return k
 
 
 def reference_check_certificate(cert, transcript, grid_per_unit=1000):

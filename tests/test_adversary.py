@@ -149,21 +149,23 @@ class TestPlayGame:
         with pytest.raises(ContractViolation):
             play_game(Cheat(), 4, 16)
 
-    def test_unknown_job_audited(self):
-        class Cheat:
+    @pytest.mark.parametrize("moves, job", [
+        ([[0, 999, 5]], "step 0: job 999"),  # unknown; 5 is released at step 1
+        ([[1, 4, 999]], "step 0: job 4"),  # released at step 1
+        ([[0], [4, 0, 4]], "step 1: job 0"),  # already run at step 0
+        ([[2, 3, 2, 999]], "step 0: job 2"),  # repeated within one step
+        ([[2, 3, 3, 2]], "step 0: job 3"),  # repeated, every id pending
+        ([[0, 2**64, 999]], f"step 0: job {2**64}"),  # past int64
+        ([[0.5, 999]], "step 0: job 0.5"),  # not an id, though int64 truncates it to 0
+    ], ids=["unknown", "early", "run", "repeated", "only-repeated", "2**64", "fractional"])
+    def test_audit_names_the_first_job_not_pending(self, moves, job):
+        class Scripted:
             def step(self, t, released):
-                return 5, [999]
+                return 10, moves[t]
 
-        with pytest.raises(ContractViolation):
-            play_game(Cheat(), 4, 16)
-
-    def test_repeated_job_audited(self):
-        class Cheat:
-            def step(self, t, released):
-                return 5, [0, 0]
-
-        with pytest.raises(ContractViolation):
-            play_game(Cheat(), 4, 16)
+        with pytest.raises(ContractViolation) as refused:
+            play_game(Scripted(), 4, 16, rho=None)
+        assert str(refused.value) == f"{job} not pending (unknown, early, or repeated)"
 
     def test_transcript_json(self):
         tr = play_game(alpha_edf_player("e", 4), 4, 16)

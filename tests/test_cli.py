@@ -639,7 +639,7 @@ class TestCertificateBytes:
         assert code == 2
         assert out == ""
         assert err == (f"error: {count} grid points do not fit in memory as "
-                       "int64 columns\n")
+                       "a float64 array\n")
 
 
 class TestBench:

@@ -1012,6 +1012,9 @@ class TestThroughputReader:
         {"id": 0, "r": 1.0, "d": "2.0", "w": 2.5}]})
     @example({"model": "throughput", "k": 1, "jobs": [
         {"id": 0, "r": 0, "d": 1, "w": "-0.5"}, {"id": 2, "r": 0, "d": 1, "w": True}]})
+    # each digit run fits Python's int/str limit, the two joined do not
+    @example({"model": "throughput", "k": 1, "jobs": [
+        {"id": 0, "r": 0, "d": 2, "w": "1" * 4000 + "." + "1" * 4000}]})
     def test_matches_row_reference(self, doc):
         expected = _read(reference_instance_from_dict, doc)
         got = _read(instance_from_dict, doc)
@@ -1284,13 +1287,24 @@ _COLUMN_TEXTS = ["1.", ".5", "+1", "1_0", " 1", "-0", "-0.50", "007.25", "--1",
                  "1" * 4000 + "." + "1" * 4000]
 
 
+def _joined_digits(values):
+    """The most digits one value's whole part and tail, padded to the
+    column's longest tail, join to."""
+    wholes, _, tails = zip(*(str(x).removeprefix("-").partition(".") for x in values))
+    return max(map(len, wholes)) + max(map(len, tails))
+
+
 class TestDecimalColumn:
     """The column reader against ``_decimal_parts``, value by value."""
 
     @pytest.mark.parametrize("text", _COLUMN_TEXTS, ids=lambda t: repr(t[:12]))
     def test_each_form_reads_as_decimal_parts(self, text):
+        # where joined digits pass the limit, the row reader reads the file
         for column in ([text], [text, 2, "0.25"], ["-1.5", 7, text]):
-            assert _decimal_column(column) == _column_by_parts(column)
+            if _joined_digits(column) > sys.get_int_max_str_digits():
+                assert _decimal_column(column) is None
+            else:
+                assert _decimal_column(column) == _column_by_parts(column)
 
     @settings(max_examples=300)
     @given(st.lists(_numeric_texts() | st.integers(-10**6, 10**6), min_size=1,

@@ -9,10 +9,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_certificate import reference_check_certificate
+from reference_certificate import _support_hi_index, reference_check_certificate
 from schedlab import online_min
 from schedlab.core import (ContractViolation, Instance, Job, MachineProfile,
                            UnitJobs, ValidationError, read_instance, write_instance)
@@ -20,7 +20,7 @@ from schedlab.generators import adversary_instance, random_unit_instance
 from schedlab.online_min import (
     EULER,
     OnlineState,
-    _support_hi_index,
+    _support_end,
     build_certificate,
     ceil_times,
     check_certificate,
@@ -271,18 +271,26 @@ class TestBuildCertificate:
 
     def test_support_end_is_decided_exactly(self):
         # The last grid point k/g on the support [r, dstar - (dstar - r)/e].
-        assert _support_hi_index(0, 4, 1000) == 2528
+        assert _support_end(0, 4, 1000) == _support_hi_index(0, 4, 1000) == 2528
         for dstar in range(1, 13):
             for r in range(dstar):
                 for g in (1, 7, 1000):
-                    end = g * (dstar - (dstar - r) / EULER)
-                    assert _support_hi_index(r, dstar, g) == math.floor(end)
+                    end = math.floor(g * (dstar - (dstar - r) / EULER))
+                    assert _support_end(r, dstar, g) == _support_hi_index(r, dstar, g) == end
+
+    @settings(max_examples=500)
+    @given(st.data(), st.integers(1, 10**12), st.integers(1, 10**6))
+    def test_support_end_matches_float_search(self, data, dstar, g):
+        # one floor division against the float estimate with exact corrections
+        r = data.draw(st.integers(0, dstar - 1))
+        assert _support_end(r, dstar, g) == _support_hi_index(r, dstar, g)
 
     @given(st.data(), st.integers(1, 10**6), st.integers(2, 10**4))
     def test_support_end_floors_from_any_grid(self, data, dstar, g):
-        # the checker's dominance sweep takes each step end from the grid end
+        # the checker's dominance sweep takes each step end at g = 1, which
+        # is the grid end floored to a step
         r = data.draw(st.integers(0, dstar - 1))
-        assert _support_hi_index(r, dstar, g) // g == _support_hi_index(r, dstar, 1)
+        assert _support_end(r, dstar, g) // g == _support_end(r, dstar, 1)
 
     def test_later_deadlines_not_members(self):
         cert = build_certificate([Job(0, 0, 2), Job(1, 0, 5)], 2)

@@ -22,6 +22,7 @@ from schedlab.oracle import (
     EdfTrace,
     IncrementalOff,
     brute_force_feasible,
+    distinct_deadlines,
     edf_simulate,
     flow_feasible,
     off_prefix_series,
@@ -178,6 +179,13 @@ class TestOffUnit:
                         if flow_feasible(inst.jobs,
                                          MachineProfile.constant(m, d), d)]
             assert m_star == min(feasible)
+
+
+@given(st.lists(st.integers(-3, 3), max_size=12).map(sorted) | st.lists(st.integers(-3, 3)))
+def test_distinct_deadlines_are_unique_values(d):
+    # runs of equal deadlines, sorted or not, and the empty column
+    column = np.array(d, dtype=np.int64)
+    assert distinct_deadlines(column) == np.unique(column).tolist()
 
 
 class TestOffSeries:
