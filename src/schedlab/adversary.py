@@ -259,7 +259,8 @@ def play_game(player: OnlinePlayer, n: int, N: int | None = None,
         if len(chosen) > online:
             raise ContractViolation(
                 f"step {t}: scheduled {len(chosen)} jobs on {online} machines")
-        pending.update(released.id_list())
+        for _, ids in released.by_deadline():  # the block's ids, with no copy
+            pending.update(ids)
         before, known = len(pending), pending.issuperset(chosen)
         if known:
             pending.difference_update(chosen)

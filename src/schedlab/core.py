@@ -25,9 +25,9 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from math import gcd, inf, isfinite, lcm
+from math import gcd, inf, isfinite, lcm, log10
 from operator import add, itemgetter
 from typing import ClassVar, Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -186,21 +186,44 @@ class UnitJobs(_Columns, Sequence[Job]):
 
         Computed once per block, as tuples, so no caller can change it: the
         ``OFF`` engine counts these groups and the EDF queue files them, at
-        the same step.  A block due at one deadline, as every block of the
-        adversary stream is, is sorted only if its ids are out of order.
+        the same step.  A block in ``(d, id)`` order, as every block of the
+        adversary stream is, is not sorted, and its ids are one tuple.
         """
         if self._groups is None:
-            ids = self.id_list()
-            if ids and (self.d == self.d[0]).all():
-                groups = {int(self.d[0]): ids if (self.ids[1:] >= self.ids[:-1]).all()
-                          else sorted(ids)}
-            else:
-                groups, d = {}, self.d.tolist()
-                for i in np.lexsort((self.ids, self.d)).tolist():
-                    groups.setdefault(d[i], []).append(ids[i])
-            object.__setattr__(self, "_groups",
-                               tuple((e, tuple(run)) for e, run in groups.items()))
+            order, heads, deadlines = _deadline_runs(self.ids, self.d)
+            ids = tuple(self.ids.tolist())  # reordered below as the same int objects
+            grouped = ids if order is None else tuple(map(ids.__getitem__, order.tolist()))
+            heads = heads.tolist()  # a run over the whole tuple is that tuple
+            object.__setattr__(self, "_groups", tuple(zip(deadlines.tolist(), map(
+                grouped.__getitem__, map(slice, heads, heads[1:] + [len(ids)])))))
+            object.__setattr__(self, "_id_list", ids)  # the ints the groups hold
         return self._groups
+
+
+def _in_order(*keys) -> bool:
+    """Whether equal-length columns are in ``np.lexsort(keys)`` order:
+    sorted by the last key, ties by the one before it, and so on."""
+    ok = keys[0][1:] >= keys[0][:-1]
+    for key in keys[1:]:
+        ok = (key[1:] > key[:-1]) | ((key[1:] == key[:-1]) & ok)
+    return bool(ok.all())
+
+
+def _deadline_runs(ids, d, r=None):
+    """The one grouping rule of unit jobs: the indices that put them in
+    ``(r, d, id)`` order (``r`` sorted, or absent), ``None`` when they are
+    in it, and the first position and the deadline of each run of one
+    ``(r, d)`` in that order, from which a caller cuts the groups it needs."""
+    keys, cut = (ids, d) if r is None else (ids, d, r), d[1:] != d[:-1]
+    mixed = r is not None or cut.any()  # else one deadline: ids alone decide
+    order = None if _in_order(*keys if mixed else keys[::2]) else np.lexsort(keys)
+    if order is not None:
+        d = d[order]
+        cut = d[1:] != d[:-1]  # a sorted r stays as it is
+    if r is not None:
+        cut |= r[1:] != r[:-1]
+    heads = np.flatnonzero(np.append(len(d) > 0, cut))
+    return order, heads, d[heads]
 
 
 def unit_columns(jobs: Iterable[Job]) -> UnitJobs:
@@ -209,22 +232,27 @@ def unit_columns(jobs: Iterable[Job]) -> UnitJobs:
 
     Refuses jobs that are not unit length, windows that are not integral
     and values beyond int64.  Weights are dropped: every engine that runs
-    on columns ignores them.  Grid columns are checked whole; rows are
-    built only to name a fault.
+    on columns ignores them.  Grid columns are checked whole, as the
+    grid's :meth:`~GridJobs.arrays`; rows are built only to name a fault.
     """
     if isinstance(jobs, UnitJobs):
         return jobs
     grid = time_grid(jobs)
     scale = grid.scale
-    unit = grid.p.count(scale) == len(grid) and (
-        scale == 1 or not any(x % scale for x in chain(grid.r, grid.d)))
-    for j in () if unit else grid:
+    ids, r, d, p, _ = grid.arrays()
+    for j in () if _unit_grid(r, d, p, scale) else grid:
         if j.p != 1:
-            raise ContractViolation(f"job {j.id} is not a unit job: p={j.p}")
+            raise ContractViolation(f"job {j.id} is not a unit job: p={_shown(j.p)}")
         if not (_is_integral(j.r) and _is_integral(j.d)):
-            raise ContractViolation(f"job {j.id} has a non-integer window [{j.r}, {j.d})")
-    return UnitJobs(grid.ids, *([x // scale for x in col] if scale > 1 else col
-                                for col in (grid.r, grid.d)))
+            raise ContractViolation(
+                f"job {j.id} has a non-integer window [{_shown(j.r)}, {_shown(j.d)})")
+    # numpy reads bools as ints: ids holding one go on as they are, to be refused
+    return UnitJobs(grid.ids if bool in set(map(type, grid.ids)) else ids, r // scale, d // scale)
+
+
+def _unit_grid(r, d, p, scale) -> bool:
+    """Whether grid columns over ``scale`` hold unit jobs in integral windows."""
+    return np.all(p == scale) and (scale == 1 or not ((r % scale).any() or (d % scale).any()))
 
 
 def _ratio(num: int, den: int) -> Rational:
@@ -323,6 +351,17 @@ def time_grid(jobs: Iterable[Job]) -> GridJobs:
                   else [x.numerator * factor[x.denominator] for x in col]
                   for col, ints in zip(columns, whole)]
     return GridJobs(ids, r, d, p, scale, w)
+
+
+def _shown(x: Rational) -> str:
+    """A number as violation texts write it; one past Python's int/str
+    digit limit by the digit counts of its numerator and denominator."""
+    try:
+        return str(x)
+    except ValueError:
+        top, bottom = [(k := int(n.bit_length() * log10(2))) + (n >= 10**k)
+                       for n in map(abs, Fraction(x).as_integer_ratio())]
+        return f"{'-' * (x < 0)}<{top} digits over {bottom}>"
 
 
 class Violation(NamedTuple):
@@ -481,13 +520,14 @@ def _row_violations(jobs: Iterable[Job]) -> list[Violation]:
                                "jobs must be sorted by (release, id)"))
         prev_key = key
         if r < 0:
-            v.append(Violation(jid, "NegativeRelease", f"r={r}"))
+            v.append(Violation(jid, "NegativeRelease", f"r={_shown(r)}"))
         if p <= 0:
-            v.append(Violation(jid, "NonPositiveLength", f"p={p}"))
+            v.append(Violation(jid, "NonPositiveLength", f"p={_shown(p)}"))
         if w < 0:
-            v.append(Violation(jid, "NegativeWeight", f"w={w}"))
+            v.append(Violation(jid, "NegativeWeight", f"w={_shown(w)}"))
         if r + p > d:
-            v.append(Violation(jid, "WindowTooSmall", f"r+p={r + p} exceeds d={d}"))
+            v.append(Violation(jid, "WindowTooSmall",
+                               f"r+p={_shown(r + p)} exceeds d={_shown(d)}"))
     return v
 
 
@@ -499,12 +539,6 @@ def _exact_column(values, wide: bool = False) -> np.ndarray:
     if column.dtype.kind in "ib":
         return column.astype(np.int64, copy=False)
     return column if column.dtype == object else np.array(values, dtype=object)
-
-
-def _release_ordered(ids: np.ndarray, r: np.ndarray) -> bool:
-    """Whether the rows of exact columns are sorted by ``(r, id)``."""
-    later, tied = r[1:] > r[:-1], r[1:] == r[:-1]
-    return bool((later | (tied & (ids[1:] >= ids[:-1]))).all())
 
 
 def validate_instance(instance: Instance) -> list[Violation]:
@@ -531,24 +565,23 @@ def validate_instance(instance: Instance) -> list[Violation]:
     # the rules of _row_violations; d - r is formed once 0 <= r < d holds,
     # so no int64 pass wraps, and the sort for distinct ids comes last
     if not ((ids >= 0).all() and (r >= 0).all() and (r < d).all() and np.all(p > 0)
-            and np.all(w >= 0) and np.all(p <= d - r) and _release_ordered(ids, r)
+            and np.all(w >= 0) and np.all(p <= d - r) and _in_order(ids, r)
             and ((ordered := np.sort(ids))[1:] != ordered[:-1]).all()):
         v += _row_violations(jobs)
-    if instance.model in ("unit-min", "throughput") and not (
-            np.all(p == scale)
-            and (scale == 1 or not ((r % scale).any() or (d % scale).any()))):
+    if instance.model in ("unit-min", "throughput") and not _unit_grid(r, d, p, scale):
         for j in jobs:
             if j.p != 1:
-                v.append(Violation(j.id, "NonUnitLength", f"p={j.p}"))
+                v.append(Violation(j.id, "NonUnitLength", f"p={_shown(j.p)}"))
             if not (_is_integral(j.r) and _is_integral(j.d)):
                 v.append(Violation(j.id, "NonIntegerTime",
-                                   f"r={j.r}, d={j.d} must be integers"))
+                                   f"r={_shown(j.r)}, d={_shown(j.d)} must be integers"))
 
     if instance.model == "unit-min" and len(ids) and instance.horizon is not None:
         max_d = _ratio(int(d.max()), scale)
         if instance.horizon != max_d:
             v.append(Violation(None, "HorizonMismatch",
-                               f"horizon={instance.horizon}, max deadline={max_d}"))
+                               f"horizon={_shown(instance.horizon)}, "
+                               f"max deadline={_shown(max_d)}"))
 
     if instance.model == "equal-deadline" and len(ids):
         if not (d == d[0]).all():
@@ -557,11 +590,11 @@ def validate_instance(instance: Instance) -> list[Violation]:
         d0, rest = divmod(int(d[0]), scale)
         if rest or d0 < 1 or (d0 + 1) & d0 != 0:
             v.append(Violation(None, "BadCommonDeadline",
-                               f"deadline {_ratio(int(d[0]), scale)} is not of "
+                               f"deadline {_shown(_ratio(int(d[0]), scale))} is not of "
                                f"the form 2**k - 1"))
 
     if instance.model == "throughput" and (instance.k is None or instance.k < 1):
-        v.append(Violation(None, "BadMachineCount", f"k={instance.k}"))
+        v.append(Violation(None, "BadMachineCount", f"k={_shown(instance.k)}"))
 
     return v
 
@@ -999,9 +1032,9 @@ def _jobs_in(raw_jobs: list) -> GridJobs | None:
     r, d, p, w = [list(map((10 ** (places - k)).__mul__, nums)) if k < places
                   else nums for nums, k in columns]
     jobs = GridJobs(ids, r, d, p, 10 ** places, w)
-    exact_ids, exact_r = jobs.arrays()[:2]
-    if not _release_ordered(exact_ids, exact_r):
-        order = np.lexsort((exact_ids, exact_r)).tolist()
+    keys = jobs.arrays()[:2]
+    if not _in_order(*keys):
+        order = np.lexsort(keys).tolist()
         jobs = GridJobs(*([col[i] for i in order] for col in (ids, r, d, p)), 10 ** places,
                         [w[i] for i in order])
     return jobs

@@ -47,7 +47,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import (INT64_MAX, ContractViolation, Instance, Job, MachineProfile,
-                   Schedule, UnitJobs, _int64_column, _ratio, allocating,
+                   Schedule, UnitJobs, _deadline_runs, _int64_column, _ratio, allocating,
                    arange_exact, require_valid, time_grid, unit_columns)
 
 # Most deadline columns live at an engine's first releasing step for which
@@ -67,7 +67,10 @@ def release_blocks(jobs: UnitJobs, steps: int) -> Iterator[UnitJobs]:
 
     Columns not sorted by release are stably sorted first; each step's block
     is then one slice, its bounds found by ``searchsorted``.  A ``steps``
-    too large for numpy to hold the bounds is refused.
+    too large for numpy to hold the bounds is refused.  One ``(r, d, id)``
+    order of all the jobs, found with no sort where it holds (as on the
+    adversary stream), gives each block its ``by_deadline`` groups, cut from
+    its ids as they are converted, so no block is checked or sorted again.
     """
     r = jobs.r
     if (r[1:] < r[:-1]).any():
@@ -75,8 +78,29 @@ def release_blocks(jobs: UnitJobs, steps: int) -> Iterator[UnitJobs]:
         r = jobs.r
     with allocating(steps, "steps"):
         bounds = np.searchsorted(r, arange_exact(0, steps + 1)).tolist()
-    for lo, hi in zip(bounds, bounds[1:]):
-        yield jobs[lo:hi]
+    order, heads, deadlines = _deadline_runs(jobs.ids, jobs.d, r)
+    # positions within each step: where its jobs go in (d, id) order, its runs start
+    moves = None if order is None else (order - np.searchsorted(r, r)).tolist()
+    starts = (heads - np.searchsorted(r, r[heads])).tolist()
+    runs = np.searchsorted(heads, bounds).tolist()  # each bound heads a run, or ends them
+    for lo, hi, a, b in zip(bounds, bounds[1:], runs, runs[1:]):
+        block_ids = grouped = tuple(jobs.ids[lo:hi].tolist())
+        if moves is not None:
+            grouped = tuple(map(block_ids.__getitem__, moves[lo:hi]))
+        cuts = starts[a:b]
+        step = tuple(zip(deadlines[a:b].tolist(),
+                         map(grouped.__getitem__, map(slice, cuts, cuts[1:] + [hi - lo]))))
+        yield _block(jobs.ids[lo:hi], r[lo:hi], jobs.d[lo:hi], block_ids, step)
+
+
+def _block(*values) -> UnitJobs:
+    """The private constructor of a release block: views of checked
+    read-only int64 columns, their id tuple and their groups, as the slots
+    of a ``UnitJobs`` in order, with no check and no copy."""
+    block = object.__new__(UnitJobs)
+    for name, value in zip(UnitJobs.__slots__, values):
+        object.__setattr__(block, name, value)
+    return block
 
 
 @dataclass

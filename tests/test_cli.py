@@ -866,6 +866,26 @@ class TestOversized:
                        f"{sys.get_int_max_str_digits()} digits, Python's limit "
                        f"for reading an int from text\n")
 
+    @pytest.mark.parametrize("model, job, message", [
+        ("equal-deadline", {"r": 0, "d": "1" * 4000 + "." + "1" * 4000, "p": 1},
+         "BadCommonDeadline[instance]: deadline <8000 digits over 4001> is not "
+         "of the form 2**k - 1"),
+        ("unit-min", {"r": "1" * 4000 + "." + "1" * 4000, "d": 3},
+         "WindowTooSmall[job 0]: r+p=<8000 digits over 4001> exceeds d=3; "
+         "NonIntegerTime[job 0]: r=<8000 digits over 4001>, d=3 must be integers"),
+        ("equal-deadline", {"r": 0, "d": 7, "p": 1, "w": "-" + "1" * 4000 + "." + "1" * 4000},
+         "NegativeWeight[job 0]: w=-<8000 digits over 4001>"),
+    ])
+    def test_number_past_the_digit_limit_named_in_a_violation(
+            self, capsys, tmp_path, model, job, message):
+        # str() of such a number raises ValueError; the text names its size
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"model": model, "jobs": [{"id": 0, **job}]}))
+        algo = "equal-deadline" if model == "equal-deadline" else "e-edf"
+        code, out, err = run_cli(capsys, "run", algo, "--instance", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid instance: {message}\n"
+
     def test_number_past_the_digit_limit_refused_at_write(self, capsys,
                                                           watchdog):
         # the deadline 2**20000 - 1 has 6021 digits

@@ -36,6 +36,7 @@ from schedlab.core import (
     _num_out,
     _quotient_out,
     _quotients_out,
+    _shown,
     audit_schedule,
     dump_json,
     feasible_slot,
@@ -187,6 +188,10 @@ class TestUnitJobs:
             unit_columns([Job(2**63, 0, 4)])
         with pytest.raises(ContractViolation, match="must be ints or Fractions"):
             unit_columns([Job(0, 0.5, 4)])
+        # numpy reads bools as ints; the grid's arrays do not carry them on
+        for ids in ([True], [0, True]):
+            with pytest.raises(ContractViolation, match="job column ids holds True"):
+                unit_columns([Job(i, 0, 4) for i in ids])
 
     def test_grid_columns_narrow_whole_and_name_a_fault(self):
         # over scale 4 the windows are whole and job 3 weighs 1/4
@@ -282,6 +287,14 @@ class TestTimeGrid:
         assert grid != time_grid((rows[0], rows[1]._replace(w=3)))
         assert GridJobs([0], [0], [7], [2], 2).w == (2,)
         assert GridJobs([0], [0], [7], [2], 2)[0].w == 1
+
+
+@pytest.mark.parametrize("value, text", [
+    (10**4301 - 1, "<4301 digits over 1>"), (10**4301, "<4302 digits over 1>"),
+    (-(10**5000), "-<5001 digits over 1>"), (Fraction(1, 10**4300), "<1 digits over 4301>"),
+    (Fraction(2, 3), "2/3"), (-7, "-7")], ids=lambda x: x if isinstance(x, str) else "")
+def test_numbers_past_the_digit_limit_shown_by_digit_count(value, text):
+    assert _shown(value) == text
 
 
 class TestValidation:
@@ -521,6 +534,28 @@ class TestCheckedInstances:
         exact_column = core._exact_column
         monkeypatch.setattr(core, "_exact_column", counted)
         read_instance(write_instance(instance))
+        assert converted == [len(instance.jobs)] * 5
+
+    @pytest.mark.parametrize("instance", [
+        random_unit_instance(12, 6, seed=3), adversary_instance(4)], ids=repr)
+    def test_unit_reader_converts_each_column_once(self, instance, monkeypatch):
+        # The order check, the validation and the unit narrowing read the
+        # grid's five arrays; no column is converted again.
+        from schedlab import core
+        converted = []
+
+        class Counting:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def asarray(self, values, *args, **kwargs):
+                if not isinstance(values, np.ndarray):
+                    converted.append(len(values))
+                return np.asarray(values, *args, **kwargs)
+
+        text = write_instance(instance)
+        monkeypatch.setattr(core, "np", Counting())
+        assert read_instance(text) == instance
         assert converted == [len(instance.jobs)] * 5
 
     def test_grid_arrays_are_read_only(self):

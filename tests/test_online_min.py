@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+import types
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -475,6 +476,64 @@ def assert_same_report(cert, transcript, grid_per_unit):
             == json.dumps(want.to_jsonable(), sort_keys=True))
     assert got == want  # the full failure lists too, past the 20 written
     return got
+
+
+def dominance_cases():
+    """A run and a certificate per case, at alpha e and below it, so that
+    some steps trail their mass and fail."""
+    for seed in range(3):
+        inst = random_unit_instance(300 + 100 * seed, 80, seed=seed)
+        deadlines = sorted({int(j.d) for j in inst.jobs})
+        for alpha in ("e", 1, Fraction(3, 2)):
+            tr = run_alpha_edf(inst, alpha)
+            for dstar in (deadlines[len(deadlines) // 2], deadlines[-1]):
+                yield build_certificate(inst.jobs, dstar), tr
+
+
+class TestMassScreen:
+    """``check_certificate`` screens every step's dominance mass from prefix
+    sums and sums only the steps the screen cannot pass."""
+
+    def test_summing_every_step_gives_the_same_report(self, monkeypatch):
+        # an eps of 1 makes the rounding bound pass no step with any mass
+        class WideEps:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def finfo(self, dtype):
+                return types.SimpleNamespace(eps=1.0)
+
+        cases = list(dominance_cases())
+        monkeypatch.setattr(online_min, "np", WideEps())
+        failing = 0
+        for cert, tr in cases:
+            failing += not assert_same_report(cert, tr, 2).dominance_ok
+        assert failing
+
+    def test_bound_covers_the_prefix_sums_rounding(self):
+        # The screen's own arithmetic, step by step, against the per-step
+        # sums: the difference stays within a quarter of the bound.
+        for cert, _ in dominance_cases():
+            dstar = cert.dstar
+            releases, counts = np.unique(cert.jobs.r, return_counts=True)
+            ends = np.array([_support_end(r, dstar, 1) for r in releases.tolist()])
+            t = np.arange(dstar + 1)
+            lo, hi = np.searchsorted(ends, t), np.searchsorted(releases, t)
+            done = np.append(0, np.cumsum(counts))
+            log_span = np.log(dstar - releases.astype(np.float64))
+            lead = np.append(0.0, np.cumsum(counts * log_span))
+            log_now = np.log(np.maximum(dstar - t, 1))
+            active = done[hi] - done[lo]
+            screen = done[lo] + (lead[hi] - lead[lo] - active * log_now)
+            bound = (4 * (len(releases) + 4) * np.finfo(np.float64).eps
+                     * (done[lo] + lead[hi] + active * log_now))
+            for step in range(dstar + 1):
+                a, b = lo[step], hi[step]
+                mass = float(done[a])
+                if a < b:
+                    mass += float((counts[a:b] * (log_span[a:b]
+                                                  - math.log(dstar - step))).sum())
+                assert abs(screen[step] - mass) <= bound[step] / 4
 
 
 class TestReportBytes:

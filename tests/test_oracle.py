@@ -188,6 +188,57 @@ def test_distinct_deadlines_are_unique_values(d):
     assert distinct_deadlines(column) == np.unique(column).tolist()
 
 
+@st.composite
+def release_streams(draw):
+    """Unit jobs as ``Job`` rows in any order: ids shuffled, ties of
+    deadline with ids out of order, steps that release nothing, and streams
+    all due at one deadline; some already in ``(r, d, id)`` order."""
+    horizon = draw(st.integers(1, 10))
+    ids = draw(st.permutations(range(draw(st.integers(0, 25)))))
+    one_deadline = draw(st.booleans())
+    rows = []
+    for i in ids:
+        r = draw(st.integers(0, horizon - 1))
+        rows.append(Job(i, r, horizon if one_deadline else draw(st.integers(r + 1, horizon))))
+    if draw(st.booleans()):
+        rows.sort(key=lambda j: (j.r, j.d, j.id))
+    return rows, draw(st.integers(0, horizon + 2))
+
+
+@settings(max_examples=200)
+@given(release_streams())
+def test_release_blocks_match_stably_sorted_slices(stream):
+    rows, steps = stream
+    jobs = unit_columns(rows)
+    # the construction the blocks replace: slices of the columns stably
+    # sorted by release, each checked and grouped on its own
+    ordered = jobs[np.argsort(jobs.r, kind="stable")]
+    bounds = np.searchsorted(ordered.r, np.arange(steps + 1)).tolist()
+    blocks = list(release_blocks(jobs, steps))
+    assert len(blocks) == steps
+    for block, lo, hi in zip(blocks, bounds, bounds[1:]):
+        old = UnitJobs(ordered.ids[lo:hi], ordered.r[lo:hi], ordered.d[lo:hi])
+        assert block == old and block.id_list() == old.ids.tolist()
+        pairs = sorted(zip(block.d.tolist(), block.ids.tolist()))
+        assert block.by_deadline() == old.by_deadline() == tuple(
+            (e, tuple(i for _, i in run)) for e, run in itertools.groupby(pairs, key=lambda x: x[0]))
+        for column in (block.ids, block.r, block.d):
+            with pytest.raises(ValueError):
+                column[:1] = 0
+        ids = block.id_list()
+        ids.append(-1)
+        assert block.id_list() == old.ids.tolist() and block.by_deadline() == old.by_deadline()
+
+
+def test_one_deadline_blocks_share_their_id_tuple():
+    # every adversary step is due at n, in id order: its one group is the
+    # block's id tuple itself, so no step builds a second one
+    blocks = list(release_blocks(adversary_instance(20).jobs, 20))
+    for block in blocks:
+        ((_, ids),) = block.by_deadline()
+        assert ids is block._id_list and list(ids) == block.id_list()
+
+
 class TestOffSeries:
     def test_adversary_four_steps(self):
         inst = adversary_instance(4, 16)
