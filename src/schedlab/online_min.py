@@ -16,9 +16,9 @@ workload can reach.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, chain
+from itertools import chain
 from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -29,17 +29,10 @@ from .core import (INT64_MAX, ContractViolation, Instance, Job, Schedule, UnitJo
 from .oracle import EdfQueue, EdfTrace, IncrementalOff, distinct_deadlines, release_blocks
 
 
-def _euler_fraction(digits: int = 60) -> Fraction:
-    with localcontext() as ctx:
-        ctx.prec = digits
-        return Fraction(Decimal(1).exp())
-
-
 #: Euler's number as an exact rational, correct to 60 significant digits.
-EULER = _euler_fraction()
+EULER = Fraction(Decimal(1).exp(Context(prec=60)))
 
-_E_NUM = EULER.numerator
-_E_DEN = EULER.denominator
+_E_NUM, _E_DEN = EULER.numerator, EULER.denominator
 
 
 def _ratio_out(x: Fraction) -> str:
@@ -101,8 +94,7 @@ def ceil_times(alpha: Fraction, x: int) -> int:
     """
     if x == 0:
         return 0
-    num = alpha.numerator * x
-    den = alpha.denominator
+    num, den = alpha.numerator * x, alpha.denominator
     q, rem = divmod(num, den)
     # ``alpha == EULER``, compared part by part to stay cheap per step.
     is_euler = den == _E_DEN and alpha.numerator == _E_NUM
@@ -345,41 +337,63 @@ class CertificateReport:
 def _padded(series: list[int], length: int) -> np.ndarray:
     """``series[t]`` for ``t < length``; past its end the last value holds
     (zeros for an empty series).  A count past float range reads as ``inf``."""
-    head = [_float_or_inf(x) for x in series[:length]]
     out = np.full(length, _float_or_inf(series[-1]) if series else 0.0)
-    out[:len(head)] = head
+    out[:min(len(series), length)] = [_float_or_inf(x) for x in series[:length]]
     return out
 
 
-#: Grid points per tile of the packing pass: 512 KiB per float64 array, so a
-#: tile's densities, direct sum and closed form fit in a 4 MiB L2 together.
+#: Grid points per chunk of the agreement adds: its float64 arrays fit a 4 MiB L2.
 _TILE_POINTS = 65536
+
+
+def _agreement_bound(n: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A bound on ``|s_n - fl(n*v)|``, ``n >= 1``, derived in :func:`check_certificate`."""
+    f, p = np.frexp(v * (1 + (n + 1) * 2.0**-52))  # v' >= v*(1+u)^n
+    inner = n * 0.5
+    for j in range(int(n.max(initial=1)).bit_length()):  # k_j >= 2^j
+        inner += np.where(n >= (k := np.ceil(2.0**j / f)), (n - k + 2) * 2.0**(j - 1), 0)
+    return np.ldexp(inner, p - 53) * (1 + 2.0**-40)  # covers inner's rounding
+
+
+def _worst_error(x: np.ndarray, n: np.ndarray, dstar: int, g: int) -> float:
+    """The largest ``|s_n - fl(n*v)|`` over grid points ``x``, ``n`` falling."""
+    v, acc, fall = 1.0 / (dstar - x / g), np.zeros(len(x)), n - np.append(n[1:], 0)
+    for last in np.flatnonzero(fall).tolist():  # acc[:last + 1] adds fall[last] more
+        into, step = acc[:last + 1], v[:last + 1]
+        for _ in range(int(fall[last])):
+            into += step
+    return float(np.abs(acc - n * v).max(initial=0.0))
 
 
 def check_certificate(cert: FractionalCertificate, transcript: OnlineTranscript,
                       grid_per_unit: int = 1000) -> CertificateReport:
     """Numerically audit one certificate against an online run.
 
-    The grid has ``g = grid_per_unit`` points per unit on ``[0, dstar)``.
-    Each distinct release's support is found once: ``[r*g, hi)``, with
-    ``hi - 1`` its exact end (``_support_end``).
-
     * completion: every member's density integrates to 1 (closed form);
     * packing: total density, by direct summation and as the open-support
       count times ``1/(dstar - x)`` (the two must agree), never exceeds
       the run's machine count, nor ``e`` times the offline optimum.
 
-    The packing pass runs over tiles of whole grid rows (a row is one
-    step's ``g`` points), about ``_TILE_POINTS`` points each.  A tile adds
-    the density slice of each job whose support meets it into the direct
-    sum, clipped to the tile (every add at a point adds the same value, so
-    the cut changes no sum), and counts the open supports from their ends
-    into a buffer allocated once per check; the agreement error overwrites
-    the direct sum.  These adds, most of the check's time, stay only for
-    ``route_agreement``, whose value the benchmark's digests pin, until an
-    exact checker with no grid replaces them.  The ``e·OFF`` excess and the
-    first 100 profile failures are read from each row's largest density
-    (``fl(a - c)`` and ``a > c`` rise in ``a``).
+    The grid has ``g = grid_per_unit`` points per unit on ``[0, dstar)``.
+    The exact support ends (``_support_end``) and the rows (one step's
+    ``g`` points) cut it into pieces of one open-support count ``N``.  On a
+    piece ``fl(N*v)``, ``v = 1/(dstar - x)``, rises with ``x``: a row peaks
+    at a piece's last point, the ``e*OFF`` excess reads the peaks, and only
+    a failing row is expanded, to list the first 100 profile failures.
+
+    A point's direct sum ``s_N`` adds ``v`` ``N`` times, one add at a time,
+    so its error depends on ``(N, v)`` alone.  The adds stay only for
+    ``route_agreement``, which the benchmark's digests pin, until an exact
+    checker with no grid replaces them.  The pieces' last points seed the
+    largest error; a piece gets the adds at all its points, in ``N``-falling
+    chunks of ``_TILE_POINTS``, only if its bound at its last point (every
+    term rises with ``v``) reaches the seed.  Bound (Higham, §4.2): with
+    ``u = 2^-53``, ``v' = v*(1+u)^N = f*2^P`` (``frexp``, ``1/2 <= f < 1``)
+    and ``E_k = floor(log2(k*f))``, add ``k = 2..N`` sums to at most ``k*v'``
+    and rounds by at most ``ulp(k*v')/2 = 2^(P-53+E_k)``, and ``fl(N*v)`` by
+    ``2^(P-53+E_N)``.  ``E_1 = -1`` and ``E_k`` rises by one at each ``k_j =
+    ceil(2^j/f)`` (rounding only lowers ``k_j``), so binade by binade the
+    bound is ``2^(P-53) * (N/2 + sum over k_j <= N of 2^(j-1) * (N - k_j + 2))``.
 
     Dominance needs no grid: at every integer t, the certificate jobs run
     (one mask over the run's slots) are at least the mass accrued by t: the
@@ -400,44 +414,32 @@ def check_certificate(cert: FractionalCertificate, transcript: OnlineTranscript,
     report.completion_worst = max((abs(math.log(span / (span / math.e)) - 1.0)
                                    for span in (dstar - releases).tolist()), default=0.0)
 
-    # Both support ends rise with the release, so the supports that meet a
-    # tile [a, b) are a window [first, last) of them.
-    spans = [(r * g, _support_end(r, dstar, g) + 1, count)
-             for r, count in zip(releases.tolist(), per_release.tolist())]
-    m = _padded(transcript.m, dstar)
-    e_off = math.e * _padded(transcript.off, dstar)
+    stops = np.array([_support_end(r, dstar, g) + 1 for r in releases.tolist()], np.int64)
+    start, stop = (bounds := np.union1d(np.arange(dstar + 1) * g, stops))[:-1], bounds[1:]
+    done = np.append(0, np.cumsum(per_release))
+    level = (done[np.searchsorted(releases * g, start, "right")]
+             - done[np.searchsorted(stops, start, "right")])  # prefixes: ends rise with r
+    v_last = 1.0 / (dstar - (stop - 1) / g)
+    peak = np.maximum.reduceat(level * v_last, np.searchsorted(start, np.arange(dstar) * g))
+    m, e_off = _padded(transcript.m, dstar), math.e * _padded(transcript.off, dstar)
+    report.packing_scaled_off_excess = float((peak - e_off).max())
     failures = report.packing_profile_failures
-    rows = max(1, _TILE_POINTS // g)
-    tile_closed = np.empty(min(rows, dstar) * g)
-    first = last = 0
-    for s in range(0, dstar, rows):
-        a, b = s * g, min(s + rows, dstar) * g
-        while first < len(spans) and spans[first][1] <= a:
-            first += 1
-        while last < len(spans) and spans[last][0] < b:
-            last += 1
-        inv = 1.0 / (dstar - np.arange(a, b, dtype=np.float64) / g)
-        acc, closed = np.zeros_like(inv), tile_closed[:b - a]
-        opened = {0: 0, b - a: 0}  # tile point -> change of the open-support count
-        for lo, hi, count in spans[first:last]:
-            lo, hi = max(lo, a) - a, min(hi, b) - a
-            into, step = acc[lo:hi], inv[lo:hi]
-            for _ in range(count):  # repeated adds: route agreement measures them
-                into += step
-            opened[lo] = opened.get(lo, 0) + count
-            opened[hi] = opened.get(hi, 0) - count
-        points = sorted(opened)
-        level = np.fromiter(accumulate(opened[x] for x in points[:-1]), np.float64)
-        np.multiply(np.repeat(level, np.diff(points)), inv, out=closed)
-        error = np.abs(np.subtract(acc, closed, out=acc), out=acc)
-        report.agreement_worst = max(report.agreement_worst, float(error.max()))
-        peak, m_tile = closed.reshape(-1, g).max(axis=1), m[s:s + rows]
-        for row in np.flatnonzero(peak > m_tile + tol).tolist()[:100 - len(failures)]:
-            over = np.flatnonzero(closed[row * g:(row + 1) * g] > m_tile[row] + tol)
-            failures += [((a + row * g + k) / g, float(closed[row * g + k]), int(m_tile[row]))
-                         for k in over[:100 - len(failures)].tolist()]
-        report.packing_scaled_off_excess = max(report.packing_scaled_off_excess,
-                                               float((peak - e_off[s:s + rows]).max()))
+    for row in np.flatnonzero(peak > m + tol)[:100].tolist():
+        x = np.arange(row * g, (row + 1) * g)
+        dense = level[np.searchsorted(start, x, "right") - 1] * (1.0 / (dstar - x / g))
+        failures += [((row * g + k) / g, float(dense[k]), int(m[row]))
+                     for k in np.flatnonzero(dense > m[row] + tol)[:100 - len(failures)].tolist()]
+
+    order = np.argsort(-level, kind="stable")[:np.count_nonzero(level)]  # N falls
+    report.agreement_worst = worst = _worst_error(stop[order] - 1, level[order], dstar, g)
+    kept = order[_agreement_bound(level[order], v_last[order]) >= worst]
+    ends = np.cumsum((stop - start)[kept])  # the kept points, laid end to end
+    for c0 in range(0, ends[-1] if len(ends) else 0, _TILE_POINTS):
+        a, b = np.searchsorted(ends, [c0, c0 + _TILE_POINTS], "right") + [0, 1]  # pieces met
+        sizes = np.diff(np.minimum(ends[a:b], c0 + _TILE_POINTS), prepend=c0)
+        x = np.arange(c0, c0 + sizes.sum()) + np.repeat(stop[kept[a:b]] - ends[a:b], sizes)
+        n = np.repeat(level[kept[a:b]], sizes)
+        report.agreement_worst = worst = max(worst, _worst_error(x, n, dstar, g))
 
     chosen = transcript.trace.chosen[:dstar]
     ran = np.cumsum(np.isin(np.fromiter(chain.from_iterable(chosen), np.int64), cert.jobs.ids))
@@ -445,9 +447,7 @@ def check_certificate(cert: FractionalCertificate, transcript: OnlineTranscript,
     # Support ends rise with the release, so the started (r < t) and the
     # finished (end < t) releases are prefixes: [lo, hi) is the active window.
     t = np.arange(dstar + 1)
-    lo = np.searchsorted((np.array([hi for _, hi, _ in spans], dtype=np.int64) - 1) // g, t)
-    hi = np.searchsorted(releases, t)
-    done = np.append(0, np.cumsum(per_release))
+    lo, hi = np.searchsorted((stops - 1) // g, t), np.searchsorted(releases, t)
     log_span = np.log(dstar - releases.astype(np.float64))
     lead = np.append(0.0, np.cumsum(per_release * log_span))
     log_now = np.log(np.maximum(dstar - t, 1))  # no release is active at dstar

@@ -35,20 +35,10 @@ def _support_hi_index(r: int, dstar: int, g: int) -> int:
     return k
 
 
-def reference_check_certificate(cert, transcript, grid_per_unit=1000):
-    g = grid_per_unit
-    if g < 2:
-        raise ContractViolation("need at least 2 grid points per unit")
+def reference_grid(cert, g):
+    """Every grid point's density ``1/(dstar - x)``, direct sum and
+    open-support count, as arrays of ``dstar * g`` entries."""
     dstar = cert.dstar
-    report = CertificateReport(dstar=dstar, grid_per_unit=g, n_jobs=len(cert.jobs))
-    tol = report.tolerance
-
-    worst = 0.0
-    for j in cert.jobs:
-        span = dstar - j.r
-        worst = max(worst, abs(math.log(span / (span / math.e)) - 1.0))
-    report.completion_worst = worst
-
     total = dstar * g
     tgrid = np.arange(total, dtype=np.float64) / g
     inv = 1.0 / (dstar - tgrid)
@@ -66,10 +56,29 @@ def reference_check_certificate(cert, transcript, grid_per_unit=1000):
     kk = np.arange(total, dtype=np.int64)
     counts = (np.searchsorted(klos, kk, side="right")
               - np.searchsorted(khis, kk, side="left"))
+    return inv, acc, counts
+
+
+def reference_check_certificate(cert, transcript, grid_per_unit=1000):
+    g = grid_per_unit
+    if g < 2:
+        raise ContractViolation("need at least 2 grid points per unit")
+    dstar = cert.dstar
+    report = CertificateReport(dstar=dstar, grid_per_unit=g, n_jobs=len(cert.jobs))
+    tol = report.tolerance
+
+    worst = 0.0
+    for j in cert.jobs:
+        span = dstar - j.r
+        worst = max(worst, abs(math.log(span / (span / math.e)) - 1.0))
+    report.completion_worst = worst
+
+    inv, acc, counts = reference_grid(cert, g)
+    tgrid = np.arange(dstar * g, dtype=np.float64) / g
     closed = counts * inv
     report.agreement_worst = float(np.abs(acc - closed).max(initial=0.0))
 
-    floor_idx = kk // g
+    floor_idx = np.arange(dstar * g, dtype=np.int64) // g
     m_arr = _padded(transcript.m, dstar)[floor_idx]
     off_arr = _padded(transcript.off, dstar)[floor_idx]
     bad = np.nonzero(closed > m_arr + tol)[0]

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_certificate import _support_hi_index, reference_check_certificate
+from reference_certificate import (_support_hi_index, reference_check_certificate,
+                                   reference_grid)
 from schedlab import online_min
 from schedlab.core import (ContractViolation, Instance, Job, MachineProfile,
                            UnitJobs, ValidationError, read_instance, write_instance)
@@ -536,6 +537,13 @@ class TestMassScreen:
                 assert abs(screen[step] - mass) <= bound[step] / 4
 
 
+#: Job (release, span) lists, an alpha, a dstar pick and a grid.
+GENERATED_RUNS = (st.lists(st.tuples(st.integers(0, 8), st.integers(1, 5)),
+                           min_size=1, max_size=30),
+                  st.sampled_from(["e", 1, 2, Fraction(3, 2), Fraction(1, 2), 0]),
+                  st.integers(0, 10), st.sampled_from([2, 7, 50]))
+
+
 class TestReportBytes:
     def test_random_corpus_at_every_dstar(self):
         packing = dominance = 0
@@ -577,10 +585,7 @@ class TestReportBytes:
         assert len(cert.jobs) == 0
         assert assert_same_report(cert, run_alpha_edf(inst, "e"), grid).ok
 
-    @given(st.lists(st.tuples(st.integers(0, 8), st.integers(1, 5)),
-                    min_size=1, max_size=30),
-           st.sampled_from(["e", 1, 2, Fraction(3, 2), Fraction(1, 2), 0]),
-           st.integers(0, 10), st.sampled_from([2, 7, 50]))
+    @given(*GENERATED_RUNS)
     def test_generated_runs(self, pairs, alpha, pick, grid):
         inst = Instance.of("unit-min", [Job(i, r, r + span)
                                         for i, (r, span) in enumerate(pairs)])
@@ -588,50 +593,161 @@ class TestReportBytes:
         assert_same_report(build_certificate(inst.jobs, 1 + pick), tr, grid)
 
 
-class TestTiles:
-    """The packing pass gives the whole-grid reference's report bytes
-    wherever tile boundaries fall; ``_TILE_POINTS`` is cut to 64 points so
-    that every instance here spans several tiles."""
+def no_pruning(n, v):
+    """An agreement bound that no seed passes: every piece gets the adds."""
+    return np.full(len(n), np.inf)
 
-    @pytest.fixture(autouse=True)
-    def small_tiles(self, monkeypatch):
+
+def record_chunks(monkeypatch):
+    """Record the grid points of every ``_worst_error`` call; a check's
+    first call is its seed, at the pieces' last points."""
+    calls, real = [], online_min._worst_error
+
+    def spy(x, n, dstar, g):
+        calls.append(x.copy())
+        return real(x, n, dstar, g)
+
+    monkeypatch.setattr(online_min, "_worst_error", spy)
+    return calls
+
+
+class TestReportBytesEveryPiece(TestReportBytes):
+    """``TestReportBytes`` with every piece added: its reports equal the
+    reference's, as the pruned ones do, so pruning changes no byte."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def every_piece(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(online_min, "_agreement_bound", no_pruning)
+            yield
+
+    # hypothesis runs one @given function from one class only
+    @given(*GENERATED_RUNS)
+    def test_generated_runs(self, pairs, alpha, pick, grid):
+        TestReportBytes.test_generated_runs.hypothesis.inner_test(self, pairs, alpha, pick, grid)
+
+
+class TestPruning:
+    def test_full_adds_raise_the_seed(self, monkeypatch):
+        # at the benchmark's median dstar the seed alone (no piece added)
+        # stays under the worst error, so the full adds decide the report
+        inst = random_unit_instance(2000, 500, seed=0)
+        deadlines = sorted({int(j.d) for j in inst.jobs})
+        cert = build_certificate(inst.jobs, deadlines[len(deadlines) // 2])
+        tr = run_alpha_edf(inst, "e")
+        worst = check_certificate(cert, tr, 1000).agreement_worst
+        monkeypatch.setattr(online_min, "_agreement_bound",
+                            lambda n, v: np.full(len(n), -np.inf))
+        assert check_certificate(cert, tr, 1000).agreement_worst < worst
+
+    def test_adds_skip_most_points(self, monkeypatch):
+        inst = random_unit_instance(2000, 500, seed=0)
+        cert = build_certificate(inst.jobs, 500)
+        calls = record_chunks(monkeypatch)
+        check_certificate(cert, run_alpha_edf(inst, "e"), 1000)
+        assert 0 < sum(map(len, calls[1:])) < 500 * 1000 / 2
+
+
+def repeated_add_error(n, v):
+    """``|s_n - fl(n*v)|`` as an exact rational, ``s_n`` being ``v`` added
+    ``n`` times to 0.0, one float add at a time."""
+    s = 0.0
+    for _ in range(n):
+        s += v
+    return abs(Fraction(s) - Fraction(n * v))
+
+
+BINADES = st.integers(-60, 60)
+BOUND_VALUES = st.one_of(
+    BINADES.map(lambda e: math.ldexp(1.0, e)),  # exact powers of two
+    # a few low mantissa bits set: the sums land on ties
+    st.builds(lambda m, e: math.ldexp(1 + m * 2.0**-52, e), st.integers(1, 64), BINADES),
+    st.builds(lambda m, e: math.ldexp(2 - m * 2.0**-52, e), st.integers(1, 64), BINADES),
+    st.builds(lambda m, e: math.ldexp(1.5 + m * 2.0**-52, e), st.integers(-8, 8), BINADES),
+    st.floats(2.0**-60, 2.0**60),
+)
+BOUND_COUNTS = st.one_of(st.integers(1, 4096), st.sampled_from(
+    [2**k + d for k in range(13) for d in (-1, 0, 1) if 1 <= 2**k + d <= 4096]))
+
+
+class TestAgreementBound:
+    """``_agreement_bound`` is at least the exact repeated-add error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(BOUND_COUNTS, BOUND_VALUES)
+    def test_bound_covers_the_repeated_adds(self, n, v):
+        bound = online_min._agreement_bound(np.array([n]), np.array([v]))[0]
+        assert Fraction(bound) >= repeated_add_error(n, v)
+
+    def test_bound_covers_every_grid_point(self):
+        inst = random_unit_instance(2000, 500, seed=0)
+        inv, acc, counts = reference_grid(build_certificate(inst.jobs, 500), 1000)
+        inv, acc, counts = inv[counts > 0], acc[counts > 0], counts[counts > 0]
+        # acc and counts*inv lie within a factor 2, so their difference is exact
+        ratio = np.abs(acc - counts * inv) / online_min._agreement_bound(counts, inv)
+        assert ratio.max() <= 1
+        assert ratio.max() > 0.5  # tight enough to prune
+
+
+class TestChunks:
+    """The agreement adds give the whole-grid reference's report bytes
+    wherever chunk boundaries fall.  ``_TILE_POINTS`` is cut to 64 points,
+    and each case runs pruned and with every piece added, so that the
+    added points span several chunks."""
+
+    @pytest.fixture(autouse=True, params=["pruned", "every piece"])
+    def chunks(self, request, monkeypatch):
         monkeypatch.setattr(online_min, "_TILE_POINTS", 64)
+        self.every_piece = request.param == "every piece"
+        if self.every_piece:
+            monkeypatch.setattr(online_min, "_agreement_bound", no_pruning)
+        self.calls = record_chunks(monkeypatch)
+
+    def check(self, cert, transcript, grid):
+        """The report, checked against the reference, and its chunks."""
+        self.calls.clear()
+        return assert_same_report(cert, transcript, grid), self.calls[1:]
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_dstar_off_the_tile_rows(self, seed):
-        # grid 10: 6 rows a tile, and 13 is no multiple of 6
+    def test_dstar_off_the_chunk_rows(self, seed):
+        # grid 10: a chunk holds 6.4 rows' points, and 13 rows are no multiple
         inst = random_unit_instance(60, 13, seed=seed)
+        most = 0
         for alpha in ("e", 1, Fraction(1, 2)):
             tr = run_alpha_edf(inst, alpha)
             for dstar in (5, 7, 13):
-                assert_same_report(build_certificate(inst.jobs, dstar), tr, 10)
+                _, chunks = self.check(build_certificate(inst.jobs, dstar), tr, 10)
+                most = max(most, len(chunks))
+        assert most > 1 or not self.every_piece
 
     @pytest.mark.parametrize("grid", [65, 100])
-    def test_rows_wider_than_a_tile(self, grid):
-        # one row a tile
+    def test_rows_wider_than_a_chunk(self, grid):
+        # a piece can be a whole row, wider than a chunk
         inst = random_unit_instance(30, 8, seed=3)
         for alpha in ("e", 1):
             tr = run_alpha_edf(inst, alpha)
             for dstar in (1, 4, 8):
-                assert_same_report(build_certificate(inst.jobs, dstar), tr, grid)
+                _, chunks = self.check(build_certificate(inst.jobs, dstar), tr, grid)
+                assert all(len(x) <= 64 for x in chunks)
+                assert len(chunks) > 1 or dstar == 1
 
     @pytest.mark.parametrize("alpha", [0, Fraction(1, 2), 1])
-    def test_first_hundred_packing_failures_across_tiles(self, alpha):
+    def test_first_hundred_packing_failures_across_chunks(self, alpha):
         inst = random_unit_instance(80, 12, seed=5)
         tr = run_alpha_edf(inst, alpha)
-        rep = assert_same_report(build_certificate(inst.jobs, 12), tr, 10)
-        # 60 points a tile; at alpha 0 no step has a machine
-        tiles = {int(t * 10) // 60 for t, _, _ in rep.packing_profile_failures}
-        assert len(tiles) > 1
+        rep, chunks = self.check(build_certificate(inst.jobs, 12), tr, 10)
+        # at alpha 0 no step has a machine
         assert len(rep.packing_profile_failures) == (100 if alpha < 1 else 85)
+        rows = {round(t * 10) // 10 for t, _, _ in rep.packing_profile_failures}
+        met = {i for i, x in enumerate(chunks) if rows & set((x // 10).tolist())}
+        assert len(met) > 1 or not self.every_piece
 
     @pytest.mark.parametrize("grid", [7, 10, 100])
     def test_dstar_past_the_horizon(self, grid):
         inst = random_unit_instance(40, 9, seed=2)
         for alpha in ("e", Fraction(1, 2)):
             tr = run_alpha_edf(inst, alpha)
-            assert_same_report(build_certificate(inst.jobs, inst.horizon + 1),
-                               tr, grid)
+            self.check(build_certificate(inst.jobs, inst.horizon + 1), tr, grid)
 
 
 def test_packing_pass_holds_no_grid_sized_array():
