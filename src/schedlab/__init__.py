@@ -14,11 +14,11 @@ from .adversary import (AdversaryState, AggregateGame, GameTranscript,
                         scaling_bound_report)
 from .core import (ContractViolation, GridJobs, Instance, Job,
                    MachineProfile, ParseError, Schedule, UnitJobs,
-                   ValidationError, audit_schedule, dump_json, feasible_slot,
-                   read_instance, schedule_cost, time_grid, unit_columns,
-                   validate_instance, write_instance)
+                   ValidationError, audit_schedule, feasible_slot,
+                   schedule_cost, time_grid, unit_columns, validate_instance)
 from .equal_deadline import (EqualDeadlineTranscript, classify, phase_bounds,
                              phase_split, run_equal_deadline)
+from .fileio import dump_json, read_instance, write_instance
 from .generators import (adversary_instance, equal_deadline_instance,
                          generate, random_unit_instance, throughput_instance,
                          upper_triangular_instance)

@@ -18,8 +18,8 @@ import sys
 import time
 
 from . import adversary, equal_deadline, generators, online_min, oracle, throughput
-from .core import (ContractViolation, ParseError, ValidationError,
-                   dump_json, read_instance, write_instance)
+from .core import ContractViolation, ParseError, ValidationError
+from .fileio import dump_json, read_instance, write_instance
 
 log = logging.getLogger("schedlab")
 

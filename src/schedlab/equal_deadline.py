@@ -21,16 +21,11 @@ however large ``L`` is.  The transcript keeps the numerators and ``L``
 too, and builds no ``Fraction`` for its JSON form.  Its ``schedule`` and
 ``lengths`` give the times as ``Fraction``s, built on first read.
 
-Numbers cross the file and transcript edges as whole columns.  The writer
-and the transcript write ``num / L`` by remainder class
-(:func:`~schedlab.core._quotients_out`): one ``divmod`` per value, and one
-tail per distinct remainder, which ``_quotient_out``, the one rule for
-writing a number, writes.  There are at most ``L`` remainders, and 16 on
-a generated instance, in sixteenths or read back over ``10**4``.  The
-reader (:func:`~schedlab.core._decimal_column`) checks and pads each
-distinct fractional tail once and reads each value as one ``int``.  The
-generator draws from one bound ``getrandbits``, and the runner records
-its pools once per phase.
+Numbers cross the file and transcript edges as whole columns
+(:mod:`schedlab.fileio`): a generated instance's times, in sixteenths, are
+written as 16 remainder classes and read back as plain decimals over
+``10**4``.  The generator draws from one bound ``getrandbits``, and the
+runner records its pools once per phase.
 """
 
 from __future__ import annotations
@@ -43,8 +38,8 @@ from itertools import compress, repeat
 from operator import add, itemgetter, le, not_
 from typing import NamedTuple
 
-from .core import (ContractViolation, Instance, Schedule, _quotients_out,
-                   require_valid, time_grid)
+from .core import ContractViolation, Instance, Schedule, require_valid, time_grid
+from .fileio import _quotients_out
 from .oracle import volume_lower_bound
 
 
@@ -156,7 +151,7 @@ class EqualDeadlineTranscript:
 
     def to_jsonable(self) -> dict:
         """The transcript as JSON values; the schedule's start and end
-        columns are written by :func:`~schedlab.core._quotients_out`."""
+        columns are written by :func:`~schedlab.fileio._quotients_out`."""
         ids, machines, starts = zip(*self.placements) if self.placements else ((),) * 3
         ends = list(map(add, starts, map(self.sizes.__getitem__, ids)))
         return {

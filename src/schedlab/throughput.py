@@ -43,8 +43,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (ContractViolation, Instance, Schedule, _quotients_out, allocating,
-                   require_valid, time_grid, unit_columns)
+from .core import (ContractViolation, Instance, Schedule, allocating, require_valid,
+                   time_grid, unit_columns)
+from .fileio import _quotients_out
 from .oracle import EdfQueue, active_steps, offline_throughput_opt
 
 

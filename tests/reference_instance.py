@@ -1,5 +1,5 @@
-"""The row reader that ``core.instance_from_dict`` was before a unit-min file
-came back as int64 columns.
+"""The row reader that ``instance_from_dict`` was before a unit-min file came
+back as int64 columns.
 
 Every job becomes a ``Job`` row, weight included, whatever the model; the
 rows are sorted by ``(release, id)`` and validated by the row validator.
@@ -9,7 +9,8 @@ The tests compare the column reader with it on documents of each model.
 from __future__ import annotations
 
 from reference_equal_deadline import reference_validate_instance
-from schedlab.core import Instance, Job, ParseError, ValidationError, _num_in
+from schedlab.core import Instance, Job, ParseError, ValidationError
+from schedlab.fileio import _num_in
 
 
 def reference_instance_from_dict(doc: dict) -> Instance:

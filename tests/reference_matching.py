@@ -16,7 +16,8 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable
 
-from schedlab.core import ContractViolation, Instance, Job, _num_out, require_valid
+from schedlab.core import ContractViolation, Instance, Job, require_valid
+from schedlab.fileio import _num_out
 
 
 def reference_active_steps(jobs: Iterable[Job]

@@ -25,7 +25,8 @@ from schedlab.adversary import (
     resolve_stream,
     scaling_bound_report,
 )
-from schedlab.core import ContractViolation, Schedule, UnitJobs, write_instance
+from schedlab.core import ContractViolation, Schedule, UnitJobs
+from schedlab.fileio import write_instance
 from schedlab.generators import adversary_instance
 from schedlab.online_min import EULER
 from schedlab.oracle import off_prefix_series, off_unit

@@ -30,24 +30,25 @@ from schedlab.core import (
     Schedule,
     UnitJobs,
     ValidationError,
-    _decimal_column,
-    _decimal_parts,
-    _num_in,
-    _num_out,
-    _quotient_out,
-    _quotients_out,
     _shown,
     audit_schedule,
-    dump_json,
     feasible_slot,
-    instance_from_dict,
-    instance_to_dict,
-    read_instance,
     require_valid,
     schedule_cost,
     time_grid,
     unit_columns,
     validate_instance,
+)
+from schedlab.fileio import (
+    _decimal_column,
+    _num_in,
+    _num_out,
+    _quotient_out,
+    _quotients_out,
+    dump_json,
+    instance_from_dict,
+    instance_to_dict,
+    read_instance,
     write_instance,
 )
 from schedlab.generators import (KINDS, _draws, adversary_instance, equal_deadline_instance,
@@ -518,12 +519,13 @@ class TestCheckedInstances:
         run_equal_deadline(inst)
         assert len(validations) == 2
 
+    @pytest.mark.parametrize("reverse", [False, True], ids=["sorted", "reversed"])
     @pytest.mark.parametrize("instance", [
         equal_deadline_instance(4, 12, seed=3), random_unit_instance(12, 6, seed=3),
         throughput_instance(12, 6, k=2, seed=3)], ids=["equal-deadline", "unit", "throughput"])
-    def test_reader_converts_each_grid_column_once(self, instance, monkeypatch):
-        # The reader's (r, id) order check and the validation share one
-        # conversion of the five columns.
+    def test_reader_converts_each_grid_column_once(self, instance, reverse, monkeypatch):
+        # The reader's (r, id) order check, its sort of an unsorted file and
+        # the validation share one conversion of the five columns.
         from schedlab import core
         converted = []
 
@@ -531,9 +533,11 @@ class TestCheckedInstances:
             converted.append(len(values))
             return exact_column(values, wide)
 
+        doc = json.loads(write_instance(instance))
+        doc["jobs"] = doc["jobs"][::-1] if reverse else doc["jobs"]
         exact_column = core._exact_column
         monkeypatch.setattr(core, "_exact_column", counted)
-        read_instance(write_instance(instance))
+        assert read_instance(json.dumps(doc)) == instance
         assert converted == [len(instance.jobs)] * 5
 
     @pytest.mark.parametrize("instance", [
@@ -977,6 +981,14 @@ class TestGridReader:
         {"id": 0, "r": "1" + "0" * 5000, "d": 7, "p": 1}]})
     @example({"model": "equal-deadline", "jobs": [
         {"id": 0, "r": "0.5", "d": 7, "p": "0", "w": -1}]})
+    # equal keys of one dict, read value by value as their types say
+    @example({"model": "equal-deadline", "jobs": [
+        {"id": i, "r": 0, "d": 7, "p": "0.5", "w": w}
+        for i, w in enumerate([1, 1.0, "1", True])]})
+    # the first fault in row order, whatever column it is in
+    @example({"model": "equal-deadline", "jobs": [
+        {"id": 0, "r": 0, "d": 7, "p": 1}, {"id": 1, "r": 0, "d": 7, "p": 1, "w": "x"},
+        {"id": 2, "r": "1/0", "d": 7, "p": 1}]})
     def test_matches_row_reference(self, doc):
         expected = _read(reference_instance_from_dict, doc)
         got = _read(instance_from_dict, doc)
@@ -989,11 +1001,11 @@ class TestGridReader:
         assert [(j.id, j.r, j.d, j.p) for j in got.jobs] == [
             (j.id, j.r, j.d, j.p) for j in expected.jobs]
 
-    def test_plain_decimals_skip_the_row_reader(self, monkeypatch):
+    def test_plain_decimals_skip_the_value_reader(self, monkeypatch):
         doc = {"model": "equal-deadline", "jobs": [
             {"id": 1, "r": "0.5", "d": 7, "p": "2.25"},
             {"id": 0, "r": 3, "d": "7.0", "p": 4, "w": 1}]}
-        monkeypatch.setattr("schedlab.core._job_rows", None)
+        monkeypatch.setattr("schedlab.fileio._num_in", None)
         inst = instance_from_dict(doc)
         assert (inst.jobs.ids, inst.jobs.r, inst.jobs.scale) == ((1, 0), (50, 300), 100)
 
@@ -1002,9 +1014,9 @@ class TestGridReader:
         lambda: equal_deadline_instance(9, 1000, seed=0),
         lambda: throughput_instance(400, 100, k=4, seed=0)],
         ids=["random-unit", "equal-deadline", "throughput"])
-    def test_generated_files_skip_the_row_reader(self, monkeypatch, make):
+    def test_generated_files_skip_the_value_reader(self, monkeypatch, make):
         text = write_instance(make())
-        monkeypatch.setattr("schedlab.core._job_rows", None)
+        monkeypatch.setattr("schedlab.fileio._num_in", None)
         assert write_instance(read_instance(text)) == text
 
 
@@ -1050,6 +1062,12 @@ class TestThroughputReader:
     # each digit run fits Python's int/str limit, the two joined do not
     @example({"model": "throughput", "k": 1, "jobs": [
         {"id": 0, "r": 0, "d": 2, "w": "1" * 4000 + "." + "1" * 4000}]})
+    # equal keys of one dict, read value by value as their types say
+    @example({"model": "throughput", "k": 1, "jobs": [
+        {"id": i, "r": r, "d": 2} for i, r in enumerate([1, 1.0, "1", True])]})
+    # the first fault in row order, whatever column it is in
+    @example({"model": "throughput", "k": 1, "jobs": [
+        {"id": 0, "r": 0, "d": 1, "w": [1]}, {"id": 1, "r": "r", "d": 1}]})
     def test_matches_row_reference(self, doc):
         expected = _read(reference_instance_from_dict, doc)
         got = _read(instance_from_dict, doc)
@@ -1178,9 +1196,9 @@ class TestDumpJson:
                 for path in sorted(Path(schedlab.__file__).parent.glob("*.py"))
                 for line in path.read_text().splitlines() if "indent=1" in line]
         body = inspect.getsource(dump_json)
-        assert hits and all(name == "core.py" and line in body
+        assert hits and all(name == "fileio.py" and line in body
                             for name, line in hits)
-        assert ("core.py", "return json.dumps(obj, indent=1, sort_keys=True)") in hits
+        assert ("fileio.py", "return json.dumps(obj, indent=1, sort_keys=True)") in hits
 
 
 def _fraction_in(text):
@@ -1305,6 +1323,21 @@ class TestNumberCodec:
         assert _quotients_out([1, -1, 7, -7, 9], 3) == ["1/3", "-1/3", "7/3", "-7/3", 3]
 
 
+def _decimal_parts(text: str) -> tuple[int, int] | None:
+    """``(num, places)`` with ``Fraction(text) == num / 10**places`` for
+    ``text`` of the form ``[-]digits[.digits]``; ``None`` for any other
+    string.  The two digit runs convert apart, as ``Fraction`` converts
+    them, so their length limits are the same.  The value-by-value rule
+    that :class:`TestDecimalColumn` holds ``_decimal_column`` to."""
+    sign, body = (-1, text[1:]) if text[:1] == "-" else (1, text)
+    whole, dot, decimals = body.partition(".")
+    if not (whole.isdecimal() and (not dot or decimals.isdecimal())):
+        return None
+    places = len(decimals)
+    num = int(whole) * 10 ** places + (int(decimals) if decimals else 0)
+    return sign * num, places
+
+
 def _column_by_parts(values):
     """A column as ``_decimal_parts`` reads it, value by value."""
     try:
@@ -1334,7 +1367,7 @@ class TestDecimalColumn:
 
     @pytest.mark.parametrize("text", _COLUMN_TEXTS, ids=lambda t: repr(t[:12]))
     def test_each_form_reads_as_decimal_parts(self, text):
-        # where joined digits pass the limit, the row reader reads the file
+        # where joined digits pass the limit, _num_in reads the values
         for column in ([text], [text, 2, "0.25"], ["-1.5", 7, text]):
             if _joined_digits(column) > sys.get_int_max_str_digits():
                 assert _decimal_column(column) is None

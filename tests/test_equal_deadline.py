@@ -14,14 +14,14 @@ from reference_equal_deadline import (
     reference_equal_deadline_instance,
     reference_run_equal_deadline,
 )
-from schedlab.core import (ContractViolation, GridJobs, Instance, Job,
-                           read_instance, write_instance)
+from schedlab.core import ContractViolation, GridJobs, Instance, Job
 from schedlab.equal_deadline import (
     classify,
     phase_bounds,
     phase_split,
     run_equal_deadline,
 )
+from schedlab.fileio import read_instance, write_instance
 from schedlab.generators import equal_deadline_instance
 from schedlab.oracle import volume_lower_bound
 

@@ -17,7 +17,8 @@ from reference_certificate import (_support_hi_index, reference_check_certificat
                                    reference_grid)
 from schedlab import online_min
 from schedlab.core import (ContractViolation, Instance, Job, MachineProfile,
-                           UnitJobs, ValidationError, read_instance, write_instance)
+                           UnitJobs, ValidationError)
+from schedlab.fileio import read_instance, write_instance
 from schedlab.generators import adversary_instance, random_unit_instance
 from schedlab.online_min import (
     EULER,

@@ -16,7 +16,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from reference_matching import reference_active_steps, reference_reduce_to_matching
-from schedlab.core import ContractViolation, Instance, Job, Schedule, dump_json
+from schedlab.core import ContractViolation, Instance, Job, Schedule
+from schedlab.fileio import dump_json
 from schedlab.generators import throughput_instance, upper_triangular_instance
 from schedlab.oracle import offline_throughput_opt
 from schedlab import throughput
