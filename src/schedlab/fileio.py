@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from math import gcd, isfinite
+from math import gcd, inf, isfinite
 from operator import add, itemgetter
 from typing import Iterable, Sequence
 
@@ -29,9 +29,13 @@ class _Unproven(Exception):
 
 
 def _float_json(x: float) -> str:
-    if isfinite(x):
-        return float.__repr__(x)
-    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+    if x != x:
+        return "NaN"
+    if x == inf:
+        return "Infinity"
+    if x == -inf:
+        return "-Infinity"
+    return float.__repr__(x)
 
 
 #: ``json.dumps``' text of each scalar type; subclasses are not keys.
@@ -58,14 +62,16 @@ def _json_scalars(values: Sequence) -> Iterable[str] | None:
 def _json_object(fields: Iterable[tuple[str, str]], depth: int) -> str:
     """An object of ``(key, value text)`` pairs, in the order given, whose
     opening line is indented by ``depth``."""
-    return _json_array((f"{encode_basestring_ascii(key)}: {text}" for key, text in fields),
-                       depth, "{}")
+    inner = "\n" + " " * (depth + 1)
+    body = ("," + inner).join(f"{encode_basestring_ascii(key)}: {text}"
+                              for key, text in fields)
+    return f"{{{inner}{body}\n{' ' * depth}}}" if body else "{}"
 
 
-def _json_array(items: Iterable[str], depth: int, brackets: str = "[]") -> str:
+def _json_array(items: Iterable[str], depth: int) -> str:
     inner = "\n" + " " * (depth + 1)
     body = ("," + inner).join(items)
-    return f"{brackets[0]}{inner}{body}\n{' ' * depth}{brackets[1]}" if body else brackets
+    return f"[{inner}{body}\n{' ' * depth}]" if body else "[]"
 
 
 def _json_rows(keys: Sequence[str], columns: Sequence[Iterable[str]],
@@ -117,11 +123,13 @@ def dump_json(obj) -> str:
     Written from exact ``dict``s with ``str`` keys, ``list``s, ``tuple``s
     and scalars of exactly ``str``, ``int``, ``float``, ``bool`` and
     ``None``: a list of scalars is one join, and a list of flat objects
-    that share one key set fills one row template.  Anything else in
-    ``obj`` (another key type, a subclass, a value JSON cannot hold) or a
-    cycle sends all of it to ``json.dumps``, which writes it or raises.
-    An int past Python's digit limit in what it writes itself is refused
-    (:func:`_past_digit_limit`)."""
+    that share one key set fills one row template.  Any other object
+    anywhere in ``obj`` (another key type, a subclass, a value JSON cannot
+    hold) or a reference cycle sends all of ``obj`` to ``json.dumps``, which
+    writes it or raises as it always does.  An int past Python's digit
+    limit in an object it writes itself is refused as a
+    :class:`ContractViolation` (:func:`_past_digit_limit`).
+    """
     try:
         return _json(obj, 0)
     except (_Unproven, RecursionError):
@@ -146,7 +154,8 @@ def _quotient_out(num: int, den: int):
     g = gcd(num, den)
     if g == den:
         return num // den
-    num, den = num // g, den // g
+    num //= g
+    den //= g
     # A finite decimal needs as many digits as the larger power of 2 or 5
     # in the denominator; the bit length bounds both.
     digits = den.bit_length()
@@ -200,14 +209,16 @@ def _num_in(value, where: str) -> Rational:
 def _quotients_out(nums: Sequence[int], scale: int) -> list:
     """Each ``num / scale`` as :func:`_quotient_out` writes it.
 
-    Non-negative numerators are written by remainder class: one ``divmod``
-    per value and one ``_quotient_out(r, scale)`` tail per distinct
-    remainder ``r``.  ``r / scale`` in lowest terms has the denominator of
-    ``q + r / scale``, so when every tail is a decimal (``"0.0625"``) each
-    value is ``q``'s digits and the tail's (``".0625"``).  Any other column
-    (a ``"p/q"`` tail, a negative numerator, which ``divmod`` floors, or a
-    text that could reach Python's int/str digit limit) is written once
-    per distinct numerator by ``_quotient_out``, refusals included."""
+    A column of non-negative numerators is written by remainder class: one
+    ``divmod`` per value, and one tail per distinct remainder ``r``, which
+    ``_quotient_out(r, scale)`` writes.  ``num / scale`` is
+    ``q + r / scale``, and ``r / scale`` in lowest terms has the
+    denominator of the whole, so when every tail is a decimal
+    (``"0.0625"``) each value is ``q``'s digits and the tail's
+    (``".0625"``).  Any other column (a ``"p/q"`` tail, a negative
+    numerator, which ``divmod`` floors, or a text that could reach
+    Python's int/str digit limit) is written once per distinct numerator
+    by ``_quotient_out`` itself, refusals included."""
     limit = sys.get_int_max_str_digits()
     # _quotient_out scales num by at most 10**scale.bit_length(), and num
     # has at most 0.31 digits a bit, plus one
@@ -235,16 +246,15 @@ def _job_columns(jobs: Sequence[Job]) -> dict[str, Sequence]:
     return {"d": d, "id": grid.ids, "p": p, "r": r, "w": w}
 
 
-def _header(instance: Instance) -> dict:
-    """A file's ``model``, ``k`` and ``horizon``, those that are set."""
-    return {key: value for key in ("model", "k", "horizon")
-            if (value := getattr(instance, key)) is not None}
-
-
 def instance_to_dict(instance: Instance) -> dict:
+    doc: dict = {"model": instance.model}
+    if instance.k is not None:
+        doc["k"] = instance.k
+    if instance.horizon is not None:
+        doc["horizon"] = instance.horizon
     columns = _job_columns(instance.jobs)
-    return {**_header(instance),
-            "jobs": [dict(zip(columns, row)) for row in zip(*columns.values())]}
+    doc["jobs"] = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    return doc
 
 
 def write_instance(instance: Instance) -> str:
@@ -253,7 +263,9 @@ def write_instance(instance: Instance) -> str:
     from the job columns, with no object per job; the header's ``model``,
     ``k`` and ``horizon`` are scalars, written one text each."""
     require_valid(instance)
-    header = _header(instance)
+    header = {"model": instance.model, "k": instance.k,
+              "horizon": instance.horizon}
+    header = {key: value for key, value in header.items() if value is not None}
     columns = _job_columns(instance.jobs)
     try:
         texts = [_json_scalars(column)
@@ -303,19 +315,14 @@ def _decimal_column(values: list) -> tuple[list[int], int] | None:
 
 def _rational_column(values: list, name: str) -> tuple[list[Rational], ParseError | None]:
     """Column ``name`` by :func:`_num_in` up to the first value it refuses,
-    and that refusal (``None`` if none), once per distinct ``(type, value)``:
-    ``1``, ``1.0`` and ``True`` are equal keys, and not one answer.  Other
-    than a JSON scalar, a value is keyed by its identity."""
-    read, keys = {}, []
+    and that refusal (``None`` if none)."""
+    read = []
     for at, value in enumerate(values):
-        key = (type(value), value) if type(value) in _SCALAR_JSON else id(value)
-        if key not in read:
-            try:
-                read[key] = _num_in(value, f"jobs[{at}].{name}")
-            except ParseError as refusal:
-                return list(map(read.__getitem__, keys)), refusal
-        keys.append(key)
-    return list(map(read.__getitem__, keys)), None
+        try:
+            read.append(_num_in(value, f"jobs[{at}].{name}"))
+        except ParseError as refusal:
+            return read, refusal
+    return read, None
 
 
 def _entry_fault(entry) -> str | None:
@@ -330,36 +337,30 @@ def _entry_fault(entry) -> str | None:
     return None
 
 
-def _shaped(entries: list, clean: bool = False) -> tuple[list, ...]:
-    """``(ids, r, d, p, w, fault)``: the columns of the entries before the
-    first with an :func:`_entry_fault` (``p`` and ``w`` 1 when absent), and
-    its refusal, or ``None``.  Entries of type ``dict`` holding an ``r``, a
-    ``d`` and an ``id`` of type ``int`` are ``clean`` without a scan."""
-    if clean or set(map(type, entries)) <= {dict}:
-        try:
-            ids, r, d = [list(map(itemgetter(key), entries)) for key in ("id", "r", "d")]
-            clean = clean or set(map(type, ids)) <= {int}
-        except KeyError:
-            pass
-    if not clean:
-        at, why = next(((at, why) for at, why in enumerate(map(_entry_fault, entries)) if why),
-                       (len(entries), None))
-        return *_shaped(entries[:at], True)[:5], why and ParseError(f"jobs[{at}]: {why}")
-    return ids, r, d, *[list(map(dict.get, entries, repeat(key), repeat(1)))
-                        for key in ("p", "w")], None
-
-
 def _jobs_in(raw_jobs: list) -> GridJobs:
     """The one reader of a file's jobs: :class:`GridJobs` sorted by
-    ``(r, id)``, ties in file order.  ``r``, ``d``, ``p`` and ``w`` are read
-    as columns, by :func:`_decimal_column` or else
-    :func:`_rational_column`, over the power of ten the longest decimal
-    needs when ``_decimal_column`` reads all four, else over
+    ``(r, id)``, ties in file order.  ``r``, ``d``, ``p`` and ``w`` (``p``
+    and ``w`` 1 when absent) are read as columns, by :func:`_decimal_column`
+    or else :func:`_rational_column`, over the power of ten the longest
+    decimal needs when ``_decimal_column`` reads all four, else over
     :func:`~schedlab.core.time_grid`'s lcm.  The fault refused is the first
     by row, then by check (:func:`_entry_fault`, then the columns in
     order): each check reads only the rows before the faults found so far."""
-    ids, *values, fault = _shaped(raw_jobs)
-    columns, count = [], len(ids)
+    count, fault = len(raw_jobs), None
+    try:
+        # entries are checked one by one only where the columns cannot be taken whole
+        if set(map(type, raw_jobs)) - {dict}:
+            raise KeyError
+        ids, *values = [list(map(itemgetter(key), raw_jobs)) for key in ("id", "r", "d")]
+        if set(map(type, ids)) - {int}:
+            raise KeyError
+    except KeyError:
+        count, why = next(((at, why) for at, why in enumerate(map(_entry_fault, raw_jobs))
+                           if why), (count, None))
+        fault = why and ParseError(f"jobs[{count}]: {why}")
+        ids, *values = [list(map(itemgetter(key), raw_jobs[:count])) for key in ("id", "r", "d")]
+    values += [list(map(dict.get, raw_jobs[:count], repeat(key), repeat(1))) for key in ("p", "w")]
+    columns = []
     for name, column in zip("rdpw", values):
         del column[count:]
         parts = _decimal_column(column)

@@ -1,35 +1,10 @@
 """Shared test configuration."""
 import signal
-import warnings
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 from schedlab import oracle
-
-
-def pytest_runtest_makereport(call):
-    """Import ``hypothesis.extra._patching`` once, at the first failure,
-    with only the warning its import raises ignored.
-
-    When a property fails, hypothesis imports that module in its own report
-    hook to suggest an ``@example``.  libcst, which the module imports,
-    builds a ``mypy_extensions.TypedDict``, which warns that it is
-    deprecated, and pytest turns that warning into an error that aborts the
-    session.  pytest runs this plain hook inside hypothesis's wrapper of the
-    same hook, so the module is loaded before hypothesis asks for it.  It
-    is absent where libcst is not installed, and a session with no failure
-    never pays for importing libcst."""
-    if call.excinfo is None:
-        return
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated",
-                                DeprecationWarning)
-        try:
-            import hypothesis.extra._patching  # noqa: F401
-        except ImportError:
-            pass
-
 
 settings.register_profile(
     "repo",

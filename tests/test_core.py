@@ -981,7 +981,7 @@ class TestGridReader:
         {"id": 0, "r": "1" + "0" * 5000, "d": 7, "p": 1}]})
     @example({"model": "equal-deadline", "jobs": [
         {"id": 0, "r": "0.5", "d": 7, "p": "0", "w": -1}]})
-    # equal keys of one dict, read value by value as their types say
+    # one value in four types, each read as its own type says
     @example({"model": "equal-deadline", "jobs": [
         {"id": i, "r": 0, "d": 7, "p": "0.5", "w": w}
         for i, w in enumerate([1, 1.0, "1", True])]})
@@ -989,6 +989,8 @@ class TestGridReader:
     @example({"model": "equal-deadline", "jobs": [
         {"id": 0, "r": 0, "d": 7, "p": 1}, {"id": 1, "r": 0, "d": 7, "p": 1, "w": "x"},
         {"id": 2, "r": "1/0", "d": 7, "p": 1}]})
+    # an entry that is not an object, after one that is
+    @example({"model": "equal-deadline", "jobs": [{"id": 0, "r": 0, "d": 7, "p": 1}, [0, 7]]})
     def test_matches_row_reference(self, doc):
         expected = _read(reference_instance_from_dict, doc)
         got = _read(instance_from_dict, doc)
@@ -1062,7 +1064,7 @@ class TestThroughputReader:
     # each digit run fits Python's int/str limit, the two joined do not
     @example({"model": "throughput", "k": 1, "jobs": [
         {"id": 0, "r": 0, "d": 2, "w": "1" * 4000 + "." + "1" * 4000}]})
-    # equal keys of one dict, read value by value as their types say
+    # one value in four types, each read as its own type says
     @example({"model": "throughput", "k": 1, "jobs": [
         {"id": i, "r": r, "d": 2} for i, r in enumerate([1, 1.0, "1", True])]})
     # the first fault in row order, whatever column it is in
