@@ -36,7 +36,7 @@ from typing import Protocol
 import numpy as np
 
 from .core import (INT64_MAX, ContractViolation, MachineProfile, Schedule,
-                   UnitJobs, allocating, arange_exact)
+                   UnitJobs, allocating, arange_exact, exact_int)
 from .online_min import (EULER, OnlineState, _ratio_out, ceil_times,
                          ceil_times_series, json_ratio, ratio_of_counts,
                          resolve_alpha)
@@ -62,12 +62,15 @@ def resolve_rho(rho) -> Fraction | None:
 
 
 def resolve_stream(n: int, N: int | None = None) -> int:
-    """Check the stream parameters ``n >= 1``, ``N >= 0``; return ``N``,
-    which defaults to ``n * n``."""
+    """Check the stream parameters, integers ``n >= 1`` and ``N >= 0`` (a
+    numpy integer reads as its int, a bool or float is refused); return
+    ``N``, which defaults to ``n * n``."""
+    n = exact_int(n, "n")
     if n < 1:
         raise ContractViolation(f"need n >= 1, got n={n}")
     if N is None:
         return n * n
+    N = exact_int(N, "N")
     if N < 0:
         raise ContractViolation(f"need N >= 0, got N={N}")
     return N

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from math import lcm, log10
+from operator import index
 from typing import ClassVar, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -85,6 +86,18 @@ def arange_exact(start: int, stop: int, step: int = 1,
     array for some sizes near ``2**63``, which ``np.empty`` refuses."""
     np.empty(max((stop - start) * step, 0), dtype)
     return np.arange(start, stop, step, dtype=dtype)
+
+
+def exact_int(value, name: str) -> int:
+    """``value`` as a Python int: an ``int`` or a numpy integer, through
+    ``operator.index``.  A bool, float, ``Fraction`` or string is refused,
+    by ``name``, rather than truncated or read as 0 or 1."""
+    if not isinstance(value, bool):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise ContractViolation(f"{name} must be an integer, got {value!r}")
 
 
 def _int64_column(values, name: str) -> np.ndarray:

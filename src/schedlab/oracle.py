@@ -35,11 +35,15 @@ graph of :mod:`~schedlab.throughput` both read.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from heapq import heappop, heappush
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, module_from_spec, spec_from_loader
 from itertools import chain, repeat
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
@@ -48,7 +52,7 @@ import numpy as np
 
 from .core import (INT64_MAX, ContractViolation, Instance, Job, MachineProfile,
                    Schedule, UnitJobs, _deadline_runs, _int64_column, _ratio, allocating,
-                   arange_exact, require_valid, time_grid, unit_columns)
+                   arange_exact, exact_int, require_valid, time_grid, unit_columns)
 
 # Most deadline columns live at an engine's first releasing step for which
 # ``IncrementalOff`` holds its state in Python ints rather than numpy columns.
@@ -319,7 +323,7 @@ class IncrementalOff:
     """
 
     def __init__(self, deadline_values: Iterable[int]):
-        self._deadlines = deadlines = sorted(set(int(v) for v in deadline_values))
+        self._deadlines = deadlines = sorted({exact_int(v, "deadline") for v in deadline_values})
         self._column = {d: i for i, d in enumerate(deadlines)}
         self._t: int | None = None
         self._value = self._total = 0
@@ -575,6 +579,51 @@ def active_steps(jobs: Iterable[Job]) -> tuple[np.ndarray, np.ndarray, np.ndarra
 #: :func:`offline_throughput_opt` solves.
 _EXACT_SPREAD = 2**50
 
+#: The compiled module that holds scipy's assignment solver.
+_LSAP = "scipy.optimize._lsap"
+
+
+def _lsap_file() -> str | None:
+    """The file of scipy's compiled ``_lsap`` module, if it is one of its
+    own, looked up beside the ``scipy`` package, which ``find_spec`` finds
+    without importing it (a submodule's spec would import its parents)."""
+    spec = find_spec("scipy")
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(root, "optimize", "_lsap" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _load_lsap(path: str):
+    """``linear_sum_assignment`` from the compiled module at ``path``, which
+    is then registered as ``scipy.optimize._lsap``, as an import would, so a
+    later ``import scipy.optimize`` reuses it; ``None`` where the file does
+    not load as that module or lacks the function."""
+    loader = ExtensionFileLoader(_LSAP, path)
+    try:
+        module = module_from_spec(spec_from_loader(_LSAP, loader))
+        loader.exec_module(module)
+        solver = module.linear_sum_assignment
+    except (ImportError, AttributeError):
+        return None
+    sys.modules[_LSAP] = module
+    return solver
+
+
+@cache
+def _assignment_solver():
+    """scipy's ``linear_sum_assignment``, from the file :func:`_lsap_file`
+    finds, which skips the ``scipy.optimize`` package ``__init__``; the
+    public import where that package is loaded already or no such file loads."""
+    if "scipy.optimize" not in sys.modules and (path := _lsap_file()) is not None:
+        solver = _load_lsap(path)
+        if solver is not None:
+            return solver
+    from scipy.optimize import linear_sum_assignment
+    return linear_sum_assignment
+
 
 def offline_throughput_opt(instance: Instance) -> tuple[Fraction, Schedule]:
     """Maximum total weight schedulable on ``k`` machines, with a witness.
@@ -599,9 +648,13 @@ def offline_throughput_opt(instance: Instance) -> tuple[Fraction, Schedule]:
     ``2**53``, while ``S <= 2**50``; instances past that are refused rather
     than solved with rounded sums.  The reported total is the exact sum of
     the placed jobs' numerators over their scale.
-    """
-    from scipy.optimize import linear_sum_assignment
 
+    The solver is scipy's compiled ``linear_sum_assignment``, called from
+    its own module (:func:`_assignment_solver`): importing ``scipy.optimize``
+    to reach it would load the whole package, about 0.5 s and 49 MiB, for
+    one function.  Where scipy ships no such module, or it does not load,
+    the public import gives the same function and the same witness.
+    """
     if instance.model != "throughput":
         raise ContractViolation(f"expected a throughput instance, got {instance.model}")
     jobs = time_grid(require_valid(instance).jobs)
@@ -619,7 +672,7 @@ def offline_throughput_opt(instance: Instance) -> tuple[Fraction, Schedule]:
     weight[np.arange(n), m + np.arange(n)] = 0.0
     for row, a, b, w in zip(weight, lo.tolist(), hi.tolist(), jobs.w):
         row[k * a:k * b] = w
-    rows, cols = linear_sum_assignment(weight, maximize=True)
+    rows, cols = _assignment_solver()(weight, maximize=True)
     steps = steps.tolist()
     placed = [(int(ji), *divmod(int(ci), k)) for ji, ci in zip(rows, cols) if ci < m]
     schedule = Schedule(

@@ -563,8 +563,13 @@ class TestResolveStream:
         assert resolve_stream(7, 0) == 0
         assert resolve_stream(1, 5) == 5
 
+    def test_numpy_integers_read_as_ints(self):
+        n = np.int64(2**32)
+        assert resolve_stream(n) == 2**64
+        assert type(resolve_stream(np.int64(3), np.uint8(7))) is int
+
     @pytest.mark.parametrize("call", [
-        lambda n, N: play_game(alpha_edf_player("e", max(n, 1)), n, N),
+        lambda n, N: play_game(alpha_edf_player("e", 4), n, N),
         lambda n, N: aggregate_game("e", n, N),
         lambda n, N: counting_bounds(n, N),
         actual_released,
@@ -574,10 +579,22 @@ class TestResolveStream:
     ])
     @pytest.mark.parametrize("n, N, message", [
         (0, None, "need n >= 1"), (-3, 9, "need n >= 1"),
-        (4, -1, "need N >= 0")])
+        (4, -1, "need N >= 0"),
+        # each was truncated, read as 1, or ended in numpy's TypeError
+        (150.5, None, "n must be an integer, got 150.5"),
+        (150.0, None, "n must be an integer, got 150.0"),
+        (True, None, "n must be an integer, got True"),
+        ("5", 9, "n must be an integer, got '5'"),
+        (4, 2.5, "N must be an integer, got 2.5"),
+        (4, True, "N must be an integer, got True")])
     def test_every_stream_entry_point_rejects(self, call, n, N, message):
         with pytest.raises(ContractViolation, match=message):
             call(n, N)
+
+    def test_player_for_a_non_integer_deadline_refused(self):
+        # built a player for deadline 20
+        with pytest.raises(ContractViolation, match="deadline must be an integer"):
+            alpha_edf_player("e", 20.5)
 
 
 def quadratic_envelope_off(n, N, t_max):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from schedlab import adversary, throughput
+from schedlab import adversary, oracle, throughput
 from schedlab.cli import CSV_VERSION, main
 from schedlab.fileio import _decimal_column, read_instance
 
@@ -935,8 +935,9 @@ def test_module_entry_point():
 
 
 def test_import_loads_no_scipy():
-    # scipy serves only the flow cross-check and the assignment OPT, which
-    # import it when called; every other sched call is spared the load.
+    # scipy serves only the flow cross-check, which imports scipy.sparse
+    # when called, and the assignment OPT, which loads one compiled module
+    # when called (next test); every other sched call is spared the load.
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, schedlab; "
@@ -944,6 +945,25 @@ def test_import_loads_no_scipy():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_throughput_run_loads_only_the_assignment_solver(tmp_path):
+    # The OPT reaches scipy's solver through its compiled module alone,
+    # without the scipy.optimize package, where scipy ships that module.
+    if oracle._lsap_file() is None:
+        pytest.skip("this scipy ships no standalone _lsap extension")
+    path = tmp_path / "tp.json"
+    assert main(["gen", "throughput", "--jobs", "40", "--horizon", "12", "--k", "2",
+                 "--out", str(path)]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import contextlib, io, sys; from schedlab import cli\n"
+         "with contextlib.redirect_stdout(io.StringIO()):\n"
+         f"    code = cli.main(['run', 'greedy-baseline', '--instance', {str(path)!r}])\n"
+         "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 ['scipy.optimize._lsap']\n"
 
 
 def test_console_script():

@@ -1,7 +1,12 @@
 """Offline ground truth: EDF runs, feasibility oracles, optima, bounds."""
 import heapq
 import itertools
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,6 +303,18 @@ class TestIncrementalOff:
     def test_wrong_release_rejected(self):
         with pytest.raises(ContractViolation, match="job 7 released at 1"):
             IncrementalOff([5]).add(unit_columns([Job(0, 2, 5), Job(7, 1, 5)]), 2)
+
+    @pytest.mark.parametrize("deadlines", [[5.7], ["5"], [True, 5], [5, Fraction(7)],
+                                           [np.float64(5)]], ids=repr)
+    def test_non_integer_deadline_refused(self, deadlines):
+        # 5.7 was registered as 5, "5" as 5 and True as 1
+        with pytest.raises(ContractViolation, match="deadline must be an integer"):
+            IncrementalOff(deadlines)
+
+    def test_numpy_integer_deadlines_read_as_ints(self):
+        inc = IncrementalOff(np.array([8, 5]))
+        assert inc.add(unit_columns([Job(0, 0, 5), Job(1, 0, 5)]), 0) == 1
+        assert inc.add(unit_columns([Job(2, 4, 5), Job(3, 4, 8), Job(4, 4, 5)]), 4) == 2
 
     def test_unregistered_or_past_deadline_rejected(self):
         with pytest.raises(ContractViolation, match="job 1 due at 4"):
@@ -692,6 +709,83 @@ class TestThroughputOpt:
                            match="cells do not fit in memory as a float64 "
                                  "assignment table"):
             offline_throughput_opt(inst)
+
+
+def run_python(code, *args):
+    """Run ``code`` with ``args`` in a fresh interpreter that imports this
+    ``schedlab``; return its stdout."""
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+#: ``throughput_instance`` arguments for the solver-path checks: the
+#: benchmark-sized instance, then small weighted and unweighted ones.
+OPT_CORPUS = [(400, 100, 4, 10, 0, False)] + [
+    (6 + 3 * seed, 4 + seed, 1 + seed % 3, 3, seed, seed % 4 == 3) for seed in range(12)]
+
+_FALLBACK_PROBE = """
+import json, sys
+from schedlab import oracle
+from schedlab.generators import throughput_instance
+oracle._lsap_file = lambda: None
+opts = [oracle.offline_throughput_opt(throughput_instance(*args))
+        for args in json.loads(sys.argv[1])]
+print(json.dumps([[str(w), s.assignments, s.misses] for w, s in opts]))
+# once scipy.optimize is loaded, its solver is taken with no file lookup
+import scipy.optimize
+def lookup():
+    raise AssertionError("looked for the file")
+oracle._lsap_file = lookup
+oracle._assignment_solver.cache_clear()
+assert oracle._assignment_solver() is scipy.optimize.linear_sum_assignment
+"""
+
+_TIES_PROBE = """
+import sys
+import numpy as np
+from schedlab import oracle
+solver = oracle._assignment_solver()
+assert "scipy.optimize" not in sys.modules
+rng = np.random.default_rng(7)
+tables = [rng.integers(-3, 4, size=shape).astype(float) for _ in range(40)
+          for shape in [(1, 1), (3, 3), (6, 6), (10, 10), (1, 5), (3, 8), (6, 15)]]
+lean = [solver(c, maximize=m) for c in tables for m in (False, True)]
+from scipy.optimize import linear_sum_assignment
+assert linear_sum_assignment is solver
+public = [linear_sum_assignment(c, maximize=m) for c in tables for m in (False, True)]
+assert all((a == x).all() and (b == y).all() for (a, b), (x, y) in zip(lean, public))
+print(len(lean))
+"""
+
+
+class TestAssignmentSolver:
+    """The OPT calls scipy's compiled solver from its own module, and
+    imports ``scipy.optimize`` only where that module cannot load."""
+
+    def test_lean_path_matches_the_public_solver(self):
+        if oracle._lsap_file() is None:
+            pytest.skip("this scipy ships no standalone _lsap extension")
+        assert run_python(_TIES_PROBE) == "560\n"
+
+    def test_public_import_gives_the_same_opt(self):
+        # a fresh process whose locator finds nothing imports scipy.optimize,
+        # and then uses it with no lookup; this one may have taken either path
+        fallback = run_python(_FALLBACK_PROBE, json.dumps(OPT_CORPUS))
+        opts = [offline_throughput_opt(throughput_instance(*args)) for args in OPT_CORPUS]
+        expected = [[str(w), s.assignments, s.misses] for w, s in opts]
+        assert json.loads(fallback) == json.loads(json.dumps(expected))
+
+    def test_unloadable_file_is_not_registered(self, tmp_path):
+        fake = tmp_path / "_lsap.so"
+        fake.write_bytes(b"not a shared object")
+        before = sys.modules.get(oracle._LSAP)
+        assert oracle._load_lsap(str(fake)) is None
+        assert sys.modules.get(oracle._LSAP) is before
 
 
 @given(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 5)), min_size=1,
