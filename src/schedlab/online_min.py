@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (INT64_MAX, ContractViolation, Instance, Job, Schedule, UnitJobs,
-                   allocating, require_valid, unit_columns)
+                   allocating, exact_int, require_valid, unit_columns)
 from .oracle import EdfQueue, EdfTrace, IncrementalOff, distinct_deadlines, release_blocks
 
 
@@ -243,10 +243,10 @@ class FractionalCertificate:
 def build_certificate(jobs: Sequence[Job], dstar: int) -> FractionalCertificate:
     """Collect the jobs due by ``dstar``, sorted by ``(release, id)``.
 
-    Refuses ``dstar < 1`` and any member released at or after ``dstar``: its
-    window ``[r, d)`` is empty, so it has no support to spread over.
+    Refuses a ``dstar`` below 1 or not an integer (``core.exact_int``), and
+    any member released at or after it: its empty window has no support.
     """
-    if dstar < 1:
+    if (dstar := exact_int(dstar, "dstar")) < 1:
         raise ContractViolation(f"dstar must be at least 1, got {dstar}")
     jobs = unit_columns(jobs)
     due = jobs[jobs.d <= dstar]
@@ -342,17 +342,32 @@ def _padded(series: list[int], length: int) -> np.ndarray:
     return out
 
 
-#: Grid points per chunk of the agreement adds: its float64 arrays fit a 4 MiB L2.
-_TILE_POINTS = 65536
+#: Grid points per chunk of the point screen: the fastest of 8,192 to 65,536 (ROADMAP.md).
+_TILE_POINTS = 32768
+
+#: A piece's top binades, where points take the exact rounding: the fastest (ROADMAP.md).
+_EXACT_BINADES = 3
 
 
-def _agreement_bound(n: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A bound on ``|s_n - fl(n*v)|``, ``n >= 1``, derived in :func:`check_certificate`."""
-    f, p = np.frexp(v * (1 + (n + 1) * 2.0**-52))  # v' >= v*(1+u)^n
-    inner = n * 0.5
-    for j in range(int(n.max(initial=1)).bit_length()):  # k_j >= 2^j
-        inner += np.where(n >= (k := np.ceil(2.0**j / f)), (n - k + 2) * 2.0**(j - 1), 0)
-    return np.ldexp(inner, p - 53) * (1 + 2.0**-40)  # covers inner's rounding
+def _binade_bound(n: np.ndarray, v_lo: np.ndarray, v_hi: np.ndarray, at=slice(None),
+                  v: np.ndarray | None = None) -> np.ndarray:
+    """A bound on ``|s_n - fl(n*v)|`` (:func:`check_certificate`) on pieces of level ``n``
+    whose values lie in ``[v_lo, v_hi]``, every add rounding by half a unit; or, at points
+    ``v`` of the pieces ``at``, with their exact rounding in the top ``_EXACT_BINADES``."""
+    (f, p), wide = np.frexp(v_lo), v_hi * (1 + (n + 1) * 2.0**-52)  # v' >= v*(1+2^-53)^n
+    top = np.frexp(n * wide)[1] - p  # n*v' < 2^(p+top): the sums lie in binades < p+top
+    rows, cut = [], 0 if v is None else _EXACT_BINADES
+    for k in range(int(top.max(initial=0))):  # binade E = p+top-1-k; u_E/2 is `half` units
+        half = np.int64(1) << np.maximum(top - 1 - k, 0)  # of 2^(p-53), as every term
+        fill = np.floor(2.0**53 * half / np.maximum(np.ldexp(f, 53) - half, 0.5)) + 1
+        rows.append((np.minimum(fill, n - np.floor(np.ldexp(half, p) / wide)) * (k < top), half))
+    # the crossings and the product, then the top binades' exact rounding at each point
+    bound = (1.5 * np.ldexp(1.0, top) - 1 + sum(c * h for c, h in rows[cut:]))[at]
+    m = None if v is None else np.ldexp(v, 53 - p[at]).astype(np.int64)  # exact: v >= v_lo
+    for count, half in rows[:cut]:  # m's distance to the multiples of u_E, 2*half units
+        low = m & (2 * half[at] - 1)
+        bound += np.minimum(low, 2 * half[at] - low) * count[at]
+    return np.ldexp(bound * (1 + 2.0**-40), p[at] - 53)  # covers the bound's own rounding
 
 
 def _worst_error(x: np.ndarray, n: np.ndarray, dstar: int, g: int) -> float:
@@ -374,26 +389,34 @@ def check_certificate(cert: FractionalCertificate, transcript: OnlineTranscript,
       count times ``1/(dstar - x)`` (the two must agree), never exceeds
       the run's machine count, nor ``e`` times the offline optimum.
 
-    The grid has ``g = grid_per_unit`` points per unit on ``[0, dstar)``.
-    The exact support ends (``_support_end``) and the rows (one step's
-    ``g`` points) cut it into pieces of one open-support count ``N``.  On a
-    piece ``fl(N*v)``, ``v = 1/(dstar - x)``, rises with ``x``: a row peaks
-    at a piece's last point, the ``e*OFF`` excess reads the peaks, and only
-    a failing row is expanded, to list the first 100 profile failures.
+    The grid has ``g = grid_per_unit`` points per unit on ``[0, dstar)``,
+    an integer (``core.exact_int``) of at least 2.  The exact support ends
+    (``_support_end``) and the rows (one step's ``g`` points) cut it into
+    pieces of one open-support count ``N``.  On a piece ``fl(N*v)``, ``v =
+    1/(dstar - x)``, rises with ``x``: a row peaks at a piece's last point,
+    the ``e*OFF`` excess reads the peaks, and only a failing row is
+    expanded, to list the first 100 profile failures.
 
-    A point's direct sum ``s_N`` adds ``v`` ``N`` times, one add at a time,
-    so its error depends on ``(N, v)`` alone.  The adds stay only for
+    A point's direct sum ``s_N`` adds ``v`` ``N`` times, so its error
+    depends on ``(N, v)`` alone.  The adds stay only for
     ``route_agreement``, which the benchmark's digests pin, until an exact
     checker with no grid replaces them.  The pieces' last points seed the
-    largest error; a piece gets the adds at all its points, in ``N``-falling
-    chunks of ``_TILE_POINTS``, only if its bound at its last point (every
-    term rises with ``v``) reaches the seed.  Bound (Higham, §4.2): with
-    ``u = 2^-53``, ``v' = v*(1+u)^N = f*2^P`` (``frexp``, ``1/2 <= f < 1``)
-    and ``E_k = floor(log2(k*f))``, add ``k = 2..N`` sums to at most ``k*v'``
-    and rounds by at most ``ulp(k*v')/2 = 2^(P-53+E_k)``, and ``fl(N*v)`` by
-    ``2^(P-53+E_N)``.  ``E_1 = -1`` and ``E_k`` rises by one at each ``k_j =
-    ceil(2^j/f)`` (rounding only lowers ``k_j``), so binade by binade the
-    bound is ``2^(P-53) * (N/2 + sum over k_j <= N of 2^(j-1) * (N - k_j + 2))``.
+    largest error; a bound then screens the pieces, and the kept ones'
+    points in chunks of ``_TILE_POINTS``, and only a point it cannot rule
+    out gets the adds.  Bound (after Higham, §4.2), for ``v = M*2^(P-53)``,
+    ``2^52 <= M < 2^53``: an add whose input (a multiple of ``u_E =
+    2^(E-52)``) and exact sum lie in the binade ``[2^E, 2^(E+1))`` rounds by
+    exactly ``δ_E = dist(v, u_E*Z)``, at ``E = P-1+b`` ``2^(P-53)*min(M mod
+    2^b, 2^b - M mod 2^b)``, and adds ``v - u_E/2`` or more to ``s``: ``E``
+    holds at most ``floor(2^E/(v - u_E/2)) + 1`` of them (``N`` if ``v <=
+    u_E/2``) and, as ``s_k <= k*v'``, ``v' = v*(1+2^-53)^N``, at most ``N -
+    floor(2^E/v')``.  At most one add crosses into each binade, by at most
+    ``u_E/2``, and with ``2^Q > N*v' >= 2^(Q-1)`` the product rounds by at
+    most ``2^(Q-54)``: the error is at most that plus ``count_E*δ_E +
+    u_E/2`` over the binades.  The first count falls with ``v`` and the
+    second rises, so taken at a piece's first and last point they hold on
+    all of it.  Pieces take every ``δ_E`` as ``u_E/2``, points the exact
+    ``δ_E`` in their piece's top ``_EXACT_BINADES`` binades.
 
     Dominance needs no grid: at every integer t, the certificate jobs run
     (one mask over the run's slots) are at least the mass accrued by t: the
@@ -402,8 +425,7 @@ def check_certificate(cert: FractionalCertificate, transcript: OnlineTranscript,
     with a bound on their rounding; a t they cannot pass gets the per-step
     sum, which is also the mass a failure reports.
     """
-    g = grid_per_unit
-    if g < 2:
+    if (g := exact_int(grid_per_unit, "grid_per_unit")) < 2:
         raise ContractViolation("need at least 2 grid points per unit")
     dstar = cert.dstar
     with allocating(dstar * g, "grid points", "a float64 array"):
@@ -419,7 +441,7 @@ def check_certificate(cert: FractionalCertificate, transcript: OnlineTranscript,
     done = np.append(0, np.cumsum(per_release))
     level = (done[np.searchsorted(releases * g, start, "right")]
              - done[np.searchsorted(stops, start, "right")])  # prefixes: ends rise with r
-    v_last = 1.0 / (dstar - (stop - 1) / g)
+    v_first, v_last = 1.0 / (dstar - start / g), 1.0 / (dstar - (stop - 1) / g)
     peak = np.maximum.reduceat(level * v_last, np.searchsorted(start, np.arange(dstar) * g))
     m, e_off = _padded(transcript.m, dstar), math.e * _padded(transcript.off, dstar)
     report.packing_scaled_off_excess = float((peak - e_off).max())
@@ -431,15 +453,18 @@ def check_certificate(cert: FractionalCertificate, transcript: OnlineTranscript,
                      for k in np.flatnonzero(dense > m[row] + tol)[:100 - len(failures)].tolist()]
 
     order = np.argsort(-level, kind="stable")[:np.count_nonzero(level)]  # N falls
-    report.agreement_worst = worst = _worst_error(stop[order] - 1, level[order], dstar, g)
-    kept = order[_agreement_bound(level[order], v_last[order]) >= worst]
+    worst = _worst_error(stop[order] - 1, level[order], dstar, g)
+    kept = order[_binade_bound(level[order], v_first[order], v_last[order]) >= worst]
     ends = np.cumsum((stop - start)[kept])  # the kept points, laid end to end
     for c0 in range(0, ends[-1] if len(ends) else 0, _TILE_POINTS):
         a, b = np.searchsorted(ends, [c0, c0 + _TILE_POINTS], "right") + [0, 1]  # pieces met
         sizes = np.diff(np.minimum(ends[a:b], c0 + _TILE_POINTS), prepend=c0)
-        x = np.arange(c0, c0 + sizes.sum()) + np.repeat(stop[kept[a:b]] - ends[a:b], sizes)
-        n = np.repeat(level[kept[a:b]], sizes)
-        report.agreement_worst = worst = max(worst, _worst_error(x, n, dstar, g))
+        met, at = kept[a:b], np.repeat(np.arange(len(sizes)), sizes)
+        x = np.arange(c0, c0 + len(at)) + (stop[met] - ends[a:b])[at]
+        v = 1.0 / (dstar - x / g)
+        near = worst <= _binade_bound(level[met], v_first[met], v_last[met], at, v)
+        worst = max(worst, _worst_error(x[near], level[met][at[near]], dstar, g))
+    report.agreement_worst = worst
 
     chosen = transcript.trace.chosen[:dstar]
     ran = np.cumsum(np.isin(np.fromiter(chain.from_iterable(chosen), np.int64), cert.jobs.ids))

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 import types
 from decimal import Decimal, localcontext
@@ -272,6 +273,12 @@ class TestBuildCertificate:
         with pytest.raises(ContractViolation, match="dstar"):
             build_certificate([Job(0, 0, 4)], dstar)
 
+    @pytest.mark.parametrize("dstar", [9.5, 9.0, Fraction(9), "9", True])
+    def test_dstar_that_is_no_integer_is_refused(self, dstar):
+        with pytest.raises(ContractViolation,
+                           match=re.escape(f"dstar must be an integer, got {dstar!r}")):
+            build_certificate([Job(0, 0, 4)], dstar)
+
     def test_support_end_is_decided_exactly(self):
         # The last grid point k/g on the support [r, dstar - (dstar - r)/e].
         assert _support_end(0, 4, 1000) == _support_hi_index(0, 4, 1000) == 2528
@@ -347,6 +354,25 @@ class TestCheckCertificate:
         with pytest.raises(ContractViolation):
             check_certificate(build_certificate(inst.jobs, 1), tr,
                               grid_per_unit=1)
+
+    @pytest.mark.parametrize("dstar, grid", [(np.int64(9), 10), (9, np.int64(10)),
+                                             (np.int32(9), np.uint8(10))])
+    def test_numpy_integer_sizes(self, dstar, grid):
+        # a numpy int times the 60-digit EULER denominator would overflow int64
+        inst = random_unit_instance(40, 9, seed=0)
+        tr = run_alpha_edf(inst, "e")
+        rep = check_certificate(build_certificate(inst.jobs, dstar), tr, grid)
+        assert rep.to_jsonable() == check_certificate(
+            build_certificate(inst.jobs, 9), tr, 10).to_jsonable()
+        assert type(rep.dstar) is int and type(rep.grid_per_unit) is int
+
+    @pytest.mark.parametrize("grid", [2.5, 10.0, Fraction(21, 2), Fraction(10), "10", True])
+    def test_grid_that_is_no_integer_is_refused(self, grid):
+        inst = Instance.of("unit-min", [Job(0, 0, 4)], horizon=4)
+        cert = build_certificate(inst.jobs, 4)
+        with pytest.raises(ContractViolation,
+                           match=re.escape(f"grid_per_unit must be an integer, got {grid!r}")):
+            check_certificate(cert, run_alpha_edf(inst, "e"), grid)
 
 
 def reference_dominance(cert, transcript, tol=1e-9):
@@ -594,9 +620,10 @@ class TestReportBytes:
         assert_same_report(build_certificate(inst.jobs, 1 + pick), tr, grid)
 
 
-def no_pruning(n, v):
-    """An agreement bound that no seed passes: every piece gets the adds."""
-    return np.full(len(n), np.inf)
+def no_pruning(n, v_lo, v_hi, at=None, v=None):
+    """A screen bound that no worst error passes, at the pieces and at their
+    points alike: every point gets the adds."""
+    return np.full(len(n if v is None else v), np.inf)
 
 
 def record_chunks(monkeypatch):
@@ -619,7 +646,7 @@ class TestReportBytesEveryPiece(TestReportBytes):
     @pytest.fixture(autouse=True, scope="class")
     def every_piece(self):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(online_min, "_agreement_bound", no_pruning)
+            patch.setattr(online_min, "_binade_bound", no_pruning)
             yield
 
     # hypothesis runs one @given function from one class only
@@ -637,8 +664,8 @@ class TestPruning:
         cert = build_certificate(inst.jobs, deadlines[len(deadlines) // 2])
         tr = run_alpha_edf(inst, "e")
         worst = check_certificate(cert, tr, 1000).agreement_worst
-        monkeypatch.setattr(online_min, "_agreement_bound",
-                            lambda n, v: np.full(len(n), -np.inf))
+        monkeypatch.setattr(online_min, "_binade_bound",
+                            lambda n, *_: np.full(len(n), -np.inf))
         assert check_certificate(cert, tr, 1000).agreement_worst < worst
 
     def test_adds_skip_most_points(self, monkeypatch):
@@ -646,7 +673,7 @@ class TestPruning:
         cert = build_certificate(inst.jobs, 500)
         calls = record_chunks(monkeypatch)
         check_certificate(cert, run_alpha_edf(inst, "e"), 1000)
-        assert 0 < sum(map(len, calls[1:])) < 500 * 1000 / 2
+        assert 0 < sum(map(len, calls[1:])) < 20_000  # of 500,000 points
 
 
 def repeated_add_error(n, v):
@@ -658,6 +685,27 @@ def repeated_add_error(n, v):
     return abs(Fraction(s) - Fraction(n * v))
 
 
+def screen_bounds(n, v, v_lo, v_hi):
+    """The piece and point screens' bounds at ``v``, exact rationals, for a
+    piece of level ``n`` whose values span ``[v_lo, v_hi]``."""
+    piece = np.array([n]), np.array([v_lo]), np.array([v_hi])
+    return [Fraction(float(online_min._binade_bound(*piece, *point)[0]))
+            for point in ((), (np.array([0]), np.array([v])))]
+
+
+def grid_bounds(inv, counts, g):
+    """Both screens' bounds at every grid point with an open support, over
+    runs of one count within a row, as the checker's pieces are."""
+    cut = np.flatnonzero((np.diff(counts) != 0) | (np.arange(1, len(counts)) % g == 0)) + 1
+    first, last = np.append(0, cut), np.append(cut, len(counts)) - 1
+    first, last = first[counts[first] > 0], last[counts[first] > 0]
+    piece = np.repeat(np.arange(len(first)), last - first + 1)
+    at = np.concatenate([np.arange(a, b + 1) for a, b in zip(first.tolist(), last.tolist())])
+    span = counts[first], inv[first], inv[last]
+    pieces = online_min._binade_bound(*span)[piece]
+    return at, pieces, online_min._binade_bound(*span, piece, inv[at])
+
+
 BINADES = st.integers(-60, 60)
 BOUND_VALUES = st.one_of(
     BINADES.map(lambda e: math.ldexp(1.0, e)),  # exact powers of two
@@ -665,29 +713,66 @@ BOUND_VALUES = st.one_of(
     st.builds(lambda m, e: math.ldexp(1 + m * 2.0**-52, e), st.integers(1, 64), BINADES),
     st.builds(lambda m, e: math.ldexp(2 - m * 2.0**-52, e), st.integers(1, 64), BINADES),
     st.builds(lambda m, e: math.ldexp(1.5 + m * 2.0**-52, e), st.integers(-8, 8), BINADES),
+    # M mod 2^b = 2^(b-1): every add in binade P - 1 + b is a tie
+    st.builds(lambda b, j, e: math.ldexp(1 + (2 * j + 1) * 2.0**(b - 53), e),
+              st.integers(1, 24), st.integers(0, 7), BINADES),
     st.floats(2.0**-60, 2.0**60),
 )
 BOUND_COUNTS = st.one_of(st.integers(1, 4096), st.sampled_from(
     [2**k + d for k in range(13) for d in (-1, 0, 1) if 1 <= 2**k + d <= 4096]))
+#: A piece's value range, as factors of ``v``: below and above it
+RANGE_FACTORS = st.tuples(st.floats(1 / math.e, 1), st.floats(1, math.e))
 
 
 class TestAgreementBound:
-    """``_agreement_bound`` is at least the exact repeated-add error."""
+    """Both screens' bound is at least the exact repeated-add error."""
 
     @settings(max_examples=300, deadline=None)
     @given(BOUND_COUNTS, BOUND_VALUES)
     def test_bound_covers_the_repeated_adds(self, n, v):
-        bound = online_min._agreement_bound(np.array([n]), np.array([v]))[0]
-        assert Fraction(bound) >= repeated_add_error(n, v)
+        error = repeated_add_error(n, v)
+        piece, point = screen_bounds(n, v, v, v)
+        assert piece >= point >= error
+
+    @settings(max_examples=100, deadline=None)
+    @given(BOUND_COUNTS, BOUND_VALUES, RANGE_FACTORS)
+    def test_bound_covers_a_piece_range(self, n, v, factors):
+        lo, hi = v * factors[0], v * factors[1]
+        piece, point = screen_bounds(n, v, lo, hi)
+        assert piece >= point >= repeated_add_error(n, v)
+
+    @settings(max_examples=100, deadline=None)
+    @given(BOUND_COUNTS, BINADES, st.integers(1, 2**40), st.integers(0, 2**40),
+           st.booleans())
+    def test_bound_covers_a_range_across_a_power_of_two(self, n, e, below, above, at_top):
+        # v_lo just below 2^e, v at or past it: the piece's p is one below v's
+        lo = math.ldexp(1 - below * 2.0**-53, e)
+        v = math.ldexp(1 + above * 2.0**-52, e)
+        hi = math.ldexp(1 + 2 * above * 2.0**-52, e) if at_top else v
+        piece, point = screen_bounds(n, v if at_top else lo, lo, hi)
+        assert piece >= point >= repeated_add_error(n, v if at_top else lo)
 
     def test_bound_covers_every_grid_point(self):
         inst = random_unit_instance(2000, 500, seed=0)
         inv, acc, counts = reference_grid(build_certificate(inst.jobs, 500), 1000)
-        inv, acc, counts = inv[counts > 0], acc[counts > 0], counts[counts > 0]
+        at, pieces, points = grid_bounds(inv, counts, 1000)
         # acc and counts*inv lie within a factor 2, so their difference is exact
-        ratio = np.abs(acc - counts * inv) / online_min._agreement_bound(counts, inv)
-        assert ratio.max() <= 1
+        ratio = np.abs(acc[at] - counts[at] * inv[at]) / points
+        assert len(at) == np.count_nonzero(counts)
+        assert ratio.max() <= 1 and (points <= pieces).all()
         assert ratio.max() > 0.5  # tight enough to prune
+
+    def test_one_large_level(self):
+        # 3,000 jobs released at 0: one level of 3,000 over the support, whose
+        # values span a factor e and cross powers of two
+        inst = Instance.of("unit-min", [Job(i, 0, 7) for i in range(3000)], horizon=7)
+        cert = build_certificate(inst.jobs, 7)
+        inv, acc, counts = reference_grid(cert, 50)
+        at, pieces, points = grid_bounds(inv, counts, 50)
+        assert counts.max() == 3000
+        assert (np.abs(acc[at] - counts[at] * inv[at]) <= points).all()
+        assert (points <= pieces).all()
+        assert assert_same_report(cert, run_alpha_edf(inst, "e"), 50).ok
 
 
 class TestChunks:
@@ -701,7 +786,7 @@ class TestChunks:
         monkeypatch.setattr(online_min, "_TILE_POINTS", 64)
         self.every_piece = request.param == "every piece"
         if self.every_piece:
-            monkeypatch.setattr(online_min, "_agreement_bound", no_pruning)
+            monkeypatch.setattr(online_min, "_binade_bound", no_pruning)
         self.calls = record_chunks(monkeypatch)
 
     def check(self, cert, transcript, grid):

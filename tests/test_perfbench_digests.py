@@ -1,7 +1,8 @@
-"""Op 0 of each perfbench workload still writes its recorded bytes.
+"""Op 0 of each perfbench workload, and every recorded ``unit-random`` op,
+still write their recorded bytes.
 
 ``perfbench/reference_digests.json`` holds the sha256 of the first ops'
-output at the benchmark's default seed 0.  Running op 0 here, untraced,
+output at the benchmark's default seed 0.  Running those ops here, untraced,
 catches a change to any output byte before a benchmark run does.  The
 per-layer counts, which only a traced run computes, and the callables a
 traced run wraps are checked here too.  The benchmark's files are read,
@@ -52,3 +53,13 @@ def test_trace_targets_resolve(span):
         module, _, path = target.partition(":")
         assert callable(reduce(getattr, path.split("."),
                                importlib.import_module(module))), target
+
+
+@pytest.mark.parametrize("index", sorted(REFERENCE["unit-random"], key=int))
+def test_every_recorded_unit_random_op_matches_its_digest(index):
+    # route_agreement is the largest error over the grid; a screen that
+    # skipped the worst point on any recorded seed would change its bytes.
+    # The digests were recorded from checked ops, so no workload check runs.
+    workload = workloads.WORKLOADS["unit-random"]
+    out = workload.op(workloads.op_seed(0, int(index)), tracing.NullTracer())
+    assert workloads.digest(out.text) == REFERENCE["unit-random"][index]
